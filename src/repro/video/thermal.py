@@ -58,7 +58,7 @@ class ThermalCameraSimulator(FrameSource):
         # sample the scene down to the sensor geometry
         r_idx = np.linspace(0, full.shape[0] - 1, self.rows).round().astype(int)
         c_idx = np.linspace(0, full.shape[1] - 1, self.cols).round().astype(int)
-        pixels = full[np.ix_(r_idx, c_idx)]
+        pixels = full[r_idx][:, c_idx]
         frame = VideoFrame(
             pixels=np.clip(np.round(pixels), 0, 255).astype(np.uint8),
             timestamp_s=t_s,

@@ -84,8 +84,8 @@ class TestRoundtrip:
             assert np.array_equal(got, original)
 
     def test_chunked_delivery(self, rng):
-        """Byte-at-a-time delivery must decode identically (it is a
-        state machine, like the hardware)."""
+        """Chunked delivery must decode identically (the decoder carries
+        its state across chunks, like the hardware)."""
         config = Bt656Config(active_width=24, active_lines=8,
                              vblank_lines=2, hblank_samples=4)
         frame = rng.integers(1, 255, (8, 24)).astype(np.uint8)
@@ -100,6 +100,40 @@ class TestRoundtrip:
     def test_encoder_rejects_bad_input(self):
         with pytest.raises(DecodeError):
             encode_frame(np.zeros(10))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_encoder_rejects_empty_plane(self, shape):
+        with pytest.raises(DecodeError, match="empty"):
+            encode_frame(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encoder_rejects_non_finite_plane(self, bad):
+        plane = np.full((4, 4), 100.0)
+        plane[2, 1] = bad
+        with pytest.raises(DecodeError, match="non-finite"):
+            encode_frame(plane)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("active_width", 0),
+        ("active_lines", 0),
+        ("active_width", -3),
+        ("vblank_lines", -1),
+        ("post_blank_lines", -1),
+        ("hblank_samples", -4),
+        ("hblank_samples", 3),
+    ])
+    def test_geometry_that_breaks_the_codec_is_rejected(self, field, value):
+        with pytest.raises(DecodeError, match=field):
+            Bt656Config(**{field: value})
+
+    def test_smallest_valid_geometry_roundtrips(self):
+        config = Bt656Config(active_width=1, active_lines=1, vblank_lines=0,
+                             post_blank_lines=1, hblank_samples=0)
+        frame = np.array([[0x42]], dtype=np.uint8)
+        decoded = Bt656Decoder(config).push_bytes(encode_frame(frame, config))
+        assert [f.tolist() for f in decoded] == [[[0x42]]]
 
 
 class TestErrorResilience:
