@@ -3,11 +3,11 @@
 Two cooperating pieces:
 
 * :class:`HlsBackend` — a functional kernel backend that slices every
-  2-D filtering primitive into halo-extended lines and pushes them
-  through the :class:`~repro.hw.hls.HlsWaveletEngine` datapath model,
-  exactly the way the user-space application feeds the real accelerator
-  through the kernel driver's mmap'd buffers.  Arithmetic is float32,
-  like the synthesized engine.
+  2-D filtering primitive into halo-extended lines, laid out exactly
+  the way the user-space application feeds the real accelerator through
+  the kernel driver's mmap'd buffers, and pushes each pass's lines
+  through the :class:`~repro.hw.hls.HlsWaveletEngine` datapath model in
+  one call.  Arithmetic is float32, like the synthesized engine.
 * :class:`FpgaEngine` — the timing/energy side: it converts the shared
   work model into per-invocation :class:`~repro.hw.driver.PassCost`
   records (user memcpy, AXI-Lite commands, driver activation, PL
@@ -75,44 +75,11 @@ class HlsBackend(KernelBackend):
 
     # -- line plumbing ----------------------------------------------------
     #
-    # The engine is strictly line-oriented, so every primitive first
-    # collapses its input to a ``(n_lines, line_len)`` sheet with the
-    # filtered axis last.  Shape-polymorphic: a batched ``(N, H, W)``
-    # input simply contributes ``N`` frames' worth of lines to the same
-    # sheet — each line still makes one engine invocation, so the cycle
-    # and transfer accounting of a batched call is exactly the sum of
-    # the per-frame calls.
-    @staticmethod
-    def _lines(x: np.ndarray, axis: int) -> np.ndarray:
-        """Collapse ``x`` to 2-D with the filtered dimension last."""
-        x = np.asarray(x, dtype=np.float32)
-        axis = axis % x.ndim if x.ndim else 0
-        if x.ndim >= 2 and axis == x.ndim - 2:
-            x = np.swapaxes(x, -1, -2)
-        elif axis != x.ndim - 1:
-            raise EngineError(
-                f"the line engine filters one of the two trailing axes; "
-                f"got axis {axis} for ndim {x.ndim}"
-            )
-        return x.reshape(-1, x.shape[-1]) if x.ndim != 2 else x
-
-    @staticmethod
-    def _unlines(lines: np.ndarray, shaped: np.ndarray, axis: int
-                 ) -> np.ndarray:
-        """Expand a processed line sheet back to ``shaped``'s layout.
-
-        ``shaped`` is the original input whose leading axes are
-        restored; the line length may have changed (decimation /
-        zero-stuffing), only the filtered axis is resized.
-        """
-        axis = axis % shaped.ndim if shaped.ndim else 0
-        swapped = shaped.ndim >= 2 and axis == shaped.ndim - 2
-        lead = shaped.shape[:-1]
-        if swapped:
-            lead = shaped.shape[:-2] + (shaped.shape[-1],)
-        out = lines.reshape(lead + (lines.shape[-1],))
-        return np.swapaxes(out, -1, -2) if swapped else out
-
+    # Each primitive moves the filtered axis last and hands the engine
+    # the whole pass — every line along the other axes, a batched
+    # ``(N, H, W)`` call's frames included — in one call.  The engine
+    # still counts one invocation per line, so a batched call accounts
+    # exactly like the per-frame calls.
     def _check_width(self, n: int) -> None:
         if n > self.driver.area_words:
             raise EngineError(
@@ -122,25 +89,20 @@ class HlsBackend(KernelBackend):
 
     # -- primitives --------------------------------------------------------
     def analysis_u(self, x, h0, c0, h1, c1, axis):
-        x = np.asarray(x, dtype=np.float32)
-        lines = self._lines(x, axis)
-        n = lines.shape[1]
+        lines = np.moveaxis(np.asarray(x, dtype=np.float32), axis, -1)
+        n = lines.shape[-1]
         self._check_width(n)
         f0, f1, center = pad_filter_pair(np.asarray(h0, np.float32), c0,
                                          np.asarray(h1, np.float32), c1)
         taps = len(f0)
         self._load(f0, f1)
         ext_idx = (np.arange(n + taps - 1) - (taps - 1) + center) % n
-        lo = np.empty_like(lines)
-        hi = np.empty_like(lines)
-        for i, line in enumerate(lines):
-            lo[i], hi[i], _ = self.engine.forward_line(line[ext_idx], n, step=1)
-        return self._unlines(lo, x, axis), self._unlines(hi, x, axis)
+        lo, hi, _ = self.engine.forward_line(lines[..., ext_idx], n, step=1)
+        return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
 
     def analysis_d(self, x, h0, h1, axis):
-        x = np.asarray(x, dtype=np.float32)
-        lines = self._lines(x, axis)
-        n = lines.shape[1]
+        lines = np.moveaxis(np.asarray(x, dtype=np.float32), axis, -1)
+        n = lines.shape[-1]
         self._check_width(n)
         f0 = np.asarray(h0, dtype=np.float32)
         f1 = np.asarray(h1, dtype=np.float32)
@@ -148,40 +110,29 @@ class HlsBackend(KernelBackend):
         self._load(f0, f1)
         out_len = n // 2
         ext_idx = (np.arange((out_len - 1) * 2 + taps) - (taps - 1)) % n
-        lo = np.empty((lines.shape[0], out_len), dtype=np.float32)
-        hi = np.empty_like(lo)
-        for i, line in enumerate(lines):
-            lo[i], hi[i], _ = self.engine.forward_line(line[ext_idx], out_len,
-                                                       step=2)
-        return self._unlines(lo, x, axis), self._unlines(hi, x, axis)
+        lo, hi, _ = self.engine.forward_line(lines[..., ext_idx], out_len,
+                                             step=2)
+        return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
 
     def synthesis_d(self, lo, hi, h0, h1, axis):
-        lo = np.asarray(lo, dtype=np.float32)
-        lo_l = self._lines(lo, axis)
-        hi_l = self._lines(hi, axis)
-        half = lo_l.shape[1]
-        n = half * 2
+        lo_l = np.moveaxis(np.asarray(lo, dtype=np.float32), axis, -1)
+        hi_l = np.moveaxis(np.asarray(hi, dtype=np.float32), axis, -1)
+        n = lo_l.shape[-1] * 2
         self._check_width(n)
         f0 = np.asarray(h0, dtype=np.float32)
         f1 = np.asarray(h1, dtype=np.float32)
         taps = len(f0)
         self._load(f0, f1)
         ext_idx = np.arange(n + taps - 1) % n
-        out = np.empty((lo_l.shape[0], n), dtype=np.float32)
-        for i in range(lo_l.shape[0]):
-            up_lo = np.zeros(n, dtype=np.float32)
-            up_hi = np.zeros(n, dtype=np.float32)
-            up_lo[0::2] = lo_l[i]
-            up_hi[0::2] = hi_l[i]
-            out[i], _ = self.engine.inverse_line(up_lo[ext_idx],
-                                                 up_hi[ext_idx], n)
-        return self._unlines(out, lo, axis)
+        up = np.zeros((2,) + lo_l.shape[:-1] + (n,), dtype=np.float32)
+        up[..., 0::2] = lo_l, hi_l  # zero-stuff both channels at once
+        out, _ = self.engine.inverse_line(*up[..., ext_idx], n)
+        return np.moveaxis(out, -1, axis)
 
     def synthesis_u(self, u0, u1, g0, c0, g1, c1, axis):
-        u0 = np.asarray(u0, dtype=np.float32)
-        u0_l = self._lines(u0, axis)
-        u1_l = self._lines(u1, axis)
-        n = u0_l.shape[1]
+        u0_l = np.moveaxis(np.asarray(u0, dtype=np.float32), axis, -1)
+        u1_l = np.moveaxis(np.asarray(u1, dtype=np.float32), axis, -1)
+        n = u0_l.shape[-1]
         self._check_width(n)
         f0, f1, center = pad_filter_pair(np.asarray(g0, np.float32), c0,
                                          np.asarray(g1, np.float32), c1)
@@ -190,11 +141,9 @@ class HlsBackend(KernelBackend):
         # the centered convolution of the level-1 synthesis identity
         self._load(f0[::-1].copy(), f1[::-1].copy())
         ext_idx = (np.arange(n + taps - 1) - (taps - 1) + center) % n
-        out = np.empty_like(u0_l)
-        for i in range(u0_l.shape[0]):
-            out[i], _ = self.engine.inverse_line(u0_l[i][ext_idx],
-                                                 u1_l[i][ext_idx], n)
-        return self._unlines(out, u0, axis)
+        out, _ = self.engine.inverse_line(u0_l[..., ext_idx],
+                                          u1_l[..., ext_idx], n)
+        return np.moveaxis(out, -1, axis)
 
 
 class FpgaEngine(Engine):

@@ -14,14 +14,15 @@ This module reproduces that structure:
   accounts PL cycles per invocation with the paper's latency structure
   — the two memcpys are *not* pipelined with the processing loop
   ("the current VIVADO_HLS tools do not pipeline the memcpy's").
-* :func:`shift_register_dual_fir` is a literal, scalar transcription of
-  the Fig. 4 inner loop, used by the tests to pin the vectorized
-  implementation to the documented datapath.
+* :func:`shift_register_dual_fir` and :func:`shift_register_dual_synthesis`
+  are literal, scalar transcriptions of the Fig. 4 inner loop in
+  forward and inverse mode, used by the tests to pin the vectorized
+  implementation to the documented datapath bit for bit.
 
-The engine is deliberately line-oriented: the processing system (see
-:mod:`repro.hw.driver` and :mod:`repro.hw.fpga`) prepares circular
-halos and interleaving exactly the way the Linux driver's user-space
-code would.
+The engine's unit of work is one halo-extended line, prepared by the
+processing system (:mod:`repro.hw.driver`, :mod:`repro.hw.fpga`) the
+way the Linux driver's user-space code would.  A whole pass arrives as
+one sheet of lines; each line is counted as one invocation.
 """
 
 from __future__ import annotations
@@ -84,6 +85,49 @@ def shift_register_dual_fir(extended: np.ndarray, hp: np.ndarray,
             hp_out[i - prime] = hp_acc
             lp_out[i - prime] = lp_acc
     return hp_out, lp_out
+
+
+def shift_register_dual_synthesis(lo_ext: np.ndarray, hi_ext: np.ndarray,
+                                  g0: np.ndarray, g1: np.ndarray
+                                  ) -> np.ndarray:
+    """Scalar transcription of the mode-3 datapath (reference only).
+
+    Each channel line shifts through its own register, one sample per
+    iteration, into its own float32 MAC chain (``lo_ext`` against
+    ``g0``, ``hi_ext`` against ``g1``, oldest sample at register 0);
+    the output is the sum of the two accumulators.
+    """
+    taps = len(g0)
+    lo = np.asarray(lo_ext, dtype=np.float32)
+    hi = np.asarray(hi_ext, dtype=np.float32)
+    if len(g1) != taps or len(lo) != len(hi) or len(lo) < taps:
+        raise EngineError("registers and channel lines must match in "
+                          "length, and the lines must cover the taps")
+    shift = np.zeros((2, taps), dtype=np.float32)
+    out = np.zeros(len(lo) - taps + 1, dtype=np.float32)
+    for i in range(len(lo)):
+        shift[:, :-1] = shift[:, 1:]
+        shift[:, -1] = lo[i], hi[i]
+        if i >= taps - 1:
+            lo_acc = hi_acc = np.float32(0.0)
+            for j in range(taps):
+                lo_acc += np.float32(g0[j]) * shift[0, j]
+                hi_acc += np.float32(g1[j]) * shift[1, j]
+            out[i - taps + 1] = lo_acc + hi_acc
+    return out
+
+
+def _mac(x: np.ndarray, coeffs: np.ndarray, out_len: int,
+         step: int) -> np.ndarray:
+    """The Fig. 4 MAC chain over the last axis of ``x``, every line at
+    once: ``acc += x[..., m * step + j] * coeffs[j]``, j in order, float32."""
+    stop = (out_len - 1) * step + 1
+    acc = np.zeros(x.shape[:-1] + (out_len,), dtype=np.float32)
+    term = np.empty_like(acc)
+    for j, c in enumerate(coeffs):
+        np.multiply(x[..., j:j + stop:step], c, out=term)
+        acc += term
+    return acc
 
 
 @dataclass
@@ -161,15 +205,16 @@ class HlsWaveletEngine:
         return self._loaded_taps
 
     # ------------------------------------------------------------------
-    # line jobs
+    # line jobs: one line, or a sheet of lines (leading axes, samples
+    # last) filtered identically and counted as one invocation per line
     # ------------------------------------------------------------------
     def forward_line(self, extended: np.ndarray, out_len: int,
                      step: int) -> Tuple[np.ndarray, np.ndarray, float]:
-        """Mode 2: dual-filter one line.
+        """Mode 2: dual-filter one line, or every line of a sheet.
 
         ``extended`` holds the halo-extended input samples; ``step`` is
         the input stride per output (2 = decimated, 1 = undecimated).
-        Returns ``(lp_out, hp_out, pl_seconds)``.
+        Returns ``(lp_out, hp_out, pl_seconds)``, the seconds per line.
         """
         if self._loaded_taps == 0:
             raise EngineError("no coefficients loaded (run mode 1 first)")
@@ -178,71 +223,73 @@ class HlsWaveletEngine:
         taps = self._loaded_taps
         x = np.asarray(extended, dtype=np.float32)
         expected = (out_len - 1) * step + taps
-        if len(x) < expected:
+        if x.shape[-1] < expected:
             raise EngineError(
-                f"line of {len(x)} samples too short: need {expected} "
+                f"line of {x.shape[-1]} samples too short: need {expected} "
                 f"for {out_len} outputs at step {step} with {taps} taps"
             )
         self.mode = MODE_FORWARD
-        lp = self._coeff_lp[:taps].astype(np.float64)
-        hp = self._coeff_hp[:taps].astype(np.float64)
-        # vectorized equivalent of the Fig. 4 shift-register loop
-        idx = np.arange(out_len)[:, None] * step + np.arange(taps)[None, :]
-        window = x[idx].astype(np.float32)
-        lp_out = (window @ lp.astype(np.float32)[::-1]).astype(np.float32)
-        hp_out = (window @ hp.astype(np.float32)[::-1]).astype(np.float32)
-        seconds = self._line_seconds(len(x), out_len * 2,
-                                     out_len + (taps + 1) // 2)
+        # the datapath correlates: newest-first registers convolve
+        lp_out = _mac(x, self._coeff_lp[taps - 1::-1], out_len, step)
+        hp_out = _mac(x, self._coeff_hp[taps - 1::-1], out_len, step)
+        seconds = self._account(x, x.shape[-1], out_len * 2,
+                                out_len + (taps + 1) // 2)
         self.mode = MODE_IDLE
         return lp_out, hp_out, seconds
 
     def inverse_line(self, lo_ext: np.ndarray, hi_ext: np.ndarray,
                      out_len: int) -> Tuple[np.ndarray, float]:
-        """Mode 3: dual-channel synthesis of one line.
+        """Mode 3: dual-channel synthesis of one line, or of a sheet.
 
         ``lo_ext``/``hi_ext`` are zero-stuffed, halo-extended channel
         lines; the datapath correlates both against the coefficient
-        registers and sums the accumulators.  Returns ``(line, seconds)``.
+        registers and sums the accumulators (see
+        :func:`shift_register_dual_synthesis`).  Returns ``(line, seconds)``.
         """
         if self._loaded_taps == 0:
             raise EngineError("no coefficients loaded (run mode 1 first)")
         taps = self._loaded_taps
         lo = np.asarray(lo_ext, dtype=np.float32)
         hi = np.asarray(hi_ext, dtype=np.float32)
-        if len(lo) != len(hi):
+        if lo.shape != hi.shape:
             raise EngineError("inverse-mode channel lines must match in length")
-        if len(lo) < out_len + taps - 1:
+        if lo.shape[-1] < out_len + taps - 1:
             raise EngineError(
-                f"channel lines of {len(lo)} samples too short for "
+                f"channel lines of {lo.shape[-1]} samples too short for "
                 f"{out_len} outputs with {taps} taps"
             )
         self.mode = MODE_INVERSE
-        idx = np.arange(out_len)[:, None] + np.arange(taps)[None, :]
-        out = (lo[idx] @ self._coeff_lp[:taps]
-               + hi[idx] @ self._coeff_hp[:taps]).astype(np.float32)
-        seconds = self._line_seconds(2 * len(lo), out_len, out_len + taps)
+        out = _mac(lo, self._coeff_lp[:taps], out_len, 1)
+        out += _mac(hi, self._coeff_hp[:taps], out_len, 1)
+        seconds = self._account(lo, 2 * lo.shape[-1], out_len, out_len + taps)
         self.mode = MODE_IDLE
         return out, seconds
 
     # ------------------------------------------------------------------
     # cycle accounting
     # ------------------------------------------------------------------
-    def _line_seconds(self, words_in: int, words_out: int,
-                      loop_iterations: int) -> float:
+    def _line_cycles(self, words_in: int, words_out: int,
+                     loop_iterations: int) -> float:
         """Latency of one invocation: memcpy-in, loop, memcpy-out (serial)."""
-        cycles = (self.acp.transfer_cycles(words_in)
-                  + loop_iterations + self.pipeline_depth
-                  + self.acp.transfer_cycles(words_out))
-        self.stats.invocations += 1
-        self.stats.cycles += cycles
-        self.stats.words_in += words_in
-        self.stats.words_out += words_out
+        return (self.acp.transfer_cycles(words_in)
+                + loop_iterations + self.pipeline_depth
+                + self.acp.transfer_cycles(words_out))
+
+    def _account(self, sheet: np.ndarray, words_in: int, words_out: int,
+                 loop_iterations: int) -> float:
+        """Count every line of ``sheet``; cycles are added line by line
+        so the float total equals that of line-at-a-time calls."""
+        lines = int(np.prod(sheet.shape[:-1]))
+        cycles = self._line_cycles(words_in, words_out, loop_iterations)
+        for _ in range(lines):
+            self.stats.cycles += cycles
+        self.stats.invocations += lines
+        self.stats.words_in += lines * words_in
+        self.stats.words_out += lines * words_out
         return cycles * self.platform.pl_cycle_s
 
     def line_seconds_estimate(self, words_in: int, words_out: int,
                               loop_iterations: int) -> float:
         """Pure estimate (no counters) used by the analytic timing model."""
-        cycles = (self.acp.transfer_cycles(words_in)
-                  + loop_iterations + self.pipeline_depth
-                  + self.acp.transfer_cycles(words_out))
-        return cycles * self.platform.pl_cycle_s
+        return (self._line_cycles(words_in, words_out, loop_iterations)
+                * self.platform.pl_cycle_s)

@@ -727,6 +727,9 @@ class FusionService:
                             f"stream {st.name!r}: {exc}") from None
                     pair = next(iterator)
                     task = st.processor.ingest(pair, produced)
+                    # a tenant's stream is unbounded: evaluate its
+                    # modelled frame cost once per engine, not per frame
+                    st.processor.hoist_frame_cost(task)
                 except StopIteration:
                     # the admission ticket was never attached to a frame
                     with self._cond:

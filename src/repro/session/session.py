@@ -57,6 +57,7 @@ from ..dtcwt.backend import ScratchPool
 from ..errors import ConfigurationError, FusionError
 from ..exec import Executor, FrameProcessor, make_executor
 from ..graph import FusionGraph, FusionPlan, Planner, Stage
+from ..graph.graph import forward_stage_names
 from ..hw.engine import Engine
 from ..hw.registry import (create_engine, create_engine_pool,
                            precision_candidates)
@@ -282,6 +283,12 @@ class _SessionProcessor(FrameProcessor):
             self._stage_wall[name] = \
                 self._stage_wall.get(name, 0.0) + seconds
 
+    def hoist_frame_cost(self, task: _FrameTask) -> None:
+        """Reuse ``task``'s modelled frame cost for later frames on the
+        same engine, as an optimized plan's hoisted table does (the
+        cost is a pure function of engine, shape and levels)."""
+        self._hoisted.setdefault(task.engine.name, task.model_seconds)
+
     def stage_wall_snapshot(self) -> Dict[str, float]:
         """Cumulative measured seconds per stage/unit since this
         processor was built (copy; safe to keep as a mark)."""
@@ -341,7 +348,9 @@ class _SessionProcessor(FrameProcessor):
                 f"frame, but the source delivered {len(incoming)} "
                 f"(configure FusionConfig(n_sources={len(incoming)}) "
                 f"to match the stream)")
-        frames = [session._normalize(frame) for frame in incoming]
+        frames = [session._normalize(frame, session._next_index, source)
+                  for frame, source in zip(incoming,
+                                           forward_stage_names(expected))]
 
         engine = session._select_engine()
         # loop-invariant hoisting: the optimized plan carries this
@@ -993,13 +1002,22 @@ class FusionSession:
         self.close()
 
     # ------------------------------------------------------------------
-    def _normalize(self, image: np.ndarray) -> np.ndarray:
-        """Register one modality onto the fusion geometry."""
+    def _normalize(self, image: np.ndarray, index: int,
+                   source: str) -> np.ndarray:
+        """Register one modality onto the fusion geometry; non-finite
+        pixels are rejected here, before any kernel or metric sees them."""
         data = np.asarray(image, dtype=np.float64)
         if data.ndim != 2:
             raise ConfigurationError(
                 f"session input frames must be 2-D grayscale, got shape "
                 f"{data.shape}"
+            )
+        if not np.isfinite(data).all():
+            raise FusionError(
+                f"frame {index}, source {source!r}: "
+                f"{np.count_nonzero(np.isnan(data))} NaN and "
+                f"{np.count_nonzero(np.isinf(data))} infinite pixel(s); "
+                "fusion needs finite intensities"
             )
         target = self.config.fusion_shape.array_shape
         if data.shape != target:

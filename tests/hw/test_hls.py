@@ -8,6 +8,7 @@ from repro.hw.hls import (
     HlsWaveletEngine,
     MODE_IDLE,
     shift_register_dual_fir,
+    shift_register_dual_synthesis,
 )
 from repro.hw.platform import ZynqPlatform
 
@@ -72,7 +73,8 @@ class TestForwardLine:
 
     def test_decimated_matches_reference_loop(self, engine, rng):
         """forward_line (convolution semantics) equals the Fig. 4 loop
-        with reversed coefficient registers — what the driver loads."""
+        with reversed coefficient registers — what the driver loads —
+        bit for bit: both run the same float32 MAC order."""
         taps = 12
         out_len = 8
         lp = rng.standard_normal(taps).astype(np.float32)
@@ -83,8 +85,8 @@ class TestForwardLine:
         ref_hp, ref_lp = shift_register_dual_fir(
             np.concatenate([x, np.zeros(2, np.float32)]),
             hp[::-1].copy(), lp[::-1].copy())
-        assert np.allclose(lp_out, ref_lp[:out_len], atol=1e-4)
-        assert np.allclose(hp_out, ref_hp[:out_len], atol=1e-4)
+        assert np.array_equal(lp_out, ref_lp[:out_len])
+        assert np.array_equal(hp_out, ref_hp[:out_len])
 
     def test_undecimated_step(self, engine, rng):
         taps = 8
@@ -131,6 +133,34 @@ class TestInverseLine:
                         + np.dot(hi[i: i + taps], g1))
             assert np.isclose(out[i], expected, atol=1e-4)
 
+    @pytest.mark.parametrize("taps", [8, 12, 14, 19, 20])
+    def test_matches_scalar_synthesis_loop(self, engine, rng, taps):
+        """Mode 3 is the literal two-chain MAC, bit for bit, for a line
+        and for every line of a sheet."""
+        g0 = rng.standard_normal(taps).astype(np.float32)
+        g1 = rng.standard_normal(taps).astype(np.float32)
+        engine.load_coefficients(g0, g1)
+        n = 23
+        lo = rng.standard_normal((3, n + taps - 1)).astype(np.float32)
+        hi = rng.standard_normal((3, n + taps - 1)).astype(np.float32)
+        sheet, _ = engine.inverse_line(lo, hi, n)
+        for row in range(3):
+            ref = shift_register_dual_synthesis(lo[row], hi[row], g0, g1)
+            line, _ = engine.inverse_line(lo[row], hi[row], n)
+            assert np.array_equal(line, ref)
+            assert np.array_equal(sheet[row], ref)
+
+    def test_scalar_synthesis_rejects_bad_shapes(self):
+        with pytest.raises(EngineError):
+            shift_register_dual_synthesis(np.zeros(20), np.zeros(20),
+                                          np.zeros(8), np.zeros(6))
+        with pytest.raises(EngineError):
+            shift_register_dual_synthesis(np.zeros(20), np.zeros(19),
+                                          np.zeros(8), np.zeros(8))
+        with pytest.raises(EngineError):
+            shift_register_dual_synthesis(np.zeros(7), np.zeros(7),
+                                          np.zeros(8), np.zeros(8))
+
     def test_channel_length_mismatch(self, engine):
         engine.load_coefficients(np.ones(8), np.ones(8))
         with pytest.raises(EngineError):
@@ -164,6 +194,15 @@ class TestCycleModel:
         engine.forward_line(x, 16, step=2)
         assert engine.stats.invocations == 2
         assert engine.stats.cycles > 0
+
+    def test_sheet_counts_one_invocation_per_line(self, engine, rng):
+        engine.load_coefficients(np.ones(8), np.ones(8))
+        _, _, seconds = engine.forward_line(
+            rng.standard_normal((2, 3, 64)).astype(np.float32), 16, step=2)
+        assert engine.stats.invocations == 6
+        assert engine.stats.words_in == 6 * 64
+        assert engine.stats.words_out == 6 * 32
+        assert seconds == engine.line_seconds_estimate(64, 32, 16 + 4)
 
     def test_pl_clock_scales_latency(self, rng):
         fast = HlsWaveletEngine(ZynqPlatform(pl_clock_hz=200e6))

@@ -114,6 +114,29 @@ class TestServeParity:
         # the probe phase visited several engines; all were leasable
         assert len(report.streams["online"].engine_usage) >= 2
 
+    def test_frame_cost_modelled_once_per_engine(self, monkeypatch,
+                                                 assert_bitwise_parity):
+        """A tenant evaluates the frame cost model once per engine it
+        runs on, not once per frame, with unchanged modelled costs."""
+        from repro.hw.engine import Engine
+        calls = []
+        frame_time = Engine.frame_time
+
+        def counted(engine, shape, levels=3):
+            calls.append(engine.name)
+            return frame_time(engine, shape, levels)
+
+        overrides = dict(engine="online")
+        reference = solo_results(overrides, 21, 8)
+        monkeypatch.setattr(Engine, "frame_time", counted)
+        service = FusionService(pool=POOL)
+        service.add_stream("online", config=config(**overrides),
+                           source=SyntheticSource(seed=21), frames=8)
+        report = service.serve()
+        assert_bitwise_parity(reference, report.streams["online"].records)
+        used = report.streams["online"].engine_usage
+        assert sorted(calls) == sorted(used)
+
     def test_per_frame_cadence_forced_with_batch_frames_one(
             self, assert_bitwise_parity):
         service = FusionService(pool={"neon": 1})

@@ -1,5 +1,7 @@
 """The unified session API: config validation, streaming, sources."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,30 @@ class TestFrameSources:
         with pytest.warns(RuntimeWarning, match="2 of the 10"):
             report = session.run(10, source=ArraySource(vis, th))
         assert report.frames == 2  # the report tells the truth
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("executor", ["serial", "batch"])
+    def test_non_finite_frame_fails_at_ingest(self, bad, executor):
+        """One non-finite pixel is a FusionError naming the frame and
+        the source, raised before any kernel or metric warns on it."""
+        rng = np.random.default_rng(0)
+        vis = [rng.random((48, 48)) * 255 for _ in range(3)]
+        th = [rng.random((48, 48)) * 255 for _ in range(3)]
+        th[1][7, 9] = bad
+        session = FusionSession(small_config(executor=executor))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FusionError,
+                               match=r"frame 1, source 'thermal'.*infinite"):
+                session.run(3, source=ArraySource(vis, th))
+
+    def test_non_finite_frame_names_its_nway_source(self):
+        good = [np.full((40, 40), 9.0)]
+        depth = [np.full((40, 40), np.nan)]
+        session = FusionSession(small_config(n_sources=3))
+        with pytest.raises(FusionError,
+                           match=r"frame 0, source 'source2': 1600 NaN"):
+            session.run(1, source=ArrayGroupSource(good, good, depth))
 
     def test_session_streams_every_source_kind(self, structured_pair):
         """The acceptance matrix: synthetic, arrays, camera sims."""
