@@ -2,7 +2,7 @@
 
 from repro.hw.energy import EnergyMeter
 from repro.hw.power import PowerModel
-from repro.system.runtime import energy_sweep, find_crossover, format_rows
+from repro.sweeps import energy_sweep, find_crossover, format_rows
 from repro.types import FrameShape
 
 from conftest import format_line

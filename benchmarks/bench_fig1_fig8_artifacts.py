@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.dtcwt import Dwt2D, subband_mosaic
-from repro.hw.neon import NeonEngine
 from repro.io import colorize_fusion, write_pgm, write_ppm
+from repro.session import CaptureChainSource, FusionConfig, FusionSession
 from repro.types import FrameShape
 from repro.video.display import triptych
-from repro.video.pipeline import FusionPipeline
 from repro.video.scene import SyntheticScene
 
 from conftest import format_line
@@ -53,13 +52,12 @@ def test_fig1_dwt_mosaic(report):
 
 
 def test_fig8_demo_frames(report):
-    scene = SyntheticScene(seed=2016)
-    pipeline = FusionPipeline(engine=NeonEngine(),
-                              fusion_shape=FrameShape(88, 72),
-                              levels=3, scene=scene)
-    record = None
-    while record is None:
-        record = pipeline.step()
+    source = CaptureChainSource(scene=SyntheticScene(seed=2016))
+    with FusionSession(FusionConfig(engine="neon",
+                                    fusion_shape=FrameShape(88, 72),
+                                    levels=3,
+                                    quality_metrics=False)) as session:
+        record, = session.stream(source, limit=1)
 
     panel = triptych(record.visible, record.thermal,
                      record.frame.pixels.astype(np.float64))

@@ -9,7 +9,7 @@ forward transform that underlies the ARM path.
 import numpy as np
 
 from repro.dtcwt import Dtcwt2D
-from repro.system.runtime import format_rows, forward_stage_sweep
+from repro.sweeps import format_rows, forward_stage_sweep
 from repro.types import FrameShape
 
 from conftest import format_line

@@ -1,7 +1,7 @@
 """Fig. 9(b): total time (decompose + fuse + reconstruct, 10 frames)."""
 
 from repro.core.fusion import ImageFusion
-from repro.system.runtime import find_crossover, format_rows, total_time_sweep
+from repro.sweeps import find_crossover, format_rows, total_time_sweep
 from repro.types import FrameShape
 
 from conftest import format_line

@@ -1,7 +1,7 @@
 """Fig. 9(c): inverse DT-CWT time on ARM / NEON / FPGA vs frame size."""
 
 from repro.dtcwt import Dtcwt2D
-from repro.system.runtime import format_rows, inverse_stage_sweep
+from repro.sweeps import format_rows, inverse_stage_sweep
 from repro.types import FrameShape
 
 from conftest import format_line

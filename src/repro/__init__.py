@@ -20,7 +20,9 @@ The package implements the paper's complete system in simulation:
   (double-buffered), heterogeneous co-scheduled and micro-batched
   frame executors — all interpreters of the lowered plan, selectable
   via ``FusionConfig(executor=...)``;
-* :mod:`repro.video` — cameras, BT.656 decode, scaler, FIFO, pipeline;
+* :mod:`repro.video` — cameras, BT.656 decode, scaler, FIFO and the
+  :class:`CaptureChain` that wires them (the paper's Fig. 7 capture
+  path; :class:`CaptureChainSource` feeds it to a session);
 * :mod:`repro.serve` — multi-stream serving: N concurrent sessions
   multiplexed over a shared, leasable :class:`EnginePool` with
   admission control and energy-fair scheduling
@@ -29,8 +31,8 @@ The package implements the paper's complete system in simulation:
   one :class:`FusionSession` facade, pluggable :class:`FrameSource`
   streams (synthetic worlds, in-memory arrays, camera simulators, the
   full modelled capture chain);
-* :mod:`repro.system` — parameter sweeps plus deprecated shims for the
-  pre-session entry points.
+* :mod:`repro.sweeps` / :mod:`repro.figures` — the Fig. 9/Fig. 10
+  parameter sweeps over the engine models, as tables and SVG charts.
 
 Quick start::
 
@@ -89,7 +91,7 @@ from .session import (
     SyntheticSource,
 )
 from .types import FULL_FRAME, PAPER_FRAME_SIZES, FrameShape
-from .video import FusionPipeline, SyntheticScene
+from .video import SyntheticScene
 
 __version__ = "1.2.0"
 
@@ -111,16 +113,7 @@ __all__ = [
     "Stage", "FusionGraph", "FusionPlan", "Planner",
     "EngineLease", "EnginePool", "FusionService", "ServiceReport",
     "FULL_FRAME", "PAPER_FRAME_SIZES", "FrameShape",
-    "FusionPipeline", "SyntheticScene",
+    "SyntheticScene",
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # the deprecated system entry points are resolved lazily so that
-    # `import repro` stays warning-free; touching them warns once via
-    # the repro.system shim modules
-    if name in ("VideoFusionSystem", "AdvancedFusionSession"):
-        from . import system
-        return getattr(system, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

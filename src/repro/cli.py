@@ -139,9 +139,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .system.runtime import (energy_sweep, format_rows,
-                                 forward_stage_sweep, inverse_stage_sweep,
-                                 total_time_sweep)
+    from .sweeps import (energy_sweep, format_rows, forward_stage_sweep,
+                         inverse_stage_sweep, total_time_sweep)
     tables = {
         "fig9a": (forward_stage_sweep, "seconds / 10 frames",
                   "Fig. 9(a) forward DT-CWT"),

@@ -16,8 +16,9 @@ stages an executor may run concurrently), a *mid chain*
 order), and an ordered finalize — and executors drive those names
 through :meth:`FrameProcessor.run_stage`.  The default hooks describe
 the paper's canonical pipeline (``visible``/``thermal`` forwards, then
-``fuse``), so a plain processor that only implements the abstract
-stage methods behaves exactly as before the plan API existed.
+``fuse``), so a processor that implements only ``ingest``,
+``run_stage`` and ``finalize`` is driven through that canonical
+order.
 
 Determinism is a design invariant, not an accident: every stage's
 arithmetic is bound to the frame's *assigned* engine, never to the
@@ -111,13 +112,13 @@ class ExecStats:
 class FrameProcessor(ABC):
     """The staged work of fusing one frame, independent of scheduling.
 
-    An executor calls the stages in dataflow order for every frame:
-    ``ingest`` (ordered, stateful: normalisation, rig calibration,
-    engine selection), ``forward_visible`` / ``forward_thermal``
-    (pure; may run concurrently, also with other frames' forwards),
-    ``fuse`` (coefficient fusion + inverse transform; ordered when
-    :attr:`sequential_fuse` is set), and ``finalize`` (ordered,
-    stateful: monitoring, telemetry, aggregation).
+    An executor calls, for every frame: :meth:`ingest` (ordered,
+    stateful: normalisation, rig calibration, engine selection), then
+    :meth:`run_stage` for each name of the parallel wave and the mid
+    chain, then :meth:`finalize` (ordered, stateful: monitoring,
+    telemetry, aggregation).  Wave stages are pure and may run
+    concurrently, also with other frames' stages; the mid chain runs
+    in frame order on one lane when :attr:`sequential_mid` is set.
 
     ``ctx`` arguments are opaque worker contexts from
     :meth:`make_contexts`; a context is only ever used by one thread
@@ -126,17 +127,10 @@ class FrameProcessor(ABC):
     """
 
     @property
-    def sequential_fuse(self) -> bool:
-        """True when the fuse stage is stateful across frames (e.g.
-        temporal fusion) and must run in frame order on one thread."""
-        return False
-
-    @property
     def sequential_mid(self) -> bool:
         """True when the whole mid chain must run in frame order on a
-        single ordered lane (a stateful stage sits in it).  Defaults
-        to :attr:`sequential_fuse`, the pre-plan spelling."""
-        return self.sequential_fuse
+        single ordered lane (a stateful stage sits in it)."""
+        return False
 
     def parallel_stages(self) -> Tuple[str, ...]:
         """Stage names of the parallel wave, dispatchable concurrently
@@ -152,21 +146,6 @@ class FrameProcessor(ABC):
         """Stats key a stage's busy time is accounted under (the two
         canonical forwards share one ``forward`` bucket)."""
         return {"visible": "forward", "thermal": "forward"}.get(name, name)
-
-    def run_stage(self, name: str, task: Any,
-                  ctx: Optional[object] = None) -> None:
-        """Execute the named stage on ``task`` — the one entry point
-        executors use for every stage between ingest and finalize."""
-        if name == "visible":
-            self.forward_visible(task, ctx)
-        elif name == "thermal":
-            self.forward_thermal(task, ctx)
-        elif name == "fuse":
-            self.fuse(task, ctx)
-        else:
-            raise ConfigurationError(
-                f"{type(self).__name__} does not know stage {name!r}; "
-                f"plan-driven processors must override run_stage()")
 
     def stage_wall_snapshot(self) -> Dict[str, float]:
         """Cumulative measured per-stage wall seconds (default: the
@@ -206,22 +185,17 @@ class FrameProcessor(ABC):
 
     @abstractmethod
     def ingest(self, pair: Any, index: int) -> Any:
-        """Turn a raw frame pair into a task (ordered, stateful)."""
+        """Turn a raw frame group into a task (ordered, stateful)."""
 
     @abstractmethod
-    def forward_visible(self, task: Any, ctx: Optional[object] = None) -> None:
-        """Forward DT-CWT of the visible frame."""
-
-    @abstractmethod
-    def forward_thermal(self, task: Any, ctx: Optional[object] = None) -> None:
-        """Forward DT-CWT of the thermal frame."""
-
-    @abstractmethod
-    def fuse(self, task: Any, ctx: Optional[object] = None) -> None:
-        """Coefficient fusion + inverse DT-CWT."""
+    def run_stage(self, name: str, task: Any,
+                  ctx: Optional[object] = None) -> None:
+        """Execute the named stage on ``task`` — the one entry point
+        executors use for every stage between ingest and finalize."""
 
     def process_batch(self, tasks: Sequence[Any]) -> None:
-        """Compute a micro-batch of ingested tasks (forward x2, fuse).
+        """Compute a micro-batch of ingested tasks (every wave and mid
+        stage).
 
         The batch executor's hook: a processor that can stack frames
         through one transform invocation overrides this to amortize

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import List, Sequence, Union
 
 from .errors import ConfigurationError
-from .system.runtime import (
+from .sweeps import (
     SweepRow,
     energy_sweep,
     forward_stage_sweep,

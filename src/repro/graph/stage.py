@@ -36,8 +36,9 @@ Three declarations matter to the planner:
     be batchable.
 
 Custom stages use ``kind="map"`` and supply ``fn(task)``, a mutator of
-the in-flight frame task (fields ``visible``, ``thermal``,
-``pyr_visible``, ``pyr_thermal``, ``fused``).  The built-in kinds
+the in-flight frame task (``frames`` and ``pyramids``, one entry per
+source, with ``visible``/``thermal`` naming sources 0 and 1, and
+``fused``).  The built-in kinds
 (``ingest``/``register``/``forward``/``fuse``/``temporal``/
 ``finalize``) carry no ``fn`` — the session binds its own
 implementations to them when it interprets the plan.

@@ -1,10 +1,8 @@
 """Unified per-frame results and run reports.
 
-One result type and one report type replace the three overlapping
-shapes the package grew (`PipelineReport`, `SystemReport`,
-`SessionReport`): every consumer — CLI, examples, tests, the
-deprecated shims — reads the same fields regardless of which engine,
-scheduler or source produced the frames.
+One result type and one report type: every consumer — CLI, examples,
+tests, the serving tier — reads the same fields regardless of which
+engine, scheduler or source produced the frames.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The fusion session facade: one object, every way to run the system.
 
-:class:`FusionSession` subsumes the old ``VideoFusionSystem`` (batch
-runs over the modelled capture chain) and ``AdvancedFusionSession``
-(online scheduling, registration, temporal fusion, monitoring,
-telemetry) behind one configured object with three entry points:
+:class:`FusionSession` runs the whole system — batch runs over the
+modelled capture chain, online scheduling, registration, temporal
+fusion, monitoring, telemetry — behind one configured object with
+three entry points:
 
 * :meth:`process` — fuse one (visible, thermal) pair;
 * :meth:`stream` — iterate any :class:`FrameSource`, yielding a
@@ -66,7 +66,7 @@ from ..video.scaler import resize_to
 from .config import FusionConfig
 from .report import FusedFrameResult, FusionReport
 from .sources import (CaptureChainSource, ClosedAwareIterator, FrameGroup,
-                      FramePair, FrameSource, as_frame_source)
+                      FramePair, FrameSource, as_frame_source, float_frame)
 from .telemetry import FrameTelemetry
 
 
@@ -108,10 +108,9 @@ class _FrameTask:
     """One frame group in flight between the processor's stages.
 
     ``frames[s]`` / ``pyramids[s]`` hold source ``s``'s normalized
-    frame and forward pyramid; the ``visible`` / ``thermal`` /
-    ``pyr_visible`` / ``pyr_thermal`` accessors keep the pairwise
-    stage API (and custom ``map`` stages written against it) working
-    on any group.
+    frame and forward pyramid; the ``visible`` / ``thermal`` accessors
+    name sources 0 and 1 for ``finalize`` and for custom ``map``
+    stages.
     """
 
     index: int
@@ -145,22 +144,6 @@ class _FrameTask:
     @thermal.setter
     def thermal(self, value: np.ndarray) -> None:
         self.frames[1] = value
-
-    @property
-    def pyr_visible(self) -> object:
-        return self.pyramids[0]
-
-    @pyr_visible.setter
-    def pyr_visible(self, value: object) -> None:
-        self.pyramids[0] = value
-
-    @property
-    def pyr_thermal(self) -> object:
-        return self.pyramids[1]
-
-    @pyr_thermal.setter
-    def pyr_thermal(self, value: object) -> None:
-        self.pyramids[1] = value
 
 
 class _WorkerContext:
@@ -253,10 +236,6 @@ class _SessionProcessor(FrameProcessor):
         }
 
     # -- plan hints the executors interpret -----------------------------
-    @property
-    def sequential_fuse(self) -> bool:
-        return self.plan.sequential_mid
-
     @property
     def sequential_mid(self) -> bool:
         return self.plan.sequential_mid
@@ -549,21 +528,6 @@ class _SessionProcessor(FrameProcessor):
                 # instance (same registry factory, same arithmetic)
                 engine = ctx.engine
         return ctx.lane(engine), engine
-
-    # legacy per-stage entry points (the ABC contract); plan-driven
-    # executors go through run_stage with the plan's own names
-    def forward_visible(self, task: _FrameTask,
-                        ctx: Optional[_WorkerContext] = None) -> None:
-        self.run_stage("visible", task, ctx)
-
-    def forward_thermal(self, task: _FrameTask,
-                        ctx: Optional[_WorkerContext] = None) -> None:
-        self.run_stage("thermal", task, ctx)
-
-    def fuse(self, task: _FrameTask,
-             ctx: Optional[_WorkerContext] = None) -> None:
-        name = "temporal" if "temporal" in self.plan else "fuse"
-        self.run_stage(name, task, ctx)
 
     def process_batch(self, tasks) -> None:
         """Batch-executor hook, interpreting the plan's batch groups.
@@ -1004,13 +968,14 @@ class FusionSession:
     # ------------------------------------------------------------------
     def _normalize(self, image: np.ndarray, index: int,
                    source: str) -> np.ndarray:
-        """Register one modality onto the fusion geometry; non-finite
-        pixels are rejected here, before any kernel or metric sees them."""
-        data = np.asarray(image, dtype=np.float64)
+        """Register one modality onto the fusion geometry; mis-typed,
+        mis-shaped and non-finite frames are rejected here, before any
+        kernel or metric sees them."""
+        data = float_frame(image, index, source)
         if data.ndim != 2:
             raise ConfigurationError(
-                f"session input frames must be 2-D grayscale, got shape "
-                f"{data.shape}"
+                f"frame {index}, source {source!r}: session input frames "
+                f"must be 2-D grayscale, got shape {data.shape}"
             )
         if not np.isfinite(data).all():
             raise FusionError(

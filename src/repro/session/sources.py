@@ -35,11 +35,35 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import FusionError, VideoError
+from ..graph.graph import forward_stage_names
 from ..video.capture import CaptureChain
 from ..video.frames import center_crop
 from ..video.scene import SyntheticScene
 from ..video.thermal import ThermalCameraSimulator
 from ..video.webcam import WebcamSimulator
+
+
+def float_frame(image, index: int, source: str) -> np.ndarray:
+    """``image`` as a float64 array, checked before the cast: only
+    bool, int, uint and float data are intensities.  Complex frames
+    would silently lose their imaginary part and string frames would
+    fail inside NumPy, so both raise :class:`FusionError` naming the
+    frame, the source and the dtype."""
+    data = np.asarray(image)
+    if data.dtype.kind not in "biuf":
+        raise FusionError(
+            f"frame {index}, source {source!r}: dtype {data.dtype} is "
+            "not a real intensity type (bool, int, uint or float)")
+    return data.astype(np.float64, copy=False)
+
+
+def _check_2d(frames, index: int) -> None:
+    """Reject a recorded frame that is not 2-D grayscale."""
+    for frame, source in zip(frames, forward_stage_names(len(frames))):
+        if frame.ndim != 2:
+            raise VideoError(
+                f"frame {index}, source {source!r}: array frames must "
+                f"be 2-D grayscale, got shape {frame.shape}")
 
 
 @dataclass
@@ -189,7 +213,9 @@ class ArraySource(FrameSource):
     """Replay in-memory (visible, thermal) arrays as a stream.
 
     Malformed *frames* (non-2-D data, empty lists, bad fps) raise
-    :class:`VideoError` like every other source; malformed *pairings*
+    :class:`VideoError` like every other source, and frames that are
+    not real intensities (complex, strings) raise :class:`FusionError`
+    (see :func:`float_frame`); malformed *pairings*
     — unequal sequence lengths, or a pair whose two frames disagree on
     shape — are fusion-contract violations and raise a
     :class:`FusionError` naming the offending index.  (The live camera
@@ -201,8 +227,10 @@ class ArraySource(FrameSource):
     def __init__(self, visible: Sequence[np.ndarray],
                  thermal: Sequence[np.ndarray],
                  fps: float = 25.0, loop: bool = False):
-        visible = [np.asarray(v, dtype=np.float64) for v in visible]
-        thermal = [np.asarray(t, dtype=np.float64) for t in thermal]
+        visible = [float_frame(v, i, "visible")
+                   for i, v in enumerate(visible)]
+        thermal = [float_frame(t, i, "thermal")
+                   for i, t in enumerate(thermal)]
         # `or`, not `and`: a one-sided-empty recording is just as
         # unusable as a fully empty one, and must not fall through to
         # the confusing count-mismatch error below
@@ -215,8 +243,7 @@ class ArraySource(FrameSource):
                 f"visible vs {len(thermal)} thermal"
             )
         for index, (v, t) in enumerate(zip(visible, thermal)):
-            if v.ndim != 2 or t.ndim != 2:
-                raise VideoError("array frames must be 2-D grayscale")
+            _check_2d((v, t), index)
             if v.shape != t.shape:
                 raise FusionError(
                     f"frame pair {index} mismatched: visible {v.shape} "
@@ -265,8 +292,9 @@ class ArrayGroupSource(FrameSource):
             raise VideoError(
                 f"ArrayGroupSource needs >= 2 streams, got {len(streams)}")
         streams = tuple(
-            [np.asarray(f, dtype=np.float64) for f in stream]
-            for stream in streams)
+            [float_frame(f, i, source) for i, f in enumerate(stream)]
+            for stream, source in zip(streams,
+                                      forward_stage_names(len(streams))))
         if any(not stream for stream in streams):
             raise VideoError(
                 "ArrayGroupSource needs at least one frame group")
@@ -277,8 +305,7 @@ class ArrayGroupSource(FrameSource):
                 f"the counts differ: "
                 f"{tuple(len(stream) for stream in streams)}")
         for index, group in enumerate(zip(*streams)):
-            if any(frame.ndim != 2 for frame in group):
-                raise VideoError("array frames must be 2-D grayscale")
+            _check_2d(group, index)
             shapes = {frame.shape for frame in group}
             if len(shapes) != 1:
                 raise FusionError(
@@ -351,9 +378,8 @@ class CaptureChainSource(FrameSource):
     grayscaled on the PS; thermal frames are rendered, encoded as
     BT.656 bytes, decoded by the PL decoder model, scaled 720x243 ->
     640x480 and buffered through the handshaked output FIFO.  The
-    wiring itself is the shared :class:`repro.video.CaptureChain` (the
-    same object :class:`repro.video.FusionPipeline` drives), and its
-    decoder/FIFO statistics are exposed so reports can include
+    wiring itself is the shared :class:`repro.video.CaptureChain`, and
+    its decoder/FIFO statistics are exposed so reports can include
     transport health.
     """
 
@@ -464,8 +490,10 @@ class _IterableSource(FrameSource):
             if isinstance(item, FrameGroup):
                 yield item
             else:
-                frames = tuple(np.asarray(frame, dtype=np.float64)
-                               for frame in item)
+                item = tuple(item)
+                frames = tuple(
+                    float_frame(frame, index, source) for frame, source
+                    in zip(item, forward_stage_names(len(item))))
                 if len(frames) == 2:
                     yield FramePair(visible=frames[0], thermal=frames[1],
                                     index=index)

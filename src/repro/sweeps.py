@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.adaptive import default_engines
-from ..hw.engine import Engine
-from ..hw.power import DEFAULT_POWER_MODEL, PowerModel
-from ..types import PAPER_FRAME_SIZES, FrameShape
+from .core.adaptive import default_engines
+from .hw.engine import Engine
+from .hw.power import DEFAULT_POWER_MODEL, PowerModel
+from .types import PAPER_FRAME_SIZES, FrameShape
 
 
 @dataclass

@@ -12,7 +12,6 @@ from .faults import (
 )
 from .fifo import FifoStats, FrameFifo
 from .frames import FrameSource, VideoFrame, center_crop
-from .pipeline import FusedFrameRecord, FusionPipeline, PipelineReport
 from .recorder import PgmSequenceSource, StreamRecorder
 from .scaler import VideoScaler, resize_to
 from .scene import SyntheticScene, WarmObject
@@ -24,7 +23,6 @@ __all__ = [
     "CaptureChain",
     "FifoStats", "FrameFifo",
     "FrameSource", "VideoFrame", "center_crop",
-    "FusedFrameRecord", "FusionPipeline", "PipelineReport",
     "VideoScaler", "resize_to",
     "SyntheticScene", "WarmObject",
     "SENSOR_PROFILES", "ThermalCameraSimulator",

@@ -2,11 +2,10 @@
 
 :class:`CaptureChain` wires webcam + thermal camera + BT.656 decoder +
 scaler + handshaked FIFO exactly like the hardware architecture
-section describes.  It is the single construction site for that wiring:
-:class:`repro.video.FusionPipeline` composes it for the legacy batch
-pipeline and :class:`repro.session.CaptureChainSource` wraps it as a
-frame source for the session API — a change to the transport model
-lands in both automatically.
+section describes.  It is the single construction site for that wiring;
+:class:`repro.session.CaptureChainSource` wraps it as the frame source
+:class:`repro.session.FusionSession` fuses from, so capture and fusion
+run as one data flow.
 """
 
 from __future__ import annotations

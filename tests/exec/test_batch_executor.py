@@ -135,8 +135,8 @@ class TestBatchSemantics:
         # 6 frames at batch_size 4: ingest the whole micro-batch in
         # frame order, then drive each frame's stages in order
         assert processor.calls == (
-            ["ingest"] * 4 + ["fv", "ft", "fuse"] * 4
-            + ["ingest"] * 2 + ["fv", "ft", "fuse"] * 2
+            ["ingest"] * 4 + ["visible", "thermal", "fuse"] * 4
+            + ["ingest"] * 2 + ["visible", "thermal", "fuse"] * 2
         )
 
     def test_spawns_no_threads(self):
@@ -163,14 +163,8 @@ class _CountingProcessor(FrameProcessor):
         self.calls.append("ingest")
         return {"index": index}
 
-    def forward_visible(self, task, ctx=None):
-        self.calls.append("fv")
-
-    def forward_thermal(self, task, ctx=None):
-        self.calls.append("ft")
-
-    def fuse(self, task, ctx=None):
-        self.calls.append("fuse")
+    def run_stage(self, name, task, ctx=None):
+        self.calls.append(name)
 
     def finalize(self, task):
         return task["index"]

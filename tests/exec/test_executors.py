@@ -521,23 +521,48 @@ class _SleepyProcessor(FrameProcessor):
     """Minimal processor whose forward stages dawdle, to make work
     pile up on whichever worker the affinity pins."""
 
-    def __init__(self):
-        self.results = []
-
     def ingest(self, pair, index):
         return {"index": index}
 
-    def forward_visible(self, task, ctx=None):
-        time.sleep(0.01)
-
-    def forward_thermal(self, task, ctx=None):
-        time.sleep(0.01)
-
-    def fuse(self, task, ctx=None):
-        pass
+    def run_stage(self, name, task, ctx=None):
+        if name != "fuse":
+            time.sleep(0.01)
 
     def finalize(self, task):
         return task["index"]
+
+
+class _MinimalProcessor(FrameProcessor):
+    """Implements only the abstract contract: ingest, run_stage and
+    finalize; every optional hook keeps its default."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.stages = {}
+
+    def ingest(self, pair, index):
+        return {"pair": pair}
+
+    def run_stage(self, name, task, ctx=None):
+        with self.lock:
+            self.stages.setdefault(task["pair"], []).append(name)
+
+    def finalize(self, task):
+        return task["pair"]
+
+
+class TestMinimalProcessorContract:
+    @pytest.mark.parametrize("name", executor_names())
+    def test_results_arrive_in_frame_order(self, name):
+        processor = _MinimalProcessor()
+        with make_executor(name) as executor:
+            results = list(executor.run(processor, iter(range(7)),
+                                        limit=7))
+        assert results == list(range(7))
+        for frame in range(7):
+            assert sorted(processor.stages[frame]) == \
+                ["fuse", "thermal", "visible"]
+            assert processor.stages[frame][-1] == "fuse"
 
 
 class _NamedEngine:

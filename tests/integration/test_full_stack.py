@@ -1,13 +1,12 @@
-"""Full-stack integration: faults, recording, and the advanced session."""
+"""Full-stack integration: faults, recording, and the session."""
 
 import numpy as np
 import pytest
 
-from repro.hw.neon import NeonEngine
+from repro.session import CaptureChainSource, FusionConfig, FusionSession
 from repro.types import FrameShape
 from repro.video.bt656 import Bt656Decoder
 from repro.video.faults import DropoutChannel, NoisyByteChannel, corrupt_stream
-from repro.video.pipeline import FusionPipeline
 from repro.video.recorder import PgmSequenceSource, StreamRecorder
 from repro.video.scene import SyntheticScene
 from repro.video.thermal import ThermalCameraSimulator
@@ -62,13 +61,13 @@ class TestFaultRecovery:
 
 class TestRecordReplay:
     def test_recorded_run_replays_identically(self, tmp_path):
-        """Record a pipeline's fused output, play it back, and get the
-        same frames — the reproducibility workflow."""
+        """Record a capture-chain session's fused output, play it back,
+        and get the same frames — the reproducibility workflow."""
         scene = SyntheticScene(width=96, height=80, seed=13)
-        pipeline = FusionPipeline(engine=NeonEngine(),
-                                  fusion_shape=FrameShape(40, 40),
-                                  levels=2, scene=scene)
-        report = pipeline.run(3)
+        with FusionSession(FusionConfig(
+                engine="neon", fusion_shape=FrameShape(40, 40), levels=2,
+                quality_metrics=False)) as session:
+            report = session.run(3, source=CaptureChainSource(scene=scene))
         with StreamRecorder(tmp_path / "session") as recorder:
             for record in report.records:
                 recorder.write(record.frame)
@@ -95,8 +94,6 @@ class TestSessionIntegration:
     def test_session_handles_monitor_fallback(self):
         """If the scene's thermal channel dies mid-session the monitor
         flips the action; the session keeps producing frames."""
-        from repro.session import FusionConfig, FusionSession
-
         session = FusionSession(FusionConfig(
             engine="online", fusion_shape=FrameShape(48, 40), levels=2,
             scene=SyntheticScene(width=96, height=80, seed=5),
@@ -107,8 +104,6 @@ class TestSessionIntegration:
         assert report.actions.get("fuse", 0) >= 3
 
     def test_session_is_deterministic_given_seed(self):
-        from repro.session import FusionConfig, FusionSession
-
         def run():
             session = FusionSession(FusionConfig(
                 engine="online", fusion_shape=FrameShape(48, 40), levels=2,

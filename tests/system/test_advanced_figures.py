@@ -1,59 +1,10 @@
-"""Deprecated advanced-session stub and SVG figure generation.
-
-The behaviour the old ``AdvancedFusionSession`` provided (online
-scheduling, registration, temporal fusion, monitoring, telemetry) is
-tested against the unified API in ``test_session.py``; the class body
-itself is gone.  Here we only verify the re-export stub: touching the
-legacy names warns and hands back the session-layer equivalents.
-"""
+"""SVG figure generation from the Fig. 9/Fig. 10 sweeps."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.figures import FIGURES, generate_figures, render_chart
-from repro.session import FusionConfig, FusionReport, FusionSession
-from repro.system.runtime import forward_stage_sweep
-from repro.types import FrameShape
-from repro.video.scene import SyntheticScene
-
-
-class TestDeprecatedAdvancedStub:
-    def test_names_warn_and_resolve_to_session_api(self):
-        import repro.system.advanced as legacy
-        with pytest.warns(DeprecationWarning, match="FusionSession"):
-            assert legacy.AdvancedFusionSession is FusionSession
-        with pytest.warns(DeprecationWarning, match="FusionSession"):
-            assert legacy.SessionReport is FusionReport
-
-    def test_package_and_top_level_reexports(self):
-        import repro
-        import repro.system as system
-        with pytest.warns(DeprecationWarning):
-            assert system.AdvancedFusionSession is FusionSession
-        with pytest.warns(DeprecationWarning):
-            assert repro.AdvancedFusionSession is FusionSession
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.system.advanced as legacy
-        with pytest.raises(AttributeError):
-            legacy.does_not_exist
-
-    def test_resolved_class_runs_the_advanced_featureset(self):
-        """What the old class assembled is one config away."""
-        import repro.system.advanced as legacy
-        with pytest.warns(DeprecationWarning):
-            cls = legacy.AdvancedFusionSession
-        with cls(FusionConfig(
-                engine="online", fusion_shape=FrameShape(48, 40), levels=2,
-                scene=SyntheticScene(width=96, height=80, seed=5),
-                registration=True, temporal=True, monitor=True,
-                quality_metrics=False, keep_records=False)) as session:
-            report = session.run(5)
-        assert report.frames == 5
-        assert sum(report.engine_usage.values()) == 5
-        assert report.registered_shift_px < 1.0
-        with pytest.raises(ConfigurationError):
-            session.run(0)
+from repro.sweeps import forward_stage_sweep
 
 
 class TestFigures:

@@ -13,7 +13,7 @@ from repro.io import (
     write_pgm,
     write_ppm,
 )
-from repro.system.telemetry import FrameTelemetry
+from repro.session.telemetry import FrameTelemetry
 
 
 class TestPgm:

@@ -1,9 +1,7 @@
-"""``python -m repro`` entry point and the deprecated telemetry alias."""
+"""``python -m repro`` entry point."""
 
-import importlib
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -36,40 +34,3 @@ class TestMainModule:
         assert proc.returncode == 2  # argparse usage error
         assert "88x72" in proc.stderr
 
-
-class TestTelemetryAlias:
-    def test_alias_is_the_session_class(self):
-        import repro.session.telemetry as real
-        import repro.system.telemetry as shim
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert shim.FrameTelemetry is real.FrameTelemetry
-            assert shim.TelemetrySummary is real.TelemetrySummary
-
-    def test_alias_access_warns(self):
-        shim = importlib.import_module("repro.system.telemetry")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim.FrameTelemetry
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_unknown_attribute_raises(self):
-        import repro.system.telemetry as shim
-        try:
-            shim.NoSuchThing
-        except AttributeError as exc:
-            assert "NoSuchThing" in str(exc)
-        else:  # pragma: no cover - defensive
-            raise AssertionError("expected AttributeError")
-
-    def test_package_import_is_warning_free(self):
-        """`import repro.system` must not trigger the deprecation —
-        only explicit use of the deprecated module path does."""
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-c",
-             "import repro.system; repro.system.FrameTelemetry"],
-            capture_output=True, text=True, timeout=60,
-            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0, proc.stderr

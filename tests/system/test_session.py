@@ -332,6 +332,55 @@ class TestFrameSources:
                            match=r"frame 0, source 'source2': 1600 NaN"):
             session.run(1, source=ArrayGroupSource(good, good, depth))
 
+    @pytest.mark.parametrize("bad", [
+        np.full((48, 48), 3 + 4j), np.full((48, 48), "12")],
+        ids=["complex", "str"])
+    @pytest.mark.parametrize("executor", ["serial", "batch"])
+    def test_mistyped_frame_fails_at_ingest(self, bad, executor):
+        """A complex or string frame is a FusionError naming frame,
+        source and dtype — not a silently dropped imaginary part
+        (ComplexWarning) or NumPy's raw conversion error."""
+        good = np.full((48, 48), 9.0)
+
+        class _Raw:  # hands frames to the session uncast
+            def frames(self):
+                yield FramePair(good, good)
+                yield FramePair(good, bad)
+
+        session = FusionSession(small_config(executor=executor))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                    FusionError,
+                    match=rf"frame 1, source 'thermal': dtype {bad.dtype}"):
+                session.run(2, source=_Raw())
+
+    @pytest.mark.parametrize("bad", [
+        np.full((8, 8), 1j), np.full((8, 8), "x")], ids=["complex", "str"])
+    def test_mistyped_frame_fails_in_array_sources(self, bad):
+        good = np.zeros((8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FusionError,
+                               match=r"frame 1, source 'visible': dtype"):
+                ArraySource([good, bad], [good, good])
+            with pytest.raises(FusionError,
+                               match=r"frame 0, source 'source2': dtype"):
+                ArrayGroupSource([good], [good], [bad])
+            with pytest.raises(FusionError,
+                               match=r"frame 0, source 'thermal': dtype"):
+                list(as_frame_source(iter([(good, bad)])))
+
+    def test_non_2d_frame_names_frame_and_source(self):
+        good = np.zeros((8, 8))
+        with pytest.raises(VideoError,
+                           match=r"frame 1, source 'thermal': .*2-D"):
+            ArraySource([good, good], [good, np.zeros((8, 8, 3))])
+        session = FusionSession(small_config())
+        with pytest.raises(ConfigurationError,
+                           match=r"frame 0, source 'visible': .*2-D"):
+            session.process(np.zeros((8, 8, 3)), good)
+
     def test_session_streams_every_source_kind(self, structured_pair):
         """The acceptance matrix: synthetic, arrays, camera sims."""
         visible, thermal = structured_pair

@@ -1,4 +1,4 @@
-"""Sweep runtime, the CLI, and the deprecated system stubs."""
+"""Sweep runtime and the CLI."""
 
 import json
 import os
@@ -8,10 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.hw.registry import create_engine
-from repro.session import FusionReport, FusionSession
-from repro.system.runtime import (
+from repro.sweeps import (
     energy_sweep,
     find_crossover,
     format_rows,
@@ -19,75 +16,18 @@ from repro.system.runtime import (
     total_time_sweep,
 )
 from repro.types import PAPER_FRAME_SIZES, FrameShape
-from repro.video.scene import SyntheticScene
-
-
-@pytest.fixture
-def small_scene():
-    return SyntheticScene(width=96, height=80, seed=3)
-
-
-class TestDeprecatedSystemStubs:
-    """The legacy entry points are pure re-export stubs: every name
-    warns on access and resolves to its session-layer equivalent."""
-
-    def test_video_fusion_system_is_the_session(self):
-        import repro.system.fusion_system as legacy
-        with pytest.warns(DeprecationWarning, match="FusionSession"):
-            assert legacy.VideoFusionSystem is FusionSession
-        with pytest.warns(DeprecationWarning):
-            assert legacy.SystemReport is FusionReport
-
-    def test_engine_helpers_resolve_to_registry(self):
-        import repro.system.fusion_system as legacy
-        with pytest.warns(DeprecationWarning):
-            make_engine = legacy.make_engine
-        assert make_engine is create_engine
-        for name in ("arm", "neon", "fpga"):
-            assert make_engine(name).name == name
-        with pytest.raises(ConfigurationError):
-            make_engine("abacus")
-        with pytest.warns(DeprecationWarning):
-            assert set(legacy.ENGINE_NAMES) >= {"arm", "neon", "fpga",
-                                                "adaptive"}
-
-    def test_top_level_reexport_warns(self):
-        import repro
-        with pytest.warns(DeprecationWarning):
-            assert repro.VideoFusionSystem is FusionSession
-        with pytest.raises(AttributeError):
-            repro.NoSuchThing
-
-    def test_resolved_class_runs_the_legacy_workload(self, small_scene):
-        import repro.system.fusion_system as legacy
-        with pytest.warns(DeprecationWarning):
-            cls = legacy.VideoFusionSystem
-        with cls(engine="neon", fusion_shape=FrameShape(40, 40),
-                 levels=2, scene=small_scene) as session:
-            report = session.run(2)
-        assert report.frames == 2
-        assert report.engine_used == "neon"
-        assert report.model_fps > 0
-        assert report.millijoules_per_frame > 0
-        assert "qabf" in report.quality
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.system.fusion_system as legacy
-        with pytest.raises(AttributeError):
-            legacy.pipeline
 
 
 class TestWarningFreeImport:
     def test_importing_repro_raises_no_warnings(self):
         """DeprecationWarning escalated to an error: a clean
-        interpreter must import the package (and repro.system, whose
-        stubs are lazy) silently."""
+        interpreter must import the package silently."""
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
         result = subprocess.run(
             [sys.executable, "-W", "error::DeprecationWarning", "-c",
-             "import repro, repro.system, repro.exec, repro.graph; "
+             "import repro, repro.sweeps, repro.exec, repro.graph; "
              "print('clean')"],
             capture_output=True, text=True, env=env, timeout=120)
         assert result.returncode == 0, result.stderr

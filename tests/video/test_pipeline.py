@@ -1,19 +1,26 @@
-"""End-to-end capture pipeline behaviour."""
+"""The Fig. 7 capture pipeline end to end: webcam + BT.656 thermal
+link, scaler and FIFO (:class:`CaptureChainSource`) fused by a
+:class:`FusionSession`."""
 
 import numpy as np
 import pytest
 
-from repro.errors import VideoError
-from repro.hw.neon import NeonEngine
+from repro.errors import ConfigurationError
+from repro.session import CaptureChainSource, FusionConfig, FusionSession
 from repro.types import FrameShape
-from repro.video.pipeline import FusionPipeline
 from repro.video.scene import SyntheticScene
+
+
+def _session(scene, **overrides):
+    config = FusionConfig(engine="neon", fusion_shape=FrameShape(40, 40),
+                          levels=2, scene=scene, quality_metrics=False)
+    return FusionSession(config.with_overrides(**overrides))
 
 
 @pytest.fixture
 def pipeline(scene):
-    return FusionPipeline(engine=NeonEngine(), fusion_shape=FrameShape(40, 40),
-                          levels=2, scene=scene)
+    with _session(scene) as session:
+        yield session
 
 
 class TestPipeline:
@@ -44,52 +51,44 @@ class TestPipeline:
     def test_fused_output_combines_modalities(self, pipeline):
         record = pipeline.run(1).records[0]
         fused = record.frame.pixels.astype(float)
-        # correlated with both sources
+        # correlated with both registered sources
         corr_vis = np.corrcoef(fused.ravel(), record.visible.ravel())[0, 1]
         corr_th = np.corrcoef(fused.ravel(), record.thermal.ravel())[0, 1]
         assert corr_vis > 0.2
         assert corr_th > 0.2
 
     def test_bad_frame_count(self, pipeline):
-        with pytest.raises(VideoError):
+        with pytest.raises(ConfigurationError):
             pipeline.run(0)
 
     def test_keep_records_off_saves_memory(self, scene):
-        pipe = FusionPipeline(engine=NeonEngine(),
-                              fusion_shape=FrameShape(40, 40),
-                              levels=2, scene=scene, keep_records=False)
-        report = pipe.run(2)
+        with _session(scene, keep_records=False) as session:
+            report = session.run(2)
         assert report.frames == 2
         assert report.records == []
 
 
 class TestPipelineExecutorParity:
-    """run() now routes through the repro.exec layer; it must stay
-    numerically identical to the manual step() loop it replaced, for
-    every executor."""
+    """Every executor fuses the capture chain exactly as a manual
+    ``process()`` loop over the same chain does."""
 
     @staticmethod
-    def _make(executor):
-        from repro.video.scene import SyntheticScene
-        return FusionPipeline(engine=NeonEngine(),
-                              fusion_shape=FrameShape(40, 40), levels=2,
-                              scene=SyntheticScene(width=96, height=80,
-                                                   seed=11),
-                              executor=executor)
+    def _chain():
+        return CaptureChainSource(
+            scene=SyntheticScene(width=96, height=80, seed=11))
 
     @pytest.fixture(scope="class")
     def stepped_records(self):
-        pipeline = self._make("serial")
-        records = []
-        while len(records) < 3:
-            record = pipeline.step()
-            if record is not None:
-                records.append(record)
-        return records
+        with _session(None) as session:
+            pairs = self._chain().frames()
+            return [session.process(pair.visible, pair.thermal,
+                                    timestamp_s=pair.timestamp_s)
+                    for pair, _ in zip(pairs, range(3))]
 
     @pytest.mark.parametrize("executor", ["serial", "pipeline", "hetero"])
     def test_run_matches_manual_step_loop(self, executor, stepped_records):
-        report = self._make(executor).run(3)
+        with _session(None, executor=executor) as session:
+            report = session.run(3, source=self._chain())
         assert report.frames == 3
         for ref, got in zip(stepped_records, report.records):
             assert np.array_equal(ref.frame.pixels, got.frame.pixels)
