@@ -1,11 +1,13 @@
-"""Executor throughput: serial vs pipelined vs heterogeneous wall-clock.
+"""Executor throughput: serial vs pipelined vs micro-batched wall-clock.
 
-The execution layer's claim is that overlap — the paper's double
-buffering and CPU/FPGA co-scheduling, generalised — buys wall-clock
-throughput without changing a single output bit.  This bench measures
-end-to-end FPS for each executor on the same seeded synthetic stream
-and reports speedups against the serial baseline, plus each executor's
-stage occupancy so the overlap is visible, not inferred.
+The execution layer's claim is that scheduling — the paper's double
+buffering (``pipeline``) and many-frames-per-invocation amortization
+(``batch``) — changes wall-clock throughput without changing a single
+output bit.  This bench measures end-to-end FPS for every registered
+executor (one row per :func:`repro.exec.executor_names` entry) on the
+same seeded synthetic stream and reports speedups against the serial
+baseline, plus each executor's stage occupancy so the overlap is
+visible, not inferred.
 
 Runs two ways:
 
@@ -65,7 +67,6 @@ def measure(executor: str, frames: int, size: FrameShape, levels: int,
         "elapsed_s": elapsed,
         "fps": count / elapsed if elapsed > 0 else 0.0,
         "occupancy": throughput.get("stage_occupancy", {}),
-        "steals": throughput.get("steals", 0),
     }
 
 
@@ -78,14 +79,14 @@ def run_bench(frames: int, size: FrameShape, levels: int, workers: int,
     lines = [f"Executor wall-clock throughput ({frames} frames @ "
              f"{size}, levels={levels}, workers={workers}, "
              f"cpus={os.cpu_count()}):",
-             f"  {'executor':>9} {'fps':>8} {'vs serial':>10} "
-             f"{'steals':>7}  busiest stages"]
+             f"  {'executor':>9} {'fps':>8} {'vs serial':>10}  "
+             f"busiest stages"]
     for row in rows:
         speedup = row["fps"] / base["fps"] if base["fps"] > 0 else 0.0
         top = sorted(row["occupancy"].items(), key=lambda kv: -kv[1])[:3]
         stages = ", ".join(f"{k} {v:.0%}" for k, v in top)
         lines.append(f"  {row['executor']:>9} {row['fps']:>8.2f} "
-                     f"{speedup:>9.2f}x {row['steals']:>7}  {stages}")
+                     f"{speedup:>9.2f}x  {stages}")
     lines.append("")
     lines.append("  (every executor produces bitwise-identical frames; "
                  "only the schedule differs)")

@@ -17,9 +17,9 @@ The package implements the paper's complete system in simulation:
   :class:`Planner` into the :class:`FusionPlan` every executor
   interprets;
 * :mod:`repro.exec` — the pluggable execution layer: serial, pipelined
-  (double-buffered), heterogeneous co-scheduled and micro-batched
-  frame executors — all interpreters of the lowered plan, selectable
-  via ``FusionConfig(executor=...)``;
+  (double-buffered) and micro-batched frame executors — all
+  interpreters of the lowered plan, selectable via
+  ``FusionConfig(executor=...)``;
 * :mod:`repro.video` — cameras, BT.656 decode, scaler, FIFO and the
   :class:`CaptureChain` that wires them (the paper's Fig. 7 capture
   path; :class:`CaptureChainSource` feeds it to a session);
@@ -52,7 +52,6 @@ from .core.fusion import FusionResult, ImageFusion, fuse_images
 from .exec import (
     BatchExecutor,
     ExecStats,
-    HeterogeneousExecutor,
     PipelineExecutor,
     SerialExecutor,
     executor_names,
@@ -104,8 +103,7 @@ __all__ = [
     "ReproError",
     "ArmEngine", "FpgaEngine", "NeonEngine", "ZynqPlatform",
     "create_engine", "engine_names", "register_engine",
-    "ExecStats", "SerialExecutor", "PipelineExecutor",
-    "HeterogeneousExecutor", "BatchExecutor",
+    "ExecStats", "SerialExecutor", "PipelineExecutor", "BatchExecutor",
     "executor_names", "register_executor",
     "FusionConfig", "FusionSession", "FusionReport", "FusedFrameResult",
     "FrameGroup", "FramePair", "SyntheticSource", "ArraySource",

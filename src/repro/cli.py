@@ -28,7 +28,7 @@ Subcommands
 
 Every subcommand accepts ``--seed``; ``demo`` and ``fuse`` thread it
 into the synthetic scene so runs are exactly reproducible.  ``demo``
-and ``fuse`` also accept ``--executor serial|pipeline|hetero|batch``
+and ``fuse`` also accept ``--executor serial|pipeline|batch``
 (with ``--workers``/``--queue-depth``/``--batch-size``) to pick the
 execution strategy, ``--precision float32|float64`` to pin the kernel
 datapath dtype end-to-end (default: each engine's native precision,
@@ -211,7 +211,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         batch_size=args.batch_size,
         precision=args.precision,
-        engine_team=(tuple(args.engine_team) if args.engine_team else None),
         fusion_shape=args.size,
         levels=args.levels,
         registration=args.registration,
@@ -409,12 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--executor", default="serial",
                            choices=executor_names(),
                            help="how frames are driven: serial loop, "
-                                "double-buffered thread pipeline, "
-                                "heterogeneous engine co-scheduling, or "
+                                "double-buffered thread pipeline, or "
                                 "micro-batched NumPy vectorization")
     execution.add_argument("--workers", type=int, default=2,
-                           help="concurrent stage workers / engine team "
-                                "size (pipeline, hetero)")
+                           help="concurrent stage workers (pipeline "
+                                "executor only)")
     execution.add_argument("--queue-depth", type=int, default=4,
                            help="bound on frames in flight between stages")
     execution.add_argument("--batch-size", type=int, default=8,
@@ -464,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="include the rig-calibration stage")
     plan.add_argument("--temporal", action="store_true",
                       help="plan the stateful temporal-fusion pipeline")
-    plan.add_argument("--engine-team", nargs="+", default=None,
-                      metavar="ENGINE",
-                      help="explicit hetero engine team, e.g. fpga neon "
-                           "(requires --executor hetero); shows the "
-                           "planned fuse affinity")
     plan.add_argument("--optimize", action="store_true",
                       help="run the optimization pass pipeline (stage "
                            "fusion, materialization elimination, "

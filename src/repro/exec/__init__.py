@@ -1,11 +1,9 @@
 """Pluggable frame-execution layer: how the fusion dataflow is driven.
 
-The paper's energy and throughput wins come from *overlap* — double
-buffering hides AXI transfers under compute (Section IV, Fig. 5), and
-the heterogeneous platform can keep the CPU's SIMD pipeline and the
-FPGA fabric busy at the same time (Section VII's adaptive conclusion,
-pushed further by Nunez-Yanez et al.'s CPU+FPGA co-execution).  This
-package makes that overlap a first-class, swappable layer: the
+The paper's throughput wins come from *overlap* — double buffering
+hides AXI transfers under compute (Section IV, Fig. 5) — and from
+amortizing per-call overhead across many lines per invocation.  This
+package makes those schedules a first-class, swappable layer: the
 capture → forward ×2 → fuse → inverse → report dataflow is described
 once — declaratively, as a :class:`repro.graph.FusionGraph` lowered to
 a :class:`repro.graph.FusionPlan` that the :class:`FrameProcessor`
@@ -38,23 +36,18 @@ Executor ↔ paper map
     ingest/finalize stay per-frame and ordered.  This is the paper's
     many-lines-per-invocation amortization applied at frame
     granularity — the right choice on single-core hosts where the
-    thread executors cannot overlap.
+    thread executor cannot overlap.
 
-``hetero`` — :class:`HeterogeneousExecutor`
-    Co-scheduled execution across a *team* of engine instances — the
-    same kernel running on several engines at once, each frame's work
-    split across them, with deterministic assignment and a
-    work-stealing fallback when one engine's queue runs dry.  This is
-    the "CPU and FPGA working together" regime of Section VII's
-    future-work discussion and of "Parallelizing Workload Execution in
-    Embedded and High-Performance Heterogeneous Systems".
+Which engine computes a stage is not an executor concern: the paper's
+adaptive system makes a static per-workload choice, and a stage is
+pinned to a named engine by forced placement in the plan
+(``FusionConfig(graph_overrides={"place": ...})``), which every
+executor honours and bills per stage.
 
-Every executor drives identical arithmetic: with a fixed seed (and default
-teams) they produce bitwise-identical fused frames and identical
-modelled time/energy; only the *wall-clock* schedule (reported in
-:class:`ExecStats`) differs.  The one intentional exception is an
-explicit mixed engine team, which attributes each stage's modelled
-cost to its assigned engine.  Out-of-tree strategies register with
+Every executor drives identical arithmetic: with a fixed seed they
+produce bitwise-identical fused frames and identical modelled
+time/energy; only the *wall-clock* schedule (reported in
+:class:`ExecStats`) differs.  Out-of-tree strategies register with
 :func:`register_executor` and become selectable by name everywhere —
 ``FusionConfig(executor=...)``, the CLI's ``--executor``, benchmarks.
 """
@@ -66,12 +59,11 @@ from typing import Callable, Dict, Tuple
 from ..errors import ConfigurationError
 from .base import ExecStats, Executor, FrameProcessor
 from .batch import BatchExecutor
-from .hetero import HeterogeneousExecutor
 from .pipelined import PipelineExecutor
 from .serial import SerialExecutor
 
 #: Name -> factory taking the shared tuning keywords (workers,
-#: queue_depth, and for team executors: engines, co_schedule, affinity).
+#: queue_depth, batch_size).
 _REGISTRY: Dict[str, Callable[..., Executor]] = {}
 
 
@@ -106,12 +98,10 @@ def make_executor(name: str, **kwargs) -> Executor:
 
 register_executor("serial", SerialExecutor)
 register_executor("pipeline", PipelineExecutor)
-register_executor("hetero", HeterogeneousExecutor)
 register_executor("batch", BatchExecutor)
 
 __all__ = [
     "ExecStats", "Executor", "FrameProcessor",
-    "SerialExecutor", "PipelineExecutor", "HeterogeneousExecutor",
-    "BatchExecutor",
+    "SerialExecutor", "PipelineExecutor", "BatchExecutor",
     "executor_names", "make_executor", "register_executor",
 ]

@@ -4,7 +4,7 @@ The paper's system is a dataflow per fused frame — capture, two
 forward DT-CWTs, coefficient fusion, inverse DT-CWT — followed by
 reporting.  This module names that work once, as the
 :class:`FrameProcessor` contract, so *how* it is driven (serially,
-pipelined across threads, co-scheduled across engines) becomes a
+pipelined across threads, micro-batched) becomes a
 swappable :class:`Executor` instead of a loop baked into the session.
 
 Executors are **plan interpreters**: they never hard-code a stage
@@ -21,9 +21,10 @@ the paper's canonical pipeline (``visible``/``thermal`` forwards, then
 order.
 
 Determinism is a design invariant, not an accident: every stage's
-arithmetic is bound to the frame's *assigned* engine, never to the
-thread that happens to execute it, so a pipelined or work-stealing
-schedule produces bitwise-identical frames to the serial loop.
+arithmetic is bound to the frame's selected engine (or the stage's
+forced placement), never to the thread that happens to execute it, so
+a pipelined or batched schedule produces bitwise-identical frames to
+the serial loop.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, FusionError
 
@@ -72,7 +72,6 @@ class ExecStats:
     wall_seconds: float = 0.0
     stage_busy_s: Dict[str, float] = field(default_factory=dict)
     queue_peak: Dict[str, int] = field(default_factory=dict)
-    steals: int = 0
     worker_frames: Dict[str, int] = field(default_factory=dict)
     #: per-stage wall-time attribution measured by the processor (how
     #: long each stage ran, summed over frames and workers) — unlike
@@ -103,7 +102,6 @@ class ExecStats:
             "stage_busy_s": dict(self.stage_busy_s),
             "stage_occupancy": self.occupancy(),
             "queue_peak": dict(self.queue_peak),
-            "steals": self.steals,
             "worker_frames": dict(self.worker_frames),
             "stage_wall_s": dict(self.stage_wall_s),
         }
@@ -160,15 +158,8 @@ class FrameProcessor(ABC):
                 for name, seconds in current.items()
                 if seconds - mark.get(name, 0.0) > 0.0}
 
-    def make_contexts(self, n: int,
-                      engines: Optional[Iterable[object]] = None
-                      ) -> List[Optional[object]]:
-        """``n`` opaque per-worker contexts (default: none needed).
-
-        ``engines`` optionally names the engine instance each worker
-        owns (the heterogeneous executor passes its team) so the
-        processor can bind per-worker compute state to it.
-        """
+    def make_contexts(self, n: int) -> List[Optional[object]]:
+        """``n`` opaque per-worker contexts (default: none needed)."""
         return [None] * n
 
     def context_for(self, engine: object) -> Optional[object]:
@@ -177,11 +168,10 @@ class FrameProcessor(ABC):
         The serving layer leases engine instances from a shared
         :class:`repro.serve.EnginePool` and drives stages under the
         lease; this hook gives it a context whose compute state (lanes,
-        backend buffers) belongs to exactly that leased instance.  The
-        default delegates to :meth:`make_contexts`, so any processor
-        that supports per-worker engines supports external leases too.
+        backend buffers) belongs to exactly that leased instance
+        (default: none needed).
         """
-        return self.make_contexts(1, engines=[engine])[0]
+        return None
 
     @abstractmethod
     def ingest(self, pair: Any, index: int) -> Any:
@@ -231,7 +221,7 @@ class Executor(ABC):
     :meth:`FusionSession.stream` does.
     """
 
-    #: registry name ("serial", "pipeline", "hetero", ...)
+    #: registry name ("serial", "pipeline", "batch", ...)
     name: str = "executor"
     #: True when run() drives stages on worker threads (the session
     #: forbids re-entrant process() calls while a concurrent drive is

@@ -23,7 +23,7 @@ fixed seed the results are bitwise-identical to
 
 Single-threaded by design: the speedup comes from amortizing Python
 call overhead inside NumPy, not from concurrency, so ``batch``
-composes with single-core hosts where the thread executors cannot win.
+composes with single-core hosts where the thread executor cannot win.
 A bounded drive ingests at most ``limit`` frames — like the serial
 executor, it never reads the source ahead of its last delivered frame
 beyond the current micro-batch.

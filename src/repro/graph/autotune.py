@@ -11,10 +11,10 @@ the fastest.  The incumbent configuration is always candidate zero, so
 the winner is **never worse than the default** by construction.
 
 Winners persist in an on-disk JSON cache keyed by the tuple the
-measurement actually depends on — graph signature, config fingerprint,
-frame shape and engine team — so the next session with the same key
-skips the calibration entirely (:attr:`PlanDecision.source` tells a
-cache hit from a fresh tune).  Cache files are treated as untrusted
+measurement actually depends on — graph signature, config fingerprint
+and frame shape — so the next session with the same key skips the
+calibration entirely (:attr:`PlanDecision.source` tells a cache hit
+from a fresh tune).  Cache files are treated as untrusted
 input: corrupt JSON, stale cache versions, shape mismatches or invalid
 overrides are logged on the ``repro.autotune`` logger and ignored — the
 tuner re-measures and overwrites; it never crashes on a bad file and
@@ -142,16 +142,13 @@ class PlanAutotuner:
     # -- cache keys ----------------------------------------------------
     def cache_key(self, config) -> str:
         """Hex digest identifying what a tuning verdict depends on:
-        graph signature, config fingerprint, frame shape, engine
-        team."""
+        graph signature, config fingerprint, frame shape."""
         material = {
             "version": CACHE_VERSION,
             "graph": self._graph_signature(config),
             "config": self._config_fingerprint(config),
             "shape": [config.fusion_shape.width,
                       config.fusion_shape.height],
-            "engine_team": (list(config.engine_team)
-                            if config.engine_team else None),
         }
         blob = json.dumps(material, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:24]

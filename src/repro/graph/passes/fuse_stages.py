@@ -14,9 +14,9 @@ fusion, one inverse) — the same arithmetic
 the per-stage path.
 
 Fusion region depends on the executor interpreting the plan: the
-thread executors (``pipeline``/``hetero``) overlap the parallel wave
-with the mid chain, so only wave stages are merged (keeping the
-capture/wave/mid overlap intact); the single-threaded executors
+thread executor (``pipeline``) overlaps the parallel wave with the mid
+chain, so only wave stages are merged (keeping the capture/wave/mid
+overlap intact); the single-threaded executors
 (``serial``/``batch``) gain nothing from that split, so the whole
 compute region is eligible and the full core fuses.
 
@@ -24,8 +24,6 @@ A chain breaks (and the pass stands down entirely) wherever fusing
 could change behaviour:
 
 * an ordered stage in the compute region (``sequential_mid`` plans);
-* a co-scheduling ``engine_team`` — stage *names* are the unit engines
-  are assigned to, and merging them would reassign arithmetic;
 * placement changes mid-chain — members must either all be ``auto``
   (bound to the frame's engine) or all be forced onto one engine.
 """
@@ -40,7 +38,7 @@ from .base import PassReport, PlanPass
 
 #: executors that overlap the parallel wave with the mid chain; fusion
 #: stays inside the wave for them so the overlap survives
-_OVERLAPPING = ("pipeline", "hetero")
+_OVERLAPPING = ("pipeline",)
 
 #: a unit must replace at least this many dispatches to exist
 _MIN_CHAIN = 2
@@ -56,10 +54,6 @@ class StatelessFusionPass(PlanPass):
         if plan.sequential_mid:
             return plan, self.skip(
                 "an ordered stage sits in the compute region")
-        if getattr(config, "engine_team", None) is not None:
-            return plan, self.skip(
-                "a co-scheduling engine team assigns engines by stage "
-                "name")
         if plan.units:
             return plan, self.skip("plan already carries fused units")
 

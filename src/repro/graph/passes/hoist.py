@@ -68,7 +68,7 @@ class LoopInvariantHoistPass(PlanPass):
         names = set()
         for node in plan.nodes.values():
             label = node.engine
-            if label != HOST and not label.startswith("team("):
+            if label != HOST:
                 names.add(label)
         if plan.dynamic_engine:
             from ...core.adaptive import default_engines

@@ -14,10 +14,9 @@ The planner is the seam between *describing* the dataflow and
   finalize);
 * **placement** per stage — ``auto`` resolved through the same cost
   models the session schedules with (fixed engine, the cost-model
-  optimum for ``adaptive``, dynamic per-frame for ``online``), forced
-  placements passed through, and, for an explicit mixed engine team,
-  the fuse-stage affinity derived from the
-  :class:`~repro.core.adaptive.PerLevelScheduler` plan;
+  optimum for ``adaptive``, dynamic per-frame for ``online``) and
+  forced placements passed through (a mixed placement runs a frame's
+  stages on different engines under every executor);
 * **batch groups** — runs of batchable stages a micro-batching
   executor may drive stack-major, with the canonical
   ``visible+thermal+fuse`` core flagged when it is eligible for the
@@ -47,7 +46,7 @@ from .graph import FusionGraph, forward_stage_names
 from .stage import AUTO, Stage
 
 #: Canonical names the session's built-in stage kinds must keep, so
-#: co-scheduling attribution, affinity keys and reports stay stable.
+#: placement keys, per-stage attribution and reports stay stable.
 CANONICAL_NAMES = {
     "ingest": "ingest",
     "register": "register",
@@ -112,7 +111,6 @@ class FusionPlan:
     batch_schedule: Tuple[Tuple[Tuple[str, ...], str], ...] = ()
     fusable_core: bool = False
     dynamic_engine: bool = False
-    affinity: Optional[Dict[str, str]] = None
     executor: str = "serial"
     engine: str = "adaptive"
     shape: str = ""
@@ -175,7 +173,6 @@ class FusionPlan:
             "batch_schedule": [[list(names), mode]
                                for names, mode in self.batch_schedule],
             "fusable_core": self.fusable_core,
-            "affinity": dict(self.affinity) if self.affinity else None,
             "stages": [self.nodes[name].as_dict()
                        for name in self.schedule],
             "model_seconds_per_frame": self.model_seconds_per_frame,
@@ -216,8 +213,6 @@ class FusionPlan:
                         if self.fusable_core else ""))
         lines.append(f"  mid chain    : "
                      f"{'sequential (ordered stage present)' if self.sequential_mid else 'concurrent-eligible'}")
-        if self.affinity:
-            lines.append(f"  affinity     : {self.affinity}")
         kernels = ", ".join(
             f"{name}={self.nodes[name].kernel}/{self.nodes[name].precision}"
             for name in self.schedule if self.nodes[name].kernel)
@@ -278,10 +273,8 @@ class Planner:
                 "temporal stage must depend on the transform stages")
 
         engine_label, dynamic = self._resolve_default_engine(config)
-        affinity = self._affinity(graph, config)
         placements = self._resolve_placements(graph, order, head_set,
-                                              tail[0], engine_label,
-                                              config, affinity)
+                                              tail[0], engine_label)
         costs = self._model_costs(graph, order, placements, config)
         kernels = self._kernel_info(placements, config)
         batch_schedule, fusable_core = self._batch_schedule(
@@ -306,7 +299,7 @@ class Planner:
             sequential_mid=sequential_mid, nodes=nodes,
             batch_groups=batch_groups, batch_schedule=batch_schedule,
             fusable_core=fusable_core,
-            dynamic_engine=dynamic, affinity=affinity,
+            dynamic_engine=dynamic,
             executor=config.executor, engine=config.engine,
             shape=str(config.fusion_shape), levels=config.levels,
         )
@@ -348,7 +341,7 @@ class Planner:
                     f"the {len(forwards)} forward stages must carry "
                     f"the canonical source names "
                     f"{sorted(expected)}, got {sorted(actual)} "
-                    f"(affinity keys, reports and the session's "
+                    f"(placement keys, reports and the session's "
                     f"source indexing depend on them)")
         for stage in graph.stages():
             want = CANONICAL_NAMES.get(stage.kind)
@@ -356,7 +349,7 @@ class Planner:
                 raise ConfigurationError(
                     f"built-in stage kind {stage.kind!r} must keep its "
                     f"canonical name {want!r}, got {stage.name!r} "
-                    f"(affinity keys and reports depend on it)")
+                    f"(placement keys and reports depend on it)")
             if (stage.kind == "forward"
                     and stage.name not in ("visible", "thermal")
                     and not re.fullmatch(r"source[2-9]\d*", stage.name)):
@@ -421,11 +414,9 @@ class Planner:
             return candidates[0].name, True
         return config.engine, False
 
-    def _resolve_placements(self, graph, order, head_set, tail_name,
-                            engine_label, config,
-                            affinity: Optional[Dict[str, str]]
-                            ) -> Dict[str, str]:
-        affinity = affinity or {}
+    @staticmethod
+    def _resolve_placements(graph, order, head_set, tail_name,
+                            engine_label) -> Dict[str, str]:
         placements: Dict[str, str] = {}
         for name in order:
             stage = graph.stage(name)
@@ -436,14 +427,6 @@ class Planner:
                 placements[name] = HOST
             elif stage.placement != AUTO:
                 placements[name] = stage.placement
-            elif name in affinity:
-                # a co-scheduled team pins this stage; the plan shows
-                # (and costs) the engine the drive actually uses
-                placements[name] = affinity[name]
-            elif config.engine_team is not None:
-                # remaining team stages are dispatched round-robin
-                # across the team, frame by frame
-                placements[name] = f"team({','.join(config.engine_team)})"
             else:
                 placements[name] = engine_label
         return placements
@@ -464,18 +447,8 @@ class Planner:
             if placements[name] == HOST or stage.kind == "map":
                 costs[name] = 0.0
                 continue
-            placement = placements[name]
-            if placement.startswith("team("):
-                # round-robin dispatch: the expected per-frame cost is
-                # the mean over the team's engines
-                team = [engine_for(n)
-                        for n in placement[5:-1].split(",")]
-                costs[name] = sum(self._stage_seconds(stage, e, shape,
-                                                      levels)
-                                  for e in team) / len(team)
-            else:
-                costs[name] = self._stage_seconds(
-                    stage, engine_for(placement), shape, levels)
+            costs[name] = self._stage_seconds(
+                stage, engine_for(placements[name]), shape, levels)
         return costs
 
     @staticmethod
@@ -499,11 +472,6 @@ class Planner:
         for stage_name, placement in placements.items():
             if placement == HOST:
                 kernels[stage_name] = ("", "")
-            elif placement.startswith("team("):
-                pairs = [info_for(n) for n in placement[5:-1].split(",")]
-                names = sorted({kernel for kernel, _ in pairs})
-                dtypes = sorted({dtype for _, dtype in pairs})
-                kernels[stage_name] = ("|".join(names), "|".join(dtypes))
             else:
                 kernels[stage_name] = info_for(placement)
         return kernels
@@ -566,29 +534,3 @@ class Planner:
         if run:
             schedule.append((tuple(run), run_mode))
         return tuple(schedule), bool(core)
-
-    def _affinity(self, graph, config) -> Optional[Dict[str, str]]:
-        """Stage-affinity map for a co-scheduling engine team: forced
-        placements pass through; an auto-placed fuse stage is pinned
-        where the per-level plan puts the bulk of the inverse transform
-        (forwards stay round-robin so a pair's two decompositions land
-        on different engines)."""
-        if config.engine_team is None:
-            return None
-        affinity = {name: stage.placement for name, stage in
-                    ((s.name, s) for s in graph.stages())
-                    if stage.placement != AUTO
-                    and stage.placement in config.engine_team}
-        if "fuse" in graph and "fuse" not in affinity:
-            from ..core.adaptive import PerLevelScheduler
-            team = tuple(create_engine(name) for name in config.engine_team)
-            try:
-                plan = PerLevelScheduler(engines=team).plan(
-                    config.fusion_shape, config.levels)
-            except ConfigurationError:
-                return affinity or None
-            counts: Dict[str, int] = {}
-            for name in plan.inverse_assignment:
-                counts[name] = counts.get(name, 0) + 1
-            affinity["fuse"] = max(counts.items(), key=lambda kv: kv[1])[0]
-        return affinity or None

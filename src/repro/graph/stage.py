@@ -4,8 +4,7 @@ A :class:`Stage` declares *what* a piece of per-frame work is — never
 *how* or *where* it runs.  The how/where live in the lowered
 :class:`~repro.graph.planner.FusionPlan`: executors interpret the plan,
 and the same graph can therefore be driven serially, pipelined across
-threads, co-scheduled over an engine team, or micro-batched, without
-the stage knowing.
+threads, or micro-batched, without the stage knowing.
 
 Three declarations matter to the planner:
 
@@ -71,8 +70,9 @@ class Stage:
     Parameters
     ----------
     name:
-        Unique identifier; also the hetero executor's affinity key and
-        the key placements/costs are reported under.
+        Unique identifier; also the ``graph_overrides["place"]`` key
+        and the key placements, costs and per-stage billing
+        (``metadata["stages"]``) are reported under.
     kind:
         One of :data:`STAGE_KINDS`.  ``map`` requires ``fn``.
     fn:

@@ -40,7 +40,6 @@ from .power import DEFAULT_POWER_MODEL, MODES, PowerModel, PowerRecorder
 from .registry import (
     DEFAULT_ENGINE_NAMES,
     create_engine,
-    create_engine_pool,
     default_engines,
     engine_names,
     register_engine,
@@ -65,7 +64,7 @@ from .work import FilterPass, WorkModel, summarize_passes
 __all__ = [
     "ArmEngine", "NeonEngine", "FpgaEngine", "Engine",
     "JitEngine", "GpuEngine", "GpuBackend",
-    "create_engine", "create_engine_pool", "default_engines",
+    "create_engine", "default_engines",
     "engine_names", "register_engine", "DEFAULT_ENGINE_NAMES",
     "HlsBackend", "pad_filter_pair",
     "HlsWaveletEngine", "shift_register_dual_fir",

@@ -65,23 +65,6 @@ def create_engine(name: str) -> Engine:
     return factory()
 
 
-def create_engine_pool(name: str, count: int) -> Tuple[Engine, ...]:
-    """``count`` independent instances of the engine registered as
-    ``name``.
-
-    A co-scheduling executor owns one instance per worker: each worker
-    computes and reports under its own engine object (per-thread
-    compute state comes from the instance's ``transform()`` building a
-    fresh backend per lane).  Pool members come from the same registry
-    factory — same filter banks, same arithmetic — so work is freely
-    movable between them without changing results.
-    """
-    if count < 1:
-        raise ConfigurationError(f"engine pool size must be >= 1, "
-                                 f"got {count}")
-    return tuple(create_engine(name) for _ in range(count))
-
-
 def create_engines(spec: Union[Mapping[str, int], Sequence[str]]
                    ) -> Tuple[Engine, ...]:
     """Instantiate a mixed set of engines from ``spec``.
@@ -122,7 +105,8 @@ def default_engines() -> Tuple[Engine, ...]:
     set, and growing it implicitly whenever an extension engine is
     registered would silently change default scheduling decisions.
     Extension engines participate by explicit selection
-    (``engine="jit"``, engine teams, the autotuner's placement axis).
+    (``engine="jit"``, forced stage placement, the autotuner's placement
+    axis).
     """
     return tuple(create_engine(name) for name in DEFAULT_ENGINE_NAMES)
 

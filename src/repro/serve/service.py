@@ -1,10 +1,11 @@
 """The multi-stream fusion service: N sessions over one engine pool.
 
-The paper fuses one video pair on a fixed CPU–FPGA team; the serving
-question — many independent streams contending for the same silicon —
-is where heterogeneous teams actually pay off (Nunez-Yanez et al.,
-arXiv:1802.03316) and where per-kernel engine choice shifts with
-contention (Qasaimeh et al., arXiv:1906.11879).  :class:`FusionService`
+The paper fuses one video pair on a CPU–FPGA device, picking the SIMD
+engine or the FPGA per workload size; the serving question — many
+independent streams contending for the same silicon — is where several
+engines genuinely run at once (Nunez-Yanez et al., arXiv:1802.03316)
+and where per-kernel engine choice shifts with contention (Qasaimeh et
+al., arXiv:1906.11879).  :class:`FusionService`
 answers it with the pieces the package already has: each stream is a
 full :class:`~repro.session.FusionSession` (its own config, graph,
 lowered plan, scheduler, calibrator, telemetry), and the service
@@ -70,7 +71,7 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from ..errors import ConfigurationError, FusionError
+from ..errors import ConfigurationError, FusionError, ReproError
 from ..exec.base import ensure_source_open
 from ..hw.registry import create_engine
 from ..session.config import FusionConfig
@@ -100,8 +101,7 @@ class StreamSpec:
     config:
         The stream's :class:`~repro.session.FusionConfig` — geometry,
         engine/scheduler, features.  ``executor`` is ignored: the
-        service *is* the executor (``engine_team`` is rejected, the
-        pool owns the hardware).
+        service *is* the executor (the pool owns the hardware).
     source:
         The stream's :class:`~repro.session.FrameSource` (or plain
         iterable of pairs).
@@ -162,11 +162,6 @@ class StreamSpec:
                 f"stream {name!r}: give either a priority weight or an "
                 f"SLO, not both — the SLO's priority class carries the "
                 f"weight")
-        if config.engine_team is not None:
-            raise ConfigurationError(
-                f"stream {name!r}: engine_team is not servable — the "
-                f"service leases engines from its shared pool; size "
-                f"the pool instead")
         self.name = name
         self.config = config
         self.source = source
@@ -250,8 +245,7 @@ class _StreamState:
         mj = 0.0
         for node in self.plan.nodes.values():
             label = node.engine
-            if label == _HOST or label.startswith("team(") \
-                    or node.model_seconds <= 0:
+            if label == _HOST or node.model_seconds <= 0:
                 continue
             if label not in engines:
                 engines[label] = create_engine(label)
@@ -726,7 +720,12 @@ class FusionService:
                         raise FusionError(
                             f"stream {st.name!r}: {exc}") from None
                     pair = next(iterator)
-                    task = st.processor.ingest(pair, produced)
+                    try:
+                        task = st.processor.ingest(pair, produced)
+                    except ReproError as exc:
+                        # name the tenant, as a closed source does
+                        raise type(exc)(
+                            f"stream {st.name!r}: {exc}") from exc
                     # a tenant's stream is unbounded: evaluate its
                     # modelled frame cost once per engine, not per frame
                     st.processor.hoist_frame_cost(task)

@@ -11,7 +11,7 @@ eagerly so a misconfiguration fails at construction, not mid-stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..core.fusion_rules import (
     FusionRule,
@@ -55,11 +55,11 @@ class FusionConfig:
         ``"serial"`` fuses one frame at a time (the paper's baseline
         loop), ``"pipeline"`` overlaps capture/transform/fuse/report
         across threads with bounded queues (the double-buffering
-        idea), ``"hetero"`` co-schedules a team of engine instances
-        with work stealing, ``"batch"`` stacks ``batch_size`` frame
-        pairs through single NumPy transform calls on one thread.
-        All executors produce bitwise-identical frames and identical
-        modelled costs for a fixed seed.
+        idea), ``"batch"`` stacks ``batch_size`` frame pairs through
+        single NumPy transform calls on one thread.  All executors
+        produce bitwise-identical frames and identical modelled costs
+        for a fixed seed.  To run a stage on a named engine, force its
+        placement through ``graph_overrides["place"]``.
     precision:
         Working precision of the wavelet kernels: ``None`` (default)
         runs every engine at its native precision — bitwise-identical
@@ -72,8 +72,7 @@ class FusionConfig:
         the tolerance-parity contract between the two precisions.
     workers:
         Concurrent stage workers (``"pipeline"``: forward-transform
-        pool size; ``"hetero"``: team size when ``engine_team`` is not
-        given).
+        pool size; ignored by the other executors).
     queue_depth:
         Bound on frames in flight between stages — the analogue of the
         driver's buffer-area count.
@@ -85,13 +84,6 @@ class FusionConfig:
         add latency — the first frame of a batch is not reported until
         the whole batch has computed — and a bounded run's last batch
         is simply smaller.  Ignored by the other executors.
-    engine_team:
-        Optional explicit engine names for the ``"hetero"`` executor
-        (e.g. ``("fpga", "neon")``).  A mixed team enables
-        co-scheduled modelled accounting: each stage's time/energy is
-        attributed to the engine it was assigned.  Default: ``workers``
-        instances of the session's engine, which keeps results
-        bitwise-identical to the serial executor.
     fusion_shape:
         Geometry frames are fused at (the paper's 88x72 by default).
         A ``(width, height)`` tuple is accepted for convenience.
@@ -135,10 +127,13 @@ class FusionConfig:
         :class:`~repro.graph.FusionGraph` before lowering.  A dict
         with any of three keys: ``"drop"`` (tuple of stage names to
         remove, e.g. ``("register",)``), ``"place"`` (stage name ->
-        engine name, forcing that stage's arithmetic and scheduling
-        affinity onto one engine), and ``"insert_after"`` (anchor
-        stage name -> a :class:`~repro.graph.Stage` or tuple of
-        stages spliced in after it).  Equivalent to customizing
+        engine name, forcing that stage's arithmetic onto one engine
+        and billing its modelled time/energy there — a mixed placement
+        such as ``{"visible": "fpga", "thermal": "neon"}`` runs the
+        pair's forwards on different engines under any executor),
+        and ``"insert_after"`` (anchor stage name -> a
+        :class:`~repro.graph.Stage` or tuple of stages spliced in
+        after it).  Equivalent to customizing
         :meth:`FusionSession.canonical_graph` by hand, but carried by
         the config so every drive of the session uses it.
     optimize:
@@ -171,7 +166,6 @@ class FusionConfig:
     workers: int = 2
     queue_depth: int = 4
     batch_size: int = 8
-    engine_team: Optional[Tuple[str, ...]] = None
     fusion_shape: FrameShape = FULL_FRAME
     levels: int = 3
     fusion_rule: str = "max-magnitude"
@@ -222,30 +216,6 @@ class FusionConfig:
         if self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}")
-        if self.engine_team is not None:
-            if isinstance(self.engine_team, (list, tuple)):
-                self.engine_team = tuple(self.engine_team)
-            else:
-                raise ConfigurationError(
-                    f"engine_team must be a tuple of engine names, got "
-                    f"{self.engine_team!r}")
-            if not self.engine_team:
-                raise ConfigurationError("engine_team cannot be empty")
-            unknown = [n for n in self.engine_team
-                       if n not in engine_names()]
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown engine(s) in engine_team: {unknown}; "
-                    f"expected names from {sorted(engine_names())}")
-            if self.executor != "hetero":
-                raise ConfigurationError(
-                    "engine_team is only meaningful with "
-                    "executor='hetero'")
-            if self.temporal:
-                raise ConfigurationError(
-                    "engine_team cannot be combined with temporal "
-                    "fusion: the temporal fuse stage is sequential and "
-                    "would silently bypass the co-scheduled team")
         if self.precision is not None:
             if self.precision not in ("float32", "float64"):
                 raise ConfigurationError(
@@ -254,10 +224,8 @@ class FusionConfig:
             # fail eagerly when a named engine cannot run the requested
             # precision (e.g. the float32-only FPGA datapath asked for
             # float64); scheduler modes filter candidates at runtime
-            named = [self.engine] if self.engine in engine_names() else []
-            named.extend(self.engine_team or ())
-            for name in named:
-                create_engine(name).working_dtype(self.precision)
+            if self.engine in engine_names():
+                create_engine(self.engine).working_dtype(self.precision)
         if self.levels < 1:
             raise ConfigurationError(f"levels must be >= 1, got {self.levels}")
         if self.fusion_rule not in FUSION_RULES:
@@ -287,11 +255,6 @@ class FusionConfig:
                 "temporal fusion is pairwise (visible + thermal); "
                 f"n_sources={self.n_sources} cannot be combined with "
                 f"temporal=True")
-        if self.autotune and self.engine_team is not None:
-            raise ConfigurationError(
-                "autotune cannot be combined with an explicit "
-                "engine_team: the tuner owns the executor/placement "
-                "axes it searches over")
         self._validate_graph_overrides()
 
     def _validate_graph_overrides(self) -> None:

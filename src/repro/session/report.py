@@ -67,7 +67,8 @@ class FusionReport:
     fifo_dropped: int = 0
     decode_errors: int = 0
     #: measured executor throughput (wall fps, per-stage occupancy,
-    #: queue depth peaks, steals) — see :class:`repro.exec.ExecStats`.
+    #: queue depth peaks, per-stage wall) — see
+    #: :class:`repro.exec.ExecStats`.
     #: Scope: the most recent stream drive (batch-scoped on run()
     #: reports), unlike ``telemetry`` which is session-cumulative;
     #: empty when the frames were fused via :meth:`FusionSession.process`

@@ -22,10 +22,9 @@ declarative: the session constructs its pipeline as a
 fuse/temporal → finalize), lowers it through the
 :class:`repro.graph.Planner`, and :meth:`stream`/:meth:`run` route
 every frame through the :mod:`repro.exec` executor the config names —
-the serial reference loop, the double-buffered thread pipeline,
-heterogeneous engine co-scheduling, or micro-batched NumPy
-vectorization — each interpreting the same lowered plan via the
-:class:`_SessionProcessor` below.  Users extend the dataflow with
+the serial reference loop, the double-buffered thread pipeline, or
+micro-batched NumPy vectorization — each interpreting the same lowered
+plan via the :class:`_SessionProcessor` below.  Users extend the dataflow with
 custom stages (``session.canonical_graph()`` + ``run(graph=...)``, or
 ``FusionConfig.graph_overrides``) and inspect it
 (``session.plan.describe()``, the CLI's ``plan`` subcommand).  The
@@ -59,8 +58,7 @@ from ..exec import Executor, FrameProcessor, make_executor
 from ..graph import FusionGraph, FusionPlan, Planner, Stage
 from ..graph.graph import forward_stage_names
 from ..hw.engine import Engine
-from ..hw.registry import (create_engine, create_engine_pool,
-                           precision_candidates)
+from ..hw.registry import create_engine, precision_candidates
 from ..video.frames import VideoFrame
 from ..video.scaler import resize_to
 from .config import FusionConfig
@@ -122,8 +120,6 @@ class _FrameTask:
     started: float = 0.0
     pyramids: List[object] = dataclass_field(default_factory=list)
     fused: Optional[np.ndarray] = None
-    #: stage -> engine assigned by a co-scheduling executor
-    stage_engines: Dict[str, Engine] = dataclass_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.pyramids:
@@ -154,15 +150,14 @@ class _WorkerContext:
     own :class:`ImageFusion` lane per engine *name*, built from that
     engine's own transform factory.  Lanes are functionally identical
     to the session's serial fusers, which is what keeps concurrent
-    schedules bitwise-equal to the serial loop.
+    schedules bitwise-equal to the serial loop.  ``engine`` is the
+    instance a serving lease owns, when there is one.
     """
 
     def __init__(self, session: "FusionSession",
-                 engine: Optional[Engine] = None,
-                 co_schedule: bool = False):
+                 engine: Optional[Engine] = None):
         self._session = session
         self.engine = engine
-        self.co_schedule = co_schedule
         self._lanes: Dict[str, ImageFusion] = {}
         #: per-worker scratch buffers (single-threaded, like the lanes)
         self.scratch = ScratchPool()
@@ -283,32 +278,11 @@ class _SessionProcessor(FrameProcessor):
                 for name, seconds in now.items()
                 if seconds - mark.get(name, 0.0) > 0.0}
 
-    def make_contexts(self, n, engines=None):
-        session = self._session
-        if engines is None:
-            return [_WorkerContext(session) for _ in range(n)]
-        co = session.config.engine_team is not None
-        return [_WorkerContext(session, engine=engine, co_schedule=co)
-                for engine in engines]
+    def make_contexts(self, n):
+        return [_WorkerContext(self._session) for _ in range(n)]
 
-    def assign(self, task: _FrameTask, stage: str, engine: Engine) -> None:
-        """Dispatch-time hook: a co-scheduling executor pins ``stage``
-        of ``task`` to ``engine`` (deterministically, in frame order).
-
-        Attribution must agree with the lowered plan: custom map
-        stages run host-side NumPy on whichever worker executes them,
-        so they are never attributed to an engine; and a forced
-        placement overrides the dispatch assignment, because the stage
-        *computes* on the forced engine whatever worker thread runs
-        it.
-        """
-        if stage in self.plan:
-            planned = self.plan.stage(stage)
-            if planned.kind == "map":
-                return
-            if planned.placement != "auto":
-                engine = self._session._placement_engine(planned.placement)
-        task.stage_engines[stage] = engine
+    def context_for(self, engine):
+        return _WorkerContext(self._session, engine=engine)
 
     # -- stages ---------------------------------------------------------
     def ingest(self, pair: FrameGroup, index: int) -> _FrameTask:
@@ -403,11 +377,11 @@ class _SessionProcessor(FrameProcessor):
         try:
             kind = stage.kind
             if kind == "forward":
-                fuser, _ = self._stage_lane(task, stage, ctx)
+                fuser = self._stage_lane(task, stage, ctx)
                 idx = self._forward_index[name]
                 task.pyramids[idx] = fuser.decompose(task.frames[idx])
             elif kind == "fuse":
-                fuser, _ = self._stage_lane(task, stage, ctx)
+                fuser = self._stage_lane(task, stage, ctx)
                 if len(task.pyramids) == 2:
                     pyramid = fuser.combine(task.pyramids[0],
                                             task.pyramids[1])
@@ -476,7 +450,7 @@ class _SessionProcessor(FrameProcessor):
         # are placement-compatible by construction (all auto -> the
         # frame's engine, or all forced onto one engine)
         anchor = self.plan.stage("fuse" if with_fuse else "visible")
-        fuser, _ = self._stage_lane(task, anchor, ctx)
+        fuser = self._stage_lane(task, anchor, ctx)
         shape = task.visible.shape
         k = len(task.frames)
         if self.plan.scratch:
@@ -503,31 +477,24 @@ class _SessionProcessor(FrameProcessor):
                 combined = fuser.combine_stack_many(slices)
             task.fused = fuser.reconstruct_batch(combined)[0]
 
-    def _stage_lane(self, task: _FrameTask, stage, ctx
-                    ) -> Tuple[ImageFusion, Engine]:
-        """The :class:`ImageFusion` lane (and engine) ``stage`` must
-        compute with for ``task`` — forced placement first, then the
-        co-scheduled assignment, then the frame's selected engine."""
+    def _stage_lane(self, task: _FrameTask, stage,
+                    ctx: Optional[_WorkerContext]) -> ImageFusion:
+        """The :class:`ImageFusion` lane ``stage`` must compute with
+        for ``task`` — forced placement first, then the frame's
+        selected engine."""
         if stage.placement != "auto":
             engine = self._session._placement_engine(stage.placement)
             if ctx is not None:
-                return ctx.lane(engine), engine
-            return self._session._fuser_for(engine), engine
-        return self._lane_for(task, stage.name, ctx)
-
-    def _lane_for(self, task: _FrameTask, stage: str,
-                  ctx: Optional[_WorkerContext]
-                  ) -> Tuple[ImageFusion, Engine]:
+                return ctx.lane(engine)
+            return self._session._fuser_for(engine)
         if ctx is None:
-            return self._session._fusers[task.engine.name], task.engine
-        engine = task.stage_engines.get(stage) if ctx.co_schedule else None
-        if engine is None:
-            engine = task.engine
-            if ctx.engine is not None and ctx.engine.name == engine.name:
-                # a homogeneous team member computes on its own pool
-                # instance (same registry factory, same arithmetic)
-                engine = ctx.engine
-        return ctx.lane(engine), engine
+            return self._session._fusers[task.engine.name]
+        engine = task.engine
+        if ctx.engine is not None and ctx.engine.name == engine.name:
+            # a leased engine computes on its own pool instance (same
+            # registry factory, same arithmetic)
+            engine = ctx.engine
+        return ctx.lane(engine)
 
     def process_batch(self, tasks) -> None:
         """Batch-executor hook, interpreting the plan's batch groups.
@@ -621,36 +588,33 @@ class _SessionProcessor(FrameProcessor):
         self._record_wall("batch-core", time.perf_counter() - started)
 
     # -- accounting -----------------------------------------------------
-    def _frame_cost(self, task: _FrameTask) -> Tuple[float, float, str]:
-        """(modelled seconds, millijoules, engine label) of one frame.
+    def _frame_cost(self, task: _FrameTask
+                    ) -> Tuple[float, float, str, Optional[Dict[str, str]]]:
+        """(modelled seconds, millijoules, engine label, billed stages)
+        of one frame.
 
         Default: the selected engine's whole-frame model — exactly the
-        serial session accounting.  Under a co-scheduling executor
-        (explicit mixed ``engine_team``), or when the plan forces a
-        modelled stage onto a named engine, each stage is billed to
-        the engine that actually computed it — so the run report
-        always agrees with the lowered plan.
+        serial session accounting — and no per-stage breakdown (None).
+        When the plan forces a modelled stage onto a named engine, each
+        modelled stage is billed to the engine that computes it (the
+        forced one, else the frame's), so the run report always agrees
+        with the lowered plan, and the breakdown names that engine per
+        stage.  Custom map stages have no hardware model and are never
+        billed.
         """
         session = self._session
         power = session.config.power_model
+        if not self._forced_engines:
+            seconds = task.model_seconds
+            mj = seconds * power.power_w(task.engine.power_mode) * 1e3
+            return seconds, mj, task.engine.name, None
         shape = session.config.fusion_shape
         levels = session.config.levels
-        # only the canonical modelled stages participate in per-stage
-        # attribution; custom map stages have no hardware model
-        co = {stage: engine for stage, engine in task.stage_engines.items()
-              if stage in self._modelled_stages}
-        if len(co) < len(self._modelled_stages):
-            if not self._forced_engines:
-                seconds = task.model_seconds
-                mj = seconds * power.power_w(task.engine.power_mode) * 1e3
-                return seconds, mj, task.engine.name
-            co = {stage: self._forced_engines.get(stage, task.engine)
-                  for stage in self._modelled_stages
-                  if stage in self.plan}
-
+        billed = {stage: self._forced_engines.get(stage, task.engine)
+                  for stage in self._modelled_stages if stage in self.plan}
         seconds = 0.0
         mj = 0.0
-        for stage, engine in co.items():
+        for stage, engine in billed.items():
             if stage == "fuse":
                 stage_s = (engine.fusion_time(shape, levels).total_s
                            + engine.inverse_time(shape, levels).total_s)
@@ -658,8 +622,9 @@ class _SessionProcessor(FrameProcessor):
                 stage_s = engine.forward_time(shape, levels).total_s
             seconds += stage_s
             mj += stage_s * power.power_w(engine.power_mode) * 1e3
-        label = co["fuse"].name if "fuse" in co else task.engine.name
-        return seconds, mj, label
+        label = billed["fuse"].name if "fuse" in billed else task.engine.name
+        return seconds, mj, label, {stage: engine.name
+                                    for stage, engine in billed.items()}
 
     def finalize(self, task: _FrameTask) -> FusedFrameResult:
         started = time.perf_counter()
@@ -671,7 +636,7 @@ class _SessionProcessor(FrameProcessor):
             action = session.monitor.observe(task.visible, task.thermal,
                                              fused).action
 
-        seconds, mj, engine_label = self._frame_cost(task)
+        seconds, mj, engine_label, stages = self._frame_cost(task)
         wall = time.perf_counter() - task.started if task.started else None
         session.telemetry.record(seconds, mj, wall_seconds=wall)
 
@@ -684,11 +649,8 @@ class _SessionProcessor(FrameProcessor):
             session._quality_frames += 1
 
         metadata = {"engine": engine_label, "action": action}
-        if len([s for s in task.stage_engines
-                if s in self._modelled_stages]) \
-                >= len(self._modelled_stages):
-            metadata["stages"] = {stage: eng.name for stage, eng
-                                  in task.stage_engines.items()}
+        if stages is not None:
+            metadata["stages"] = stages
         result = FusedFrameResult(
             frame=VideoFrame(
                 pixels=np.clip(np.round(fused), 0, 255).astype(np.uint8),
@@ -995,8 +957,7 @@ class FusionSession:
         return self._engine
 
     @staticmethod
-    def _validate_drive(executor: str, config: FusionConfig,
-                        per_call: bool) -> None:
+    def _validate_drive(executor: str, config: FusionConfig) -> None:
         """Reject conflicting executor/tuning combinations loudly.
 
         Field-level validity is checked eagerly by
@@ -1004,17 +965,14 @@ class FusionSession:
         is about to run with — which a mutated config or a per-call
         ``executor=`` override can put into conflict — so the failure
         is a clear :class:`FusionError` here instead of a stack trace
-        deep inside an executor thread.  (``per_call`` overrides away
-        from ``hetero`` deliberately drop a configured ``engine_team``
-        for that drive, so the team/executor conflict only applies to
-        the config's own pairing.)
+        deep inside an executor thread.
         """
         if executor == "batch" and config.batch_size < 1:
             raise FusionError(
                 f"executor='batch' conflicts with "
                 f"batch_size={config.batch_size}: the batch executor "
                 f"needs batch_size >= 1")
-        if executor in ("pipeline", "hetero") and config.workers < 1:
+        if executor == "pipeline" and config.workers < 1:
             raise FusionError(
                 f"executor={executor!r} conflicts with "
                 f"workers={config.workers}: concurrent executors need "
@@ -1024,48 +982,17 @@ class FusionSession:
                 f"executor={executor!r} conflicts with "
                 f"queue_depth={config.queue_depth}: frames in flight "
                 f"must be bounded by at least 1")
-        if (config.engine_team is not None and executor != "hetero"
-                and not per_call):
-            raise FusionError(
-                f"engine_team={config.engine_team} conflicts with "
-                f"executor={executor!r}: a team only drives the "
-                f"'hetero' executor")
 
-    def _make_executor(self, processor: "_SessionProcessor",
-                       name: Optional[str] = None) -> Executor:
+    def _make_executor(self, name: Optional[str] = None) -> Executor:
         """Build the configured executor for one stream drive.
 
         ``name`` overrides the config's executor for this drive only
-        (the config's ``workers``/``queue_depth`` tuning still applies;
-        a configured ``engine_team`` only applies when this drive is
-        heterogeneous).  The drive's lowered plan supplies the stage
-        names and the fuse affinity of a co-scheduled team.
+        (the config's ``workers``/``queue_depth`` tuning still applies).
         """
-        self._validate_drive(name or self.config.executor, self.config,
-                             per_call=name is not None)
-        if name is None:
-            config = self.config
-        else:
-            overrides = {"executor": name}
-            if name != "hetero":
-                overrides["engine_team"] = None
-            config = self.config.with_overrides(**overrides)
-        plan = processor.plan
-        if config.executor == "hetero":
-            stages = (*plan.parallel, *plan.mid)
-            if config.engine_team is not None:
-                team = tuple(create_engine(name)
-                             for name in config.engine_team)
-                return make_executor("hetero", engines=team,
-                                     queue_depth=config.queue_depth,
-                                     co_schedule=True,
-                                     affinity=plan.affinity,
-                                     stages=stages)
-            team = create_engine_pool(self._engine.name, config.workers)
-            return make_executor("hetero", engines=team,
-                                 queue_depth=config.queue_depth,
-                                 stages=stages)
-        return make_executor(config.executor, workers=config.workers,
+        executor = name or self.config.executor
+        config = self.config
+        self._validate_drive(executor, config)
+        return make_executor(executor, workers=config.workers,
                              queue_depth=config.queue_depth,
                              batch_size=config.batch_size)
 
@@ -1151,7 +1078,7 @@ class FusionSession:
         try:
             processor = self._processor_for(graph)
             wall_mark = processor.stage_wall_snapshot()
-            driver = self._make_executor(processor, executor)
+            driver = self._make_executor(executor)
             self._concurrent_drive = driver.concurrent
             # a closed-aware iterator keeps the executor contract
             # (pairs is a real Iterator) while letting the drive see a

@@ -8,8 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import (
+    BatchExecutor,
     ExecStats,
-    HeterogeneousExecutor,
     PipelineExecutor,
     SerialExecutor,
     executor_names,
@@ -17,7 +17,7 @@ from repro.exec import (
     register_executor,
 )
 from repro.exec.base import FrameProcessor
-from repro.hw.registry import create_engine_pool
+from repro.hw.registry import create_engine
 from repro.session import (
     FramePair,
     FrameSource,
@@ -28,7 +28,10 @@ from repro.session import (
 from repro.types import FrameShape
 
 SMALL = FrameShape(40, 40)
-EXECUTORS = ("serial", "pipeline", "hetero")
+EXECUTORS = ("serial", "pipeline")
+#: a mixed placement: the pair's forwards on different engines, the
+#: fuse stage on the FPGA (what an explicit engine team used to run)
+MIXED_PLACEMENT = {"visible": "fpga", "thermal": "neon", "fuse": "fpga"}
 
 
 def small_config(**overrides):
@@ -67,7 +70,7 @@ class TestExecutorRegistry:
     def test_factories_build_named_executors(self):
         for name, cls in (("serial", SerialExecutor),
                           ("pipeline", PipelineExecutor),
-                          ("hetero", HeterogeneousExecutor)):
+                          ("batch", BatchExecutor)):
             executor = make_executor(name, workers=2, queue_depth=3)
             assert isinstance(executor, cls)
             assert executor.stats.executor == name
@@ -89,23 +92,16 @@ class TestConfigValidation:
         dict(executor="warp"),
         dict(workers=0),
         dict(queue_depth=0),
-        dict(executor="hetero", engine_team=()),
-        dict(executor="hetero", engine_team=("neon", "abacus")),
-        dict(executor="hetero", engine_team="neon"),
-        dict(executor="serial", engine_team=("neon",)),
-        # temporal fusion is sequential; a co-scheduled team would be
-        # silently bypassed, so the combination is rejected loudly
-        dict(executor="hetero", engine_team=("fpga", "neon"),
-             temporal=True),
+        dict(batch_size=0),
+        # placement maps one stage to one engine name
+        dict(graph_overrides={"place": "fpga"}),
+        dict(graph_overrides={"place": {"visible": 3}}),
+        dict(graph_overrides={"place": {"fuse": ("fpga", "neon")}}),
+        dict(graph_overrides={"team": ("fpga", "neon")}),
     ])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             small_config(**bad)
-
-    def test_engine_team_coerced_to_tuple(self):
-        config = small_config(executor="hetero",
-                              engine_team=["fpga", "neon"])
-        assert config.engine_team == ("fpga", "neon")
 
     def test_mutated_config_conflicts_raise_fusion_error(self):
         """Field validation runs at construction; combinations a
@@ -120,34 +116,12 @@ class TestConfigValidation:
             s.config.workers = 0
             with pytest.raises(FusionError, match="workers"):
                 s.run(1, executor="pipeline")
-            with pytest.raises(FusionError, match="workers"):
-                list(s.stream(SyntheticSource(seed=5), limit=1,
-                              executor="hetero"))
         with FusionSession(small_config()) as s:
             s.config.queue_depth = 0
             with pytest.raises(FusionError, match="queue_depth"):
                 s.run(1, executor="pipeline")
             # the serial path needs neither knob and still runs
             assert s.run(1).frames == 1
-
-    def test_per_call_override_conflicts_raise_fusion_error(self):
-        from repro.errors import FusionError
-        config = small_config(executor="hetero",
-                              engine_team=("fpga", "neon"))
-        with FusionSession(config) as s:
-            # with_overrides drops the team for non-hetero overrides,
-            # but a hand-mutated executor field must not slip through
-            s.config.executor = "pipeline"
-            with pytest.raises(FusionError, match="engine_team"):
-                s.run(1)
-
-    def test_engine_pool_builds_independent_instances(self):
-        pool = create_engine_pool("neon", 3)
-        assert len(pool) == 3
-        assert len({id(e) for e in pool}) == 3
-        assert all(e.name == "neon" for e in pool)
-        with pytest.raises(ConfigurationError):
-            create_engine_pool("neon", 0)
 
 
 # ----------------------------------------------------------------------
@@ -166,9 +140,8 @@ class TestDeterminism:
     def test_concurrent_matches_serial(self, features,
                                        assert_bitwise_parity):
         reference = fuse_stream("serial", **features)
-        for executor in ("pipeline", "hetero"):
-            results = fuse_stream(executor, **features)
-            assert_bitwise_parity(reference, results, label=executor)
+        results = fuse_stream("pipeline", **features)
+        assert_bitwise_parity(reference, results, label="pipeline")
 
     def test_reports_aggregate_identically(self):
         reports = {}
@@ -176,14 +149,12 @@ class TestDeterminism:
             with FusionSession(small_config(executor=executor,
                                             quality_metrics=True)) as s:
                 reports[executor] = s.run(5).as_dict()
-        ref = reports["serial"]
-        for executor in ("pipeline", "hetero"):
-            got = reports[executor]
-            # modelled quantities and quality are exactly equal; only
-            # the measured wall-clock blocks may differ
-            for key in ("frames", "engine_usage", "actions", "model_fps",
-                        "millijoules_per_frame", "quality"):
-                assert got[key] == ref[key], key
+        ref, got = reports["serial"], reports["pipeline"]
+        # modelled quantities and quality are exactly equal; only the
+        # measured wall-clock blocks may differ
+        for key in ("frames", "engine_usage", "actions", "model_fps",
+                    "millijoules_per_frame", "quality"):
+            assert got[key] == ref[key], key
 
     def test_two_runs_continue_shared_source_identically(self):
         """A bounded concurrent drive must not read ahead of its limit
@@ -196,9 +167,8 @@ class TestDeterminism:
                                 for r in reports for rec in r.records]
             assert [rec.index for r in reports for rec in r.records] \
                 == list(range(6))
-        for executor in ("pipeline", "hetero"):
-            assert all(np.array_equal(a, b) for a, b
-                       in zip(frames["serial"], frames[executor]))
+        assert all(np.array_equal(a, b) for a, b
+                   in zip(frames["serial"], frames["pipeline"]))
 
     def test_run_accepts_per_call_executor_override(self):
         """run(executor=...) drives one batch with another strategy
@@ -210,34 +180,52 @@ class TestDeterminism:
                 report = s.run(4, executor=executor)
             assert report.throughput["executor"] == executor
             frames[executor] = [rec.frame.pixels for rec in report.records]
-        for executor in ("pipeline", "hetero"):
-            assert all(np.array_equal(a, b) for a, b
-                       in zip(frames["serial"], frames[executor]))
+        assert all(np.array_equal(a, b) for a, b
+                   in zip(frames["serial"], frames["pipeline"]))
         with FusionSession(small_config()) as s:
             with pytest.raises(ConfigurationError):
                 s.run(1, executor="warp")
 
-    def test_override_away_from_hetero_drops_engine_team(self):
-        """A hetero+team config can still drive one batch serially."""
-        config = small_config(executor="hetero",
-                              engine_team=("fpga", "neon"))
-        with FusionSession(config) as s:
-            report = s.run(2, executor="serial")
-        assert report.frames == 2
-        assert report.throughput["executor"] == "serial"
-
     def test_mixed_team_attributes_stages(self):
-        results = fuse_stream("hetero", engine_team=("fpga", "neon"))
-        stages = results[0].frame.metadata["stages"]
-        assert set(stages) == {"visible", "thermal", "fuse"}
-        assert set(stages.values()) <= {"fpga", "neon"}
-        # co-scheduled accounting: per-stage modelled costs, summed
-        assert all(r.model_seconds > 0 for r in results)
-        # mixed teams are still deterministic run-to-run
-        again = fuse_stream("hetero", engine_team=("fpga", "neon"))
-        for ref, got in zip(results, again):
+        """A mixed placement bills each modelled stage's time *and
+        energy* to the engine it is placed on, and metadata["stages"]
+        names those engines; unplaced frames carry no per-stage map."""
+        power = small_config().power_model
+        results = fuse_stream("serial",
+                              graph_overrides={"place": MIXED_PLACEMENT})
+        fpga, neon = create_engine("fpga"), create_engine("neon")
+        stage_s = {
+            "visible": (fpga, fpga.forward_time(SMALL, 2).total_s),
+            "thermal": (neon, neon.forward_time(SMALL, 2).total_s),
+            "fuse": (fpga, fpga.fusion_time(SMALL, 2).total_s
+                     + fpga.inverse_time(SMALL, 2).total_s),
+        }
+        want_mj = sum(seconds * power.power_w(engine.power_mode) * 1e3
+                      for engine, seconds in stage_s.values())
+        for result in results:
+            assert result.frame.metadata["stages"] == MIXED_PLACEMENT
+            assert result.model_millijoules == pytest.approx(want_mj,
+                                                             rel=1e-12)
+        plain = fuse_stream("serial")
+        assert "stages" not in plain[0].frame.metadata
+
+    @pytest.mark.parametrize("optimize", (False, True))
+    @pytest.mark.parametrize("executor", executor_names())
+    def test_mixed_placement_matches_serial(self, executor, optimize):
+        """Every executor, optimized or not, reproduces the serial
+        drive of a mixed placement bit for bit — pixels, modelled
+        time and energy, and the per-stage engine map."""
+        overrides = dict(graph_overrides={"place": MIXED_PLACEMENT},
+                         batch_size=4)
+        reference = fuse_stream("serial", **overrides)
+        results = fuse_stream(executor, optimize=optimize, **overrides)
+        assert len(results) == len(reference)
+        for ref, got in zip(reference, results):
             assert np.array_equal(ref.frame.pixels, got.frame.pixels)
-            assert ref.model_millijoules == got.model_millijoules
+            assert got.model_seconds == ref.model_seconds
+            assert got.model_millijoules == ref.model_millijoules
+            assert got.frame.metadata["stages"] \
+                == ref.frame.metadata["stages"] == MIXED_PLACEMENT
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +294,7 @@ class TestLifecycle:
         assert source.closed
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("executor", ("pipeline", "hetero"))
+    @pytest.mark.parametrize("executor", ("pipeline",))
     def test_source_closed_mid_stream_raises_not_deadlocks(self, executor):
         """Regression: closing a source while a concurrent executor is
         still capturing from it used to leave the capture thread
@@ -479,7 +467,6 @@ class TestThroughputTelemetry:
         assert isinstance(block["stage_occupancy"], dict)
         assert 0.0 <= max(block["stage_occupancy"].values()) <= 1.0
         assert isinstance(block["queue_peak"], dict)
-        assert block["steals"] >= 0
         assert "throughput" in report.as_dict()
 
     def test_pipeline_tracks_queue_depths_and_stage_busy(self):
@@ -492,13 +479,6 @@ class TestThroughputTelemetry:
                    in block["stage_busy_s"])
         assert block["queue_peak"]["order"] <= 2
         assert block["queue_peak"]["done"] <= 2
-
-    def test_hetero_reports_per_engine_workers(self):
-        with FusionSession(small_config(executor="hetero", workers=2)) as s:
-            report = s.run(4)
-        worker_frames = report.throughput["worker_frames"]
-        assert sum(worker_frames.values()) == 4 * 3  # 2 forwards + 1 fuse
-        assert all(name.startswith("neon[") for name in worker_frames)
 
     def test_telemetry_gains_wall_latency(self):
         with FusionSession(small_config(executor="pipeline")) as s:
@@ -518,8 +498,8 @@ class TestThroughputTelemetry:
 
 # ----------------------------------------------------------------------
 class _SleepyProcessor(FrameProcessor):
-    """Minimal processor whose forward stages dawdle, to make work
-    pile up on whichever worker the affinity pins."""
+    """Minimal processor whose forward stages dawdle, so a
+    concurrent executor really has work in flight."""
 
     def ingest(self, pair, index):
         return {"index": index}
@@ -563,29 +543,3 @@ class TestMinimalProcessorContract:
             assert sorted(processor.stages[frame]) == \
                 ["fuse", "thermal", "visible"]
             assert processor.stages[frame][-1] == "fuse"
-
-
-class _NamedEngine:
-    def __init__(self, name):
-        self.name = name
-
-
-class TestWorkStealing:
-    def test_idle_worker_steals_from_loaded_queue(self):
-        """Pinning every stage to one engine leaves the other worker
-        dry; it must steal rather than idle."""
-        team = [_NamedEngine("fpga"), _NamedEngine("neon")]
-        executor = HeterogeneousExecutor(
-            engines=team, queue_depth=8,
-            affinity={"visible": "fpga", "thermal": "fpga", "fuse": "fpga"})
-        results = list(executor.run(_SleepyProcessor(),
-                                    iter(range(8)), limit=8))
-        assert results == list(range(8))
-        assert executor.stats.steals > 0
-        # the stolen work registered on the idle engine's counter
-        assert executor.stats.worker_frames.get("neon[1]", 0) > 0
-
-    def test_affinity_validation(self):
-        with pytest.raises(ConfigurationError):
-            HeterogeneousExecutor(engines=[_NamedEngine("a")],
-                                  affinity={"sideways": "a"})

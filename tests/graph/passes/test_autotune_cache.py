@@ -12,7 +12,6 @@ import logging
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.graph.autotune import (CACHE_VERSION, PlanAutotuner,
                                   PlanDecision)
 from repro.session import FusionConfig, FusionSession
@@ -229,11 +228,6 @@ class TestSessionIntegration:
             assert second.autotune_decision.overrides \
                 == first.autotune_decision.overrides
             assert second.autotune_decision.candidates == ()
-
-    def test_autotune_rejects_engine_team(self):
-        with pytest.raises(ConfigurationError):
-            _config(autotune=True, executor="hetero",
-                    engine_team=("arm", "neon"))
 
     def test_untuned_session_has_no_decision(self):
         with FusionSession(_config()) as session:

@@ -54,14 +54,12 @@ class TestStatelessFusionPass:
         assert set(plan.nodes) == set(fused.nodes)
 
     def test_concurrent_executors_fuse_only_the_parallel_wave(self):
-        for executor in ("pipeline", "hetero"):
-            plan, config = _lower(_config(executor=executor))
-            fused, report = StatelessFusionPass().run(plan, config)
-            assert report.changed, executor
-            assert fused.units == {
-                "visible+thermal": ("visible", "thermal")}
-            assert "fuse" in fused.mid
-            assert fused.parallel == ("visible+thermal",)
+        plan, config = _lower(_config(executor="pipeline"))
+        fused, report = StatelessFusionPass().run(plan, config)
+        assert report.changed
+        assert fused.units == {"visible+thermal": ("visible", "thermal")}
+        assert "fuse" in fused.mid
+        assert fused.parallel == ("visible+thermal",)
 
     def test_sequential_mid_is_left_alone(self):
         plan, config = _lower(_config(temporal=True))
@@ -69,14 +67,6 @@ class TestStatelessFusionPass:
         assert not report.changed
         assert fused.units == {}
         assert fused is plan
-
-    def test_engine_team_is_left_alone(self):
-        config = _config(executor="hetero",
-                         engine_team=("arm", "neon"))
-        plan = Planner().lower(FusionGraph.canonical(), config)
-        fused, report = StatelessFusionPass().run(plan, config)
-        assert not report.changed
-        assert fused.units == {}
 
     def test_placement_change_breaks_the_chain(self):
         graph = FusionGraph.canonical()
@@ -179,8 +169,7 @@ class TestPipeline:
 class TestOptimizedSessions:
     """End-to-end: config.optimize drives the same bits, faster."""
 
-    @pytest.mark.parametrize("executor", ("serial", "pipeline",
-                                          "hetero", "batch"))
+    @pytest.mark.parametrize("executor", ("serial", "pipeline", "batch"))
     def test_bitwise_parity_and_energy_balance(self, executor):
         pairs = _pairs()
         kw = dict(executor=executor, workers=2, batch_size=3,

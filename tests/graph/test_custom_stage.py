@@ -1,4 +1,4 @@
-"""User-inserted stages: identical results under all four executors."""
+"""User-inserted stages: identical results under every executor."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.session import FusionConfig, FusionSession, SyntheticSource
 from repro.types import FrameShape
 
 SMALL = FrameShape(40, 40)
-EXECUTORS = ("serial", "pipeline", "hetero", "batch")
+EXECUTORS = ("serial", "pipeline", "batch")
 
 
 def small_config(**overrides):
@@ -151,32 +151,26 @@ class TestCustomStageParity:
         assert plain.model_seconds_total != report.model_seconds_total
 
     def test_forced_placement_billed_under_mixed_team(self):
-        """Co-scheduled dispatch must not override a forced placement's
-        attribution: the stage computes on the forced engine, so the
-        stage map and the energy bill name the forced engine too."""
+        """A mixed placement — forwards on two engines, the fuse stage
+        on a third — is billed per stage to the engine each stage
+        computes on, and the stage map names exactly those engines,
+        under every executor."""
         from repro.hw.registry import create_engine
-        config = small_config(
-            executor="hetero", engine_team=("fpga", "neon"),
-            graph_overrides={"place": {"fuse": "arm"}})
-        with FusionSession(config) as s:
-            results = list(s.stream(SyntheticSource(seed=5), limit=4))
-        arm = create_engine("arm")
-        want_fuse_s = (arm.fusion_time(SMALL, 2).total_s
-                       + arm.inverse_time(SMALL, 2).total_s)
-        for result in results:
-            stages = result.frame.metadata["stages"]
-            assert stages["fuse"] == "arm"
-            assert stages["visible"] in ("fpga", "neon")
-            assert result.engine == "arm"  # labelled by the fuse stage
-        # the per-stage bill includes the arm fuse time exactly
-        fpga, neon = create_engine("fpga"), create_engine("neon")
-        for result in results:
-            stages = result.frame.metadata["stages"]
-            fwd = {"fpga": fpga, "neon": neon}
-            want = (fwd[stages["visible"]].forward_time(SMALL, 2).total_s
-                    + fwd[stages["thermal"]].forward_time(SMALL, 2).total_s
-                    + want_fuse_s)
-            assert result.model_seconds == pytest.approx(want, rel=1e-12)
+        place = {"visible": "fpga", "thermal": "neon", "fuse": "arm"}
+        fpga, neon, arm = (create_engine(n) for n in ("fpga", "neon",
+                                                      "arm"))
+        want = (fpga.forward_time(SMALL, 2).total_s
+                + neon.forward_time(SMALL, 2).total_s
+                + arm.fusion_time(SMALL, 2).total_s
+                + arm.inverse_time(SMALL, 2).total_s)
+        for executor in EXECUTORS:
+            results = fuse_stream(executor, n=4,
+                                  graph_overrides={"place": place})
+            for result in results:
+                assert result.frame.metadata["stages"] == place
+                assert result.engine == "arm"  # labelled by the fuse stage
+                assert result.model_seconds == pytest.approx(want,
+                                                             rel=1e-12)
 
     def test_non_batchable_stage_keeps_frame_major_cadence(self):
         """batchable=False is honoured by the batch executor: within a
@@ -201,19 +195,18 @@ class TestCustomStageParity:
                          ("a", 2), ("b", 2), ("a", 3), ("b", 3)]
 
     def test_map_stage_never_attributed_to_an_engine(self):
-        """Under a co-scheduled team, metadata['stages'] must agree
-        with the plan: map stages run host-side NumPy and are never
-        billed to (or labelled with) a team engine."""
+        """Under a mixed placement, metadata['stages'] must agree with
+        the plan: map stages run host-side NumPy and are never billed
+        to (or labelled with) an engine."""
         def build(session):
             graph = session.canonical_graph()
             graph.insert_after("fuse", Stage(name="tag", fn=lambda t: None))
-            return graph
+            return graph.place("visible", "fpga")
 
-        results = fuse_stream("hetero", build,
-                              engine_team=("fpga", "neon"))
+        results = fuse_stream("pipeline", build)
         for result in results:
-            assert set(result.frame.metadata["stages"]) \
-                == {"visible", "thermal", "fuse"}
+            assert result.frame.metadata["stages"] \
+                == {"visible": "fpga", "thermal": "neon", "fuse": "neon"}
 
     def test_batch_schedule_is_what_executes(self):
         """plan.batch_schedule is the single execution order: the core

@@ -281,19 +281,6 @@ class TestPlannerLowering:
         assert payload["stages"][0]["role"] == "head"
         assert payload["model_seconds_per_frame"] > 0
 
-    def test_mixed_team_affinity_comes_from_per_level_plan(self):
-        plan = Planner().lower(
-            FusionGraph.canonical(),
-            small_config(executor="hetero", engine_team=("fpga", "neon"),
-                         fusion_shape=FrameShape(88, 72), levels=3))
-        assert plan.affinity is not None and "fuse" in plan.affinity
-        assert plan.affinity["fuse"] in ("fpga", "neon")
-        # the stage table agrees with the drive: the pinned fuse stage
-        # is placed (and costed) on its affinity engine, and the
-        # round-robin forwards are labelled as team dispatch
-        assert plan.node("fuse").engine == plan.affinity["fuse"]
-        assert plan.node("visible").engine == "team(fpga,neon)"
-        assert plan.node("visible").model_seconds > 0
 
 
 # ----------------------------------------------------------------------

@@ -44,12 +44,17 @@ class TestPlannedKernelMetadata:
         assert "fuse=jit/float32" in plan.describe()
 
     def test_team_placement_reports_member_kernels(self):
-        plan = lower(engine="adaptive", executor="hetero",
-                     engine_team=("arm", "neon"))
-        node = plan.node("visible")
-        assert node.engine.startswith("team(")
-        assert node.kernel == "neon|numpy"
-        assert node.precision == "float32"
+        """A mixed placement reports each stage's own engine kernel."""
+        graph = (FusionGraph.canonical().place("visible", "arm")
+                 .place("thermal", "neon"))
+        plan = Planner().lower(graph, FusionConfig(
+            engine="adaptive", fusion_shape=(40, 32), levels=2))
+        assert (plan.node("visible").engine,
+                plan.node("visible").kernel) == ("arm", "numpy")
+        assert (plan.node("thermal").engine,
+                plan.node("thermal").kernel) == ("neon", "neon")
+        for name in ("visible", "thermal"):
+            assert plan.node(name).precision == "float32"
 
     def test_forced_fpga_under_float64_fails_at_plan_time(self):
         graph = FusionGraph.canonical().place("fuse", "fpga")

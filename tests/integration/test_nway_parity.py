@@ -109,8 +109,6 @@ class TestTripleParity:
         dict(executor="pipeline", workers=4),
         dict(executor="batch", batch_size=2),
         dict(executor="batch", batch_size=4),
-        dict(executor="hetero", workers=2),
-        dict(executor="hetero", workers=4),
     ], ids=lambda o: f"{o['executor']}-{o.get('workers', o.get('batch_size'))}")
     def test_every_executor_matches_serial(self, overrides):
         overrides = dict(overrides, n_sources=3)

@@ -38,8 +38,7 @@ def optimizable_case(draw):
     registration = draw(st.booleans())
     temporal = draw(st.booleans())
     engine = draw(st.sampled_from(("arm", "neon", "fpga", "adaptive")))
-    executor = draw(st.sampled_from(("serial", "pipeline", "hetero",
-                                     "batch")))
+    executor = draw(st.sampled_from(("serial", "pipeline", "batch")))
     levels = draw(st.integers(1, 2))
     shape = FrameShape(*draw(st.sampled_from(((24, 24), (40, 32)))))
     overrides = {}

@@ -239,6 +239,42 @@ class TestFaultIsolation:
                               report.streams["healthy"].records,
                               label="healthy")
 
+    def test_nan_tenant_retires_alone(self, assert_bitwise_parity):
+        """A tenant whose frame holds a NaN retires with an error event
+        naming it; the other tenant stays bitwise-identical to a solo
+        run and the ledger still balances."""
+        class _NanAtTwo(FrameSource):
+            def frames(self):
+                for i in range(6):
+                    thermal = np.full((24, 32), 200.0 - i)
+                    if i == 2:
+                        thermal[0, 0] = np.nan
+                    yield FramePair(visible=np.full((24, 32), 10.0 + i),
+                                    thermal=thermal, index=i)
+
+        service = FusionService(pool={"neon": 1, "arm": 1}, live=True)
+        service.add_stream("healthy", config=config(),
+                           source=SyntheticSource(seed=3), frames=6)
+        service.add_stream("bad", config=config(engine="arm"),
+                           source=_NanAtTwo(), frames=6)
+        service.start()
+        report = service.wait()
+
+        assert report.scheduler["bad"]["outcome"] == "errored"
+        assert report.errors["bad"].startswith(
+            "FusionError: stream 'bad': frame 2, source 'thermal': 1 NaN")
+        errors = service.events.events("error")
+        assert [event.stream for event in errors] == ["bad"]
+        assert "stream 'bad'" in errors[0].data["error"]
+        bad = report.ledger["streams"]["bad"]
+        assert bad["offered"] == 2  # the NaN frame never became one
+        assert bad["admitted"] == bad["finalized"] + bad["errored"]
+        assert report.ledger["balanced"]
+        assert report.scheduler["healthy"]["outcome"] == "completed"
+        assert_bitwise_parity(solo_results({}, 3, 6),
+                              report.streams["healthy"].records,
+                              label="healthy")
+
     def test_faulty_stream_error_does_not_raise_from_wait(self):
         service = FusionService(pool={"neon": 1}, live=True)
         service.add_stream("faulty", config=config(),

@@ -81,6 +81,24 @@ class _ClosableSource(FrameSource):
 
 
 # ----------------------------------------------------------------------
+class _NanSource(FrameSource):
+    """Finite pairs, except one NaN thermal pixel from ``nan_at`` on."""
+
+    def __init__(self, nan_at, n=6, shape=(40, 40)):
+        self.nan_at = nan_at
+        self.n = n
+        self.shape = shape
+
+    def frames(self):
+        for i in range(self.n):
+            thermal = np.full(self.shape, 200.0 - i)
+            if i >= self.nan_at:
+                thermal[3, 4] = np.nan
+            yield FramePair(visible=np.full(self.shape, 10.0 + i),
+                            thermal=thermal, timestamp_s=i / 25.0,
+                            index=i)
+
+
 class TestServeParity:
     """The determinism contract: fixed seed + any worker count =>
     each stream is bitwise-identical to running it alone."""
@@ -244,6 +262,19 @@ class TestLeaseAccounting:
         self.assert_balanced(pool.stats())
         assert threading.active_count() == before
 
+    def test_bad_frame_error_names_the_stream(self):
+        """A tenant's non-finite frame aborts a non-live serve() with
+        the ingest error's own class, prefixed with the stream name."""
+        pool = EnginePool({"neon": 1})
+        service = FusionService(pool=pool)
+        service.add_stream("bad", config=config(),
+                           source=_NanSource(nan_at=2), frames=5)
+        with pytest.raises(FusionError,
+                           match=r"^stream 'bad': frame 2, source "
+                                 r"'thermal': 1 NaN"):
+            service.serve()
+        self.assert_balanced(pool.stats())
+
     def test_released_on_early_cancel(self):
         before = threading.active_count()
         pool = EnginePool(POOL)
@@ -369,14 +400,6 @@ class TestServiceValidation:
         service = FusionService(pool={"neon": 1, "fpga": 1})
         with pytest.raises(ConfigurationError, match="arm"):
             service.add_stream("s", config=config(engine="online"),
-                               source=SyntheticSource(seed=1), frames=1)
-
-    def test_engine_team_config_not_servable(self):
-        team_config = config(executor="hetero",
-                             engine_team=("fpga", "neon"))
-        service = FusionService(pool=POOL)
-        with pytest.raises(ConfigurationError, match="engine_team"):
-            service.add_stream("s", config=team_config,
                                source=SyntheticSource(seed=1), frames=1)
 
     @pytest.mark.parametrize("kwargs", [

@@ -41,10 +41,12 @@ class TestConfigValidation:
             small_config(engine="fpga", precision="float64")
 
     def test_team_members_validated_eagerly(self):
+        """A placed stage whose engine cannot run the precision fails
+        when the session is built, before any frame runs."""
+        config = small_config(engine="adaptive", precision="float64",
+                              graph_overrides={"place": {"thermal": "fpga"}})
         with pytest.raises(ConfigurationError, match="float64"):
-            small_config(engine="adaptive", executor="hetero",
-                         engine_team=("arm", "fpga"),
-                         precision="float64")
+            FusionSession(config)
 
     def test_scheduler_modes_accept_float64(self):
         """adaptive/online filter candidates at runtime rather than

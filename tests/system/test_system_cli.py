@@ -93,7 +93,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "modelled fps" in out
 
-    @pytest.mark.parametrize("executor", ["pipeline", "hetero"])
+    @pytest.mark.parametrize("executor", ["pipeline", "batch"])
     def test_demo_executor_flag(self, executor, capsys):
         from repro.cli import main
         assert main(["demo", "--frames", "2", "--size", "40x40",
@@ -156,7 +156,7 @@ class TestCli:
         placements = {s["name"]: s["placement"] for s in payload["stages"]}
         assert placements["fuse"] in ("arm", "neon", "fpga")
 
-    def test_plan_temporal_and_team(self, capsys):
+    def test_plan_temporal_and_wave_fusion(self, capsys):
         from repro.cli import main
         assert main(["plan", "--temporal", "--registration",
                      "--engine", "neon", "--size", "40x40",
@@ -166,10 +166,14 @@ class TestCli:
         assert "register" in payload["head"]
         assert payload["mid"] == ["temporal"]
 
-        assert main(["plan", "--executor", "hetero", "--engine-team",
-                     "fpga", "neon", "--engine", "neon", "--json"]) == 0
+        # the overlapping executor fuses only the parallel wave
+        assert main(["plan", "--executor", "pipeline", "--optimize",
+                     "--engine", "neon", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["affinity"] == {"fuse": "fpga"}
+        assert payload["optimization"]["units"] == {
+            "visible+thermal": ["visible", "thermal"]}
+        assert payload["mid"] == ["fuse"]
+        assert "affinity" not in payload
 
     def _serve_spec(self, tmp_path, **top):
         spec = {

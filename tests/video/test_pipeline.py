@@ -85,7 +85,7 @@ class TestPipelineExecutorParity:
                                     timestamp_s=pair.timestamp_s)
                     for pair, _ in zip(pairs, range(3))]
 
-    @pytest.mark.parametrize("executor", ["serial", "pipeline", "hetero"])
+    @pytest.mark.parametrize("executor", ["serial", "pipeline", "batch"])
     def test_run_matches_manual_step_loop(self, executor, stepped_records):
         with _session(None, executor=executor) as session:
             report = session.run(3, source=self._chain())
