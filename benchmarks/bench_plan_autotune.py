@@ -3,7 +3,7 @@
 Two claims are on trial:
 
 * the **pass pipeline** (stateless stage fusion + materialization
-  elimination + loop-invariant hoisting) alone must buy at least
+  elimination) alone must buy at least
   ``--min-speedup`` (default 1.3x) serial-executor FPS over the
   unoptimized plan, while every output frame stays bitwise identical;
 * the **autotuner**'s winner must be at least as fast as the default

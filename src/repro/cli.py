@@ -464,11 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="plan the stateful temporal-fusion pipeline")
     plan.add_argument("--optimize", action="store_true",
                       help="run the optimization pass pipeline (stage "
-                           "fusion, materialization elimination, "
-                           "loop-invariant hoisting) on the lowered plan")
+                           "fusion, materialization elimination) on the "
+                           "lowered plan")
     plan.add_argument("--explain", action="store_true",
                       help="print the pass-by-pass diff: fused units, "
-                           "eliminated materializations, hoisted setup")
+                           "eliminated materializations")
     plan.set_defaults(func=cmd_plan)
 
     tune = sub.add_parser("tune", parents=[common],

@@ -112,34 +112,10 @@ class KernelBackend:
 
     def __init__(self, dtype: np.dtype = np.float64):
         self.dtype = np.dtype(dtype)
-        #: id(taps) -> (taps, converted) once the loop-invariant hoist
-        #: pass enables caching; the strong reference to the original
-        #: keeps its id() from being reused
-        self._tap_cache: Optional[Dict[int, Tuple[np.ndarray,
-                                                  np.ndarray]]] = None
-
-    def enable_tap_cache(self) -> None:
-        """Convert each filter bank to the working dtype once instead
-        of on every primitive call (enabled by the hoist pass; the
-        cached array is the exact array the per-call conversion
-        produced, so outputs are bitwise-unchanged)."""
-        if self._tap_cache is None:
-            self._tap_cache = {}
-
-    @property
-    def tap_cache_enabled(self) -> bool:
-        return self._tap_cache is not None
 
     # -- internal helpers ----------------------------------------------
     def _f(self, taps: np.ndarray) -> np.ndarray:
-        cache = self._tap_cache
-        if cache is None:
-            return np.asarray(taps, dtype=self.dtype)
-        entry = cache.get(id(taps))
-        if entry is None or entry[0] is not taps:
-            entry = (taps, np.asarray(taps, dtype=self.dtype))
-            cache[id(taps)] = entry
-        return entry[1]
+        return np.asarray(taps, dtype=self.dtype)
 
     def _x(self, x: np.ndarray) -> np.ndarray:
         """Caller array in the working dtype.

@@ -11,10 +11,11 @@ time/energy to the unoptimized plan, under every executor.
   transform invocation);
 * :class:`MaterializationEliminationPass` — steady-state intermediate
   buffers ride a per-worker :class:`repro.dtcwt.backend.ScratchPool`,
-  so the per-frame path allocates nothing on the stacked core;
-* :class:`LoopInvariantHoistPass` — filter/shape/engine-derived setup
-  (the per-frame cost model, filter-tap dtype conversion) moves out of
-  the frame loop into plan-construction time.
+  so the per-frame path allocates nothing on the stacked core.
+
+The modelled per-frame cost needs no pass: the engines memoize it per
+configuration (:class:`repro.hw.engine.Engine`), so every plan reads it
+at the cost of a table lookup.
 
 ``optimize_plan(plan, config)`` runs the default pipeline;
 ``FusionConfig(optimize=True)`` and ``repro plan --optimize`` apply it
@@ -25,12 +26,10 @@ searches over these decisions and caches winners on disk.
 from .base import (PassPipeline, PassReport, PlanPass, default_pipeline,
                    optimize_plan)
 from .fuse_stages import StatelessFusionPass
-from .hoist import LoopInvariantHoistPass
 from .materialize import MaterializationEliminationPass
 
 __all__ = [
     "PassPipeline", "PassReport", "PlanPass",
     "StatelessFusionPass", "MaterializationEliminationPass",
-    "LoopInvariantHoistPass",
     "default_pipeline", "optimize_plan",
 ]

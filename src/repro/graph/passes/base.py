@@ -8,7 +8,7 @@ honour is the package-wide determinism invariant extended to
 optimization: **an optimized plan produces bitwise-identical frames and
 identical modelled time/energy to the unoptimized plan** on any fixed
 seed, under every executor.  Passes therefore change *how* the same
-arithmetic is dispatched (fused units, pooled buffers, hoisted setup),
+arithmetic is dispatched (fused units, pooled buffers),
 never *what* is computed.
 
 :class:`PassPipeline` composes passes in order — each pass sees its
@@ -73,15 +73,15 @@ class PassPipeline:
 
 
 def default_pipeline() -> PassPipeline:
-    """The standard pipeline: fuse stateless chains, eliminate
-    steady-state materializations, hoist loop-invariant setup."""
+    """The standard pipeline: fuse stateless chains, then eliminate
+    steady-state materializations.  (The per-frame cost model needs no
+    pass: :class:`~repro.hw.engine.Engine` memoizes it per
+    configuration.)"""
     from .fuse_stages import StatelessFusionPass
-    from .hoist import LoopInvariantHoistPass
     from .materialize import MaterializationEliminationPass
     return PassPipeline((
         StatelessFusionPass(),
         MaterializationEliminationPass(),
-        LoopInvariantHoistPass(),
     ))
 
 

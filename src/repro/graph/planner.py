@@ -120,9 +120,6 @@ class FusionPlan:
     #: the unit name appears in ``parallel``/``mid``/``compute`` while
     #: ``schedule``/``nodes`` keep every original stage)
     units: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: loop-invariant per-frame model cost, hoisted to plan time
-    #: (engine name -> modelled whole-frame seconds)
-    hoisted_frame_seconds: Dict[str, float] = field(default_factory=dict)
     #: steady-state buffers ride a per-worker scratch pool
     scratch: bool = False
     #: True once a pass pipeline has run over this plan
@@ -180,7 +177,6 @@ class FusionPlan:
                 "optimized": self.optimized,
                 "units": {name: list(members)
                           for name, members in self.units.items()},
-                "hoisted_frame_seconds": dict(self.hoisted_frame_seconds),
                 "scratch": self.scratch,
                 "passes": [dict(report) for report in self.pass_reports],
             },
@@ -223,12 +219,7 @@ class FusionPlan:
             units = (", ".join(f"{name} = [{' '.join(members)}]"
                                for name, members in self.units.items())
                      or "none")
-            hoisted = (", ".join(f"{eng}={s * 1e3:.3f}ms" for eng, s
-                                 in sorted(self.hoisted_frame_seconds
-                                           .items()))
-                       or "none")
             lines.append(f"  fused units  : {units}")
-            lines.append(f"  hoisted cost : {hoisted}")
             lines.append(f"  scratch pool : "
                          f"{'enabled' if self.scratch else 'disabled'}")
         return "\n".join(lines)

@@ -193,24 +193,25 @@ class WaveletDriver:
         if not passes:
             return TimingBreakdown()
 
-        breakdown = TimingBreakdown()
+        compute = transfer = command = 0.0
         if not double_buffered:
             for cost in passes:
-                breakdown.command_s += cost.cmd_s
-                breakdown.transfer_s += cost.ps_in_s + cost.ps_out_s
-                breakdown.compute_s += cost.hw_s
-            return breakdown
-
-        # Double-buffered pipeline: in steady state each slot overlaps the
-        # hardware run of pass i with the PS-side copies of neighbours.
-        breakdown.transfer_s += passes[0].ps_in_s  # fill the first buffer
-        for i, cost in enumerate(passes):
-            breakdown.command_s += cost.cmd_s
-            ps_overlapped = cost.ps_out_s
-            if i + 1 < len(passes):
-                ps_overlapped += passes[i + 1].ps_in_s
-            breakdown.compute_s += cost.hw_s
-            slack = ps_overlapped - cost.hw_s
-            if slack > 0.0:  # PS copies are the bottleneck of this slot
-                breakdown.transfer_s += slack
-        return breakdown
+                command += cost.cmd_s
+                transfer += cost.ps_in_s + cost.ps_out_s
+                compute += cost.hw_s
+        else:
+            # Double-buffered pipeline: in steady state each slot overlaps
+            # the hardware run of pass i with the PS-side copies of
+            # neighbours.
+            transfer += passes[0].ps_in_s  # fill the first buffer
+            for i, cost in enumerate(passes):
+                command += cost.cmd_s
+                ps_overlapped = cost.ps_out_s
+                if i + 1 < len(passes):
+                    ps_overlapped += passes[i + 1].ps_in_s
+                compute += cost.hw_s
+                slack = ps_overlapped - cost.hw_s
+                if slack > 0.0:  # PS copies are the bottleneck of this slot
+                    transfer += slack
+        return TimingBreakdown(compute_s=compute, transfer_s=transfer,
+                               command_s=command)

@@ -7,7 +7,8 @@ An engine bundles two things, mirroring the paper's methodology:
   transform (results are cross-checked in the tests), and
 * an **analytic timing model** — seconds for the forward transform,
   inverse transform and fusion stage of one frame, decomposed the way
-  the paper discusses (compute / transfer / command / overhead).
+  the paper discusses (compute / transfer / command / overhead),
+  evaluated once per configuration and memoized process-wide.
 
 The fusion rule always executes on the ARM (the paper accelerates only
 the transforms), so :meth:`Engine.fusion_time` is shared.
@@ -16,7 +17,7 @@ the transforms), so :meth:`Engine.fusion_time` is shared.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +28,15 @@ from ..types import FrameShape, TimingBreakdown
 from .calibration import DEFAULT_CALIBRATION, Calibration
 from .platform import DEFAULT_PLATFORM, ZynqPlatform
 from .work import WorkModel
+
+#: Process-wide cost-model memo: (kind, engine type, platform,
+#: calibration, id(banks), engine parameters, shape, levels[, sources])
+#: -> (banks, breakdown).  ``DtcwtBanks`` holds arrays and cannot be
+#: hashed, so it is keyed by identity; the entry keeps a strong
+#: reference so that id is never reused while the entry lives.  The
+#: table holds one entry per configuration a process asks about and is
+#: never evicted: a model result cannot go stale.
+_MODEL_MEMO: Dict[tuple, Tuple[DtcwtBanks, TimingBreakdown]] = {}
 
 
 class Engine(ABC):
@@ -84,28 +94,74 @@ class Engine(ABC):
     # ------------------------------------------------------------------
     # analytic timing
     # ------------------------------------------------------------------
-    @abstractmethod
+    #
+    # The public methods are the memoized entry points (see
+    # ``_MODEL_MEMO``).  Subclasses implement the live model as
+    # ``_forward_time``/``_inverse_time``, which stays the reference
+    # the memoized results are checked against.
     def forward_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
         """Latency of the forward DT-CWT of ONE image."""
+        return self._memoized("forward", self._forward_time, shape, levels)
 
-    @abstractmethod
     def inverse_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
         """Latency of the inverse DT-CWT producing ONE image."""
+        return self._memoized("inverse", self._inverse_time, shape, levels)
 
     def fusion_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
         """Latency of the coefficient fusion rule (always on the ARM)."""
+        return self._memoized("fusion", self._fusion_time, shape, levels)
+
+    def frame_time(self, shape: FrameShape, levels: int = 3,
+                   sources: int = 2) -> TimingBreakdown:
+        """Latency of one fused frame: ``sources`` forwards, fusion, one
+        inverse.
+
+        The paper's pair (``sources=2``) is the quantity Fig. 9(b)
+        plots (x10 frames).
+        """
+        if sources < 1:
+            raise ConfigurationError(
+                f"a fused frame needs at least one source, got {sources}")
+        return self._memoized("frame", self._frame_time, shape, levels,
+                              sources)
+
+    @abstractmethod
+    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
+        """Live model of :meth:`forward_time`."""
+
+    @abstractmethod
+    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
+        """Live model of :meth:`inverse_time`."""
+
+    def _fusion_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         work = self.work_model(shape, levels)
         seconds = work.fusion_coefficients() * self.calibration.arm_fuse_coeff_s
         return TimingBreakdown(compute_s=seconds)
 
-    def frame_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
-        """Latency of one fused frame: two forwards, fusion, one inverse.
-
-        This is the quantity Fig. 9(b) plots (x10 frames).
-        """
+    def _frame_time(self, shape: FrameShape, levels: int,
+                    sources: int) -> TimingBreakdown:
         fwd = self.forward_time(shape, levels)
-        return fwd + fwd + self.fusion_time(shape, levels) \
+        total = fwd
+        for _ in range(sources - 1):
+            total = total + fwd
+        return total + self.fusion_time(shape, levels) \
             + self.inverse_time(shape, levels)
+
+    def _model_params(self) -> Tuple[Hashable, ...]:
+        """Engine-specific model inputs beyond platform, calibration
+        and banks (part of the memo key)."""
+        return ()
+
+    def _memoized(self, kind: str, live: Callable[..., TimingBreakdown],
+                  *args: Hashable) -> TimingBreakdown:
+        key = (kind, type(self), self.platform, self.calibration,
+               id(self.banks), self._model_params()) + args
+        entry = _MODEL_MEMO.get(key)
+        if entry is None:
+            # threads racing here may each evaluate the model; the
+            # first stored entry wins and every caller gets that one
+            entry = _MODEL_MEMO.setdefault(key, (self.banks, live(*args)))
+        return entry[1]
 
     def forward_stage_time(self, shape: FrameShape, levels: int = 3) -> float:
         """Seconds of forward-transform work per fused frame (two images).

@@ -19,6 +19,7 @@ below the ~40x40 crossover — the paper's central observation.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -182,19 +183,18 @@ class FpgaEngine(Engine):
         )
 
     # ------------------------------------------------------------------
-    def forward_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
+    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         passes = self.work_model(shape, levels).forward_passes()
-        breakdown = self._schedule(passes, direction="forward")
-        breakdown.command_s += self._coefficient_load_s(levels, primitive_calls=3
-                                                        + 12 * (levels - 1))
-        return breakdown
+        return self._with_coefficient_loads(
+            self._schedule(passes, direction="forward"), levels)
 
-    def inverse_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
+    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         passes = self.work_model(shape, levels).inverse_passes()
-        breakdown = self._schedule(passes, direction="inverse")
-        breakdown.command_s += self._coefficient_load_s(levels, primitive_calls=3
-                                                        + 12 * (levels - 1))
-        return breakdown
+        return self._with_coefficient_loads(
+            self._schedule(passes, direction="inverse"), levels)
+
+    def _model_params(self) -> Tuple[bool]:
+        return (self.double_buffered,)
 
     # ------------------------------------------------------------------
     def _engine_taps(self, level: int) -> int:
@@ -232,6 +232,12 @@ class FpgaEngine(Engine):
         driver = WaveletDriver(self.platform)
         costs = [self._pass_cost(p) for p in passes]
         return driver.schedule(costs, double_buffered=self.double_buffered)
+
+    def _with_coefficient_loads(self, breakdown: TimingBreakdown,
+                                levels: int) -> TimingBreakdown:
+        return replace(breakdown, command_s=breakdown.command_s
+                       + self._coefficient_load_s(
+                           levels, primitive_calls=3 + 12 * (levels - 1)))
 
     def _coefficient_load_s(self, levels: int, primitive_calls: int) -> float:
         """Reloading the coefficient registers when the filter set changes."""

@@ -55,13 +55,11 @@ class GpuEngine(Engine):
         return GpuBackend(dtype=self.working_dtype(precision))
 
     # ------------------------------------------------------------------
-    def forward_time(self, shape: FrameShape,
-                     levels: int = 3) -> TimingBreakdown:
+    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).forward_passes())
 
-    def inverse_time(self, shape: FrameShape,
-                     levels: int = 3) -> TimingBreakdown:
+    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).inverse_passes())
 

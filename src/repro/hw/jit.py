@@ -33,14 +33,12 @@ class JitEngine(Engine):
         return JitBackend(dtype=self.working_dtype(precision))
 
     # ------------------------------------------------------------------
-    def forward_time(self, shape: FrameShape,
-                     levels: int = 3) -> TimingBreakdown:
+    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).forward_passes(),
             self.calibration.jit_mac_rate_fwd)
 
-    def inverse_time(self, shape: FrameShape,
-                     levels: int = 3) -> TimingBreakdown:
+    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).inverse_passes(),
             self.calibration.jit_mac_rate_inv)

@@ -41,14 +41,14 @@ class NeonEngine(Engine):
         return NeonBackend(dtype=self.working_dtype(precision))
 
     # ------------------------------------------------------------------
-    def forward_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
+    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).forward_passes(),
             self.calibration.arm_mac_rate_fwd,
             self.calibration.neon_vector_fraction_fwd,
         )
 
-    def inverse_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
+    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).inverse_passes(),
             self.calibration.arm_mac_rate_inv,

@@ -101,9 +101,9 @@ def default_engines() -> Tuple[Engine, ...]:
     """One instance of each of the paper's three engines.
 
     Deliberately *not* "everything registered": the adaptive/online
-    schedulers, the hoist pass and the sweep runner all consume this
-    set, and growing it implicitly whenever an extension engine is
-    registered would silently change default scheduling decisions.
+    schedulers and the sweep runner consume this set, and growing it
+    implicitly whenever an extension engine is registered would
+    silently change default scheduling decisions.
     Extension engines participate by explicit selection
     (``engine="jit"``, forced stage placement, the autotuner's placement
     axis).

@@ -726,9 +726,6 @@ class FusionService:
                         # name the tenant, as a closed source does
                         raise type(exc)(
                             f"stream {st.name!r}: {exc}") from exc
-                    # a tenant's stream is unbounded: evaluate its
-                    # modelled frame cost once per engine, not per frame
-                    st.processor.hoist_frame_cost(task)
                 except StopIteration:
                     # the admission ticket was never attached to a frame
                     with self._cond:

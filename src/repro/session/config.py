@@ -139,9 +139,9 @@ class FusionConfig:
     optimize:
         Run the plan-optimization pipeline
         (:mod:`repro.graph.passes`) on every lowered plan: stateless
-        stage fusion, materialization elimination, loop-invariant
-        hoisting.  Output frames and modelled costs are
-        bitwise-identical to the unoptimized plan.
+        stage fusion and materialization elimination.  Output frames
+        and modelled costs are bitwise-identical to the unoptimized
+        plan.
     autotune:
         Consult the :class:`~repro.graph.autotune.PlanAutotuner`
         before lowering: candidate plans (executor x batch x

@@ -199,10 +199,6 @@ class _SessionProcessor(FrameProcessor):
             name: threading.Lock() for name in plan.schedule
             if name not in head_tail and plan.stage(name).ordered
         }
-        # loop-invariant hoisting: the per-frame model cost table the
-        # optimization pass evaluated at plan time (empty -> compute
-        # per frame, the unoptimized behaviour)
-        self._hoisted: Dict[str, float] = dict(plan.hoisted_frame_seconds)
         # scratch buffers for the serial lane (ctx=None paths); worker
         # contexts carry their own pools
         self._scratch = ScratchPool()
@@ -257,12 +253,6 @@ class _SessionProcessor(FrameProcessor):
             self._stage_wall[name] = \
                 self._stage_wall.get(name, 0.0) + seconds
 
-    def hoist_frame_cost(self, task: _FrameTask) -> None:
-        """Reuse ``task``'s modelled frame cost for later frames on the
-        same engine, as an optimized plan's hoisted table does (the
-        cost is a pure function of engine, shape and levels)."""
-        self._hoisted.setdefault(task.engine.name, task.model_seconds)
-
     def stage_wall_snapshot(self) -> Dict[str, float]:
         """Cumulative measured seconds per stage/unit since this
         processor was built (copy; safe to keep as a mark)."""
@@ -306,13 +296,10 @@ class _SessionProcessor(FrameProcessor):
                                            forward_stage_names(expected))]
 
         engine = session._select_engine()
-        # loop-invariant hoisting: the optimized plan carries this
-        # model evaluation (a pure function of engine/shape/levels),
-        # so the steady-state frame path only does a dict lookup
-        seconds = self._hoisted.get(engine.name)
-        if seconds is None:
-            seconds = engine.frame_time(session.config.fusion_shape,
-                                        session.config.levels).total_s
+        # one forward per source: an N-way frame pays N transforms
+        seconds = engine.frame_time(session.config.fusion_shape,
+                                    session.config.levels,
+                                    sources=expected).total_s
         if session.scheduler is not None:
             # the observation is the modelled cost, known at selection
             # time; feeding it here keeps the probe/exploit sequence
@@ -799,9 +786,6 @@ class FusionSession:
         self._planner = Planner()
         self._graph = self._build_graph()
         self.plan = self._lower(self._graph)
-        if self.plan.hoisted_frame_seconds:
-            for fuser in self._fusers.values():
-                fuser.transform.backend.enable_tap_cache()
         self._processor = _SessionProcessor(self, self.plan)
         self._default_source: Optional[CaptureChainSource] = None
         self._frames = 0
@@ -875,16 +859,12 @@ class FusionSession:
         return engine
 
     def _new_fuser(self, engine: Engine) -> ImageFusion:
-        """A fresh fusion lane on ``engine``, inheriting the plan's
-        hoisting decisions (worker contexts and late placements build
-        their lanes here so optimized plans stay uniform)."""
-        fuser = ImageFusion(
+        """A fresh fusion lane on ``engine`` (worker contexts and late
+        placements build their lanes here)."""
+        return ImageFusion(
             transform=engine.transform(self.config.levels,
                                        precision=self.config.precision),
             rule=self.config.make_rule())
-        if self.plan.hoisted_frame_seconds:
-            fuser.transform.backend.enable_tap_cache()
-        return fuser
 
     def _fuser_for(self, engine: Engine) -> ImageFusion:
         """The serial-lane fuser for ``engine``, created on first use

@@ -63,7 +63,7 @@ PAPER_FRAME_SIZES: Tuple[FrameShape, ...] = (
 FULL_FRAME: FrameShape = FrameShape(88, 72)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingBreakdown:
     """Latency decomposition of one operation on one engine (seconds).
 
@@ -74,6 +74,10 @@ class TimingBreakdown:
     * ``command_s``   — per-invocation control cost (AXI-Lite writes,
       driver ioctl, completion polling),
     * ``overhead_s``  — everything else (loop setup, interleaving, ...).
+
+    Frozen: the engine cost model hands out shared, memoized instances
+    (see :class:`repro.hw.engine.Engine`), so a caller must build a new
+    breakdown (``+``, :meth:`scaled`) rather than edit one in place.
     """
 
     compute_s: float = 0.0

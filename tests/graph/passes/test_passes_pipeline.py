@@ -1,7 +1,7 @@
 """Unit tests of the plan-optimization pass pipeline.
 
 Each pass is exercised directly against lowered plans (structure: what
-gets fused, pooled, hoisted — and what is left alone), then the whole
+gets fused or pooled — and what is left alone), then the whole
 pipeline end-to-end through sessions: an optimized session must produce
 bitwise-identical frames and identical modelled accounting, while its
 telemetry gains per-stage wall-time attribution.
@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from repro.graph import FusionGraph, Planner, Stage, optimize_plan
-from repro.graph.passes import (LoopInvariantHoistPass,
-                                MaterializationEliminationPass,
+from repro.graph.passes import (MaterializationEliminationPass,
                                 PassPipeline, StatelessFusionPass,
                                 default_pipeline)
-from repro.hw.registry import create_engine
 from repro.session import FusionConfig, FusionSession
 from repro.types import FrameShape
 
@@ -110,32 +108,14 @@ class TestMaterializationEliminationPass:
         assert pooled.scratch
 
 
-class TestLoopInvariantHoistPass:
-    def test_hoists_the_frame_cost_table(self):
-        plan, config = _lower(_config(executor="serial"))
-        hoisted, report = LoopInvariantHoistPass().run(plan, config)
-        assert report.changed
-        expected = create_engine("arm").frame_time(
-            config.fusion_shape, config.levels).total_s
-        assert hoisted.hoisted_frame_seconds == {"arm": expected}
-
-    def test_dynamic_engine_hoists_the_whole_probe_set(self):
-        plan, config = _lower(_config(engine="online"))
-        hoisted, _ = LoopInvariantHoistPass().run(plan, config)
-        assert set(hoisted.hoisted_frame_seconds) >= {"arm", "neon",
-                                                      "fpga"}
-
-
 class TestPipeline:
     def test_default_pipeline_runs_all_three_passes(self):
         plan, config = _lower(_config(executor="serial"))
         optimized = optimize_plan(plan, config)
         assert optimized.optimized
         assert [r["pass"] for r in optimized.pass_reports] == [
-            "fuse-stages", "eliminate-materialization",
-            "hoist-invariants"]
+            "fuse-stages", "eliminate-materialization"]
         assert optimized.units and optimized.scratch
-        assert optimized.hoisted_frame_seconds
 
     def test_as_dict_and_describe_expose_the_optimization(self):
         plan, config = _lower(_config(executor="serial"))
@@ -145,7 +125,7 @@ class TestPipeline:
         assert block["units"] == {
             "visible+thermal+fuse": ["visible", "thermal", "fuse"]}
         assert block["scratch"] is True
-        assert len(block["passes"]) == 3
+        assert len(block["passes"]) == 2
         text = optimized.describe()
         assert "fused units" in text and "scratch pool" in text
 
@@ -162,8 +142,7 @@ class TestPipeline:
 
     def test_default_pipeline_order_is_stable(self):
         names = [p.name for p in default_pipeline().passes]
-        assert names == ["fuse-stages", "eliminate-materialization",
-                         "hoist-invariants"]
+        assert names == ["fuse-stages", "eliminate-materialization"]
 
 
 class TestOptimizedSessions:
@@ -183,14 +162,6 @@ class TestOptimizedSessions:
         assert ref.model_seconds_total == got.model_seconds_total
         for a, b in zip(ref.records, got.records):
             assert np.array_equal(a.frame.pixels, b.frame.pixels)
-
-    def test_tap_cache_enabled_on_optimized_sessions_only(self):
-        with FusionSession(_config()) as plain:
-            backend = plain._fusers["arm"].transform.backend
-            assert not backend.tap_cache_enabled
-        with FusionSession(_config(optimize=True)) as tuned:
-            backend = tuned._fusers["arm"].transform.backend
-            assert backend.tap_cache_enabled
 
     def test_stage_wall_attribution_reaches_the_report(self):
         pairs = _pairs()

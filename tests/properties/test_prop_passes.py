@@ -129,22 +129,4 @@ class TestPassParityProperties:
         twice = optimize_plan(once, config)
         assert twice.units == once.units
         assert twice.scratch == once.scratch
-        assert twice.hoisted_frame_seconds == once.hoisted_frame_seconds
         assert twice.schedule == once.schedule
-
-    @settings(**_SETTINGS)
-    @given(case=optimizable_case())
-    def test_hoisted_costs_match_the_live_model(self, case):
-        """The hoisted table must agree exactly with what the ingest
-        path would have computed per frame — modelled accounting may
-        not drift by one bit."""
-        from repro.hw.registry import create_engine
-        from repro.session.session import build_session_graph
-        config, _ = case
-        graph = build_session_graph(config)
-        plan = Planner().lower(graph, config)
-        optimized = optimize_plan(plan, config)
-        for name, seconds in optimized.hoisted_frame_seconds.items():
-            live = create_engine(name).frame_time(
-                config.fusion_shape, config.levels).total_s
-            assert seconds == live

@@ -136,17 +136,20 @@ class TestServeParity:
                                                  assert_bitwise_parity):
         """A tenant evaluates the frame cost model once per engine it
         runs on, not once per frame, with unchanged modelled costs."""
-        from repro.hw.engine import Engine
+        from repro.hw import engine as engine_module
         calls = []
-        frame_time = Engine.frame_time
+        live = engine_module.Engine._frame_time
 
-        def counted(engine, shape, levels=3):
+        def counted(engine, shape, levels, sources):
             calls.append(engine.name)
-            return frame_time(engine, shape, levels)
+            return live(engine, shape, levels, sources)
 
         overrides = dict(engine="online")
         reference = solo_results(overrides, 21, 8)
-        monkeypatch.setattr(Engine, "frame_time", counted)
+        # start from an empty cost-model memo so this tenant's own
+        # evaluations are the ones counted
+        monkeypatch.setattr(engine_module, "_MODEL_MEMO", {})
+        monkeypatch.setattr(engine_module.Engine, "_frame_time", counted)
         service = FusionService(pool=POOL)
         service.add_stream("online", config=config(**overrides),
                            source=SyntheticSource(seed=21), frames=8)

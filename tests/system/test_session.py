@@ -495,6 +495,21 @@ class TestFrameGroups:
         assert result.pixels.shape == SMALL.array_shape
         assert len(result.sources) == 3
 
+    @pytest.mark.parametrize("executor", ("serial", "batch"))
+    @pytest.mark.parametrize("n_sources", (2, 3, 4))
+    def test_model_seconds_bill_every_forward(self, n_sources, executor):
+        rng = np.random.default_rng(n_sources)
+        groups = [tuple(rng.uniform(0, 255, SMALL.array_shape)
+                        for _ in range(n_sources)) for _ in range(3)]
+        config = small_config(n_sources=n_sources, executor=executor,
+                              batch_size=2, keep_records=True,
+                              quality_metrics=False)
+        with FusionSession(config) as session:
+            report = session.run(len(groups), source=iter(groups))
+            per_frame = session.plan.model_seconds_per_frame
+        assert [r.model_seconds for r in report.records] \
+            == [pytest.approx(per_frame, rel=1e-12)] * len(groups)
+
     def test_config_rejects_bad_n_sources(self):
         with pytest.raises(ConfigurationError):
             FusionConfig(n_sources=1)

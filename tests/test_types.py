@@ -1,5 +1,7 @@
 """Foundational shared types."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestTimingBreakdown:
         b = TimingBreakdown(compute_s=1.0, transfer_s=2.0).scaled(2.0)
         assert b.compute_s == 2.0
         assert b.total_s == 6.0
+
+    def test_frozen(self):
+        b = TimingBreakdown(compute_s=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.compute_s = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.command_s += 1.0
+        assert b == TimingBreakdown(compute_s=1.0)
 
 
 class TestEnergyReport:
