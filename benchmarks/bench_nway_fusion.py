@@ -20,11 +20,15 @@ Runs two ways:
       PYTHONPATH=src python benchmarks/bench_nway_fusion.py \
           --frames 96 --sources 4 --min-speedup 1.5
 
-``--min-speedup`` turns the report into an assertion (exit code 1 when
-the stacked path misses the bar).  Like the batch-executor bench the
-bar is meaningful on a single core: the speedup is NumPy
-vectorization, not concurrency.  ``--json-out`` (default
-``BENCH_nway.json``) writes the rows for CI artifact diffing.
+The bench makes ``REPEATS`` (5) passes over the same groups, each
+alternating the two strategies group by group, so a drift in host
+speed hits both sides alike; the speedup is the median of the
+per-repeat ratios, reported with its interquartile range.
+``--min-speedup`` turns the report into an assertion on that median
+(exit code 1 when the stacked path misses the bar).  Like the batch-executor bench the bar is
+meaningful on a single core: the speedup is NumPy vectorization, not
+concurrency.  ``--json-out`` (default ``BENCH_nway.json``) writes every
+repeat, the median and the IQR for CI artifact diffing.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from typing import Dict, List
@@ -44,6 +49,13 @@ from repro.video.scene import SyntheticScene
 
 #: modality cycle used to synthesize N co-registered source streams
 MODALITIES = ("visible", "thermal", "depth")
+
+#: alternating separate/stacked passes the script gates on
+REPEATS = 5
+
+#: ``--quick`` groups per pass at 40x40/L2: over ``REPEATS`` passes,
+#: each side's total wall is >= 2 s on a 2-CPU host
+QUICK_GROUPS = 48
 
 
 def render_groups(frames: int, n_sources: int, size: FrameShape,
@@ -61,32 +73,41 @@ def render_groups(frames: int, n_sources: int, size: FrameShape,
     return groups
 
 
-def measure(mode: str, groups: List[List[np.ndarray]],
-            levels: int) -> Dict:
-    """Wall-clock FPS of one strategy over the pre-rendered groups.
+def fuse_group(mode: str, fusion: ImageFusion,
+               group: List[np.ndarray]) -> None:
+    """Fuse one group with one strategy.
 
-    ``separate`` runs one forward per source per group (the naive
-    N-way generalization); ``stacked`` rides each group through the
+    ``separate`` runs one forward per source (the naive N-way
+    generalization); ``stacked`` rides the group through the
     batch-first path — one ``(N, H, W)`` forward, vectorized
-    reduction, one stacked inverse — exactly what the session's plan
-    interpreter does per frame.
+    reduction, one stacked inverse — :meth:`ImageFusion.fuse_stack`,
+    the code the session's stacked core runs.
+    """
+    if mode == "separate":
+        pyramids = [fusion.decompose(frame) for frame in group]
+        fusion.reconstruct(fusion.combine_many(pyramids))
+    else:
+        fusion.fuse_batch(*(frame[None] for frame in group))
+
+
+def measure(groups: List[List[np.ndarray]],
+            levels: int) -> Dict[str, float]:
+    """Wall seconds of each strategy over the pre-rendered groups.
+
+    The strategies alternate group by group (and which goes first
+    alternates too), so a drift in host speed lands on both sides
+    alike instead of on whichever pass it happened to overlap.
     """
     fusion = ImageFusion(levels=levels)
-    start = time.perf_counter()
-    if mode == "separate":
-        for group in groups:
-            pyramids = [fusion.decompose(frame) for frame in group]
-            fusion.reconstruct(fusion.combine_many(pyramids))
-    else:
-        for group in groups:
-            fusion.fuse_batch(*(frame[None] for frame in group))
-    elapsed = time.perf_counter() - start
-    return {
-        "mode": mode,
-        "frames": len(groups),
-        "elapsed_s": elapsed,
-        "fps": len(groups) / elapsed if elapsed > 0 else 0.0,
-    }
+    elapsed = {"separate": 0.0, "stacked": 0.0}
+    for index, group in enumerate(groups):
+        order = ("separate", "stacked") if index % 2 == 0 \
+            else ("stacked", "separate")
+        for mode in order:
+            start = time.perf_counter()
+            fuse_group(mode, fusion, group)
+            elapsed[mode] += time.perf_counter() - start
+    return elapsed
 
 
 def check_parity(groups: List[List[np.ndarray]], levels: int) -> bool:
@@ -101,38 +122,65 @@ def check_parity(groups: List[List[np.ndarray]], levels: int) -> bool:
     return True
 
 
+def quartiles(values: List[float]) -> List[float]:
+    """(q1, median, q3) of ``values``."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def run_bench(frames: int, n_sources: int, size: FrameShape,
-              levels: int) -> tuple:
+              levels: int, repeats: int = REPEATS) -> tuple:
     groups = render_groups(frames, n_sources, size)
-    rows = [measure("separate", groups, levels),
-            measure("stacked", groups, levels)]
-    base, stacked = rows
+    measure(groups[:2], levels)  # warm both paths' filter caches
+    repeats_rows = []
+    for _ in range(repeats):
+        elapsed = measure(groups, levels)
+        repeats_rows.append({
+            "separate_s": elapsed["separate"],
+            "stacked_s": elapsed["stacked"],
+            "ratio": elapsed["separate"] / elapsed["stacked"],
+        })
+    ratios = [r["ratio"] for r in repeats_rows]
+    q1, speedup, q3 = quartiles(ratios)
+    rows = []
+    for mode in ("separate", "stacked"):
+        walls = [r[f"{mode}_s"] for r in repeats_rows]
+        median_s = statistics.median(walls)
+        rows.append({"mode": mode, "frames": frames,
+                     "wall_s": sum(walls), "median_elapsed_s": median_s,
+                     "fps": frames / median_s if median_s > 0 else 0.0})
     parity_ok = check_parity(groups, levels)
-    speedup = (stacked["fps"] / base["fps"]) if base["fps"] > 0 else 0.0
 
     lines = [f"N-way stacked-forward throughput ({frames} groups x "
              f"{n_sources} sources @ {size}, levels={levels}, "
-             f"cpus={os.cpu_count()}):",
-             f"  {'mode':>9} {'fps':>9} {'vs separate':>12}"]
+             f"{repeats} repeats, cpus={os.cpu_count()}):",
+             f"  {'mode':>9} {'median fps':>11} {'total wall':>11}"]
     for row in rows:
-        ratio = row["fps"] / base["fps"] if base["fps"] > 0 else 0.0
-        lines.append(f"  {row['mode']:>9} {row['fps']:>9.2f} "
-                     f"{ratio:>11.2f}x")
+        lines.append(f"  {row['mode']:>9} {row['fps']:>11.2f} "
+                     f"{row['wall_s']:>10.2f}s")
+    lines.append(f"  stacked speedup: median {speedup:.2f}x "
+                 f"[IQR {q1:.2f}-{q3:.2f}] over "
+                 + " ".join(f"{r:.2f}" for r in ratios))
     lines.append("")
     lines.append(f"  bitwise parity with separate forwards: "
                  f"{'OK' if parity_ok else 'FAILED'}")
-    return "\n".join(lines), rows, speedup, parity_ok
+    summary = {"repeats": repeats_rows, "speedup_median": speedup,
+               "speedup_iqr": [q1, q3]}
+    return "\n".join(lines), rows, summary, parity_ok
 
 
 def test_nway_fusion_throughput(report):
     """Pytest entry: quick pass; parity asserted, speedup reported
     (the hard >= 1.5x bar lives in the script/CI invocation)."""
-    text, rows, speedup, parity_ok = run_bench(
-        frames=16, n_sources=3, size=FrameShape(40, 40), levels=2)
+    text, rows, summary, parity_ok = run_bench(
+        frames=16, n_sources=3, size=FrameShape(40, 40), levels=2,
+        repeats=3)
     report(text)
     assert parity_ok
     assert all(r["frames"] == 16 for r in rows)
     assert all(r["fps"] > 0 for r in rows)
+    assert len(summary["repeats"]) == 3
 
 
 def main(argv=None) -> int:
@@ -140,7 +188,8 @@ def main(argv=None) -> int:
     parser.add_argument("--frames", type=int, default=96,
                         help="frame groups per measurement (default 96)")
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: 32 groups, small geometry")
+                        help="CI smoke mode: small geometry, sized so "
+                             "each side's total wall is >= 2 s")
     parser.add_argument("--sources", type=int, default=3,
                         help="sources per frame group (default 3)")
     parser.add_argument("--size", default="88x72",
@@ -154,14 +203,15 @@ def main(argv=None) -> int:
                              "('' disables the write)")
     args = parser.parse_args(argv)
 
-    frames = 32 if args.quick else args.frames
+    frames = QUICK_GROUPS if args.quick else args.frames
     if args.quick:
         size, levels = FrameShape(40, 40), 2
     else:
         width, height = (int(v) for v in args.size.lower().split("x"))
         size, levels = FrameShape(width, height), args.levels
-    text, rows, speedup, parity_ok = run_bench(frames, args.sources,
+    text, rows, summary, parity_ok = run_bench(frames, args.sources,
                                                size, levels)
+    speedup = summary["speedup_median"]
     print(text)
 
     if args.json_out:
@@ -174,6 +224,7 @@ def main(argv=None) -> int:
             "cpus": os.cpu_count(),
             "rows": rows,
             "stacked_speedup": speedup,
+            **summary,
             "parity_ok": parity_ok,
         }
         with open(args.json_out, "w") as fh:

@@ -176,19 +176,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def _explain_passes(plan) -> str:
-    """The optimization pipeline's pass-by-pass diff, as text."""
-    lines = ["optimization passes"]
-    for report in plan.pass_reports:
-        marker = "changed" if report["changed"] else "no change"
-        lines.append(f"  {report['pass']} [{marker}]")
-        for action in report["actions"]:
-            lines.append(f"    - {action}")
-    if not plan.pass_reports:
-        lines.append("  (none ran — pass --optimize)")
-    return "\n".join(lines)
-
-
 def _explain_kernels(plan) -> str:
     """Per-stage kernel backend and working dtype, as text."""
     lines = ["kernel bindings"]
@@ -216,7 +203,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         registration=args.registration,
         temporal=args.temporal,
         seed=args.seed,
-        optimize=args.optimize,
     )
     with FusionSession(config) as session:
         plan = session.plan
@@ -229,8 +215,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
             if args.explain:
                 print()
                 print(_explain_kernels(plan))
-                print()
-                print(_explain_passes(plan))
     return 0
 
 
@@ -462,13 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="include the rig-calibration stage")
     plan.add_argument("--temporal", action="store_true",
                       help="plan the stateful temporal-fusion pipeline")
-    plan.add_argument("--optimize", action="store_true",
-                      help="run the optimization pass pipeline (stage "
-                           "fusion, materialization elimination) on the "
-                           "lowered plan")
     plan.add_argument("--explain", action="store_true",
-                      help="print the pass-by-pass diff: fused units, "
-                           "eliminated materializations")
+                      help="also print each stage's kernel backend and "
+                           "working dtype (the plan table lists the "
+                           "fused units)")
     plan.set_defaults(func=cmd_plan)
 
     tune = sub.add_parser("tune", parents=[common],

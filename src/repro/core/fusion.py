@@ -215,11 +215,25 @@ class ImageFusion:
             )
         if arrays[0].shape[0] == 0:
             raise FusionError("cannot fuse an empty batch")
-        count = arrays[0].shape[0]
-        stacked = self.decompose_batch(np.concatenate(arrays, axis=0))
-        per_source = tuple(stacked.slice(s * count, (s + 1) * count)
-                           for s in range(len(arrays)))
-        if len(per_source) == 2:
+        return self.fuse_stack(np.concatenate(arrays, axis=0), len(arrays))
+
+    def decompose_sources(self, stack: np.ndarray, sources: int
+                          ) -> Tuple[DtcwtPyramidStack, ...]:
+        """One stacked forward of a source-major ``(N*B, H, W)`` stack
+        (source ``s`` owns rows ``s*B .. (s+1)*B``), sliced back into
+        one ``B``-frame pyramid stack per source."""
+        count = stack.shape[0] // sources
+        stacked = self.decompose_batch(stack)
+        return tuple(stacked.slice(s * count, (s + 1) * count)
+                     for s in range(sources))
+
+    def fuse_stack(self, stack: np.ndarray,
+                   sources: int) -> BatchFusionResult:
+        """The stacked core on a pre-filled source-major ``(N*B, H, W)``
+        stack: one forward (:meth:`decompose_sources`), one vectorized
+        coefficient fusion and one stacked inverse."""
+        per_source = self.decompose_sources(stack, sources)
+        if sources == 2:
             stack_f = self.combine_stack(per_source[0], per_source[1])
         else:
             stack_f = self.combine_stack_many(per_source)

@@ -44,11 +44,10 @@ from .util import cconv, cconv_causal, ccorr_causal, downsample2, upsample2
 class ScratchPool:
     """Keyed, reusable scratch buffers for the steady-state frame path.
 
-    The materialization-elimination pass
-    (:class:`repro.graph.passes.MaterializationEliminationPass`) routes
-    per-frame intermediates — canonically the ``(2, H, W)`` stack fed
-    to the stacked forward transform — through one of these instead of
-    allocating fresh arrays every frame.  ``take`` returns the cached
+    The session's stacked core routes its per-frame input stack — the
+    source-major ``(N*B, H, W)`` stack fed to the stacked forward
+    transform — through one of these instead of allocating a fresh
+    array every frame.  ``take`` returns the cached
     buffer for ``key`` when shape and dtype still match, else
     (re)allocates it; callers must fully overwrite the buffer before
     use, which keeps pooling invisible to the arithmetic (bitwise).

@@ -14,7 +14,8 @@ the session:
   :meth:`FusionGraph.canonical` producing the paper's own pipeline;
 * :class:`Planner` — lowers a graph + session config into a
   :class:`FusionPlan`: stage schedule, engine placement via the
-  session's cost models, batch grouping, modelled per-stage cost;
+  session's cost models, batch grouping, fused dispatch units,
+  modelled per-stage cost;
 * :class:`FusionPlan` — what every executor in :mod:`repro.exec`
   interprets, and what ``repro-fusion plan`` prints.
 
@@ -31,15 +32,11 @@ Typical customization::
 
 from .autotune import PlanAutotuner, PlanDecision
 from .graph import FusionGraph
-from .passes import (PassPipeline, PassReport, PlanPass,
-                     default_pipeline, optimize_plan)
 from .planner import FusionPlan, PlannedStage, Planner
 from .stage import AUTO, ORDERED, STAGE_KINDS, STATELESS, Stage
 
 __all__ = [
     "AUTO", "ORDERED", "STAGE_KINDS", "STATELESS",
     "Stage", "FusionGraph", "FusionPlan", "PlannedStage", "Planner",
-    "PassPipeline", "PassReport", "PlanPass",
-    "default_pipeline", "optimize_plan",
     "PlanAutotuner", "PlanDecision",
 ]

@@ -5,7 +5,7 @@ size, worker count and engine placement for a given workload depend on
 frame shape, graph structure and the host the session runs on.  The
 :class:`PlanAutotuner` settles the question empirically — it enumerates
 a bounded set of candidate configurations (executor x batch size x
-workers x optimization-pipeline on/off x dtype-compatible placement),
+workers x dtype-compatible placement),
 drives each over a short pre-rendered calibration prefix, and applies
 the fastest.  The incumbent configuration is always candidate zero, so
 the winner is **never worse than the default** by construction.
@@ -43,13 +43,14 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 log = logging.getLogger("repro.autotune")
 
 #: bump when the cache entry layout changes; older entries re-tune
-#: (2: precision joined the fingerprint and the tunable field set)
-CACHE_VERSION = 2
+#: (2: precision joined the fingerprint and the tunable field set;
+#: 3: the optimization flag left both: every lowering fuses stages)
+CACHE_VERSION = 3
 
 #: config fields a cached decision may override (anything else in a
 #: cache file marks the entry invalid)
 TUNABLE_FIELDS = ("executor", "workers", "batch_size", "engine",
-                  "optimize", "precision")
+                  "precision")
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,6 @@ class PlanAutotuner:
             "registration": config.registration,
             "temporal": config.temporal,
             "monitor": config.monitor,
-            "optimize": config.optimize,
             "precision": getattr(config, "precision", None),
             "n_sources": getattr(config, "n_sources", 2),
         }
@@ -302,19 +302,16 @@ class PlanAutotuner:
                 out.append(ov)
 
         add({})
-        add({"optimize": True})
-        add({"executor": "serial", "optimize": True})
-        add({"executor": "pipeline", "workers": 2, "optimize": True})
+        add({"executor": "serial"})
+        add({"executor": "pipeline", "workers": 2})
         for batch in (4, 8):
-            add({"executor": "batch", "batch_size": batch,
-                 "optimize": True})
+            add({"executor": "batch", "batch_size": batch})
         for name in self._placement_axis(config):
-            add({"engine": name, "optimize": True})
+            add({"engine": name})
         for precision in self._precision_axis(config):
-            add({"precision": precision, "optimize": True})
+            add({"precision": precision})
             for name in self._placement_axis(config, precision):
-                add({"engine": name, "precision": precision,
-                     "optimize": True})
+                add({"engine": name, "precision": precision})
         return out
 
     @staticmethod

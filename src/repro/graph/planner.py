@@ -20,16 +20,27 @@ The planner is the seam between *describing* the dataflow and
 * **batch groups** — runs of batchable stages a micro-batching
   executor may drive stack-major, with the canonical
   ``visible+thermal+fuse`` core flagged when it is eligible for the
-  single-invocation stacked transform
-  (:meth:`repro.core.fusion.ImageFusion.fuse_batch`);
+  single-invocation stacked transform (the session's stacked core);
 * a modelled **per-stage cost** so ``repro-fusion plan`` can show
-  where the frame time goes before anything runs.
+  where the frame time goes before anything runs;
+* **fused dispatch units** — chains of two or more adjacent stateless
+  stages with the same placement key collapse into one unit the
+  session drives with a single ``run_stage`` call.  The canonical
+  ``visible+thermal+fuse`` chain rides one stacked ``(N, H, W)``
+  forward, vectorized coefficient fusion and one stacked inverse,
+  from a pooled per-worker input stack (the paper's HLS datapath
+  likewise streams forward -> fuse -> inverse without returning to
+  the host).  The ``pipeline`` executor overlaps the parallel wave
+  with the mid chain, so only wave stages fuse there; ``serial`` and
+  ``batch`` fuse across the whole compute region.  A placement
+  change breaks a chain: members are either all ``auto`` or all
+  forced onto one engine.
 
 If any stage between head and tail is ordered, the whole compute
 region degrades to a sequential mid chain (``sequential_mid``):
 every executor then runs those stages in frame order on its ordered
 lane, which is exactly how stateful temporal fusion has always been
-driven.
+driven, and no stage fuses.
 """
 
 from __future__ import annotations
@@ -105,7 +116,7 @@ class FusionPlan:
     #: batchable stage groups (the stacked core first, if eligible)
     batch_groups: Tuple[Tuple[str, ...], ...] = ()
     #: complete micro-batch execution order: (stage names, mode) with
-    #: mode "core" (single stacked fuse_batch invocation), "stacked"
+    #: mode "core" (one stacked-core invocation per engine), "stacked"
     #: (stage-major) or "frame" (frame-major run) — what the batch
     #: executor interprets, verbatim
     batch_schedule: Tuple[Tuple[Tuple[str, ...], str], ...] = ()
@@ -115,17 +126,10 @@ class FusionPlan:
     engine: str = "adaptive"
     shape: str = ""
     levels: int = 3
-    #: optimization-pass products (see :mod:`repro.graph.passes`):
     #: fused dispatch units (unit name -> ordered member stage names;
     #: the unit name appears in ``parallel``/``mid``/``compute`` while
     #: ``schedule``/``nodes`` keep every original stage)
     units: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: steady-state buffers ride a per-worker scratch pool
-    scratch: bool = False
-    #: True once a pass pipeline has run over this plan
-    optimized: bool = False
-    #: one report dict per executed pass, in pipeline order
-    pass_reports: Tuple[Dict[str, object], ...] = ()
 
     def __contains__(self, name: str) -> bool:
         return name in self.nodes
@@ -173,13 +177,8 @@ class FusionPlan:
             "stages": [self.nodes[name].as_dict()
                        for name in self.schedule],
             "model_seconds_per_frame": self.model_seconds_per_frame,
-            "optimization": {
-                "optimized": self.optimized,
-                "units": {name: list(members)
-                          for name, members in self.units.items()},
-                "scratch": self.scratch,
-                "passes": [dict(report) for report in self.pass_reports],
-            },
+            "units": {name: list(members)
+                      for name, members in self.units.items()},
         }
 
     def describe(self) -> str:
@@ -215,13 +214,10 @@ class FusionPlan:
         lines.append(f"  kernels      : {kernels or 'host-only'}")
         lines.append(f"  modelled cost: "
                      f"{self.model_seconds_per_frame * 1e3:.3f} ms/frame")
-        if self.optimized:
-            units = (", ".join(f"{name} = [{' '.join(members)}]"
-                               for name, members in self.units.items())
-                     or "none")
-            lines.append(f"  fused units  : {units}")
-            lines.append(f"  scratch pool : "
-                         f"{'enabled' if self.scratch else 'disabled'}")
+        units = (", ".join(f"{name} = [{' '.join(members)}]"
+                           for name, members in self.units.items())
+                 or "none")
+        lines.append(f"  fused units  : {units}")
         return "\n".join(lines)
 
 
@@ -266,12 +262,20 @@ class Planner:
         engine_label, dynamic = self._resolve_default_engine(config)
         placements = self._resolve_placements(graph, order, head_set,
                                               tail[0], engine_label)
-        costs = self._model_costs(graph, order, placements, config)
-        kernels = self._kernel_info(placements, config)
+        engines = {name: create_engine(name)
+                   for name in dict.fromkeys(placements.values())
+                   if name != HOST}
+        costs = self._model_costs(graph, placements, engines, config)
+        kernels = self._kernel_info(placements, engines, config)
         batch_schedule, fusable_core = self._batch_schedule(
-            graph, compute, head_set, sequential_mid)
+            graph, order, compute, head_set, sequential_mid)
         batch_groups = tuple(names for names, mode in batch_schedule
                              if mode in ("core", "stacked"))
+        units: Dict[str, Tuple[str, ...]] = {}
+        if not sequential_mid:
+            units = self._fuse_units(
+                graph, parallel if config.executor == "pipeline"
+                else compute)
 
         nodes = {}
         for name in order:
@@ -284,6 +288,16 @@ class Planner:
                                        engine=placements[name],
                                        model_seconds=costs[name],
                                        kernel=kernel, precision=precision)
+        if units:
+            owner = {member: unit for unit, members in units.items()
+                     for member in members}
+            parallel_set = set(parallel)
+            compute = tuple(dict.fromkeys(owner.get(n, n) for n in compute))
+            # a unit joins the parallel wave only when every member was
+            # in it: one member from the mid chain pins it there
+            parallel = tuple(n for n in compute
+                             if set(units.get(n, (n,))) <= parallel_set)
+            mid = tuple(n for n in compute if n not in parallel)
         return FusionPlan(
             graph=graph, schedule=order, head=tuple(head),
             parallel=parallel, mid=mid, tail=tail, compute=compute,
@@ -293,7 +307,32 @@ class Planner:
             dynamic_engine=dynamic,
             executor=config.executor, engine=config.engine,
             shape=str(config.fusion_shape), levels=config.levels,
+            units=units,
         )
+
+    @staticmethod
+    def _fuse_units(graph: FusionGraph, region: Tuple[str, ...]
+                    ) -> Dict[str, Tuple[str, ...]]:
+        """Fused dispatch units over ``region`` (schedule order): every
+        maximal run of two or more adjacent stages sharing one
+        placement key (``auto``, or one forced engine)."""
+        runs: List[List[str]] = []
+        key: Optional[str] = None
+        for name in region:
+            placement = graph.stage(name).placement
+            if not runs or placement != key:
+                runs.append([])
+                key = placement
+            runs[-1].append(name)
+        units: Dict[str, Tuple[str, ...]] = {}
+        for members in runs:
+            if len(members) < 2:
+                continue
+            unit = "+".join(members)
+            while unit in graph or unit in units:
+                unit = f"fused:{unit}"  # pragma: no cover - name clash
+            units[unit] = tuple(members)
+        return units
 
     # ------------------------------------------------------------------
     def _check_consistency(self, graph: FusionGraph, config) -> None:
@@ -392,18 +431,18 @@ class Planner:
         that dtype, so the plan predicts the engine the session will
         actually bind."""
         from ..core.adaptive import CostModelScheduler
+        if config.engine not in ("adaptive", "online"):
+            return config.engine, False
         candidates = precision_candidates(getattr(config, "precision",
                                                   None))
-        if config.engine == "adaptive":
-            decision = CostModelScheduler(
-                engines=candidates,
-                objective=config.objective,
-                power_model=config.power_model,
-            ).choose(config.fusion_shape, config.levels)
-            return decision.engine.name, False
         if config.engine == "online":
             return candidates[0].name, True
-        return config.engine, False
+        decision = CostModelScheduler(
+            engines=candidates,
+            objective=config.objective,
+            power_model=config.power_model,
+        ).choose(config.fusion_shape, config.levels)
+        return decision.engine.name, False
 
     @staticmethod
     def _resolve_placements(graph, order, head_set, tail_name,
@@ -422,28 +461,17 @@ class Planner:
                 placements[name] = engine_label
         return placements
 
-    def _model_costs(self, graph, order, placements,
+    def _model_costs(self, graph, placements, engines,
                      config) -> Dict[str, float]:
         shape, levels = config.fusion_shape, config.levels
-        engines: Dict[str, object] = {}
-
-        def engine_for(name: str):
-            if name not in engines:
-                engines[name] = create_engine(name)
-            return engines[name]
-
-        costs: Dict[str, float] = {}
-        for name in order:
-            stage = graph.stage(name)
-            if placements[name] == HOST or stage.kind == "map":
-                costs[name] = 0.0
-                continue
-            costs[name] = self._stage_seconds(
-                stage, engine_for(placements[name]), shape, levels)
-        return costs
+        return {
+            name: (0.0 if placement == HOST else self._stage_seconds(
+                graph.stage(name), engines[placement], shape, levels))
+            for name, placement in placements.items()}
 
     @staticmethod
-    def _kernel_info(placements, config) -> Dict[str, Tuple[str, str]]:
+    def _kernel_info(placements, engines,
+                     config) -> Dict[str, Tuple[str, str]]:
         """Per-stage (kernel backend name, working dtype) pairs.
 
         Resolved through the same :meth:`Engine.make_backend` path the
@@ -451,21 +479,12 @@ class Planner:
         the config's precision (FPGA under ``float64``) fails here, at
         plan time, with the engine's own error — not mid-stream."""
         precision = getattr(config, "precision", None)
-        cache: Dict[str, Tuple[str, str]] = {}
-
-        def info_for(name: str) -> Tuple[str, str]:
-            if name not in cache:
-                backend = create_engine(name).make_backend(precision)
-                cache[name] = (backend.name, str(np.dtype(backend.dtype)))
-            return cache[name]
-
-        kernels: Dict[str, Tuple[str, str]] = {}
-        for stage_name, placement in placements.items():
-            if placement == HOST:
-                kernels[stage_name] = ("", "")
-            else:
-                kernels[stage_name] = info_for(placement)
-        return kernels
+        info = {HOST: ("", "")}
+        for name, engine in engines.items():
+            backend = engine.make_backend(precision)
+            info[name] = (backend.name, str(np.dtype(backend.dtype)))
+        return {stage_name: info[placement]
+                for stage_name, placement in placements.items()}
 
     @staticmethod
     def _stage_seconds(stage, engine, shape, levels) -> float:
@@ -479,7 +498,8 @@ class Planner:
             return engine.frame_time(shape, levels).total_s
         return 0.0
 
-    def _batch_schedule(self, graph, compute, head_set, sequential_mid
+    def _batch_schedule(self, graph, order, compute, head_set,
+                        sequential_mid
                         ) -> Tuple[Tuple[Tuple[Tuple[str, ...], str], ...],
                                    bool]:
         """The batch executor's execution order over one micro-batch.
@@ -494,7 +514,7 @@ class Planner:
             return (), False
         core: Tuple[str, ...] = ()
         forward_names = tuple(
-            name for name in graph.topo_order()
+            name for name in order
             if graph.stage(name).kind == "forward")
         if forward_names and "fuse" in graph:
             stages = [graph.stage(n) for n in forward_names]

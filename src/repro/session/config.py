@@ -136,16 +136,10 @@ class FusionConfig:
         after it).  Equivalent to customizing
         :meth:`FusionSession.canonical_graph` by hand, but carried by
         the config so every drive of the session uses it.
-    optimize:
-        Run the plan-optimization pipeline
-        (:mod:`repro.graph.passes`) on every lowered plan: stateless
-        stage fusion and materialization elimination.  Output frames
-        and modelled costs are bitwise-identical to the unoptimized
-        plan.
     autotune:
         Consult the :class:`~repro.graph.autotune.PlanAutotuner`
         before lowering: candidate plans (executor x batch x
-        placement x optimize) are measured on a short calibration
+        workers x placement) are measured on a short calibration
         prefix and the winner is applied — and persisted in an
         on-disk cache so later sessions with the same key skip the
         measurement.
@@ -183,7 +177,6 @@ class FusionConfig:
     seed: int = 2016
     scene: Optional[SyntheticScene] = None
     graph_overrides: Optional[dict] = None
-    optimize: bool = False
     autotune: bool = False
     plan_cache_dir: Optional[str] = None
     n_sources: int = 2

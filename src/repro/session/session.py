@@ -38,6 +38,7 @@ concurrent streams).
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 import warnings
@@ -192,15 +193,15 @@ class _SessionProcessor(FrameProcessor):
         # guard is an executor bug (or a user driving run_stage by
         # hand from several threads) and raises instead of corrupting
         # cross-frame state.  Built over the schedule (every original
-        # stage name), because an optimized plan's compute tuple may
-        # carry fused dispatch units instead of raw stage names.
+        # stage name), because the plan's compute tuple may carry fused
+        # dispatch units instead of raw stage names.
         head_tail = set(plan.head) | set(plan.tail)
         self._guards: Dict[str, threading.Lock] = {
             name: threading.Lock() for name in plan.schedule
             if name not in head_tail and plan.stage(name).ordered
         }
-        # scratch buffers for the serial lane (ctx=None paths); worker
-        # contexts carry their own pools
+        # the stacked core's input stacks for the serial lane and the
+        # batch core (ctx=None paths); worker contexts carry their own
         self._scratch = ScratchPool()
         # measured per-stage wall-time attribution (stage or unit name
         # -> seconds); executors of every kind funnel through
@@ -389,80 +390,73 @@ class _SessionProcessor(FrameProcessor):
             if guard is not None:
                 guard.release()
 
-    # -- fused dispatch units (the stateless-fusion pass) ---------------
+    # -- fused dispatch units and the stacked core ----------------------
     def _run_unit(self, name: str, task: _FrameTask,
                   ctx: Optional[_WorkerContext]) -> None:
-        """Execute a fused dispatch unit: the stacked specializations
-        when the unit starts with the canonical transform chain, then
-        any remaining members in schedule order.
+        """Execute a fused dispatch unit: the stacked core when the
+        unit starts with the canonical transform chain, then any
+        remaining members in schedule order.
 
-        ``visible+thermal+fuse`` rides one ``(2, H, W)`` stacked
-        forward, vectorized coefficient fusion and one stacked inverse
-        (the arithmetic :meth:`ImageFusion.fuse_batch` pins
-        bitwise-equal to the per-stage path); ``visible+thermal``
-        alone rides the stacked forward.  Members beyond the
-        specialized prefix run exactly as their per-stage dispatch
-        would — fusion never changes what executes, only how many
-        dispatches carry it.
+        ``visible+thermal+fuse`` rides :meth:`_stacked_core` for one
+        frame; ``visible+thermal`` alone rides its stacked forward.
+        Members beyond that prefix run exactly as their per-stage
+        dispatch would: fusion never changes what executes, only how
+        many dispatches carry it.
         """
         members = self.plan.units[name]
-        rest = members
         forwards = self._forward_names
         k = len(forwards)
+        prefix = 0
+        # the planner pins the built-in kinds to their canonical names,
+        # so these names are the forward and fuse stages themselves
         if k >= 2:
-            if members[:k + 1] == forwards + ("fuse",) \
-                    and self._canonical_kinds(members[:k + 1]):
-                self._stacked_chain(task, ctx, with_fuse=True)
-                rest = members[k + 1:]
-            elif members[:k] == forwards \
-                    and self._canonical_kinds(members[:k]):
-                self._stacked_chain(task, ctx, with_fuse=False)
-                rest = members[k:]
-        for member in rest:
+            if members[:k + 1] == forwards + ("fuse",):
+                prefix = k + 1
+            elif members[:k] == forwards:
+                prefix = k
+        if prefix:
+            # members of a unit share one placement key, so one lane
+            # computes the whole chain
+            fuser = self._stage_lane(task, self.plan.stage(members[0]), ctx)
+            self._stacked_core([task], fuser, ctx, with_fuse=prefix > k)
+        for member in members[prefix:]:
             self._run_single(member, task, ctx)
 
-    def _canonical_kinds(self, names: Tuple[str, ...]) -> bool:
-        """True when the named stages really are the canonical
-        forwards (and fuse) — a custom ``map`` stage may reuse the
-        names, and must then take the generic member-by-member path."""
-        return all(
-            self.plan.stage(n).kind == ("fuse" if n == "fuse"
-                                        else "forward")
-            for n in names)
+    def _stacked_core(self, tasks: List[_FrameTask], fuser: ImageFusion,
+                      ctx: Optional[_WorkerContext],
+                      with_fuse: bool = True) -> None:
+        """Every source of ``tasks`` (B frames on one lane) through
+        :meth:`ImageFusion.fuse_stack` — one stacked forward, one
+        vectorized coefficient fusion, one stacked inverse — or,
+        without ``with_fuse``, through its stacked forward alone.
 
-    def _stacked_chain(self, task: _FrameTask,
-                       ctx: Optional[_WorkerContext],
-                       with_fuse: bool) -> None:
-        # one lane computes the whole chain: members of a fused unit
-        # are placement-compatible by construction (all auto -> the
-        # frame's engine, or all forced onto one engine)
-        anchor = self.plan.stage("fuse" if with_fuse else "visible")
-        fuser = self._stage_lane(task, anchor, ctx)
-        shape = task.visible.shape
-        k = len(task.frames)
-        if self.plan.scratch:
-            pool = ctx.scratch if ctx is not None else self._scratch
-            # pool the stack in the lane's working dtype: assigning the
-            # float64 host frames into it rounds exactly once, the same
-            # rounding forward_batch's cast performed on a float64
-            # stack — values are bitwise-identical, and the backend's
-            # own cast becomes a no-op (no hidden per-frame copy)
-            stack = pool.take(("group-stack", k, shape), (k,) + shape,
-                              dtype=fuser.transform.backend.dtype)
-        else:
-            stack = np.empty((k,) + shape)
-        for s, frame in enumerate(task.frames):
-            stack[s] = frame
-        stacked = fuser.decompose_batch(stack)
-        slices = [stacked.slice(s, s + 1) for s in range(k)]
-        for s in range(k):
-            task.pyramids[s] = slices[s][0]
+        The ``(k*B, H, W)`` input stack is source-major and pooled in
+        the lane's working dtype: ``ctx.scratch`` on a worker, else the
+        processor's own pool.  Assigning the float64 host frames into
+        it rounds exactly once, as the backend's cast of a float64
+        stack would, so the output is bitwise-identical to the
+        stage-by-stage path.  The kernels never return a view of their
+        input, so the pyramids outlive the next write into the pool.
+        """
+        count = len(tasks)
+        k = len(tasks[0].frames)
+        shape = (k * count,) + tasks[0].frames[0].shape
+        pool = ctx.scratch if ctx is not None else self._scratch
+        stack = pool.take(shape, shape,
+                          dtype=fuser.transform.backend.dtype)
+        for i, task in enumerate(tasks):
+            for s, frame in enumerate(task.frames):
+                stack[s * count + i] = frame
         if with_fuse:
-            if k == 2:
-                combined = fuser.combine_stack(slices[0], slices[1])
-            else:
-                combined = fuser.combine_stack_many(slices)
-            task.fused = fuser.reconstruct_batch(combined)[0]
+            result = fuser.fuse_stack(stack, k)
+            slices = result.pyramids
+            for i, task in enumerate(tasks):
+                task.fused = result.fused[i]
+        else:
+            slices = fuser.decompose_sources(stack, k)
+        for i, task in enumerate(tasks):
+            for s in range(k):
+                task.pyramids[s] = slices[s][i]
 
     def _stage_lane(self, task: _FrameTask, stage,
                     ctx: Optional[_WorkerContext]) -> ImageFusion:
@@ -490,8 +484,8 @@ class _SessionProcessor(FrameProcessor):
         ordered stage) keeps the strict per-frame order — the whole
         chain runs frame-major, exactly as the serial loop.  Otherwise
         the canonical ``visible+thermal+fuse`` core (when the plan
-        flags it fusable) rides one :meth:`ImageFusion.fuse_batch`
-        call per assigned engine — each engine's tasks in frame order,
+        flags it fusable) rides one :meth:`_stacked_core` call per
+        assigned engine — each engine's tasks in frame order,
         so a mixed schedule from the online scheduler stays
         deterministic: all of the group's visible *and* thermal frames
         through a single stacked forward, vectorized coefficient
@@ -517,7 +511,7 @@ class _SessionProcessor(FrameProcessor):
         # exactly what runs here
         for names, mode in plan.batch_schedule:
             if mode == "core":
-                self._fuse_batch_core(tasks)
+                self._batch_core(tasks)
             elif mode == "stacked":
                 for name in names:
                     for task in tasks:
@@ -527,51 +521,15 @@ class _SessionProcessor(FrameProcessor):
                     for name in names:
                         self.run_stage(name, task)
 
-    def _fuse_batch_core(self, tasks) -> None:
+    def _batch_core(self, tasks) -> None:
+        """The batch schedule's ``core`` entry: one :meth:`_stacked_core`
+        call per engine group, each group's tasks in frame order."""
         started = time.perf_counter()
-        session = self._session
         groups: Dict[str, List[_FrameTask]] = {}
         for task in tasks:
             groups.setdefault(task.engine.name, []).append(task)
         for name, group in groups.items():
-            fuser = session._fusers[name]
-            k = len(group[0].frames)
-            if self.plan.scratch:
-                # materialization elimination: the (N*B, H, W) input
-                # stack rides one pooled buffer per engine lane; the
-                # math below is fuse_batch verbatim minus its
-                # concatenate (the buffer already holds each source's
-                # frames contiguously, source-major)
-                count = len(group)
-                shape = group[0].visible.shape
-                stack = self._scratch.take(("batch-stack", name, k,
-                                            count, shape),
-                                           (k * count,) + shape,
-                                           dtype=fuser.transform
-                                           .backend.dtype)
-                for i, task in enumerate(group):
-                    for s in range(k):
-                        stack[s * count + i] = task.frames[s]
-                stacked = fuser.decompose_batch(stack)
-                slices = [stacked.slice(s * count, (s + 1) * count)
-                          for s in range(k)]
-                if k == 2:
-                    combined = fuser.combine_stack(slices[0], slices[1])
-                else:
-                    combined = fuser.combine_stack_many(slices)
-                fused = fuser.reconstruct_batch(combined)
-                for i, task in enumerate(group):
-                    for s in range(k):
-                        task.pyramids[s] = slices[s][i]
-                    task.fused = fused[i]
-            else:
-                batch = fuser.fuse_batch(
-                    *(np.stack([t.frames[s] for t in group])
-                      for s in range(k)))
-                for i, task in enumerate(group):
-                    for s in range(k):
-                        task.pyramids[s] = batch.pyramids[s][i]
-                    task.fused = batch.fused[i]
+            self._stacked_core(group, self._session._fusers[name], None)
         self._record_wall("batch-core", time.perf_counter() - started)
 
     # -- accounting -----------------------------------------------------
@@ -826,22 +784,30 @@ class FusionSession:
         it to :meth:`run`/:meth:`stream` as ``graph=``."""
         return self._graph.copy()
 
-    def _lower(self, graph: FusionGraph) -> "FusionPlan":
-        """Lower ``graph`` against this config, applying the
-        optimization pipeline when the config asks for it."""
-        plan = self._planner.lower(graph, self.config)
-        if self.config.optimize:
-            from ..graph.passes import optimize_plan
-            plan = optimize_plan(plan, self.config)
-        return plan
+    def _lower(self, graph: FusionGraph,
+               executor: Optional[str] = None) -> "FusionPlan":
+        """Lower ``graph`` against this config, for ``executor`` when a
+        drive overrides the config's: fused units depend on the
+        executor that drives them."""
+        config = self.config
+        if executor is not None and executor != config.executor:
+            # a shallow copy, not with_overrides: a drive-time conflict
+            # is _validate_drive's to report, naming both knobs
+            config = copy.copy(config)
+            config.executor = executor
+        return self._planner.lower(graph, config)
 
-    def _processor_for(self, graph: Optional[FusionGraph]
+    def _processor_for(self, graph: Optional[FusionGraph],
+                       executor: Optional[str] = None
                        ) -> "_SessionProcessor":
         """The session's standing processor, or a one-drive processor
-        interpreting ``graph`` lowered against this config."""
+        interpreting ``graph`` (default: the session's) lowered for
+        the drive's ``executor``."""
         if graph is None:
-            return self._processor
-        return _SessionProcessor(self, self._lower(graph))
+            if executor is None or executor == self.config.executor:
+                return self._processor
+            graph = self._graph
+        return _SessionProcessor(self, self._lower(graph, executor))
 
     # ------------------------------------------------------------------
     @property
@@ -1056,7 +1022,7 @@ class FusionSession:
         decode_start = getattr(src, "decode_errors", None)
         driver: Optional[Executor] = None
         try:
-            processor = self._processor_for(graph)
+            processor = self._processor_for(graph, executor)
             wall_mark = processor.stage_wall_snapshot()
             driver = self._make_executor(executor)
             self._concurrent_drive = driver.concurrent

@@ -103,6 +103,22 @@ class TestFuseBatch:
             fusion.combine_stack(stack_a, stack_b))
         assert np.array_equal(fused, fusion.fuse_batch(vis, th).fused)
 
+    def test_source_major_stack_matches_per_group_fuse(self, rng):
+        """fuse_stack on a pre-filled (N*B, H, W) stack (source s owns
+        rows s*B..(s+1)*B) is fuse() per group; decompose_sources is
+        its forward alone."""
+        frames = rng.standard_normal((3, 2, 32, 32)) * 40 + 100
+        fusion = ImageFusion(levels=2)
+        stack = frames.reshape(6, 32, 32)
+        result = fusion.fuse_stack(stack, 3)
+        pyramids = fusion.decompose_sources(stack, 3)
+        for b in range(2):
+            single = fusion.fuse(*frames[:, b])
+            assert np.array_equal(result.fused[b], single.fused)
+            for s in range(3):
+                assert np.array_equal(pyramids[s][b].lowpass,
+                                      single.pyramids[s].lowpass)
+
     def test_accepts_frame_lists(self, rng):
         vis = [rng.standard_normal((16, 16)) for _ in range(2)]
         th = [rng.standard_normal((16, 16)) for _ in range(2)]

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -26,12 +27,15 @@ from repro.session import (
     SyntheticSource,
 )
 from repro.types import FrameShape
+from unfused import unfused_sessions
 
 SMALL = FrameShape(40, 40)
 EXECUTORS = ("serial", "pipeline")
 #: a mixed placement: the pair's forwards on different engines, the
 #: fuse stage on the FPGA (what an explicit engine team used to run)
 MIXED_PLACEMENT = {"visible": "fpga", "thermal": "neon", "fuse": "fpga"}
+#: both forwards forced onto one engine: they lower to one fused unit
+PAIRED_PLACEMENT = {"visible": "fpga", "thermal": "fpga", "fuse": "neon"}
 
 
 def small_config(**overrides):
@@ -186,6 +190,17 @@ class TestDeterminism:
             with pytest.raises(ConfigurationError):
                 s.run(1, executor="warp")
 
+    def test_per_call_executor_override_lowers_for_that_executor(self):
+        """A pipeline override of a serial config drives the plan
+        lowered for the pipeline: the forward wave is a fused unit the
+        workers run, not an empty wave behind a whole-core mid unit."""
+        with FusionSession(small_config()) as s:
+            assert s.plan.parallel == ()
+            report = s.run(2, executor="pipeline")
+        walls = report.throughput["stage_wall_s"]
+        assert "visible+thermal" in walls
+        assert "visible+thermal+fuse" not in walls
+
     def test_mixed_team_attributes_stages(self):
         """A mixed placement bills each modelled stage's time *and
         energy* to the engine it is placed on, and metadata["stages"]
@@ -209,23 +224,27 @@ class TestDeterminism:
         plain = fuse_stream("serial")
         assert "stages" not in plain[0].frame.metadata
 
-    @pytest.mark.parametrize("optimize", (False, True))
+    @pytest.mark.parametrize("unfused", (False, True))
     @pytest.mark.parametrize("executor", executor_names())
-    def test_mixed_placement_matches_serial(self, executor, optimize):
-        """Every executor, optimized or not, reproduces the serial
-        drive of a mixed placement bit for bit — pixels, modelled
-        time and energy, and the per-stage engine map."""
-        overrides = dict(graph_overrides={"place": MIXED_PLACEMENT},
-                         batch_size=4)
-        reference = fuse_stream("serial", **overrides)
-        results = fuse_stream(executor, optimize=optimize, **overrides)
-        assert len(results) == len(reference)
-        for ref, got in zip(reference, results):
-            assert np.array_equal(ref.frame.pixels, got.frame.pixels)
-            assert got.model_seconds == ref.model_seconds
-            assert got.model_millijoules == ref.model_millijoules
-            assert got.frame.metadata["stages"] \
-                == ref.frame.metadata["stages"] == MIXED_PLACEMENT
+    def test_mixed_placement_matches_serial(self, executor, unfused):
+        """Every executor, on the lowered plan or the unfused
+        reference, reproduces the serial drive of a mixed placement
+        bit for bit — pixels, modelled time and energy, and the
+        per-stage engine map.  The second placement forces both
+        forwards onto one engine, so they lower to one fused unit."""
+        for placement in (MIXED_PLACEMENT, PAIRED_PLACEMENT):
+            overrides = dict(graph_overrides={"place": placement},
+                             batch_size=4)
+            reference = fuse_stream("serial", **overrides)
+            with unfused_sessions() if unfused else nullcontext():
+                results = fuse_stream(executor, **overrides)
+            assert len(results) == len(reference)
+            for ref, got in zip(reference, results):
+                assert np.array_equal(ref.frame.pixels, got.frame.pixels)
+                assert got.model_seconds == ref.model_seconds
+                assert got.model_millijoules == ref.model_millijoules
+                assert got.frame.metadata["stages"] \
+                    == ref.frame.metadata["stages"] == placement
 
 
 # ----------------------------------------------------------------------

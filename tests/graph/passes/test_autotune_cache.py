@@ -39,7 +39,7 @@ def _write_entry(tuner, key, **mutations):
         "version": CACHE_VERSION,
         "key": key,
         "shape": [SHAPE.width, SHAPE.height],
-        "overrides": {"optimize": True},
+        "overrides": {"executor": "batch"},
         "fps": 10.0,
     }
     entry.update(mutations)
@@ -68,11 +68,11 @@ class TestDecisions:
         assert decision.fps >= rows[()]
 
     def test_apply_disables_further_autotuning(self, tuner):
-        decision = PlanDecision(overrides={"optimize": True}, fps=1.0,
+        decision = PlanDecision(overrides={"executor": "batch"}, fps=1.0,
                                 source="tuned", key="k")
         applied = decision.apply(_config(autotune=True))
         assert applied.autotune is False
-        assert applied.optimize is True
+        assert applied.executor == "batch"
 
     def test_different_shapes_use_different_keys(self, tuner):
         a = tuner.cache_key(_config())
@@ -127,9 +127,13 @@ class TestCacheTolerance:
 
     def test_non_tunable_override_is_ignored(self, tuner, caplog):
         key = tuner.cache_key(_config())
-        _write_entry(tuner, key,
-                     overrides={"seed": 1, "optimize": True})
-        self._decide_expecting_retune(tuner, caplog, "non-tunable")
+        # {"optimize": True} is what entries wrote while plan
+        # optimization was a config field: it must re-tune, not crash
+        for overrides in ({"seed": 1, "executor": "batch"},
+                          {"optimize": True}):
+            _write_entry(tuner, key, overrides=overrides)
+            caplog.clear()
+            self._decide_expecting_retune(tuner, caplog, "non-tunable")
 
     def test_invalid_override_value_is_ignored(self, tuner, caplog):
         key = tuner.cache_key(_config())
@@ -205,7 +209,7 @@ def _hammer_cache(cache_dir, seed, stop, fail):
     try:
         tuner = PlanAutotuner(cache_dir=cache_dir, calibration_frames=2)
         config = _config()
-        decision = PlanDecision(overrides={"optimize": bool(seed % 2)},
+        decision = PlanDecision(overrides={"batch_size": seed + 1},
                                 fps=float(seed + 1), source="tuned",
                                 key=tuner.cache_key(config))
         while not stop.is_set():

@@ -1,21 +1,23 @@
-"""Unit tests of the plan-optimization pass pipeline.
+"""Stage fusion and buffer pooling, as ``Planner.lower`` and the
+session carry them out.
 
-Each pass is exercised directly against lowered plans (structure: what
-gets fused or pooled — and what is left alone), then the whole
-pipeline end-to-end through sessions: an optimized session must produce
-bitwise-identical frames and identical modelled accounting, while its
-telemetry gains per-stage wall-time attribution.
+Lowering fuses chains of adjacent stateless, same-placement stages
+into dispatch units (stateless stage fusion), and the session feeds
+every stacked core from a pooled input stack (materialization
+elimination).  The structural cases check what fuses and what is left
+alone; the session cases check that the fused plan gives
+bitwise-identical frames and identical modelled accounting to the
+unfused reference plan (``tests/unfused.py``), and that the pool is
+used and reused.
 """
 
 import numpy as np
 import pytest
 
-from repro.graph import FusionGraph, Planner, Stage, optimize_plan
-from repro.graph.passes import (MaterializationEliminationPass,
-                                PassPipeline, StatelessFusionPass,
-                                default_pipeline)
+from repro.graph import FusionGraph, Planner
 from repro.session import FusionConfig, FusionSession
 from repro.types import FrameShape
+from unfused import unfuse, unfused_sessions
 
 SHAPE = FrameShape(40, 32)
 
@@ -41,131 +43,120 @@ def _pairs(n=4, seed=3):
 
 class TestStatelessFusionPass:
     def test_serial_plan_fuses_the_whole_core(self):
-        plan, config = _lower(_config(executor="serial"))
-        fused, report = StatelessFusionPass().run(plan, config)
-        assert report.changed
-        assert fused.units == {
+        plan, _ = _lower(_config(executor="serial"))
+        assert plan.units == {
             "visible+thermal+fuse": ("visible", "thermal", "fuse")}
-        assert "visible+thermal+fuse" in fused.compute
+        assert plan.compute == ("visible+thermal+fuse",)
         # original stage names survive in schedule and nodes
-        assert set(plan.schedule) == set(fused.schedule)
-        assert set(plan.nodes) == set(fused.nodes)
+        assert plan.schedule == ("ingest", "visible", "thermal", "fuse",
+                                 "finalize")
+        assert set(plan.nodes) == set(plan.schedule)
 
     def test_concurrent_executors_fuse_only_the_parallel_wave(self):
-        plan, config = _lower(_config(executor="pipeline"))
-        fused, report = StatelessFusionPass().run(plan, config)
-        assert report.changed
-        assert fused.units == {"visible+thermal": ("visible", "thermal")}
-        assert "fuse" in fused.mid
-        assert fused.parallel == ("visible+thermal",)
+        plan, _ = _lower(_config(executor="pipeline"))
+        assert plan.units == {"visible+thermal": ("visible", "thermal")}
+        assert plan.parallel == ("visible+thermal",)
+        assert plan.mid == ("fuse",)
 
     def test_sequential_mid_is_left_alone(self):
-        plan, config = _lower(_config(temporal=True))
-        fused, report = StatelessFusionPass().run(plan, config)
-        assert not report.changed
-        assert fused.units == {}
-        assert fused is plan
+        plan, _ = _lower(_config(temporal=True))
+        assert plan.sequential_mid
+        assert plan.units == {}
+        assert plan.compute == ("temporal",)
 
     def test_placement_change_breaks_the_chain(self):
         graph = FusionGraph.canonical()
         graph.place("fuse", "neon")
-        config = _config(executor="serial")
-        plan = Planner().lower(graph, config)
-        fused, _ = StatelessFusionPass().run(plan, config)
+        plan = Planner().lower(graph, _config(executor="serial"))
         # visible+thermal share AUTO placement; the pinned fuse cannot
         # join them
-        assert fused.units == {"visible+thermal": ("visible", "thermal")}
+        assert plan.units == {"visible+thermal": ("visible", "thermal")}
+        assert plan.compute == ("visible+thermal", "fuse")
 
     def test_idempotent(self):
         plan, config = _lower(_config(executor="serial"))
-        once, _ = StatelessFusionPass().run(plan, config)
-        twice, report = StatelessFusionPass().run(once, config)
-        assert not report.changed
-        assert twice.units == once.units
+        again, _ = _lower(config)
+        assert again.units == plan.units
+        assert again.compute == plan.compute
+        # the unfused reference is the plan before fusion
+        reference = unfuse(plan)
+        assert reference.units == {}
+        assert reference.compute == ("visible", "thermal", "fuse")
+        assert reference.parallel == ("visible", "thermal")
+        assert reference.mid == ("fuse",)
 
 
 class TestMaterializationEliminationPass:
     def test_requires_a_stacked_consumer(self):
-        plan, config = _lower(_config(executor="serial"))
-        rewritten, report = MaterializationEliminationPass().run(plan,
-                                                                 config)
-        assert not report.changed
-        assert not rewritten.scratch
+        # no unit and no stacked core: nothing takes a pooled buffer
+        pairs = _pairs(2)
+        with FusionSession(_config(temporal=True)) as session:
+            session.process(*pairs[0])
+            assert len(session._processor._scratch) == 0
 
     def test_fires_after_stage_fusion(self):
-        plan, config = _lower(_config(executor="serial"))
-        fused, _ = StatelessFusionPass().run(plan, config)
-        pooled, report = MaterializationEliminationPass().run(fused,
-                                                              config)
-        assert report.changed
-        assert pooled.scratch
+        pairs = _pairs(2)
+        with FusionSession(_config(executor="serial")) as session:
+            session.process(*pairs[0])
+            pool = session._processor._scratch
+            dtype = session._fusers["arm"].transform.backend.dtype
+            assert len(pool) == 1
+            assert pool.nbytes == 2 * SHAPE.pixels * np.dtype(dtype).itemsize
 
     def test_fires_for_the_batch_stacked_core(self):
-        plan, config = _lower(_config(executor="batch"))
-        pooled, report = MaterializationEliminationPass().run(plan,
-                                                              config)
-        assert report.changed
-        assert pooled.scratch
+        pairs = _pairs(4)
+        with FusionSession(_config(executor="batch",
+                                   batch_size=4)) as session:
+            session.run(len(pairs), source=iter(list(pairs)))
+            pool = session._processor._scratch
+            dtype = session._fusers["arm"].transform.backend.dtype
+            # one source-major (2B, H, W) stack per micro-batch shape
+            assert len(pool) == 1
+            assert pool.nbytes == (2 * 4 * SHAPE.pixels
+                                   * np.dtype(dtype).itemsize)
 
 
 class TestPipeline:
-    def test_default_pipeline_runs_all_three_passes(self):
-        plan, config = _lower(_config(executor="serial"))
-        optimized = optimize_plan(plan, config)
-        assert optimized.optimized
-        assert [r["pass"] for r in optimized.pass_reports] == [
-            "fuse-stages", "eliminate-materialization"]
-        assert optimized.units and optimized.scratch
-
     def test_as_dict_and_describe_expose_the_optimization(self):
-        plan, config = _lower(_config(executor="serial"))
-        optimized = optimize_plan(plan, config)
-        block = optimized.as_dict()["optimization"]
-        assert block["optimized"] is True
+        plan, _ = _lower(_config(executor="serial"))
+        block = plan.as_dict()
         assert block["units"] == {
             "visible+thermal+fuse": ["visible", "thermal", "fuse"]}
-        assert block["scratch"] is True
-        assert len(block["passes"]) == 2
-        text = optimized.describe()
-        assert "fused units" in text and "scratch pool" in text
+        assert "optimization" not in block
+        text = plan.describe()
+        assert "fused units  : visible+thermal+fuse = " \
+               "[visible thermal fuse]" in text
 
     def test_unoptimized_plan_reports_nothing(self):
-        plan, _ = _lower(_config())
-        block = plan.as_dict()["optimization"]
-        assert block["optimized"] is False
-        assert block["passes"] == []
-
-    def test_empty_pipeline_still_stamps_optimized(self):
-        plan, config = _lower(_config())
-        out = PassPipeline(()).run(plan, config)
-        assert out.optimized and out.pass_reports == ()
-
-    def test_default_pipeline_order_is_stable(self):
-        names = [p.name for p in default_pipeline().passes]
-        assert names == ["fuse-stages", "eliminate-materialization"]
+        plan, _ = _lower(_config(temporal=True))
+        assert plan.as_dict()["units"] == {}
+        assert "fused units  : none" in plan.describe()
 
 
 class TestOptimizedSessions:
-    """End-to-end: config.optimize drives the same bits, faster."""
+    """End-to-end: the fused plan drives the same bits as the unfused
+    reference."""
 
     @pytest.mark.parametrize("executor", ("serial", "pipeline", "batch"))
     def test_bitwise_parity_and_energy_balance(self, executor):
         pairs = _pairs()
         kw = dict(executor=executor, workers=2, batch_size=3,
                   keep_records=True)
-        with FusionSession(_config(**kw)) as plain:
+        with unfused_sessions(), FusionSession(_config(**kw)) as plain:
+            assert plain.plan.units == {}
             ref = plain.run(len(pairs), source=iter(list(pairs)))
-        with FusionSession(_config(optimize=True, **kw)) as tuned:
-            assert tuned.plan.optimized
-            got = tuned.run(len(pairs), source=iter(list(pairs)))
+        with FusionSession(_config(**kw)) as fused:
+            assert fused.plan.units
+            got = fused.run(len(pairs), source=iter(list(pairs)))
         assert ref.model_millijoules_total == got.model_millijoules_total
         assert ref.model_seconds_total == got.model_seconds_total
+        assert ref.engine_usage == got.engine_usage
         for a, b in zip(ref.records, got.records):
             assert np.array_equal(a.frame.pixels, b.frame.pixels)
 
     def test_stage_wall_attribution_reaches_the_report(self):
         pairs = _pairs()
-        with FusionSession(_config(optimize=True)) as session:
+        with FusionSession(_config()) as session:
             report = session.run(len(pairs), source=iter(list(pairs)))
         wall = report.throughput["stage_wall_s"]
         assert "ingest" in wall and "finalize" in wall
@@ -174,14 +165,14 @@ class TestOptimizedSessions:
 
     def test_stage_wall_keys_follow_the_executor(self):
         pairs = _pairs()
-        with FusionSession(_config(executor="batch", batch_size=2,
-                                   optimize=True)) as session:
+        with FusionSession(_config(executor="batch",
+                                   batch_size=2)) as session:
             report = session.run(len(pairs), source=iter(list(pairs)))
         assert "batch-core" in report.throughput["stage_wall_s"]
 
     def test_process_uses_the_scratch_pool(self):
         pairs = _pairs(2)
-        with FusionSession(_config(optimize=True)) as session:
+        with FusionSession(_config()) as session:
             session.process(*pairs[0])
             assert len(session._processor._scratch) == 1
             before = session._processor._scratch.nbytes

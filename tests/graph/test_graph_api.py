@@ -127,8 +127,15 @@ class TestPlannerLowering:
         assert plan.schedule == ("ingest", "visible", "thermal", "fuse",
                                  "finalize")
         assert plan.head == ("ingest",)
-        assert plan.parallel == ("visible", "thermal")
-        assert plan.mid == ("fuse",)
+        # the serial executor fuses the whole core into one unit; the
+        # stages keep their wave/mid roles
+        assert plan.parallel == ()
+        assert plan.mid == ("visible+thermal+fuse",)
+        assert plan.members("visible+thermal+fuse") == (
+            "visible", "thermal", "fuse")
+        assert [plan.node(n).role for n in ("visible", "thermal",
+                                            "fuse")] == [
+            "parallel", "parallel", "mid"]
         assert plan.tail == ("finalize",)
         assert not plan.sequential_mid
         assert plan.fusable_core
@@ -181,7 +188,7 @@ class TestPlannerLowering:
         graph.validate()
         plan = Planner().lower(graph, small_config())
         assert not plan.fusable_core
-        assert "sharpen" in plan.mid
+        assert plan.node("sharpen").role == "mid"
 
     def test_temporal_graph_needs_temporal_config(self):
         with pytest.raises(ConfigurationError, match="temporal"):

@@ -86,7 +86,8 @@ class TestPrecisionAwareResolution:
 class TestAutotunePrecisionAxes:
     def test_precision_is_tunable_and_fingerprinted(self):
         assert "precision" in TUNABLE_FIELDS
-        assert CACHE_VERSION == 2
+        assert "optimize" not in TUNABLE_FIELDS
+        assert CACHE_VERSION == 3
         tuner = PlanAutotuner(cache_dir="/tmp/unused")
         fp = tuner._config_fingerprint(
             FusionConfig(engine="neon", precision="float64"))
@@ -104,14 +105,12 @@ class TestAutotunePrecisionAxes:
         tuner = PlanAutotuner(cache_dir="/tmp/unused")
         rows = tuner.candidates(FusionConfig(engine="neon",
                                              precision="float64"))
-        assert {"precision": "float32", "optimize": True} in rows
-        assert {"engine": "jit", "precision": "float32",
-                "optimize": True} in rows
+        assert {"precision": "float32"} in rows
+        assert {"engine": "jit", "precision": "float32"} in rows
         # fpga can't run the incumbent float64, but qualifies under
         # the float32 candidate precision
-        assert {"engine": "fpga", "optimize": True} not in rows
-        assert {"engine": "fpga", "precision": "float32",
-                "optimize": True} in rows
+        assert {"engine": "fpga"} not in rows
+        assert {"engine": "fpga", "precision": "float32"} in rows
 
     def test_native_config_never_moves_the_precision_axis(self):
         """The bitwise default: no explicit precision, no dtype

@@ -24,6 +24,11 @@ def _noop(task):  # the map stages never run here; lowering only
     return None
 
 
+def _stages(plan, names):
+    """``names`` with every fused unit expanded into its members."""
+    return tuple(member for name in names for member in plan.members(name))
+
+
 @st.composite
 def graph_and_config(draw):
     """A random valid (graph, config) pair for the planner."""
@@ -63,9 +68,10 @@ class TestPlannerProperties:
         assert sorted(plan.schedule) == sorted(graph.names())
         assert len(set(plan.schedule)) == len(plan.schedule)
         # the role partition covers the schedule exactly once too
-        partition = (*plan.head, *plan.parallel, *plan.mid, *plan.tail)
+        partition = (*plan.head, *_stages(plan, plan.parallel),
+                     *_stages(plan, plan.mid), *plan.tail)
         assert sorted(partition) == sorted(plan.schedule)
-        assert plan.compute == tuple(
+        assert _stages(plan, plan.compute) == tuple(
             n for n in plan.schedule
             if n not in plan.head and n not in plan.tail)
 
@@ -81,11 +87,11 @@ class TestPlannerProperties:
                     f"{stage.name} scheduled before its dependency {dep}"
         # within the executable regions the same discipline holds:
         # head before compute before tail
-        if plan.compute:
-            first_compute = min(position[n] for n in plan.compute)
+        compute = _stages(plan, plan.compute)
+        if compute:
+            first_compute = min(position[n] for n in compute)
             assert all(position[n] < first_compute for n in plan.head)
-            assert all(position[n] > max(position[c]
-                                         for c in plan.compute)
+            assert all(position[n] > max(position[c] for c in compute)
                        for n in plan.tail)
 
     @settings(**_SETTINGS)
@@ -109,13 +115,13 @@ class TestPlannerProperties:
     def test_ordered_stages_never_join_the_parallel_wave(self, pair):
         graph, config = pair
         plan = Planner().lower(graph, config)
-        for name in plan.parallel:
+        for name in _stages(plan, plan.parallel):
             assert not graph.stage(name).ordered
         if plan.sequential_mid:
             assert plan.parallel == ()
         # an ordered stage strictly between head and tail forces the
         # sequential mid chain, and vice versa
-        ordered_compute = [n for n in plan.compute
+        ordered_compute = [n for n in _stages(plan, plan.compute)
                            if graph.stage(n).ordered]
         assert bool(ordered_compute) == plan.sequential_mid
 
@@ -129,7 +135,8 @@ class TestPlannerProperties:
         if plan.sequential_mid:
             assert plan.batch_schedule == ()
         else:
-            assert sorted(scheduled) == sorted(plan.compute)
+            assert sorted(scheduled) == sorted(_stages(plan,
+                                                       plan.compute))
         for names, mode in plan.batch_schedule:
             assert mode in ("core", "stacked", "frame")
             if mode == "stacked":
@@ -144,6 +151,8 @@ class TestPlannerProperties:
         first = Planner().lower(graph, config)
         second = Planner().lower(graph.copy(), config)
         assert first.schedule == second.schedule
+        assert first.compute == second.compute
+        assert first.units == second.units
         assert first.batch_schedule == second.batch_schedule
         assert {n: first.node(n).engine for n in first.schedule} \
             == {n: second.node(n).engine for n in second.schedule}

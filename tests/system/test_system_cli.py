@@ -167,10 +167,10 @@ class TestCli:
         assert payload["mid"] == ["temporal"]
 
         # the overlapping executor fuses only the parallel wave
-        assert main(["plan", "--executor", "pipeline", "--optimize",
+        assert main(["plan", "--executor", "pipeline",
                      "--engine", "neon", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["optimization"]["units"] == {
+        assert payload["units"] == {
             "visible+thermal": ["visible", "thermal"]}
         assert payload["mid"] == ["fuse"]
         assert "affinity" not in payload

@@ -1,0 +1,46 @@
+"""The unfused reference plan: every fused unit expanded back into its
+member stages.
+
+``Planner.lower`` fuses adjacent stateless stages into dispatch units
+that the session drives through its stacked core.  ``unfuse(plan)`` is
+the same plan with no units and no stacked batch core, so every stage
+runs through the session's stage-by-stage path
+(``_SessionProcessor._run_single``) under every executor — the slow
+reference the fused lowering is checked against, bit for bit.
+"""
+
+from contextlib import contextmanager
+from dataclasses import replace
+from unittest import mock
+
+from repro.session import FusionSession
+
+
+def unfuse(plan):
+    """``plan`` with every unit replaced by its members, in order, and
+    the parallel/mid split restored from the stages' lowered roles.
+
+    The batch schedule's stacked ``core`` entry becomes a stage-major
+    run of the same stages, so the batch executor, too, drives every
+    stage through the stage-by-stage path."""
+    compute = tuple(member for name in plan.compute
+                    for member in plan.members(name))
+    return replace(
+        plan, compute=compute, units={},
+        parallel=tuple(n for n in compute
+                       if plan.node(n).role == "parallel"),
+        mid=tuple(n for n in compute if plan.node(n).role == "mid"),
+        batch_schedule=tuple(
+            (names, "stacked" if mode == "core" else mode)
+            for names, mode in plan.batch_schedule),
+        fusable_core=False)
+
+
+@contextmanager
+def unfused_sessions():
+    """Within the block, every :class:`FusionSession` lowers to the
+    unfused reference plan."""
+    lower = FusionSession._lower
+    with mock.patch.object(FusionSession, "_lower",
+                           lambda self, *args: unfuse(lower(self, *args))):
+        yield
