@@ -11,8 +11,7 @@ Public entry points:
   :mod:`repro.dtcwt.coeffs` for the design methods).
 """
 
-from .backend import DEFAULT_BACKEND, KernelBackend, NumpyBackend, ScratchPool
-from .jit_backend import NUMBA_AVAILABLE, JitBackend
+from .backend import NUMBA_AVAILABLE, KernelBackend, ScratchPool
 from .coeffs import (
     BiorthogonalBank,
     DtcwtBanks,
@@ -48,11 +47,8 @@ from .transform2d import (
 )
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "KernelBackend",
-    "NumpyBackend",
     "ScratchPool",
-    "JitBackend",
     "NUMBA_AVAILABLE",
     "BiorthogonalBank",
     "DtcwtBanks",

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import TransformError
-from .backend import DEFAULT_BACKEND, KernelBackend
+from .backend import KernelBackend
 from .coeffs import orthonormal_dwt_filter
 from .util import as_float_image, crop_to, pad_to_multiple
 
@@ -64,7 +64,7 @@ class Dwt2D:
         self.h0 = orthonormal_dwt_filter(filter_length)
         n = np.arange(filter_length)
         self.h1 = ((-1.0) ** n) * self.h0[::-1]
-        self.backend = backend if backend is not None else DEFAULT_BACKEND
+        self.backend = backend if backend is not None else KernelBackend()
 
     def forward(self, image: np.ndarray) -> DwtPyramid:
         be = self.backend

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import TransformError
-from .backend import DEFAULT_BACKEND, KernelBackend
+from .backend import KernelBackend
 from .coeffs import DtcwtBanks, dtcwt_banks
 
 
@@ -53,7 +53,7 @@ class Dtcwt1D:
             raise TransformError(f"levels must be >= 1, got {levels}")
         self.levels = levels
         self.banks = banks if banks is not None else dtcwt_banks()
-        self.backend = backend if backend is not None else DEFAULT_BACKEND
+        self.backend = backend if backend is not None else KernelBackend()
 
     # ------------------------------------------------------------------
     def forward(self, signal: np.ndarray) -> Dtcwt1dPyramid:

@@ -44,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import TransformError
-from .backend import DEFAULT_BACKEND, KernelBackend
+from .backend import KernelBackend
 from .coeffs import DtcwtBanks, dtcwt_banks
 from .util import as_float_image, as_float_stack, crop_to, pad_to_multiple
 
@@ -233,7 +233,8 @@ class Dtcwt2D:
     banks:
         Filter banks; defaults to CDF 9/7 level-1 + 14-tap q-shift.
     backend:
-        Kernel backend; defaults to the numpy reference.
+        Kernel backend; defaults to a fresh host
+        :class:`~repro.dtcwt.backend.KernelBackend` in float64.
     """
 
     def __init__(self, levels: int = 3,
@@ -243,7 +244,7 @@ class Dtcwt2D:
             raise TransformError(f"levels must be >= 1, got {levels}")
         self.levels = levels
         self.banks = banks if banks is not None else dtcwt_banks()
-        self.backend = backend if backend is not None else DEFAULT_BACKEND
+        self.backend = backend if backend is not None else KernelBackend()
 
     # ------------------------------------------------------------------
     # forward

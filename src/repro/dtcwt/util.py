@@ -48,72 +48,6 @@ def as_float_stack(frames: np.ndarray, dtype: np.dtype = np.float64
     return arr.astype(dtype, copy=False)
 
 
-def cconv(x: np.ndarray, taps: np.ndarray, center: int, axis: int = 0) -> np.ndarray:
-    """Centered circular convolution along ``axis``.
-
-    Computes ``out[n] = sum_k taps[k] * x[(n + center - k) mod N]`` so a
-    filter symmetric about ``center`` is exactly zero phase.
-
-    Parameters
-    ----------
-    x:
-        Input array (any number of dimensions).
-    taps:
-        1-D filter taps.
-    center:
-        Index of the tap treated as the filter origin.
-    axis:
-        Axis of ``x`` along which to filter.
-    """
-    taps = np.asarray(taps, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    out = np.zeros_like(x, dtype=np.result_type(x, taps))
-    for k, tap in enumerate(taps):
-        if tap != 0.0:
-            out += tap * np.roll(x, k - center, axis=axis)
-    return out
-
-
-def cconv_causal(x: np.ndarray, taps: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Causal circular convolution: ``out[n] = sum_k taps[k] x[(n-k) mod N]``."""
-    return cconv(x, taps, center=0, axis=axis)
-
-
-def ccorr_causal(x: np.ndarray, taps: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Causal circular correlation: ``out[n] = sum_k taps[k] x[(n+k) mod N]``.
-
-    This is the exact adjoint (transpose) of :func:`cconv_causal` with the
-    same taps, which is what makes transpose-based synthesis exact.
-    """
-    taps = np.asarray(taps, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    out = np.zeros_like(x, dtype=np.result_type(x, taps))
-    for k, tap in enumerate(taps):
-        if tap != 0.0:
-            out += tap * np.roll(x, -k, axis=axis)
-    return out
-
-
-def downsample2(x: np.ndarray, phase: int, axis: int = 0) -> np.ndarray:
-    """Keep every second sample along ``axis`` starting at ``phase`` (0 or 1)."""
-    if phase not in (0, 1):
-        raise TransformError(f"downsample phase must be 0 or 1, got {phase}")
-    slicer = [slice(None)] * x.ndim
-    slicer[axis] = slice(phase, None, 2)
-    return x[tuple(slicer)]
-
-
-def upsample2(x: np.ndarray, phase: int, axis: int = 0) -> np.ndarray:
-    """Insert zeros between samples along ``axis``; adjoint of :func:`downsample2`."""
-    if phase not in (0, 1):
-        raise TransformError(f"upsample phase must be 0 or 1, got {phase}")
-    shape = list(x.shape)
-    shape[axis] *= 2
-    out = np.zeros(shape, dtype=x.dtype)
-    slicer = [slice(None)] * x.ndim
-    slicer[axis] = slice(phase, None, 2)
-    out[tuple(slicer)] = x
-    return out
-
-
 def pad_to_multiple(
     image: np.ndarray, multiple: int
 ) -> Tuple[np.ndarray, Tuple[int, int]]:

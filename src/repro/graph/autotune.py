@@ -323,8 +323,8 @@ class PlanAutotuner:
         when the config names a concrete engine to begin with.
 
         Registered extension engines (``jit``, ``gpu``) qualify through
-        the same dtype test, so compiled backends become placement
-        candidates automatically.  ``precision`` probes the axis under
+        the same dtype test, so they become placement candidates
+        automatically.  ``precision`` probes the axis under
         a candidate precision override instead of the config's own;
         engines that reject the pinned dtype are skipped, not fatal."""
         from ..errors import ConfigurationError

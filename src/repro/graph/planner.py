@@ -49,8 +49,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..hw.registry import create_engine, engine_names, precision_candidates
 from .graph import FusionGraph, forward_stage_names
@@ -78,8 +76,9 @@ class PlannedStage:
     role: str            # "head" | "parallel" | "mid" | "tail"
     engine: str          # resolved placement (engine name or "host")
     model_seconds: float  # modelled compute cost on that engine
-    #: kernel backend driving the stage's arithmetic ("numpy", "neon",
-    #: "jit", ...; "" for host-side stages that never touch an engine)
+    #: kernel driving the stage's arithmetic, named by its engine
+    #: ("arm", "neon", "fpga", ...; "" for host-side stages that never
+    #: touch an engine)
     kernel: str = ""
     #: working dtype of that backend ("float32"/"float64"; "" for host)
     precision: str = ""
@@ -472,17 +471,20 @@ class Planner:
     @staticmethod
     def _kernel_info(placements, engines,
                      config) -> Dict[str, Tuple[str, str]]:
-        """Per-stage (kernel backend name, working dtype) pairs.
+        """Per-stage (kernel label, working dtype) pairs.
 
-        Resolved through the same :meth:`Engine.make_backend` path the
-        session binds, so a forced placement whose datapath cannot run
-        the config's precision (FPGA under ``float64``) fails here, at
-        plan time, with the engine's own error — not mid-stream."""
+        The label is the engine's name: host engines share one kernel
+        formulation and differ only in their cost models.  The dtype
+        is resolved through the same :meth:`Engine.working_dtype`
+        check the session's backends bind, so a forced placement whose
+        datapath cannot run the config's precision (FPGA under
+        ``float64``) fails here, at plan time, with the engine's own
+        error — not mid-stream."""
         precision = getattr(config, "precision", None)
         info = {HOST: ("", "")}
         for name, engine in engines.items():
-            backend = engine.make_backend(precision)
-            info[name] = (backend.name, str(np.dtype(backend.dtype)))
+            info[name] = (engine.name,
+                          str(engine.working_dtype(precision)))
         return {stage_name: info[placement]
                 for stage_name, placement in placements.items()}
 

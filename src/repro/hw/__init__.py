@@ -31,7 +31,7 @@ from .dvfs import (
 from .energy import EnergyMeter, energy_mj
 from .engine import Engine
 from .fpga import FpgaEngine, HlsBackend, pad_filter_pair
-from .gpu import GpuBackend, GpuEngine
+from .gpu import GpuEngine
 from .hls import HlsWaveletEngine, shift_register_dual_fir
 from .jit import JitEngine
 from .neon import NeonEngine
@@ -63,7 +63,7 @@ from .work import FilterPass, WorkModel, summarize_passes
 
 __all__ = [
     "ArmEngine", "NeonEngine", "FpgaEngine", "Engine",
-    "JitEngine", "GpuEngine", "GpuBackend",
+    "JitEngine", "GpuEngine",
     "create_engine", "default_engines",
     "engine_names", "register_engine", "DEFAULT_ENGINE_NAMES",
     "HlsBackend", "pad_filter_pair",

@@ -1,18 +1,16 @@
 """ARM Cortex-A9 scalar engine model.
 
 The baseline of the paper's comparison: the whole fusion algorithm in
-plain C++ on the PS.  The functional path is the reference transform in
-float32 (the paper's code uses ``float``); the timing model charges each
-filtering pass its MAC work at a fitted scalar throughput plus a small
-per-pass overhead — the same workload description all engines share
-(:mod:`repro.hw.work`).
+plain C++ on the PS.  The functional path is the host kernel backend
+(:class:`~repro.dtcwt.backend.KernelBackend`, inherited from
+:class:`~repro.hw.engine.Engine`) in float32 (the paper's code uses
+``float``); the timing model charges each filtering pass its MAC work
+at a fitted scalar throughput plus a small per-pass overhead — the same
+workload description all engines share (:mod:`repro.hw.work`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..dtcwt.backend import NumpyBackend
 from ..types import FrameShape, TimingBreakdown
 from .engine import Engine
 
@@ -23,10 +21,6 @@ class ArmEngine(Engine):
     name = "arm"
     power_mode = "arm"
 
-    def make_backend(self, precision: Optional[str] = None) -> NumpyBackend:
-        return NumpyBackend(dtype=self.working_dtype(precision))
-
-    # ------------------------------------------------------------------
     def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(self.work_model(shape, levels).forward_passes(),
                                  self.calibration.arm_mac_rate_fwd)

@@ -21,6 +21,7 @@ from typing import Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
+from ..dtcwt.backend import KernelBackend
 from ..dtcwt.coeffs import DtcwtBanks, dtcwt_banks
 from ..dtcwt.transform2d import Dtcwt2D
 from ..errors import ConfigurationError
@@ -64,14 +65,17 @@ class Engine(ABC):
     # ------------------------------------------------------------------
     # functional path
     # ------------------------------------------------------------------
-    @abstractmethod
     def make_backend(self, precision: Optional[str] = None):
-        """Kernel backend computing this engine's arithmetic.
+        """A fresh kernel backend computing this engine's arithmetic.
 
         ``precision`` is ``None`` (engine-native — every output stays
         bitwise-identical to the historical default) or one of
-        :attr:`supported_precisions`.
+        :attr:`supported_precisions`.  Host engines share the one
+        host formulation (:class:`~repro.dtcwt.backend.KernelBackend`)
+        and differ only in their cost models; the FPGA overrides this
+        with the HLS datapath emulation.
         """
+        return KernelBackend(dtype=self.working_dtype(precision))
 
     def working_dtype(self, precision: Optional[str] = None) -> np.dtype:
         """The numpy dtype the backend will compute in, after

@@ -57,8 +57,6 @@ def pad_filter_pair(h0: np.ndarray, c0: int, h1: np.ndarray, c1: int
 class HlsBackend(KernelBackend):
     """Kernel backend executing every line on the HLS engine model."""
 
-    name = "fpga"
-
     def __init__(self, engine: Optional[HlsWaveletEngine] = None,
                  driver: Optional[WaveletDriver] = None,
                  platform: ZynqPlatform = DEFAULT_PLATFORM):

@@ -23,26 +23,18 @@ latency crossover: the CostModelScheduler will happily pick the GPU
 for time and refuse it for energy at frame sizes where both are
 defensible.
 
-The functional path reuses the compiled halo-extension kernels
-(:class:`~repro.dtcwt.jit_backend.JitBackend`): arithmetic on a real
-GPU would be IEEE float32 just like the compiled host path, so the
-modelled engine computes bit-identical results to the ``jit`` engine
-at the same precision.
+The functional path is the host kernel backend every host engine
+shares (:class:`~repro.dtcwt.backend.KernelBackend`, inherited from
+:class:`~repro.hw.engine.Engine`): arithmetic on a real GPU would be
+IEEE float32 just like the host path, so the modelled engine computes
+bit-identical results to the ``arm``, ``neon`` and ``jit`` engines at
+the same precision.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..dtcwt.jit_backend import JitBackend
 from ..types import FrameShape, TimingBreakdown
 from .engine import Engine
-
-
-class GpuBackend(JitBackend):
-    """Functional stand-in for the device kernels (same arithmetic)."""
-
-    name = "gpu"
 
 
 class GpuEngine(Engine):
@@ -51,10 +43,6 @@ class GpuEngine(Engine):
     name = "gpu"
     power_mode = "gpu"
 
-    def make_backend(self, precision: Optional[str] = None) -> GpuBackend:
-        return GpuBackend(dtype=self.working_dtype(precision))
-
-    # ------------------------------------------------------------------
     def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).forward_passes())
@@ -75,4 +63,4 @@ class GpuEngine(Engine):
         )
 
 
-__all__ = ["GpuBackend", "GpuEngine"]
+__all__ = ["GpuEngine"]

@@ -1,13 +1,14 @@
 """JIT-compiled host engine model (extension; not a paper device).
 
-The software analogue of the paper's HLS move: the same wavelet
-datapath re-expressed for a faster engine.  The functional path is
-:class:`~repro.dtcwt.jit_backend.JitBackend` — halo-extension kernels
-compiled with Numba when available, evaluated with strided NumPy
-otherwise, bitwise-identical to the reference either way.  The timing
-model is the ARM scalar model's shape with compiled throughput: each
-filtering pass is charged its MAC work at a fitted compiled rate plus
-a much smaller per-pass overhead (no interpreter loop setup).
+Models the wavelet datapath compiled for the host CPU.  Only the
+timing model is its own: the ARM scalar model's shape with compiled
+throughput, each filtering pass charged its MAC work at a fitted
+compiled rate plus a much smaller per-pass overhead (no interpreter
+loop setup).  The functional path is the host kernel backend every
+host engine shares (:class:`~repro.dtcwt.backend.KernelBackend`,
+inherited from :class:`~repro.hw.engine.Engine`): halo-extension
+kernels compiled with Numba when available, evaluated with strided
+NumPy otherwise, bitwise-identical either way.
 
 Registered as ``"jit"``; it widens the heterogeneous design space the
 schedulers and the plan autotuner explore, without joining the
@@ -16,9 +17,6 @@ paper-default engine trio (see :func:`repro.hw.registry.default_engines`).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..dtcwt.jit_backend import JitBackend
 from ..types import FrameShape, TimingBreakdown
 from .engine import Engine
 
@@ -29,10 +27,6 @@ class JitEngine(Engine):
     name = "jit"
     power_mode = "host"
 
-    def make_backend(self, precision: Optional[str] = None) -> JitBackend:
-        return JitBackend(dtype=self.working_dtype(precision))
-
-    # ------------------------------------------------------------------
     def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).forward_passes(),

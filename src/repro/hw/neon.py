@@ -13,22 +13,18 @@ speedup and a scalar remainder.  Outputs beyond the last multiple of
 the lane count fall back to scalar code — the loop-epilogue effect the
 paper calls out ("an iteration count with a multiple of 4 is used",
 Section IV); it penalizes the odd 35x35 frames.
+
+Lanes live only in that model.  The functional path is the host kernel
+backend (:class:`~repro.dtcwt.backend.KernelBackend`, inherited from
+:class:`~repro.hw.engine.Engine`) in float32, the same arithmetic as
+the ARM engine: NEON single precision is IEEE-compliant for MACs, so
+vectorizing does not change a result bit.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..dtcwt.backend import NumpyBackend
 from ..types import FrameShape, TimingBreakdown
 from .engine import Engine
-
-
-class NeonBackend(NumpyBackend):
-    """Functionally identical arithmetic in float32 (vector lanes do not
-    change the math; NEON single-precision is IEEE-compliant for MACs)."""
-
-    name = "neon"
 
 
 class NeonEngine(Engine):
@@ -37,10 +33,6 @@ class NeonEngine(Engine):
     name = "neon"
     power_mode = "neon"
 
-    def make_backend(self, precision: Optional[str] = None) -> NeonBackend:
-        return NeonBackend(dtype=self.working_dtype(precision))
-
-    # ------------------------------------------------------------------
     def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         return self._passes_time(
             self.work_model(shape, levels).forward_passes(),

@@ -1,16 +1,21 @@
 """Kernel backend primitives: dual-channel ops against direct math."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.dtcwt.backend import NumpyBackend
+from repro.dtcwt import Dtcwt2D
+from repro.dtcwt.backend import KernelBackend
 from repro.dtcwt.coeffs import dtcwt_banks
-from repro.dtcwt.util import cconv, cconv_causal, ccorr_causal, downsample2, upsample2
+
+from kernel_oracle import cconv, cconv_causal, downsample2
 
 
 @pytest.fixture
 def backend():
-    return NumpyBackend()
+    return KernelBackend()
 
 
 @pytest.fixture
@@ -87,8 +92,57 @@ class TestSynthesisU:
 
 class TestDtypes:
     def test_float32_backend_outputs_float32(self, rng, banks):
-        be = NumpyBackend(dtype=np.float32)
+        be = KernelBackend(dtype=np.float32)
         x = rng.standard_normal((8, 8))
         lo, hi = be.analysis_d(x, banks.qshift.h0a, banks.qshift.h1a, axis=0)
         assert lo.dtype == np.float32
         assert hi.dtype == np.float32
+
+
+class TestDefaultBackendPerTransform:
+    """The host backend pools scratch and is single-threaded, so every
+    transform built without ``backend=`` must own its instance."""
+
+    def test_transforms_never_share_a_default_backend(self):
+        assert Dtcwt2D().backend is not Dtcwt2D().backend
+
+    def test_concurrent_default_transforms_match_serial(self, rng):
+        """Threads (more than cores, switching often) each build a
+        default transform and round-trip their own frame; every result
+        is bitwise its serial result."""
+        # one shape, so a shared backend's pooled buffers would collide
+        images = [rng.standard_normal((96, 128)) * 64.0 for _ in range(4)]
+
+        def roundtrip(image):
+            t = Dtcwt2D(levels=3)
+            pyr = t.forward(image)
+            return pyr, t.inverse(pyr)
+
+        serial = [roundtrip(image) for image in images]
+        results = [[] for _ in images]
+        barrier = threading.Barrier(len(images))
+
+        def work(i):
+            barrier.wait(timeout=30)
+            for _ in range(8):
+                results[i].append(roundtrip(images[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(images))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for (pyr_s, rec_s), runs in zip(serial, results):
+            assert len(runs) == 8
+            for pyr, rec in runs:
+                assert np.array_equal(pyr.lowpass, pyr_s.lowpass)
+                for band, band_s in zip(pyr.highpasses, pyr_s.highpasses):
+                    assert np.array_equal(band, band_s)
+                assert np.array_equal(rec, rec_s)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dtcwt import Dtcwt2D, DtcwtPyramidStack
-from repro.dtcwt.backend import NumpyBackend
+from repro.dtcwt.backend import KernelBackend
 from repro.dtcwt.util import as_float_stack, crop_to, pad_to_multiple
 from repro.errors import TransformError
 from repro.hw.registry import create_engine
@@ -67,7 +67,7 @@ class TestForwardBatchParity:
 
     def test_float32_backend_stays_float32(self, rng):
         frames = frame_stack(rng, n=2).astype(np.float32)
-        t = Dtcwt2D(levels=2, backend=NumpyBackend(dtype=np.float32))
+        t = Dtcwt2D(levels=2, backend=KernelBackend(dtype=np.float32))
         rec = t.inverse_batch(t.forward_batch(frames))
         assert rec.dtype == np.float32
 

@@ -1,9 +1,9 @@
-"""JitBackend: bitwise parity with the reference, pooling, fallback.
+"""Host KernelBackend: bitwise parity with the oracle, pooling, fallback.
 
-The compiled backend's whole contract is *bitwise* equality with
-:class:`NumpyBackend` at the same dtype — not closeness — because the
-halo-extension formulation replays the reference's per-element IEEE
-operation sequence.  These tests pin that contract across all four
+The host backend's whole contract is *bitwise* equality with the
+circular-convolution oracle (``tests/kernel_oracle.py``) at the same
+dtype — not closeness — because the halo-extension formulation replays
+the oracle's per-element IEEE operation sequence.  These tests pin that contract across all four
 primitives, both dtypes, arbitrary leading batch axes and every
 filtered axis, plus the scratch-pool steady state and the
 Numba-availability switches.
@@ -16,10 +16,11 @@ import sys
 import numpy as np
 import pytest
 
-from repro.dtcwt.backend import NumpyBackend, ScratchPool
+from repro.dtcwt.backend import NUMBA_AVAILABLE, KernelBackend, ScratchPool
 from repro.dtcwt.coeffs import dtcwt_banks
-from repro.dtcwt.jit_backend import NUMBA_AVAILABLE, JitBackend
 from repro.dtcwt.transform2d import Dtcwt2D
+
+from kernel_oracle import NumpyBackend
 
 SHAPES = [(16,), (12, 16), (3, 12, 16), (2, 3, 10, 8)]
 
@@ -47,7 +48,7 @@ class TestBitwiseParity:
     def test_all_primitives_all_axes(self, rng, banks, dtype, shape):
         x = rng.standard_normal(shape)
         ref = NumpyBackend(dtype=dtype)
-        jit = JitBackend(dtype=dtype)
+        jit = KernelBackend(dtype=dtype)
         for axis in range(len(shape)):
             if x.shape[axis] % 2:
                 continue  # decimated pair needs an even axis
@@ -65,7 +66,7 @@ class TestBitwiseParity:
         ref = Dtcwt2D(levels=3, banks=banks,
                       backend=NumpyBackend(dtype=dtype))
         jit = Dtcwt2D(levels=3, banks=banks,
-                      backend=JitBackend(dtype=dtype))
+                      backend=KernelBackend(dtype=dtype))
         pr = ref.forward(img)
         pj = jit.forward(img)
         assert np.array_equal(pr.lowpass, pj.lowpass)
@@ -76,7 +77,7 @@ class TestBitwiseParity:
     def test_negative_axis(self, rng, banks):
         x = rng.standard_normal((6, 16))
         ref = NumpyBackend(dtype=np.float32)
-        jit = JitBackend(dtype=np.float32)
+        jit = KernelBackend(dtype=np.float32)
         for a, b in zip(_primitive_outputs(ref, x, banks, -1),
                         _primitive_outputs(jit, x, banks, -1)):
             assert np.array_equal(a, b)
@@ -86,7 +87,7 @@ class TestScratchSteadyState:
     def test_pool_stops_growing(self, rng, banks):
         """Steady state must allocate only outputs: the pooled buffer
         count stabilizes after the first call at each shape."""
-        jit = JitBackend(dtype=np.float32)
+        jit = KernelBackend(dtype=np.float32)
         x = rng.standard_normal((4, 16, 20))
         for axis in (1, 2):
             _primitive_outputs(jit, x, banks, axis)
@@ -99,7 +100,7 @@ class TestScratchSteadyState:
     def test_outputs_are_never_pooled(self, rng, banks):
         """Callers hold returned subbands across calls; a second call
         must not overwrite the first call's outputs."""
-        jit = JitBackend(dtype=np.float64)
+        jit = KernelBackend(dtype=np.float64)
         q = banks.qshift
         x = rng.standard_normal((8, 16))
         lo1, hi1 = jit.analysis_d(x, q.h0a, q.h1a, axis=1)
@@ -115,7 +116,7 @@ class TestInputAliasingContract:
 
     @pytest.mark.parametrize("make", [
         lambda dtype: NumpyBackend(dtype=dtype),
-        lambda dtype: JitBackend(dtype=dtype),
+        lambda dtype: KernelBackend(dtype=dtype),
     ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_inputs_untouched(self, rng, banks, make, dtype):
@@ -186,7 +187,7 @@ class TestScratchPool:
 class TestNumbaSwitches:
     def test_forced_fallback_matches(self, rng, banks):
         """compiled=False pins the NumPy path regardless of install."""
-        jit = JitBackend(dtype=np.float32, compiled=False)
+        jit = KernelBackend(dtype=np.float32, compiled=False)
         assert jit.compiled is False
         ref = NumpyBackend(dtype=np.float32)
         x = rng.standard_normal((4, 16))
@@ -195,12 +196,12 @@ class TestNumbaSwitches:
             assert np.array_equal(a, b)
 
     def test_auto_tracks_availability(self):
-        assert JitBackend().compiled is NUMBA_AVAILABLE
+        assert KernelBackend().compiled is NUMBA_AVAILABLE
 
     @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
     def test_compiled_true_requires_numba(self):
         with pytest.raises(RuntimeError, match="numba"):
-            JitBackend(compiled=True)
+            KernelBackend(compiled=True)
 
     def test_env_kill_switch_forces_fallback(self):
         """REPRO_NO_NUMBA=1 must disable the compiled path at import
@@ -209,7 +210,8 @@ class TestNumbaSwitches:
                    PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
             [sys.executable, "-c",
-             "from repro.dtcwt.jit_backend import NUMBA_AVAILABLE, "
-             "JitBackend; print(NUMBA_AVAILABLE, JitBackend().compiled)"],
+             "from repro.dtcwt.backend import NUMBA_AVAILABLE, "
+             "KernelBackend; print(NUMBA_AVAILABLE, "
+             "KernelBackend().compiled)"],
             env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["False", "False"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dtcwt import Dtcwt2D, dtcwt_banks
-from repro.dtcwt.backend import NumpyBackend
+from repro.dtcwt.backend import KernelBackend
 from repro.dtcwt.transform2d import ORIENTATIONS, c2q, q2c
 from repro.errors import TransformError
 
@@ -35,7 +35,7 @@ class TestPerfectReconstruction:
 
     def test_float32_backend_roundtrip(self, rng):
         x = rng.standard_normal((24, 32)).astype(np.float32)
-        t = Dtcwt2D(levels=3, backend=NumpyBackend(dtype=np.float32))
+        t = Dtcwt2D(levels=3, backend=KernelBackend(dtype=np.float32))
         rec = t.inverse(t.forward(x))
         assert rec.dtype == np.float32
         assert np.max(np.abs(rec - x)) < 1e-4

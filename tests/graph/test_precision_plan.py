@@ -50,7 +50,7 @@ class TestPlannedKernelMetadata:
         plan = Planner().lower(graph, FusionConfig(
             engine="adaptive", fusion_shape=(40, 32), levels=2))
         assert (plan.node("visible").engine,
-                plan.node("visible").kernel) == ("arm", "numpy")
+                plan.node("visible").kernel) == ("arm", "arm")
         assert (plan.node("thermal").engine,
                 plan.node("thermal").kernel) == ("neon", "neon")
         for name in ("visible", "thermal"):

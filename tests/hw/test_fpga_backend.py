@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.dtcwt import Dtcwt2D, dtcwt_banks
-from repro.dtcwt.backend import NumpyBackend
 from repro.errors import EngineError
 from repro.hw.fpga import FpgaEngine, HlsBackend, pad_filter_pair
+
+from kernel_oracle import NumpyBackend
 
 
 @pytest.fixture

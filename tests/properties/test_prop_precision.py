@@ -7,9 +7,10 @@ Two distinct guarantees, tested separately:
   stay within 1e-3 max-abs of the float64 datapath's — a bound, not
   bitwise (measured worst case is ~1.1e-4; the 1e-3 bar leaves ~10x
   margin so the contract is stable, not flaky).
-* **Kernel-swap bitwise parity**: at a *fixed* dtype, the JIT backend
-  is bit-for-bit identical to the NumPy backend — swapping the kernel
-  implementation is never a numerics change.
+* **Kernel-swap bitwise parity**: at a *fixed* dtype, the host
+  backend is bit-for-bit identical to the circular-convolution oracle
+  (``tests/kernel_oracle.py``) — swapping the kernel implementation is
+  never a numerics change.
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.fusion import ImageFusion
-from repro.dtcwt import Dtcwt2D, JitBackend, NumpyBackend
+from repro.dtcwt import Dtcwt2D, KernelBackend
 from repro.hw.registry import create_engine
+
+from kernel_oracle import NumpyBackend
 
 _SETTINGS = dict(deadline=None, max_examples=25)
 
@@ -77,7 +80,7 @@ class TestKernelSwapBitwiseParity:
     def test_jit_equals_numpy_at_same_dtype(self, image, levels,
                                             precision):
         ref = Dtcwt2D(levels=levels, backend=NumpyBackend(dtype=precision))
-        jit = Dtcwt2D(levels=levels, backend=JitBackend(dtype=precision))
+        jit = Dtcwt2D(levels=levels, backend=KernelBackend(dtype=precision))
         pr, pj = ref.forward(image), jit.forward(image)
         assert np.array_equal(pr.lowpass, pj.lowpass)
         for hr, hj in zip(pr.highpasses, pj.highpasses):
@@ -94,7 +97,7 @@ class TestKernelSwapBitwiseParity:
     def test_jit_equals_numpy_on_batched_stacks(self, stack):
         """Leading batch axes ride the same per-element arithmetic."""
         ref = Dtcwt2D(levels=2, backend=NumpyBackend(dtype=np.float32))
-        jit = Dtcwt2D(levels=2, backend=JitBackend(dtype=np.float32))
+        jit = Dtcwt2D(levels=2, backend=KernelBackend(dtype=np.float32))
         pr = ref.forward_batch(stack)
         pj = jit.forward_batch(stack)
         assert np.array_equal(pr.lowpass, pj.lowpass)
