@@ -6,8 +6,9 @@ buffering (``pipeline``) and many-frames-per-invocation amortization
 output bit.  This bench measures end-to-end FPS for every registered
 executor (one row per :func:`repro.exec.executor_names` entry) on the
 same seeded synthetic stream and reports speedups against the serial
-baseline, plus each executor's stage occupancy so the overlap is
-visible, not inferred.
+baseline, plus each executor's busiest plan stages (the share of wall
+time in ``stage_wall_s``, which every executor keys by plan stage or
+fused unit) so where the time goes is visible, not inferred.
 
 Runs two ways:
 
@@ -66,7 +67,12 @@ def measure(executor: str, frames: int, size: FrameShape, levels: int,
         "frames": count,
         "elapsed_s": elapsed,
         "fps": count / elapsed if elapsed > 0 else 0.0,
-        "occupancy": throughput.get("stage_occupancy", {}),
+        # stage_wall_s is keyed by plan stage or unit under every
+        # executor, unlike stage_busy_s (each executor's own buckets)
+        "stage_share": {name: seconds / elapsed
+                        for name, seconds
+                        in throughput.get("stage_wall_s", {}).items()}
+        if elapsed > 0 else {},
     }
 
 
@@ -83,7 +89,7 @@ def run_bench(frames: int, size: FrameShape, levels: int, workers: int,
              f"busiest stages"]
     for row in rows:
         speedup = row["fps"] / base["fps"] if base["fps"] > 0 else 0.0
-        top = sorted(row["occupancy"].items(), key=lambda kv: -kv[1])[:3]
+        top = sorted(row["stage_share"].items(), key=lambda kv: -kv[1])[:3]
         stages = ", ".join(f"{k} {v:.0%}" for k, v in top)
         lines.append(f"  {row['executor']:>9} {row['fps']:>8.2f} "
                      f"{speedup:>9.2f}x  {stages}")

@@ -17,7 +17,7 @@ Subcommands
     Lower the session's declarative :class:`~repro.graph.FusionGraph`
     through the planner and print the resulting
     :class:`~repro.graph.FusionPlan` — stage schedule, placements,
-    batch groups and modelled per-stage cost — without fusing a frame.
+    fused units and modelled per-stage cost — without fusing a frame.
 ``serve``
     Run many named streams concurrently over one shared engine pool
     (:class:`repro.serve.FusionService`) from a JSON spec — per-stream
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", parents=[common, execution],
                           help="print the lowered FusionPlan (stages, "
-                               "placements, batch groups, modelled cost)")
+                               "placements, fused units, modelled cost)")
     plan.add_argument("--engine", default="adaptive", choices=engines)
     plan.add_argument("--size", type=_parse_shape, default=FrameShape(88, 72))
     plan.add_argument("--levels", type=int, default=3)

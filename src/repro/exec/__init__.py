@@ -17,8 +17,8 @@ Executor ↔ paper map
 ``serial`` — :class:`SerialExecutor`
     The unoverlapped baseline: one frame at a time, every stage on one
     thread.  This is the single-engine measurement loop behind the
-    paper's Fig. 9/Fig. 10 numbers, extracted from the old session
-    loop unchanged.
+    paper's Fig. 9/Fig. 10 numbers; it is the ``batch`` executor at
+    ``batch_size=1``.
 
 ``pipeline`` — :class:`PipelineExecutor`
     Stage-parallel streaming through bounded queues: capture, forward
@@ -30,13 +30,17 @@ Executor ↔ paper map
 
 ``batch`` — :class:`BatchExecutor`
     Micro-batched NumPy vectorization on one thread: every
-    ``batch_size`` frame pairs are stacked through *one* forward
-    transform (both modalities in the same stack), fused with
-    vectorized rules and reconstructed by one stacked inverse, while
-    ingest/finalize stay per-frame and ordered.  This is the paper's
+    ``batch_size`` frame pairs go to
+    :meth:`FrameProcessor.process_batch`, where each fused unit of the
+    plan stacks them through *one* forward transform per lane (every
+    modality in the same stack), fuses them with vectorized rules and
+    reconstructs them with one stacked inverse, while ingest/finalize
+    stay per-frame and ordered.  This is the paper's
     many-lines-per-invocation amortization applied at frame
     granularity — the right choice on single-core hosts where the
-    thread executor cannot overlap.
+    thread executor cannot overlap.  Which stages stack is the
+    planner's decision (its units), never the executor's: ``serial``
+    and ``batch`` only choose how many frames one call receives.
 
 Which engine computes a stage is not an executor concern: the paper's
 adaptive system makes a static per-workload choice, and a stage is

@@ -162,17 +162,6 @@ class FrameProcessor(ABC):
         """``n`` opaque per-worker contexts (default: none needed)."""
         return [None] * n
 
-    def context_for(self, engine: object) -> Optional[object]:
-        """One worker context bound to an *externally owned* engine.
-
-        The serving layer leases engine instances from a shared
-        :class:`repro.serve.EnginePool` and drives stages under the
-        lease; this hook gives it a context whose compute state (lanes,
-        backend buffers) belongs to exactly that leased instance
-        (default: none needed).
-        """
-        return None
-
     @abstractmethod
     def ingest(self, pair: Any, index: int) -> Any:
         """Turn a raw frame group into a task (ordered, stateful)."""
@@ -187,9 +176,10 @@ class FrameProcessor(ABC):
         """Compute a micro-batch of ingested tasks (every wave and mid
         stage).
 
-        The batch executor's hook: a processor that can stack frames
-        through one transform invocation overrides this to amortize
-        per-call overhead.  The default simply drives the per-frame
+        The hook of the batch and serial executors (and of the serving
+        layer's grants): a processor that can stack frames through one
+        transform invocation overrides this to amortize per-call
+        overhead.  The default simply drives the per-frame
         stages in frame order, so any processor is batch-drivable.
         Implementations must leave each task exactly as the per-frame
         stages would (bitwise), and must keep stateful stages

@@ -5,28 +5,29 @@ through one datapath invocation; the Python port's analogue is
 streaming many *frames* through one NumPy primitive call.
 :class:`BatchExecutor` drains the source in micro-batches of
 ``batch_size`` frame pairs and hands each batch to
-:meth:`~repro.exec.base.FrameProcessor.process_batch`, which a
-batch-aware processor (the session's) implements from its lowered
-plan's batch groups: the canonical ``visible+thermal+fuse`` core rides
-stacked transforms — all forwards of the batch (both modalities!) in
-one call, vectorized coefficient fusion, one stacked inverse — and any
-custom stage in the plan runs per frame around the core, in schedule
-order.
+:meth:`~repro.exec.base.FrameProcessor.process_batch`.  The session's
+processor computes it from its lowered plan's units: a unit's
+``visible+thermal+fuse`` chain rides stacked transforms — all
+forwards of the batch (every source) in one call per lane, vectorized
+coefficient fusion, one stacked inverse — and the remaining stages
+run stage-major or, when not batchable, frame-major, in schedule
+order.  :class:`~repro.exec.serial.SerialExecutor` is this executor
+at ``batch_size=1``.
 
 Everything else stays per-frame: ingest runs in frame order *before*
 the batch computes (so scheduler observations, calibration and frame
 indices advance exactly as under the serial loop), and finalize runs
 in frame order *after* it (per-frame telemetry, monitoring, quality
 metrics, reports — batching never coarsens the observability).  With a
-fixed seed the results are bitwise-identical to
-:class:`~repro.exec.serial.SerialExecutor`; only wall-clock improves.
+fixed seed the results are bitwise-identical at every batch size;
+only wall-clock changes.
 
 Single-threaded by design: the speedup comes from amortizing Python
 call overhead inside NumPy, not from concurrency, so ``batch``
 composes with single-core hosts where the thread executor cannot win.
-A bounded drive ingests at most ``limit`` frames — like the serial
-executor, it never reads the source ahead of its last delivered frame
-beyond the current micro-batch.
+A bounded drive ingests at most ``limit`` frames and never reads the
+source ahead of its last delivered frame beyond the current
+micro-batch.
 """
 
 from __future__ import annotations

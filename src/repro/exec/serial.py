@@ -1,70 +1,25 @@
-"""The serial executor: the original one-frame-at-a-time loop.
+"""The serial executor: the batch executor at ``batch_size=1``.
 
-This is the behaviour :class:`repro.session.FusionSession` had before
-the execution layer existed: every stage of frame ``i`` completes
-before frame ``i+1`` starts, on the caller's thread.  It interprets
-the processor's lowered plan in the simplest possible way — ingest,
-then the parallel wave and the mid chain in schedule order, then
-finalize — and is the reference every concurrent executor is tested
-against, as well as the right choice for single-core hosts or when
-reproducing the paper's unoverlapped baseline numbers.
+Every stage of frame ``i`` completes before frame ``i+1`` is pulled,
+on the caller's thread: ingest, one
+:meth:`~repro.exec.base.FrameProcessor.process_batch` call on that
+single frame, then finalize.  The plan's units decide stacking for it
+exactly as for ``batch``, so a unit's transform chain is one stacked
+call per frame.  It is the paper's unoverlapped baseline and the
+reference every other executor is tested against; its
+``stage_busy_s`` holds ``ingest``, ``batch`` and ``finalize`` (the
+per-stage split is ``stage_wall_s``).
 """
 
 from __future__ import annotations
 
-import itertools
-import time
-from typing import Any, Iterator, Optional
-
-from .base import Executor, FrameProcessor
+from .batch import BatchExecutor
 
 
-class SerialExecutor(Executor):
-    """Drive every stage inline, in frame order, on one thread."""
+class SerialExecutor(BatchExecutor):
+    """Drive one frame at a time, inline, in frame order."""
 
     name = "serial"
-    concurrent = False
 
     def __init__(self, workers: int = 1, queue_depth: int = 1, **_ignored):
-        super().__init__()
-
-    def run(self, processor: FrameProcessor, pairs: Iterator[Any],
-            limit: Optional[int] = None) -> Iterator[Any]:
-        self._claim()
-        return self._drive(processor, pairs, limit)
-
-    def _drive(self, processor: FrameProcessor, pairs: Iterator[Any],
-               limit: Optional[int]) -> Iterator[Any]:
-        stats = self.stats
-        busy = stats.stage_busy_s
-        # the plan's stage lists are fixed for one drive
-        compute = (*processor.parallel_stages(), *processor.mid_stages())
-        started = time.perf_counter()
-        iterator = iter(pairs)
-        try:
-            for index in itertools.count():
-                self._ensure_open(pairs)
-                try:
-                    pair = next(iterator)
-                except StopIteration:
-                    return
-                t0 = time.perf_counter()
-                task = processor.ingest(pair, index)
-                t1 = time.perf_counter()
-                busy["ingest"] = busy.get("ingest", 0.0) + (t1 - t0)
-                for name in compute:
-                    t2 = time.perf_counter()
-                    processor.run_stage(name, task)
-                    bucket = processor.stage_bucket(name)
-                    busy[bucket] = busy.get(bucket, 0.0) \
-                        + (time.perf_counter() - t2)
-                t3 = time.perf_counter()
-                result = processor.finalize(task)
-                busy["finalize"] = busy.get("finalize", 0.0) \
-                    + (time.perf_counter() - t3)
-                stats.frames += 1
-                yield result
-                if limit is not None and stats.frames >= limit:
-                    return
-        finally:
-            stats.wall_seconds = time.perf_counter() - started
+        super().__init__(batch_size=1)

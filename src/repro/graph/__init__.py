@@ -14,8 +14,8 @@ the session:
   :meth:`FusionGraph.canonical` producing the paper's own pipeline;
 * :class:`Planner` — lowers a graph + session config into a
   :class:`FusionPlan`: stage schedule, engine placement via the
-  session's cost models, batch grouping, fused dispatch units,
-  modelled per-stage cost;
+  session's cost models, fused dispatch units, modelled per-stage
+  cost;
 * :class:`FusionPlan` — what every executor in :mod:`repro.exec`
   interprets, and what ``repro-fusion plan`` prints.
 

@@ -17,10 +17,6 @@ The planner is the seam between *describing* the dataflow and
   optimum for ``adaptive``, dynamic per-frame for ``online``) and
   forced placements passed through (a mixed placement runs a frame's
   stages on different engines under every executor);
-* **batch groups** — runs of batchable stages a micro-batching
-  executor may drive stack-major, with the canonical
-  ``visible+thermal+fuse`` core flagged when it is eligible for the
-  single-invocation stacked transform (the session's stacked core);
 * a modelled **per-stage cost** so ``repro-fusion plan`` can show
   where the frame time goes before anything runs;
 * **fused dispatch units** — chains of two or more adjacent stateless
@@ -34,7 +30,11 @@ The planner is the seam between *describing* the dataflow and
   with the mid chain, so only wave stages fuse there; ``serial`` and
   ``batch`` fuse across the whole compute region.  A placement
   change breaks a chain: members are either all ``auto`` or all
-  forced onto one engine.
+  forced onto one engine.  Units are the only stacking rule: the
+  session's ``process_batch`` runs a unit's transform chain as one
+  stacked call per lane over however many frames a driver hands it
+  (one for ``serial`` and ``process()``, ``batch_size`` for
+  ``batch``, a grant under serving).
 
 If any stage between head and tail is ordered, the whole compute
 region degrades to a sequential mid chain (``sequential_mid``):
@@ -112,14 +112,6 @@ class FusionPlan:
     compute: Tuple[str, ...]          # parallel+mid in schedule order
     sequential_mid: bool
     nodes: Dict[str, PlannedStage] = field(repr=False)
-    #: batchable stage groups (the stacked core first, if eligible)
-    batch_groups: Tuple[Tuple[str, ...], ...] = ()
-    #: complete micro-batch execution order: (stage names, mode) with
-    #: mode "core" (one stacked-core invocation per engine), "stacked"
-    #: (stage-major) or "frame" (frame-major run) — what the batch
-    #: executor interprets, verbatim
-    batch_schedule: Tuple[Tuple[Tuple[str, ...], str], ...] = ()
-    fusable_core: bool = False
     dynamic_engine: bool = False
     executor: str = "serial"
     engine: str = "adaptive"
@@ -169,10 +161,6 @@ class FusionPlan:
             "tail": list(self.tail),
             "sequential_mid": self.sequential_mid,
             "dynamic_engine": self.dynamic_engine,
-            "batch_groups": [list(group) for group in self.batch_groups],
-            "batch_schedule": [[list(names), mode]
-                               for names, mode in self.batch_schedule],
-            "fusable_core": self.fusable_core,
             "stages": [self.nodes[name].as_dict()
                        for name in self.schedule],
             "model_seconds_per_frame": self.model_seconds_per_frame,
@@ -200,11 +188,6 @@ class FusionPlan:
         if self.dynamic_engine:
             lines.append("  (* online scheduler: engine re-selected "
                          "per frame; cost shown for the probe engine)")
-        groups = (", ".join("+".join(g) for g in self.batch_groups)
-                  or "none")
-        lines.append(f"  batch groups : {groups}"
-                     + (" (stacked-transform core)"
-                        if self.fusable_core else ""))
         lines.append(f"  mid chain    : "
                      f"{'sequential (ordered stage present)' if self.sequential_mid else 'concurrent-eligible'}")
         kernels = ", ".join(
@@ -266,10 +249,6 @@ class Planner:
                    if name != HOST}
         costs = self._model_costs(graph, placements, engines, config)
         kernels = self._kernel_info(placements, engines, config)
-        batch_schedule, fusable_core = self._batch_schedule(
-            graph, order, compute, head_set, sequential_mid)
-        batch_groups = tuple(names for names, mode in batch_schedule
-                             if mode in ("core", "stacked"))
         units: Dict[str, Tuple[str, ...]] = {}
         if not sequential_mid:
             units = self._fuse_units(
@@ -301,8 +280,6 @@ class Planner:
             graph=graph, schedule=order, head=tuple(head),
             parallel=parallel, mid=mid, tail=tail, compute=compute,
             sequential_mid=sequential_mid, nodes=nodes,
-            batch_groups=batch_groups, batch_schedule=batch_schedule,
-            fusable_core=fusable_core,
             dynamic_engine=dynamic,
             executor=config.executor, engine=config.engine,
             shape=str(config.fusion_shape), levels=config.levels,
@@ -499,51 +476,3 @@ class Planner:
             # temporal fusion decomposes both modalities internally
             return engine.frame_time(shape, levels).total_s
         return 0.0
-
-    def _batch_schedule(self, graph, order, compute, head_set,
-                        sequential_mid
-                        ) -> Tuple[Tuple[Tuple[Tuple[str, ...], str], ...],
-                                   bool]:
-        """The batch executor's execution order over one micro-batch.
-
-        The canonical forward×2+fuse core (when eligible) runs first as
-        one stacked invocation; the remaining compute stages follow in
-        schedule order, grouped into stage-major runs of batchable
-        stages and frame-major runs of non-batchable ones (so a
-        ``batchable=False`` sink keeps per-frame cadence).
-        """
-        if sequential_mid:
-            return (), False
-        core: Tuple[str, ...] = ()
-        forward_names = tuple(
-            name for name in order
-            if graph.stage(name).kind == "forward")
-        if forward_names and "fuse" in graph:
-            stages = [graph.stage(n) for n in forward_names]
-            fuse = graph.stage("fuse")
-            core_ok = (
-                fuse.kind == "fuse"
-                and all(s.batchable and s.placement == AUTO
-                        for s in stages + [fuse])
-                and all(set(s.after) <= head_set for s in stages)
-                and set(fuse.after) <= set(forward_names) | head_set
-            )
-            if core_ok:
-                core = forward_names + ("fuse",)
-        schedule: List[Tuple[Tuple[str, ...], str]] = []
-        if core:
-            schedule.append((core, "core"))
-        run: List[str] = []
-        run_mode: Optional[str] = None
-        for name in compute:
-            if name in core:
-                continue
-            mode = ("stacked" if graph.stage(name).batchable else "frame")
-            if mode != run_mode and run:
-                schedule.append((tuple(run), run_mode))
-                run = []
-            run.append(name)
-            run_mode = mode
-        if run:
-            schedule.append((tuple(run), run_mode))
-        return tuple(schedule), bool(core)

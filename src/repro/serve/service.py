@@ -27,11 +27,11 @@ Execution model
   energy, modelled J/frame from the planner's cost model, divided in
   proportion to weight), so a best-effort stream never starves a
   tenant with a rate to keep, and equally-behind tenants split energy
-  by class.  The worker leases the engine, drives the stream's compute
-  stages (micro-batched through
-  :meth:`~repro.exec.FrameProcessor.process_batch` when the plan
-  allows it), finalizes in frame order, then releases the lease —
-  on success, error and cancellation alike.
+  by class.  The worker leases the engine, computes the grant with
+  one :meth:`~repro.exec.FrameProcessor.process_batch` call (one
+  frame or a micro-batch; the plan's units decide what stacks),
+  finalizes in frame order, then releases the lease — on success,
+  error and cancellation alike.
 
 Live operations
 ---------------
@@ -54,11 +54,13 @@ in-flight`` at every instant) and exported through a
 Determinism contract
 --------------------
 Per-stream compute is serialized (one grant at a time per stream) and
-every stage's arithmetic is bound to the frame's assigned engine —
-leased pool instances come from the same registry factory as a solo
-session's engines — so **with a fixed seed and any worker count, each
-stream's output frames are bitwise-identical to running that stream
-alone on its leased engines**.  Concurrency only changes wall-clock
+runs through the stream's own session processor, the same
+``process_batch`` a solo session drives; every stage's arithmetic is
+bound to the frame's assigned engine — the stream's lanes come from
+the same registry factory as the pool's instances — so **with a fixed
+seed and any worker count, each stream's output frames are
+bitwise-identical to running that stream alone on its leased
+engines**.  Concurrency only changes wall-clock
 interleaving across streams, never a single output bit; shedding only
 ever removes whole frames before ingest, so the frames that *are*
 produced keep the contract and the ledger reconciles exactly.
@@ -116,9 +118,9 @@ class StreamSpec:
         own class weight.
     batch_frames:
         Dispatch granularity: how many pending frames one engine
-        grant may drain under a single lease — a batchable plan rides
-        its stacked micro-batch schedule, a sequential plan runs the
-        grant frame-major in frame order.  Default: the config's
+        grant may drain under a single lease — its units ride stacked
+        transforms over the grant, a sequential plan runs the grant
+        frame-major in frame order.  Default: the config's
         ``batch_size``.  Set 1 to force per-frame cadence (lowest
         latency); granularity never changes output bits, only
         wall-clock.
@@ -216,8 +218,6 @@ class _StreamState:
         self.wall_mark = self.processor.stage_wall_snapshot()
         if spec.config.keep_records:
             self.session._batch_records = []
-        #: per-leased-instance worker contexts (id(engine) -> ctx)
-        self.contexts: Dict[int, object] = {}
         # sequential plans still take multi-frame grants (the frames
         # run frame-major, in order, under one lease), so a temporal
         # stream does not pay per-frame dispatch overhead either
@@ -834,27 +834,17 @@ class FusionService:
         return best, tasks, lease
 
     def _compute(self, st: _StreamState, tasks: List[object],
-                 lease: EngineLease, progress: List[int]) -> None:
-        """Drive one grant: the stream's compute stages, then ordered
-        finalize — the per-stream serial interpretation of its plan,
-        under the externally owned engine lease.  ``progress[0]``
-        counts frames actually finalized, so an error mid-grant is
-        charged to exactly the frames it lost."""
+                 progress: List[int]) -> None:
+        """Drive one grant: one ``process_batch`` over its frames, then
+        ordered finalize — the per-stream batch interpretation of its
+        plan, held under the engine lease.  The grant computes on the
+        stream's private lanes (per-stream compute is serialized, so
+        nothing else touches them); the lease accounts the engine's
+        capacity and occupancy for as long as the grant holds it.
+        ``progress[0]`` counts frames actually finalized, so an error
+        mid-grant is charged to exactly the frames it lost."""
         processor = st.processor
-        if len(tasks) > 1:
-            # micro-batched interpretation of the plan's batch
-            # schedule (bitwise-identical to per-frame, like the
-            # batch executor); a sequential plan runs the grant
-            # frame-major in frame order, also via process_batch
-            processor.process_batch(tasks)
-        else:
-            task = tasks[0]
-            ctx = st.contexts.get(id(lease.engine))
-            if ctx is None:
-                ctx = processor.context_for(lease.engine)
-                st.contexts[id(lease.engine)] = ctx
-            for name in st.plan.compute:
-                processor.run_stage(name, task, ctx)
+        processor.process_batch(tasks)
         for task in tasks:
             result = processor.finalize(task)
             progress[0] += 1
@@ -879,7 +869,7 @@ class FusionService:
                 progress = [0]
                 error: Optional[BaseException] = None
                 try:
-                    self._compute(st, tasks, lease, progress)
+                    self._compute(st, tasks, progress)
                 except BaseException as exc:  # noqa: BLE001
                     if not self.live:
                         raise

@@ -185,8 +185,7 @@ class BrokeredEnginePool:
     accounting lives in exactly one place.  Engine instances are
     created locally (lazily, one per granted label) through the same
     registry the parent pool used; ``id(lease.engine)`` is stable per
-    label, so the service's per-engine worker-context cache works
-    unchanged.
+    label.
     """
 
     def __init__(self, conn: Connection, inventory: Dict[str, int]):

@@ -151,14 +151,11 @@ class _WorkerContext:
     own :class:`ImageFusion` lane per engine *name*, built from that
     engine's own transform factory.  Lanes are functionally identical
     to the session's serial fusers, which is what keeps concurrent
-    schedules bitwise-equal to the serial loop.  ``engine`` is the
-    instance a serving lease owns, when there is one.
+    schedules bitwise-equal to the serial loop.
     """
 
-    def __init__(self, session: "FusionSession",
-                 engine: Optional[Engine] = None):
+    def __init__(self, session: "FusionSession"):
         self._session = session
-        self.engine = engine
         self._lanes: Dict[str, ImageFusion] = {}
         #: per-worker scratch buffers (single-threaded, like the lanes)
         self.scratch = ScratchPool()
@@ -218,6 +215,20 @@ class _SessionProcessor(FrameProcessor):
             name: i for i, name in enumerate(self._forward_names)}
         self._modelled_stages: Tuple[str, ...] = \
             self._forward_names + ("fuse",)
+        # unit name -> how many leading members its stacked core covers
+        # (every forward plus fuse, or the forwards alone); the
+        # planner pins the built-in kinds to their canonical names, so
+        # these names are the forward and fuse stages themselves
+        # (units exist only on non-sequential plans, which always carry
+        # the forwards)
+        forwards = self._forward_names
+        k = len(forwards)
+        self._cores: Dict[str, int] = {}
+        for unit, members in plan.units.items():
+            if members[:k + 1] == forwards + ("fuse",):
+                self._cores[unit] = k + 1
+            elif members[:k] == forwards:
+                self._cores[unit] = k
         # modelled stages with a forced placement: their time/energy is
         # billed to the forced engine (matching the lowered plan), not
         # to the frame's selected engine
@@ -260,20 +271,8 @@ class _SessionProcessor(FrameProcessor):
         with self._wall_lock:
             return dict(self._stage_wall)
 
-    def stage_wall_since(self, mark: Dict[str, float]
-                         ) -> Dict[str, float]:
-        """Per-stage wall seconds accumulated since ``mark`` (one
-        drive's attribution; processors outlive drives)."""
-        now = self.stage_wall_snapshot()
-        return {name: seconds - mark.get(name, 0.0)
-                for name, seconds in now.items()
-                if seconds - mark.get(name, 0.0) > 0.0}
-
     def make_contexts(self, n):
         return [_WorkerContext(self._session) for _ in range(n)]
-
-    def context_for(self, engine):
-        return _WorkerContext(self._session, engine=engine)
 
     # -- stages ---------------------------------------------------------
     def ingest(self, pair: FrameGroup, index: int) -> _FrameTask:
@@ -393,34 +392,33 @@ class _SessionProcessor(FrameProcessor):
     # -- fused dispatch units and the stacked core ----------------------
     def _run_unit(self, name: str, task: _FrameTask,
                   ctx: Optional[_WorkerContext]) -> None:
-        """Execute a fused dispatch unit: the stacked core when the
-        unit starts with the canonical transform chain, then any
-        remaining members in schedule order.
-
-        ``visible+thermal+fuse`` rides :meth:`_stacked_core` for one
-        frame; ``visible+thermal`` alone rides its stacked forward.
-        Members beyond that prefix run exactly as their per-stage
-        dispatch would: fusion never changes what executes, only how
-        many dispatches carry it.
-        """
-        members = self.plan.units[name]
-        forwards = self._forward_names
-        k = len(forwards)
-        prefix = 0
-        # the planner pins the built-in kinds to their canonical names,
-        # so these names are the forward and fuse stages themselves
-        if k >= 2:
-            if members[:k + 1] == forwards + ("fuse",):
-                prefix = k + 1
-            elif members[:k] == forwards:
-                prefix = k
+        """Execute a fused dispatch unit for one frame: its stacked
+        core (:meth:`_run_core`), then any remaining members in
+        schedule order, exactly as their per-stage dispatch would run
+        them: fusion never changes what executes, only how many
+        dispatches carry it."""
+        prefix = self._cores.get(name, 0)
         if prefix:
-            # members of a unit share one placement key, so one lane
-            # computes the whole chain
-            fuser = self._stage_lane(task, self.plan.stage(members[0]), ctx)
-            self._stacked_core([task], fuser, ctx, with_fuse=prefix > k)
-        for member in members[prefix:]:
+            self._run_core(name, [task], ctx)
+        for member in self.plan.units[name][prefix:]:
             self._run_single(member, task, ctx)
+
+    def _run_core(self, name: str, tasks: List[_FrameTask],
+                  ctx: Optional[_WorkerContext]) -> None:
+        """Unit ``name``'s transform chain (``visible+thermal+fuse``,
+        or the forwards alone) over ``tasks``: one :meth:`_stacked_core`
+        call per lane, each lane's tasks in frame order.  Members of a
+        unit share one placement key, so the lane is the forced engine,
+        or each frame's engine for ``auto`` (an online schedule that
+        mixes engines splits by lane)."""
+        stage = self.plan.stage(self.plan.units[name][0])
+        with_fuse = self._cores[name] > len(self._forward_names)
+        lanes: Dict[int, Tuple[ImageFusion, List[_FrameTask]]] = {}
+        for task in tasks:
+            fuser = self._stage_lane(task, stage, ctx)
+            lanes.setdefault(id(fuser), (fuser, []))[1].append(task)
+        for fuser, group in lanes.values():
+            self._stacked_core(group, fuser, ctx, with_fuse)
 
     def _stacked_core(self, tasks: List[_FrameTask], fuser: ImageFusion,
                       ctx: Optional[_WorkerContext],
@@ -470,35 +468,29 @@ class _SessionProcessor(FrameProcessor):
             return self._session._fuser_for(engine)
         if ctx is None:
             return self._session._fusers[task.engine.name]
-        engine = task.engine
-        if ctx.engine is not None and ctx.engine.name == engine.name:
-            # a leased engine computes on its own pool instance (same
-            # registry factory, same arithmetic)
-            engine = ctx.engine
-        return ctx.lane(engine)
+        return ctx.lane(task.engine)
 
     def process_batch(self, tasks) -> None:
-        """Batch-executor hook, interpreting the plan's batch groups.
+        """Compute B >= 1 ingested frames: the one multi-stage compute
+        entry of ``serial`` (B=1), ``batch``, serving grants and
+        :meth:`FusionSession.process`.
 
         A sequential mid chain (stateful temporal fusion, or a custom
-        ordered stage) keeps the strict per-frame order — the whole
-        chain runs frame-major, exactly as the serial loop.  Otherwise
-        the canonical ``visible+thermal+fuse`` core (when the plan
-        flags it fusable) rides one :meth:`_stacked_core` call per
-        assigned engine — each engine's tasks in frame order,
-        so a mixed schedule from the online scheduler stays
-        deterministic: all of the group's visible *and* thermal frames
-        through a single stacked forward, vectorized coefficient
-        fusion, one stacked inverse.  Every other compute stage runs
-        in schedule order with its declared granularity: *batchable*
-        stages go stage-major (the whole micro-batch through one stage
-        before the next), while contiguous runs of non-batchable
-        stages go frame-major — each frame passes through the whole
-        run before the next frame enters it, so a latency-sensitive
-        sink declared ``batchable=False`` keeps its per-frame cadence.
-        Either way each stage sees frames in index order, per-frame
-        arithmetic is bound to the frame's assigned engine, and
-        batched results stay bitwise-identical to the serial executor.
+        ordered stage) keeps the strict per-frame order: the whole
+        chain runs frame-major.  Otherwise the plan's units decide
+        stacking: a unit's transform chain runs through
+        :meth:`_run_core` — one stacked call per lane over the whole
+        micro-batch.  The unit's remaining members and the plain
+        stages follow in schedule order with their declared
+        granularity: *batchable* stages go stage-major (the whole
+        micro-batch through one stage before the next), while
+        contiguous runs of non-batchable stages go frame-major — each
+        frame passes through the whole run before the next frame
+        enters it, so a latency-sensitive sink declared
+        ``batchable=False`` keeps its per-frame cadence.  Either way
+        each stage sees frames in index order and its arithmetic is
+        bound to the frame's engine (or its forced placement), so the
+        frames are bitwise-identical at every B.
         """
         plan = self.plan
         if plan.sequential_mid:
@@ -506,31 +498,29 @@ class _SessionProcessor(FrameProcessor):
                 for name in plan.compute:
                     self.run_stage(name, task)
             return
-        # the plan's batch schedule is the single source of truth for
-        # micro-batch execution order — what `repro plan` prints is
-        # exactly what runs here
-        for names, mode in plan.batch_schedule:
-            if mode == "core":
-                self._batch_core(tasks)
-            elif mode == "stacked":
-                for name in names:
-                    for task in tasks:
-                        self.run_stage(name, task)
-            else:  # "frame": frame-major run of non-batchable stages
-                for task in tasks:
-                    for name in names:
-                        self.run_stage(name, task)
+        frame_run: List[str] = []
 
-    def _batch_core(self, tasks) -> None:
-        """The batch schedule's ``core`` entry: one :meth:`_stacked_core`
-        call per engine group, each group's tasks in frame order."""
-        started = time.perf_counter()
-        groups: Dict[str, List[_FrameTask]] = {}
-        for task in tasks:
-            groups.setdefault(task.engine.name, []).append(task)
-        for name, group in groups.items():
-            self._stacked_core(group, self._session._fusers[name], None)
-        self._record_wall("batch-core", time.perf_counter() - started)
+        def flush() -> None:
+            for task in tasks:
+                for member in frame_run:
+                    self.run_stage(member, task)
+            frame_run.clear()
+
+        for name in plan.compute:
+            prefix = self._cores.get(name, 0)
+            if prefix:
+                flush()
+                started = time.perf_counter()
+                self._run_core(name, tasks, None)
+                self._record_wall(name, time.perf_counter() - started)
+            for member in plan.members(name)[prefix:]:
+                if not plan.stage(member).batchable:
+                    frame_run.append(member)
+                    continue
+                flush()
+                for task in tasks:
+                    self.run_stage(member, task)
+        flush()
 
     # -- accounting -----------------------------------------------------
     def _frame_cost(self, task: _FrameTask
@@ -950,7 +940,8 @@ class FusionSession:
         Positional arguments are the source frames in source order —
         the historical ``process(visible, thermal)`` pair, or N frames
         matching ``FusionConfig(n_sources=N)``.  Always executes
-        inline on the calling thread (the serial path), whatever
+        inline on the calling thread, as a one-frame micro-batch
+        (``process_batch([task])``, the serial path), whatever
         executor the config names for streams.  It cannot run while a
         *concurrent* stream is driving this session: the executor's
         capture thread mutates the same ordered state (frame indices,
@@ -973,8 +964,7 @@ class FusionSession:
         task = processor.ingest(pair, index=0)
         if index is not None:
             task.index = index
-        for name in processor.plan.compute:
-            processor.run_stage(name, task)
+        processor.process_batch([task])
         return processor.finalize(task)
 
     # ------------------------------------------------------------------

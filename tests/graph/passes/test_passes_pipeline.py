@@ -11,9 +11,12 @@ unfused reference plan (``tests/unfused.py``), and that the pool is
 used and reused.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.dtcwt import Dtcwt2D
 from repro.graph import FusionGraph, Planner
 from repro.session import FusionConfig, FusionSession
 from repro.types import FrameShape
@@ -164,11 +167,54 @@ class TestOptimizedSessions:
         assert all(v > 0 for v in wall.values())
 
     def test_stage_wall_keys_follow_the_executor(self):
+        """The batch executor's stacked core is attributed to the unit
+        it runs, the key the serial executor uses too."""
         pairs = _pairs()
         with FusionSession(_config(executor="batch",
                                    batch_size=2)) as session:
             report = session.run(len(pairs), source=iter(list(pairs)))
-        assert "batch-core" in report.throughput["stage_wall_s"]
+        wall = report.throughput["stage_wall_s"]
+        assert "visible+thermal+fuse" in wall
+        assert "batch-core" not in wall
+
+    @pytest.mark.parametrize("executor, forward_batch_calls",
+                             (("batch", 2), ("serial", 8)))
+    def test_forced_core_is_one_stacked_call_under_every_driver(
+            self, executor, forward_batch_calls):
+        """One rule decides stacking: a core forced onto the FPGA is
+        one unit, so 8 frames at B=4 make 2 stacked forwards under
+        ``batch`` (8 one-frame ones under ``serial``) and never a
+        per-frame ``forward``, bitwise-equal to the unfused plan."""
+        place = {"visible": "fpga", "thermal": "fpga", "fuse": "fpga"}
+        config = _config(executor=executor, batch_size=4,
+                         keep_records=True,
+                         graph_overrides={"place": place})
+        pairs = _pairs(8)
+        with unfused_sessions(), FusionSession(config) as plain:
+            ref = plain.run(len(pairs), source=iter(list(pairs)))
+        calls = {"forward": 0, "forward_batch": 0}
+
+        def counted(name):
+            original = getattr(Dtcwt2D, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+            return wrapper
+
+        with mock.patch.object(Dtcwt2D, "forward", counted("forward")), \
+                mock.patch.object(Dtcwt2D, "forward_batch",
+                                  counted("forward_batch")), \
+                FusionSession(config) as fused:
+            assert fused.plan.units == {
+                "visible+thermal+fuse": ("visible", "thermal", "fuse")}
+            got = fused.run(len(pairs), source=iter(list(pairs)))
+        assert calls == {"forward": 0,
+                         "forward_batch": forward_batch_calls}
+        assert ref.model_millijoules_total == got.model_millijoules_total
+        for a, b in zip(ref.records, got.records):
+            assert np.array_equal(a.frame.pixels, b.frame.pixels)
+            assert a.frame.metadata == b.frame.metadata
 
     def test_process_uses_the_scratch_pool(self):
         pairs = _pairs(2)

@@ -1,5 +1,7 @@
 """User-inserted stages: identical results under every executor."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -209,26 +211,45 @@ class TestCustomStageParity:
                 == {"visible": "fpga", "thermal": "neon", "fuse": "neon"}
 
     def test_batch_schedule_is_what_executes(self):
-        """plan.batch_schedule is the single execution order: the core
-        first, then stacked/frame runs matching each stage's
-        batchability."""
+        """The plan's unit is the micro-batch's execution order: its
+        stacked core first (one call for the whole batch), then its
+        remaining members with each stage's batchability — the
+        non-batchable ``a`` frame-major, the batchable ``b`` and ``c``
+        stage-major."""
+        from repro.core.fusion import ImageFusion
+
+        calls = []
+
+        def tap(name):
+            return lambda task: calls.append((name, task.index))
+
         def build(session):
             graph = session.canonical_graph()
-            graph.insert_after("fuse", Stage(name="a", fn=lambda t: None))
-            graph.insert_after("a", Stage(name="b", fn=lambda t: None,
+            graph.insert_after("fuse", Stage(name="a", fn=tap("a")))
+            graph.insert_after("a", Stage(name="b", fn=tap("b"),
+                                          batchable=True))
+            graph.insert_after("b", Stage(name="c", fn=tap("c"),
                                           batchable=True))
             return graph
 
         with FusionSession(small_config()) as s:
-            graph = build(s)
-            plan = s._processor_for(graph).plan
-        assert plan.batch_schedule == (
-            (("visible", "thermal", "fuse"), "core"),
-            (("a",), "frame"),
-            (("b",), "stacked"),
-        )
-        assert plan.batch_groups == (("visible", "thermal", "fuse"),
-                                     ("b",))
+            plan = s._processor_for(build(s)).plan
+        assert plan.units == {"visible+thermal+fuse+a+b+c": (
+            "visible", "thermal", "fuse", "a", "b", "c")}
+
+        fuse_stack = ImageFusion.fuse_stack
+
+        def core(fuser, stack, sources):
+            calls.append(("core", stack.shape[0] // sources))
+            return fuse_stack(fuser, stack, sources)
+
+        with mock.patch.object(ImageFusion, "fuse_stack", core):
+            fuse_stream("batch", build, n=4, batch_size=2)
+        batch = [("core", 2), ("a", 0), ("a", 1),
+                 ("b", 0), ("b", 1), ("c", 0), ("c", 1)]
+        second = [("core", 2)] + [(name, i + 2)
+                                  for name, i in batch[1:]]
+        assert calls == batch + second
 
     def test_batchable_custom_stage_runs_stage_major(self):
         calls = []

@@ -138,8 +138,9 @@ class TestPlannerLowering:
             "parallel", "parallel", "mid"]
         assert plan.tail == ("finalize",)
         assert not plan.sequential_mid
-        assert plan.fusable_core
-        assert plan.batch_groups == (("visible", "thermal", "fuse"),)
+        # the one stacking rule: the whole transform core is one unit
+        assert plan.units == {
+            "visible+thermal+fuse": ("visible", "thermal", "fuse")}
 
     def test_temporal_plan_is_sequential(self):
         plan = Planner().lower(
@@ -149,7 +150,9 @@ class TestPlannerLowering:
         assert plan.parallel == ()
         assert plan.mid == ("temporal",)
         assert plan.sequential_mid
-        assert plan.batch_groups == ()
+        # an ordered stage in the compute region: nothing stacks
+        assert plan.units == {}
+        assert plan.compute == ("temporal",)
 
     def test_auto_placement_resolves_through_cost_model(self):
         full = Planner().lower(FusionGraph.canonical(),
@@ -172,7 +175,10 @@ class TestPlannerLowering:
         graph = FusionGraph.canonical().place("fuse", "fpga")
         plan = Planner().lower(graph, small_config())
         assert plan.node("fuse").engine == "fpga"
-        assert not plan.fusable_core
+        # a forced fuse breaks the visible+thermal+fuse unit: only
+        # the forwards still stack, the fuse stage runs on its own
+        assert plan.units == {"visible+thermal": ("visible", "thermal")}
+        assert plan.compute == ("visible+thermal", "fuse")
 
     def test_unknown_placement_rejected(self):
         graph = FusionGraph.canonical().place("fuse", "abacus")
@@ -181,13 +187,16 @@ class TestPlannerLowering:
 
     def test_custom_stage_between_forwards_and_fuse_decores(self):
         """A node wedged into the pyramid path keeps the graph legal
-        but makes the single-invocation stacked core ineligible."""
+        but breaks the visible+thermal+fuse core: the unit's stacked
+        core covers the forwards alone, and the wedged stage and fuse
+        run member by member after it."""
         graph = FusionGraph.canonical()
         graph.add_stage("sharpen", noop, after=("visible",))
         graph.connect("fuse", "sharpen").disconnect("fuse", "visible")
         graph.validate()
         plan = Planner().lower(graph, small_config())
-        assert not plan.fusable_core
+        assert plan.units == {"visible+thermal+sharpen+fuse": (
+            "visible", "thermal", "sharpen", "fuse")}
         assert plan.node("sharpen").role == "mid"
 
     def test_temporal_graph_needs_temporal_config(self):

@@ -77,9 +77,9 @@ def optimizable_case(draw):
 
 
 def _case(frames=4, **overrides):
-    """An explicit example: the stacked batch core at N=3 and a fused
-    forced-placement wave are always exercised, whatever Hypothesis
-    draws."""
+    """An explicit example: the stacked batch core at N=3 (also with
+    the whole core forced onto the FPGA) and a fused forced-placement
+    wave are always exercised, whatever Hypothesis draws."""
     fields = dict(engine="neon", workers=2, fusion_shape=FrameShape(24, 24),
                   levels=2, quality_metrics=False, keep_records=True)
     fields.update(overrides)
@@ -104,6 +104,10 @@ class TestPassParityProperties:
     @settings(**_SETTINGS)
     @given(case=optimizable_case())
     @example(case=_case(executor="batch", batch_size=3, n_sources=3))
+    @example(case=_case(executor="batch", batch_size=3, n_sources=3,
+                        graph_overrides={"place": {
+                            "visible": "fpga", "thermal": "fpga",
+                            "source2": "fpga", "fuse": "fpga"}}))
     @example(case=_case(executor="pipeline", graph_overrides={
         "place": {"visible": "fpga", "thermal": "fpga"}}))
     def test_bitwise_parity_and_energy_balance(self, case):

@@ -10,6 +10,8 @@ canonical pipeline under random feature flags, splice-extended with
 random custom map stages at random anchors.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,21 +130,31 @@ class TestPlannerProperties:
     @settings(**_SETTINGS)
     @given(pair=graph_and_config())
     def test_batch_schedule_covers_compute_exactly_once(self, pair):
+        """The units are the one stacking rule every driver follows:
+        each is a run of two or more stateless stages adjacent in the
+        schedule under one placement key, the compute region covers
+        every member exactly once, a sequential plan has none, and
+        ``serial`` and ``batch`` lower to the same units."""
         graph, config = pair
         plan = Planner().lower(graph, config)
-        scheduled = [name for names, _ in plan.batch_schedule
-                     for name in names]
+        expanded = _stages(plan, plan.compute)
+        assert len(set(expanded)) == len(expanded)
         if plan.sequential_mid:
-            assert plan.batch_schedule == ()
-        else:
-            assert sorted(scheduled) == sorted(_stages(plan,
-                                                       plan.compute))
-        for names, mode in plan.batch_schedule:
-            assert mode in ("core", "stacked", "frame")
-            if mode == "stacked":
-                assert all(graph.stage(n).batchable for n in names)
-            if mode == "frame":
-                assert all(not graph.stage(n).batchable for n in names)
+            assert plan.units == {}
+        position = {name: i for i, name in enumerate(plan.schedule)}
+        for unit, members in plan.units.items():
+            assert unit in plan.compute
+            assert len(members) >= 2
+            assert len({graph.stage(m).placement for m in members}) == 1
+            assert not any(graph.stage(m).ordered for m in members)
+            first = position[members[0]]
+            assert [position[m] for m in members] == list(
+                range(first, first + len(members)))
+        if config.executor in ("serial", "batch"):
+            other = copy.copy(config)
+            other.executor = ("batch" if config.executor == "serial"
+                              else "serial")
+            assert Planner().lower(graph, other).units == plan.units
 
     @settings(**_SETTINGS)
     @given(pair=graph_and_config())
@@ -153,7 +165,8 @@ class TestPlannerProperties:
         assert first.schedule == second.schedule
         assert first.compute == second.compute
         assert first.units == second.units
-        assert first.batch_schedule == second.batch_schedule
+        assert (first.parallel, first.mid) == (second.parallel,
+                                               second.mid)
         assert {n: first.node(n).engine for n in first.schedule} \
             == {n: second.node(n).engine for n in second.schedule}
         assert first.model_seconds_per_frame \

@@ -140,7 +140,8 @@ class TestCli:
         assert "FusionGraph" in out and "FusionPlan" in out
         for stage in ("ingest", "visible", "thermal", "fuse", "finalize"):
             assert stage in out
-        assert "batch groups" in out
+        assert "fused units  : visible+thermal+fuse = " in out
+        assert "batch groups" not in out
 
     def test_plan_json_output(self, capsys):
         from repro.cli import main
@@ -151,7 +152,10 @@ class TestCli:
         assert payload["schedule"] == ["ingest", "visible", "thermal",
                                        "fuse", "finalize"]
         assert payload["executor"] == "batch"
-        assert payload["batch_groups"] == [["visible", "thermal", "fuse"]]
+        assert payload["units"] == {
+            "visible+thermal+fuse": ["visible", "thermal", "fuse"]}
+        for key in ("batch_schedule", "batch_groups", "fusable_core"):
+            assert key not in payload
         assert payload["model_seconds_per_frame"] > 0
         placements = {s["name"]: s["placement"] for s in payload["stages"]}
         assert placements["fuse"] in ("arm", "neon", "fpga")

@@ -2,9 +2,9 @@
 member stages.
 
 ``Planner.lower`` fuses adjacent stateless stages into dispatch units
-that the session drives through its stacked core.  ``unfuse(plan)`` is
-the same plan with no units and no stacked batch core, so every stage
-runs through the session's stage-by-stage path
+that the session drives through its stacked core; the units are the
+only thing that stacks.  ``unfuse(plan)`` is the same plan with no
+units, so every stage runs through the session's stage-by-stage path
 (``_SessionProcessor._run_single``) under every executor — the slow
 reference the fused lowering is checked against, bit for bit.
 """
@@ -18,22 +18,14 @@ from repro.session import FusionSession
 
 def unfuse(plan):
     """``plan`` with every unit replaced by its members, in order, and
-    the parallel/mid split restored from the stages' lowered roles.
-
-    The batch schedule's stacked ``core`` entry becomes a stage-major
-    run of the same stages, so the batch executor, too, drives every
-    stage through the stage-by-stage path."""
+    the parallel/mid split restored from the stages' lowered roles."""
     compute = tuple(member for name in plan.compute
                     for member in plan.members(name))
     return replace(
         plan, compute=compute, units={},
         parallel=tuple(n for n in compute
                        if plan.node(n).role == "parallel"),
-        mid=tuple(n for n in compute if plan.node(n).role == "mid"),
-        batch_schedule=tuple(
-            (names, "stacked" if mode == "core" else mode)
-            for names, mode in plan.batch_schedule),
-        fusable_core=False)
+        mid=tuple(n for n in compute if plan.node(n).role == "mid"))
 
 
 @contextmanager
