@@ -68,7 +68,7 @@ def measure(executor: str, frames: int, size: FrameShape, levels: int,
         "elapsed_s": elapsed,
         "fps": count / elapsed if elapsed > 0 else 0.0,
         # stage_wall_s is keyed by plan stage or unit under every
-        # executor, unlike stage_busy_s (each executor's own buckets)
+        # executor: the session processor's one stage timer
         "stage_share": {name: seconds / elapsed
                         for name, seconds
                         in throughput.get("stage_wall_s", {}).items()}

@@ -61,24 +61,28 @@ class ExecStats:
 
     These are *measured* quantities — they live alongside, and never
     replace, the modelled time/energy the session accounts per frame.
-    ``stage_busy_s`` maps stage (or worker) names to seconds spent
-    executing work; occupancy is that busy time as a fraction of the
-    wall interval, the direct analogue of the paper's overlapped
-    transfer/compute utilisation.
+    An executor times only its drive (``wall_seconds``); the stage
+    tables come from the session processor's one record of measured
+    stage time, summed two ways: ``stage_wall_s`` per plan stage (or
+    fused unit, plus ``ingest`` and ``finalize``) and
+    ``thread_busy_s`` per thread.  A processor driven directly by an
+    executor, outside a session, leaves both empty.
     """
 
     executor: str = "serial"
     frames: int = 0
     wall_seconds: float = 0.0
-    stage_busy_s: Dict[str, float] = field(default_factory=dict)
     queue_peak: Dict[str, int] = field(default_factory=dict)
+    #: frames each pool thread computed, keyed by thread name (the
+    #: same keys as ``thread_busy_s``)
     worker_frames: Dict[str, int] = field(default_factory=dict)
-    #: per-stage wall-time attribution measured by the processor (how
-    #: long each stage ran, summed over frames and workers) — unlike
-    #: ``stage_busy_s`` it is keyed by *plan stage* (or fused unit)
-    #: name under every executor, so reports can attribute wall time
-    #: to pipeline stages uniformly
+    #: measured seconds per plan stage or fused unit, summed over
+    #: frames and threads
     stage_wall_s: Dict[str, float] = field(default_factory=dict)
+    #: the same record summed per thread (``MainThread``,
+    #: ``exec-capture``, ``exec-forward-0``, ...): how long each
+    #: thread spent inside a stage
+    thread_busy_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def wall_fps(self) -> float:
@@ -86,24 +90,22 @@ class ExecStats:
             return 0.0
         return self.frames / self.wall_seconds
 
-    def occupancy(self) -> Dict[str, float]:
-        """Busy fraction of the wall interval, per stage/worker."""
-        if self.wall_seconds <= 0:
-            return {name: 0.0 for name in self.stage_busy_s}
-        return {name: busy / self.wall_seconds
-                for name, busy in self.stage_busy_s.items()}
-
     def as_dict(self) -> Dict[str, object]:
+        """The stats, plus ``unattributed_s``: per thread, the drive's
+        wall time spent outside any stage (pulling the source, waiting
+        on a queue, running the executor's loop)."""
         return {
             "executor": self.executor,
             "frames": self.frames,
             "wall_seconds": self.wall_seconds,
             "wall_fps": self.wall_fps,
-            "stage_busy_s": dict(self.stage_busy_s),
-            "stage_occupancy": self.occupancy(),
             "queue_peak": dict(self.queue_peak),
             "worker_frames": dict(self.worker_frames),
             "stage_wall_s": dict(self.stage_wall_s),
+            "thread_busy_s": dict(self.thread_busy_s),
+            "unattributed_s": {thread: self.wall_seconds - busy
+                               for thread, busy
+                               in self.thread_busy_s.items()},
         }
 
 
@@ -139,24 +141,6 @@ class FrameProcessor(ABC):
     def mid_stages(self) -> Tuple[str, ...]:
         """Stage names run after the parallel wave, in this order."""
         return ("fuse",)
-
-    def stage_bucket(self, name: str) -> str:
-        """Stats key a stage's busy time is accounted under (the two
-        canonical forwards share one ``forward`` bucket)."""
-        return {"visible": "forward", "thermal": "forward"}.get(name, name)
-
-    def stage_wall_snapshot(self) -> Dict[str, float]:
-        """Cumulative measured per-stage wall seconds (default: the
-        processor measures nothing)."""
-        return {}
-
-    def stage_wall_since(self, mark: Dict[str, float]) -> Dict[str, float]:
-        """Per-stage wall seconds accumulated since ``mark`` (an
-        earlier :meth:`stage_wall_snapshot`)."""
-        current = self.stage_wall_snapshot()
-        return {name: seconds - mark.get(name, 0.0)
-                for name, seconds in current.items()
-                if seconds - mark.get(name, 0.0) > 0.0}
 
     def make_contexts(self, n: int) -> List[Optional[object]]:
         """``n`` opaque per-worker contexts (default: none needed)."""

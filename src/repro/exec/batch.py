@@ -27,7 +27,8 @@ call overhead inside NumPy, not from concurrency, so ``batch``
 composes with single-core hosts where the thread executor cannot win.
 A bounded drive ingests at most ``limit`` frames and never reads the
 source ahead of its last delivered frame beyond the current
-micro-batch.
+micro-batch.  The executor times only its drive; the session's
+processor times ingest, each unit or stage and finalize.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class BatchExecutor(Executor):
     def _drive(self, processor: FrameProcessor, pairs: Iterator[Any],
                limit: Optional[int]) -> Iterator[Any]:
         stats = self.stats
-        busy = stats.stage_busy_s
         started = time.perf_counter()
         iterator = iter(pairs)
         try:
@@ -75,25 +75,14 @@ class BatchExecutor(Executor):
                 raw = list(itertools.islice(iterator, want))
                 if not raw:
                     return
-
-                t0 = time.perf_counter()
                 tasks = [processor.ingest(pair, index + offset)
                          for offset, pair in enumerate(raw)]
                 index += len(tasks)
-                t1 = time.perf_counter()
                 processor.process_batch(tasks)
-                t2 = time.perf_counter()
-
-                busy["ingest"] = busy.get("ingest", 0.0) + (t1 - t0)
-                busy["batch"] = busy.get("batch", 0.0) + (t2 - t1)
                 stats.queue_peak["batch"] = max(
                     stats.queue_peak.get("batch", 0), len(tasks))
-
                 for task in tasks:
-                    t3 = time.perf_counter()
                     result = processor.finalize(task)
-                    busy["finalize"] = (busy.get("finalize", 0.0)
-                                        + time.perf_counter() - t3)
                     stats.frames += 1
                     yield result
         finally:

@@ -29,6 +29,12 @@ policies (rig calibration, temporal fusion, monitoring, telemetry)
 behave exactly as in the serial loop; wave stages are pure and bound
 to the frame's engine, so results are bitwise identical no matter how
 the pool interleaves them.
+
+The executor times only its drive; the session's processor times
+every stage on whichever thread runs it, so a report's
+``thread_busy_s`` shows how long each ``exec-*`` thread really
+worked, and ``worker_frames`` counts each pool thread's stage jobs
+under the same thread names.
 """
 
 from __future__ import annotations
@@ -110,7 +116,6 @@ class PipelineExecutor(Executor):
     def _drive(self, processor: FrameProcessor, pairs: Iterator[Any],
                limit: Optional[int]) -> Iterator[Any]:
         stats = self.stats
-        busy = stats.stage_busy_s
         started = time.perf_counter()
 
         q_order: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
@@ -140,10 +145,7 @@ class PipelineExecutor(Executor):
                     except StopIteration:
                         break
                     index = produced
-                    t0 = time.perf_counter()
                     task = processor.ingest(pair, index)
-                    busy["ingest"] = busy.get("ingest", 0.0) \
-                        + (time.perf_counter() - t0)
                     # with a sequential mid chain (temporal fusion) the
                     # whole transform runs there; no wave jobs exist
                     env = _Envelope(task, index, forwards=len(wave))
@@ -165,17 +167,14 @@ class PipelineExecutor(Executor):
 
         def forward_worker(slot: int) -> None:
             ctx = pool_ctxs[slot]
-            name = f"forward[{slot}]"
+            name = threading.current_thread().name
             try:
                 while not self._stop:
                     job = self._get(q_forward)
                     if job is _DONE:
                         return
                     stage, env = job
-                    t0 = time.perf_counter()
                     processor.run_stage(stage, env.task, ctx)
-                    busy[name] = busy.get(name, 0.0) \
-                        + (time.perf_counter() - t0)
                     stats.worker_frames[name] = \
                         stats.worker_frames.get(name, 0) + 1
                     env.forward_completed()
@@ -192,11 +191,7 @@ class PipelineExecutor(Executor):
                         if self._stop:
                             return
                     for stage in mid:
-                        t0 = time.perf_counter()
                         processor.run_stage(stage, env.task, fuse_ctx)
-                        bucket = processor.stage_bucket(stage)
-                        busy[bucket] = busy.get(bucket, 0.0) \
-                            + (time.perf_counter() - t0)
                     if not self._put(q_done, env, "done"):
                         return
                 self._put(q_done, _DONE, "done")
@@ -219,10 +214,7 @@ class PipelineExecutor(Executor):
                 env = self._get(q_done)
                 if env is _DONE:
                     break
-                t0 = time.perf_counter()
                 result = processor.finalize(env.task)
-                busy["finalize"] = busy.get("finalize", 0.0) \
-                    + (time.perf_counter() - t0)
                 stats.frames += 1
                 yield result
                 if limit is not None and stats.frames >= limit:

@@ -6,9 +6,9 @@ on the caller's thread: ingest, one
 single frame, then finalize.  The plan's units decide stacking for it
 exactly as for ``batch``, so a unit's transform chain is one stacked
 call per frame.  It is the paper's unoverlapped baseline and the
-reference every other executor is tested against; its
-``stage_busy_s`` holds ``ingest``, ``batch`` and ``finalize`` (the
-per-stage split is ``stage_wall_s``).
+reference every other executor is tested against.  All of its
+stage time lands on the caller's thread in ``thread_busy_s``; the
+per-stage split is ``stage_wall_s``.
 """
 
 from __future__ import annotations

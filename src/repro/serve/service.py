@@ -215,7 +215,6 @@ class _StreamState:
         self.t_attach: Optional[float] = None  # monotonic; the SLO clock
         self.slo_demand: Dict[str, float] = {}
         self.mark = self.session._snapshot()
-        self.wall_mark = self.processor.stage_wall_snapshot()
         if spec.config.keep_records:
             self.session._batch_records = []
         # sequential plans still take multi-frame grants (the frames
@@ -1196,7 +1195,7 @@ class FusionService:
             "priority_class": st.slo.priority_class,
             "shed": st.shed,
             "errored": st.errored,
-            "stage_wall_s": st.processor.stage_wall_since(st.wall_mark),
+            "stage_wall_s": st.processor.stage_wall_since()[0],
         }
         return report
 

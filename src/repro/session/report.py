@@ -66,9 +66,9 @@ class FusionReport:
     registered_shift_px: float = 0.0
     fifo_dropped: int = 0
     decode_errors: int = 0
-    #: measured executor throughput (wall fps, per-stage occupancy,
-    #: queue depth peaks, per-stage wall) — see
-    #: :class:`repro.exec.ExecStats`.
+    #: measured executor throughput (wall fps, queue depth peaks,
+    #: wall per stage and busy and unattributed time per thread) —
+    #: see :class:`repro.exec.ExecStats`.
     #: Scope: the most recent stream drive (batch-scoped on run()
     #: reports), unlike ``telemetry`` which is session-cumulative;
     #: empty when the frames were fused via :meth:`FusionSession.process`

@@ -200,10 +200,11 @@ class _SessionProcessor(FrameProcessor):
         # the stacked core's input stacks for the serial lane and the
         # batch core (ctx=None paths); worker contexts carry their own
         self._scratch = ScratchPool()
-        # measured per-stage wall-time attribution (stage or unit name
-        # -> seconds); executors of every kind funnel through
-        # run_stage, so one accumulator covers them all
-        self._stage_wall: Dict[str, float] = {}
+        # the program's one stage timer: measured seconds keyed by
+        # (stage or unit name, thread name).  Executors of every kind
+        # and the serving layer funnel through ingest, run_stage,
+        # process_batch and finalize, so one record covers them all
+        self._stage_wall: Dict[Tuple[str, str], float] = {}
         self._wall_lock = threading.Lock()
         # the plan's forward stages in schedule order: ("visible",
         # "thermal") for the paper pair, plus "source2", ... for N-way
@@ -249,27 +250,35 @@ class _SessionProcessor(FrameProcessor):
     def mid_stages(self):
         return self.plan.mid
 
-    def stage_bucket(self, name: str) -> str:
-        if self.plan.is_unit(name):
-            return name  # a fused unit is its own stats bucket
-        kind = self.plan.stage(name).kind
-        if kind == "forward":
-            return "forward"
-        if kind == "temporal":
-            return "fuse"  # the stats key the mid lane always used
-        return name
-
     # -- measured per-stage wall time ----------------------------------
     def _record_wall(self, name: str, seconds: float) -> None:
+        key = (name, threading.current_thread().name)
         with self._wall_lock:
-            self._stage_wall[name] = \
-                self._stage_wall.get(name, 0.0) + seconds
+            self._stage_wall[key] = self._stage_wall.get(key, 0.0) + seconds
 
-    def stage_wall_snapshot(self) -> Dict[str, float]:
-        """Cumulative measured seconds per stage/unit since this
-        processor was built (copy; safe to keep as a mark)."""
+    def stage_wall_snapshot(self) -> Dict[Tuple[str, str], float]:
+        """Cumulative measured seconds per (stage or unit, thread)
+        since this processor was built (copy; safe to keep as a
+        mark)."""
         with self._wall_lock:
             return dict(self._stage_wall)
+
+    def stage_wall_since(
+            self, mark: Optional[Dict[Tuple[str, str], float]] = None
+    ) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """The record since ``mark`` (an earlier
+        :meth:`stage_wall_snapshot`; None: since the processor was
+        built), summed per stage or unit and per thread."""
+        mark = mark or {}
+        per_stage: Dict[str, float] = {}
+        per_thread: Dict[str, float] = {}
+        for key, seconds in self.stage_wall_snapshot().items():
+            seconds -= mark.get(key, 0.0)
+            if seconds > 0.0:
+                stage, thread = key
+                per_stage[stage] = per_stage.get(stage, 0.0) + seconds
+                per_thread[thread] = per_thread.get(thread, 0.0) + seconds
+        return per_stage, per_thread
 
     def make_contexts(self, n):
         return [_WorkerContext(self._session) for _ in range(n)]
@@ -312,7 +321,7 @@ class _SessionProcessor(FrameProcessor):
             frames=frames,
             engine=engine,
             model_seconds=seconds,
-            started=time.perf_counter(),
+            started=started,
         )
         session._next_index += 1
         self._record_wall("ingest", time.perf_counter() - started)
@@ -572,8 +581,6 @@ class _SessionProcessor(FrameProcessor):
                                              fused).action
 
         seconds, mj, engine_label, stages = self._frame_cost(task)
-        wall = time.perf_counter() - task.started if task.started else None
-        session.telemetry.record(seconds, mj, wall_seconds=wall)
 
         quality: Dict[str, float] = {}
         if session.config.quality_metrics:
@@ -618,7 +625,11 @@ class _SessionProcessor(FrameProcessor):
         # session-lifetime list would grow without bound
         if session._batch_records is not None:
             session._batch_records.append(result)
-        self._record_wall("finalize", time.perf_counter() - started)
+        # last, so the frame's wall latency spans ingest to report
+        ended = time.perf_counter()
+        session.telemetry.record(seconds, mj,
+                                 wall_seconds=ended - task.started)
+        self._record_wall("finalize", ended - started)
         return result
 
 
@@ -1013,7 +1024,7 @@ class FusionSession:
         driver: Optional[Executor] = None
         try:
             processor = self._processor_for(graph, executor)
-            wall_mark = processor.stage_wall_snapshot()
+            stage_mark = processor.stage_wall_snapshot()
             driver = self._make_executor(executor)
             self._concurrent_drive = driver.concurrent
             # a closed-aware iterator keeps the executor contract
@@ -1029,8 +1040,8 @@ class FusionSession:
                 # every drive overwrites the block, a zero-frame drive
                 # included — a batch report must never carry the
                 # previous batch's wall-clock numbers
-                driver.stats.stage_wall_s = \
-                    processor.stage_wall_since(wall_mark)
+                driver.stats.stage_wall_s, driver.stats.thread_busy_s = \
+                    processor.stage_wall_since(stage_mark)
                 self._last_throughput = driver.stats.as_dict()
             # fold the transport health of whichever source fed this
             # stream into the session's counters

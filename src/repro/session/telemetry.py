@@ -31,8 +31,10 @@ class TelemetrySummary:
     jitter_rms_s: float
     deadline_misses: int
     millijoules_total: float
-    #: measured wall-clock per-frame latency (ingest -> report), where
-    #: observed; 0.0 when the caller never supplied wall timings
+    #: measured wall-clock per-frame latency, where observed: from
+    #: the entry of the frame's ingest to the end of its finalize
+    #: (queueing between stages included); 0.0 when the caller never
+    #: supplied wall timings
     wall_latency_mean_s: float = 0.0
     wall_latency_p95_s: float = 0.0
 

@@ -109,7 +109,10 @@ class TestBatchSemantics:
         assert block["frames"] == 7
         assert block["wall_fps"] > 0
         assert block["queue_peak"]["batch"] == 3
-        assert {"ingest", "batch", "finalize"} <= set(block["stage_busy_s"])
+        assert set(block["stage_wall_s"]) == {
+            "ingest", *s.plan.compute, "finalize"}
+        assert set(block["thread_busy_s"]) == {
+            threading.current_thread().name}
 
     def test_batch_size_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,6 @@
 """The pluggable execution layer: determinism, lifecycle, telemetry."""
 
+import sys
 import threading
 import time
 from contextlib import nullcontext
@@ -19,6 +20,7 @@ from repro.exec import (
 )
 from repro.exec.base import FrameProcessor
 from repro.hw.registry import create_engine
+from repro.serve import FusionService
 from repro.session import (
     FramePair,
     FrameSource,
@@ -457,8 +459,9 @@ class TestLifecycle:
         with FusionSession(small_config(executor="pipeline",
                                         temporal=True)) as s:
             report = s.run(3)
-        busy = report.throughput["stage_busy_s"]
-        assert not any(name.startswith("forward") for name in busy)
+        busy = report.throughput["thread_busy_s"]
+        assert not any(name.startswith("exec-forward") for name in busy)
+        assert report.throughput["worker_frames"] == {}
         assert report.frames == 3
 
     def test_stage_error_propagates_from_worker(self):
@@ -483,8 +486,9 @@ class TestThroughputTelemetry:
         assert block["frames"] == 4
         assert block["wall_fps"] > 0
         assert report.wall_fps == block["wall_fps"]
-        assert isinstance(block["stage_occupancy"], dict)
-        assert 0.0 <= max(block["stage_occupancy"].values()) <= 1.0
+        assert set(block["unattributed_s"]) == set(block["thread_busy_s"])
+        assert 0.0 < max(block["thread_busy_s"].values()) \
+            <= block["wall_seconds"]
         assert isinstance(block["queue_peak"], dict)
         assert "throughput" in report.as_dict()
 
@@ -493,9 +497,11 @@ class TestThroughputTelemetry:
                                         queue_depth=2)) as s:
             report = s.run(5)
         block = report.throughput
-        assert {"ingest", "fuse", "finalize"} <= set(block["stage_busy_s"])
-        assert any(name.startswith("forward") for name
-                   in block["stage_busy_s"])
+        threads = set(block["thread_busy_s"])
+        assert {"exec-capture", "exec-fuse",
+                threading.current_thread().name} <= threads
+        assert any(name.startswith("exec-forward-") for name in threads)
+        assert {"ingest", "fuse", "finalize"} <= set(block["stage_wall_s"])
         assert block["queue_peak"]["order"] <= 2
         assert block["queue_peak"]["done"] <= 2
 
@@ -507,12 +513,102 @@ class TestThroughputTelemetry:
 
     def test_exec_stats_shape(self):
         stats = ExecStats(executor="x", frames=10, wall_seconds=2.0,
-                          stage_busy_s={"fuse": 1.0})
+                          stage_wall_s={"fuse": 1.5},
+                          thread_busy_s={"MainThread": 0.5,
+                                         "exec-fuse": 1.0})
         assert stats.wall_fps == 5.0
-        assert stats.occupancy() == {"fuse": 0.5}
         as_dict = stats.as_dict()
         assert as_dict["wall_fps"] == 5.0
-        assert as_dict["stage_occupancy"] == {"fuse": 0.5}
+        assert as_dict["unattributed_s"] == {"MainThread": 1.5,
+                                             "exec-fuse": 1.0}
+        for removed in ("stage_busy_s", "stage_occupancy"):
+            assert removed not in as_dict
+
+
+# ----------------------------------------------------------------------
+class TestOneStageRecord:
+    """The session processor's record is the only stage timer; a
+    report's per-stage and per-thread tables are two sums of it."""
+
+    @pytest.mark.parametrize("executor", executor_names())
+    def test_stage_and_thread_views_close(self, executor):
+        with FusionSession(small_config(executor=executor)) as s:
+            block = s.run(6).throughput
+        stages, threads = block["stage_wall_s"], block["thread_busy_s"]
+        assert {"ingest", "finalize"} <= set(stages)
+        assert sum(stages.values()) == pytest.approx(
+            sum(threads.values()), rel=1e-9)
+        assert set(block["unattributed_s"]) == set(threads)
+        for thread, busy in threads.items():
+            idle = block["unattributed_s"][thread]
+            assert idle >= 0.0
+            assert busy + idle == pytest.approx(block["wall_seconds"],
+                                                rel=1e-9)
+        if executor == "pipeline":
+            assert block["worker_frames"]
+            assert set(block["worker_frames"]) <= set(threads)
+
+    def test_record_under_thread_contention(self):
+        """More pool threads than cores and a short switch interval:
+        every wave job is counted once and lands in the record under
+        the thread that ran it."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with FusionSession(small_config(executor="pipeline",
+                                            workers=4)) as s:
+                block = s.run(12).throughput
+                wave = len(s.plan.parallel)
+        finally:
+            sys.setswitchinterval(interval)
+        jobs = block["worker_frames"]
+        assert sum(jobs.values()) == 12 * wave
+        assert set(jobs) <= set(block["thread_busy_s"])
+        assert sum(block["stage_wall_s"].values()) == pytest.approx(
+            sum(block["thread_busy_s"].values()), rel=1e-9)
+
+    @pytest.mark.parametrize("executor", executor_names())
+    def test_processor_outside_a_session_gets_empty_tables(self,
+                                                           executor):
+        with make_executor(executor) as driver:
+            list(driver.run(_SleepyProcessor(), iter(range(3)), limit=3))
+        block = driver.stats.as_dict()
+        assert block["frames"] == 3
+        assert block["stage_wall_s"] == {}
+        assert block["thread_busy_s"] == {}
+        assert block["unattributed_s"] == {}
+
+    def test_serve_stream_report_keys_are_the_plan(self):
+        service = FusionService(pool={"neon": 1})
+        service.add_stream("a", config=small_config(),
+                           source=SyntheticSource(seed=5), frames=4)
+        report = service.serve().streams["a"]
+        with FusionSession(small_config()) as s:
+            plan = s.plan
+        assert set(report.throughput["stage_wall_s"]) == {
+            "ingest", *plan.compute, "finalize"}
+
+    def test_wall_latency_spans_ingest_and_finalize(self, monkeypatch):
+        """``wall_latency_*`` reads ingest -> report: a slow
+        normalisation and slow quality metrics both show in it."""
+        import repro.session.session as session_module
+        report_fn = session_module.fusion_report
+        normalize = FusionSession._normalize
+
+        def slow_report(*args, **kwargs):
+            time.sleep(0.02)
+            return report_fn(*args, **kwargs)
+
+        def slow_normalize(self, *args, **kwargs):
+            time.sleep(0.01)
+            return normalize(self, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "fusion_report", slow_report)
+        monkeypatch.setattr(FusionSession, "_normalize", slow_normalize)
+        with FusionSession(small_config(quality_metrics=True)) as s:
+            report = s.run(3)
+        # 20 ms of quality metrics plus 2 x 10 ms of normalisation
+        assert report.telemetry["wall_latency_mean_ms"] >= 40.0
 
 
 # ----------------------------------------------------------------------
