@@ -85,7 +85,7 @@ def fuse_group(mode: str, fusion: ImageFusion,
     """
     if mode == "separate":
         pyramids = [fusion.decompose(frame) for frame in group]
-        fusion.reconstruct(fusion.combine_many(pyramids))
+        fusion.reconstruct(fusion.combine(*pyramids))
     else:
         fusion.fuse_batch(*(frame[None] for frame in group))
 

@@ -1,4 +1,4 @@
-"""Shard scaling: the same stream fleet at 1, 2 and 4 shard processes.
+"""Shard tier vs in-process service: the same fleet at equal worker threads.
 
 :class:`repro.serve.ShardedFusionService` exists to buy *multi-core*
 throughput that a single GIL-bound interpreter cannot: each shard is a
@@ -6,27 +6,37 @@ full FusionService in its own process, frames travel over shared-memory
 rings, and the parent brokers one global engine pool.  This bench
 drives an 8-stream batch fleet (alternating ARM/NEON tenants on small
 frames — the shape where NumPy vectorization is already saturated
-per-process and the interpreter is the bottleneck) through the sharded
-service at 1, 2 and 4 shards and reports aggregate FPS per shard
-count.  Bitwise cross-shard-count parity is asserted, not assumed:
-every stream must hash identically at every shard count — sharding
-relocates the interpreter, never the arithmetic.
+per-process and the interpreter is the bottleneck) through two sides
+that run the same number of service worker threads:
+
+* ``shards``: ``ShardedFusionService(shards=2, workers=1)``;
+* ``service``: the in-process ``FusionService(workers=2)`` it would be
+  replaced by.
+
+The sides alternate pair by pair (and which runs first alternates
+too), so a drift in host speed lands on both alike.  The speedup is
+the median of the per-pair fps ratios; each side's median fps is
+reported with its quartiles.  Bitwise parity is asserted, not assumed:
+every stream must hash identically on both sides — sharding relocates
+the interpreter, never the arithmetic.
 
 Runs two ways:
 
 * under pytest (like every other bench): ``pytest
-  benchmarks/bench_shard_scaling.py``;
+  benchmarks/bench_shard_scaling.py`` (one short pair: completion and
+  parity only);
 * as a script with a CI-friendly quick mode::
 
       PYTHONPATH=src python benchmarks/bench_shard_scaling.py --quick
       PYTHONPATH=src python benchmarks/bench_shard_scaling.py \
-          --scale 2 --min-speedup 1.6
+          --pairs 20 --min-speedup 1.6
 
-``--quick`` gates on the issue's acceptance bar (2 shards >= 1.6x the
-1-shard run) **only on multi-core hosts** — on a single core the shard
-processes time-slice one CPU and the IPC tax makes scaling physically
-impossible, so the gate reports and skips (CI boxes vary); the JSON
-rows (``BENCH_shards.json``) are written either way.
+``--quick`` runs 10 pairs at the default scale (3,840 frames, walls of
+2.5 s and more on a 2-CPU host) and gates on 2 shards >= 1.6x the
+in-process service **only on multi-core hosts** — on a single core the
+shard processes time-slice one CPU and the IPC tax makes scaling
+physically impossible, so the gate reports and skips (CI boxes vary);
+the JSON rows (``BENCH_shards.json``) are written either way.
 """
 
 from __future__ import annotations
@@ -35,10 +45,11 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import sys
 from typing import Dict, List, Tuple
 
-from repro.serve import ShardedFusionService
+from repro.serve import FusionService, ShardedFusionService
 from repro.session import ArraySource, FusionConfig
 from repro.types import FrameShape
 from repro.video.scaler import resize_to
@@ -46,7 +57,9 @@ from repro.video.scene import SyntheticScene
 
 SMALL = FrameShape(32, 24)
 
-SHARD_COUNTS = (1, 2, 4)
+#: service worker threads on each side: 2 shards x 1 worker against
+#: one process with 2 workers
+WORKERS = 2
 
 #: enough virtual engine instances that the fleet-wide lease broker is
 #: never the bottleneck — this bench isolates interpreter scaling
@@ -59,6 +72,12 @@ WORKLOAD: Tuple[Tuple[str, str, int, int], ...] = tuple(
     (f"tenant-{i}", "arm" if i % 2 == 0 else "neon", 20 + i, 24)
     for i in range(8))
 
+SIDES = ("shards", "service")
+
+#: 8 x 24 x 20 = 3,840 frames: walls of 2.5 s and more on a 2-CPU
+#: host, so start-up and drain are a small share of each run
+DEFAULT_SCALE = 20
+
 
 def build_config(engine: str) -> FusionConfig:
     return FusionConfig(engine=engine, executor="batch", batch_size=8,
@@ -67,10 +86,9 @@ def build_config(engine: str) -> FusionConfig:
 
 
 def recorded_footage(seed: int, frames: int) -> ArraySource:
-    """Pre-rendered pairs at fusion geometry: the parent feeds shards
+    """Pre-rendered pairs at fusion geometry: both sides replay
     recorded footage, so the synthetic render cost stays outside the
-    measured interval (it would be identical dead weight at every
-    shard count)."""
+    measured interval (it would be identical dead weight on each)."""
     shape = SMALL.array_shape
     scene = SyntheticScene(seed=seed)
     visible, thermal = [], []
@@ -86,60 +104,79 @@ def frame_hashes(records) -> List[str]:
             for r in records]
 
 
-def run_sharded(shards: int, scale: int,
-                footage: Dict[str, ArraySource]):
-    service = ShardedFusionService(pool=POOL, shards=shards,
-                                   max_in_flight=len(WORKLOAD) * 8,
-                                   stream_queue_depth=8)
+def make_service(side: str):
+    kwargs = dict(pool=POOL, max_in_flight=len(WORKLOAD) * 8,
+                  stream_queue_depth=8)
+    if side == "shards":
+        return ShardedFusionService(shards=WORKERS, workers=1, **kwargs)
+    return FusionService(workers=WORKERS, **kwargs)
+
+
+def run_side(side: str, scale: int, footage: Dict[str, ArraySource]):
+    service = make_service(side)
     for name, engine, seed, frames in WORKLOAD:
         service.add_stream(name, config=build_config(engine),
                            source=footage[name], frames=frames * scale)
     return service.serve()
 
 
-def run_bench(scale: int) -> Tuple[str, Dict]:
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """(lower quartile, median, upper quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, median, high = statistics.quantiles(values, n=4)
+    return low, median, high
+
+
+def run_bench(scale: int, pairs: int) -> Tuple[str, Dict]:
     footage = {name: recorded_footage(seed, frames * scale)
                for name, engine, seed, frames in WORKLOAD}
     total_frames = sum(frames * scale for *_, frames in WORKLOAD)
 
-    rows: Dict[int, Dict] = {}
-    hashes: Dict[int, Dict[str, List[str]]] = {}
-    for shards in SHARD_COUNTS:
-        report = run_sharded(shards, scale, footage)
-        rows[shards] = {
-            "shards": shards,
-            "frames": sum(s.frames for s in report.streams.values()),
-            "wall_s": report.wall_seconds,
-            "fps": report.aggregate_fps,
-            "pool": dict(report.pool),
-        }
-        hashes[shards] = {name: frame_hashes(s.records)
-                          for name, s in report.streams.items()}
+    runs: Dict[str, List[Dict]] = {side: [] for side in SIDES}
+    mismatched = set()
+    reference: Dict[str, List[str]] = {}
+    for pair in range(pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for side in order:
+            report = run_side(side, scale, footage)
+            runs[side].append({
+                "frames": sum(s.frames for s in report.streams.values()),
+                "wall_s": report.wall_seconds,
+                "fps": report.aggregate_fps,
+            })
+            hashes = {name: frame_hashes(s.records)
+                      for name, s in report.streams.items()}
+            if not reference:
+                reference = hashes
+            mismatched.update(name for name in reference
+                              if hashes.get(name) != reference[name])
 
-    base_fps = rows[SHARD_COUNTS[0]]["fps"]
-    for shards in SHARD_COUNTS:
-        rows[shards]["speedup_vs_1"] = (rows[shards]["fps"] / base_fps
-                                        if base_fps > 0 else 0.0)
-
-    reference = hashes[SHARD_COUNTS[0]]
-    mismatched = sorted(
-        {name for shards in SHARD_COUNTS[1:]
-         for name in reference if hashes[shards][name] != reference[name]})
+    ratios = [shard["fps"] / service["fps"] if service["fps"] > 0 else 0.0
+              for shard, service in zip(runs["shards"], runs["service"])]
+    summary = {side: dict(zip(("fps_q1", "fps_median", "fps_q3"),
+                              quartiles([r["fps"] for r in runs[side]])))
+               for side in SIDES}
+    speedup = statistics.median(ratios)
+    wins = sum(ratio > 1.0 for ratio in ratios)
+    min_wall = min(r["wall_s"] for side in SIDES for r in runs[side])
 
     cpus = os.cpu_count() or 1
-    lines = [f"Shard scaling: {len(WORKLOAD)} batch tenants, "
-             f"{total_frames} frames total, pool {POOL}, cpus={cpus}:",
-             f"  {'shards':>6} {'frames':>6} {'wall s':>8} "
-             f"{'agg fps':>9} {'vs 1 shard':>10}  parity"]
-    for shards in SHARD_COUNTS:
-        row = rows[shards]
-        parity = ("baseline" if shards == SHARD_COUNTS[0]
-                  else "DIVERGED" if any(hashes[shards][n] != reference[n]
-                                         for n in reference)
-                  else "bitwise")
-        lines.append(f"  {shards:>6} {row['frames']:>6} "
-                     f"{row['wall_s']:>8.2f} {row['fps']:>9.2f} "
-                     f"{row['speedup_vs_1']:>9.2f}x  {parity}")
+    lines = [f"Shard tier vs in-process service: {len(WORKLOAD)} batch "
+             f"tenants, {total_frames} frames per run, pool {POOL}, "
+             f"{WORKERS} worker threads a side, {pairs} alternating "
+             f"pairs, cpus={cpus}:",
+             f"  {'side':>28} {'median fps':>10} {'IQR':>17}"]
+    labels = {"shards": f"{WORKERS} shards x workers=1",
+              "service": f"FusionService(workers={WORKERS})"}
+    for side in SIDES:
+        row = summary[side]
+        lines.append(f"  {labels[side]:>28} {row['fps_median']:>10.1f} "
+                     f"{row['fps_q1']:>8.1f}-{row['fps_q3']:<8.1f}")
+    lines.append(f"  speedup (median of pair ratios) {speedup:.2f}x; "
+                 f"shards faster in {wins}/{pairs} pairs; shortest wall "
+                 f"{min_wall:.2f}s; parity "
+                 f"{'DIVERGED' if mismatched else 'bitwise'}")
     if cpus < 2:
         lines.append("  (single-core host: shard processes time-slice "
                      "one CPU; the speedup gate does not apply)")
@@ -148,51 +185,56 @@ def run_bench(scale: int) -> Tuple[str, Dict]:
         "pool": dict(POOL),
         "scale": scale,
         "cpus": cpus,
+        "workers_per_side": WORKERS,
         "frames_total": total_frames,
-        "shard_counts": list(SHARD_COUNTS),
-        "rows": {str(k): v for k, v in rows.items()},
-        "speedup_2_shards": rows[2]["speedup_vs_1"],
+        "pairs": pairs,
+        "runs": runs,
+        "summary": summary,
+        "pair_ratios": ratios,
+        "speedup": speedup,
+        "shards_won_pairs": wins,
+        "min_wall_s": min_wall,
         "bitwise_parity": not mismatched,
-        "mismatched_streams": mismatched,
+        "mismatched_streams": sorted(mismatched),
     }
     return "\n".join(lines), payload
 
 
 def test_shard_scaling(report):
-    """Pytest entry: completion + cross-shard-count bitwise parity
+    """Pytest entry: completion + sharded-vs-in-process bitwise parity
     (the speedup gate runs in script mode, where the machine is known)."""
-    text, payload = run_bench(scale=1)
+    text, payload = run_bench(scale=1, pairs=1)
     report(text)
     assert payload["bitwise_parity"], payload["mismatched_streams"]
-    for shards in SHARD_COUNTS:
-        row = payload["rows"][str(shards)]
-        assert row["frames"] == payload["frames_total"]
-        assert row["fps"] > 0
+    for side in SIDES:
+        for run in payload["runs"][side]:
+            assert run["frames"] == payload["frames_total"]
+            assert run["fps"] > 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: scale 1 and gate 2 shards "
-                             "at the acceptance bar (1.6x) on "
-                             "multi-core hosts")
-    parser.add_argument("--scale", type=int, default=2,
+                        help="CI mode: gate at the acceptance bar "
+                             "(1.6x) on multi-core hosts")
+    parser.add_argument("--scale", type=int, default=DEFAULT_SCALE,
                         help="frame-count multiplier per stream "
-                             "(default 2; --quick forces 1)")
+                             f"(default {DEFAULT_SCALE})")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="alternating shards/service pairs "
+                             "(default 10)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless 2-shard fps >= this multiple "
-                             "of the 1-shard fps (multi-core hosts "
-                             "only)")
+                        help="fail unless the median shards/service fps "
+                             "ratio >= this (multi-core hosts only)")
     parser.add_argument("--json-out", default=None,
                         help="write the machine-readable rows as JSON")
     args = parser.parse_args(argv)
 
-    scale = 1 if args.quick else args.scale
     min_speedup = args.min_speedup
     if min_speedup is None and args.quick:
         min_speedup = 1.6
 
-    text, payload = run_bench(scale)
+    text, payload = run_bench(args.scale, args.pairs)
     print(text)
 
     if args.json_out:
@@ -201,21 +243,19 @@ def main(argv=None) -> int:
         print(f"  wrote {args.json_out}")
 
     if not payload["bitwise_parity"]:
-        print(f"FAIL: shard counts diverged bitwise: "
+        print(f"FAIL: sharded and in-process outputs diverged bitwise: "
               f"{payload['mismatched_streams']}", file=sys.stderr)
         return 1
     if min_speedup is not None:
         if payload["cpus"] < 2:
             print(f"SKIP speedup gate: single-core host "
-                  f"(2 shards measured {payload['speedup_2_shards']:.2f}x)")
-        elif payload["speedup_2_shards"] < min_speedup:
-            print(f"FAIL: 2-shard speedup "
-                  f"{payload['speedup_2_shards']:.2f}x < "
+                  f"(2 shards measured {payload['speedup']:.2f}x)")
+        elif payload["speedup"] < min_speedup:
+            print(f"FAIL: 2-shard speedup {payload['speedup']:.2f}x < "
                   f"{min_speedup:.2f}x", file=sys.stderr)
             return 1
         else:
-            print(f"OK: 2-shard speedup "
-                  f"{payload['speedup_2_shards']:.2f}x >= "
+            print(f"OK: 2-shard speedup {payload['speedup']:.2f}x >= "
                   f"{min_speedup:.2f}x")
     return 0
 

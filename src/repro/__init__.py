@@ -77,7 +77,6 @@ from .hw import (
 from .graph import FusionGraph, FusionPlan, Planner, Stage
 from .serve import EngineLease, EnginePool, FusionService, ServiceReport
 from .session import (
-    ArrayGroupSource,
     ArraySource,
     CameraPairSource,
     CaptureChainSource,
@@ -107,7 +106,7 @@ __all__ = [
     "executor_names", "register_executor",
     "FusionConfig", "FusionSession", "FusionReport", "FusedFrameResult",
     "FrameGroup", "FramePair", "SyntheticSource", "ArraySource",
-    "ArrayGroupSource", "CameraPairSource", "CaptureChainSource",
+    "CameraPairSource", "CaptureChainSource",
     "Stage", "FusionGraph", "FusionPlan", "Planner",
     "EngineLease", "EnginePool", "FusionService", "ServiceReport",
     "FULL_FRAME", "PAPER_FRAME_SIZES", "FrameShape",

@@ -499,8 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "process; overrides the spec's 'shards' key")
     serve.add_argument("--workers", type=int, default=None,
                        help="service worker threads (default: the spec's "
-                            "'workers', else the pool size); an explicit "
-                            "flag overrides the spec")
+                            "'workers', else the pool size capped at the "
+                            "CPU count); an explicit flag overrides the "
+                            "spec")
     serve.add_argument("--metrics-out", metavar="PATH", default=None,
                        help="write the service's metrics as Prometheus "
                             "text exposition to PATH after the drive")

@@ -1,23 +1,26 @@
 """DT-CWT based image and video fusion (the paper's core algorithm).
 
-The algorithm of Section III: apply the forward DT-CWT to the visible
-and the infrared frame, combine the coefficient pyramids with a fusion
-rule, and reconstruct the fused frame with the inverse DT-CWT.
+The algorithm of Section III: apply the forward DT-CWT to every source
+frame (visible and infrared in the paper, N >= 2 in general), combine
+the coefficient pyramids with a fusion rule, and reconstruct the fused
+frame with the inverse DT-CWT.
 
 :class:`ImageFusion` is the reusable object (transform + rule +
 engine); :func:`fuse_images` the one-shot convenience.  The class also
 exposes the *staged* execution used by the profiler and the runtime so
 each stage can be timed and attributed the way Fig. 2 and Fig. 9 do.
+Each stage has one entry whatever the source count and batch:
+:meth:`ImageFusion.combine` takes N pyramids or N pyramid stacks.
 
 :meth:`ImageFusion.fuse_batch` is the batch-first entry point: ``B``
-frame pairs are fused with the same number of NumPy primitive calls as
-one pair.  Both sources of every pair ride the *same* stacked forward
-transform (a ``(2B, H, W)`` stack — visible frames first, thermal
-frames second — so pairing two inputs already doubles the batch for
-free), the fusion rule combines the two pyramid stacks in vectorized
-calls, and one stacked inverse reconstructs all fused frames.  Every
-frame is bitwise-identical to what :meth:`ImageFusion.fuse` computes
-for that pair alone.
+frame groups are fused with the same number of NumPy primitive calls
+as one group.  All ``N`` sources of every group ride the *same*
+stacked forward transform (a source-major ``(N*B, H, W)`` stack, so
+grouping the inputs already multiplies the batch for free), the
+fusion rule combines the ``N`` pyramid stacks in vectorized calls,
+and one stacked inverse reconstructs all fused frames.  Every frame
+is bitwise-identical to what :meth:`ImageFusion.fuse` computes for
+that group alone.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from ..dtcwt.coeffs import DtcwtBanks
 from ..dtcwt.transform2d import Dtcwt2D, DtcwtPyramid, DtcwtPyramidStack
 from ..errors import FusionError
-from .fusion_rules import FusionRule, MaxMagnitudeRule
+from .fusion_rules import FusionRule, MaxMagnitudeRule, Pyramid
 
 
 @dataclass
@@ -88,7 +91,7 @@ class BatchFusionResult:
 
 
 class ImageFusion:
-    """Pixel-level fusion of two co-registered frames.
+    """Pixel-level fusion of N >= 2 co-registered frames.
 
     Parameters
     ----------
@@ -121,14 +124,10 @@ class ImageFusion:
         """Stage 1/2: forward DT-CWT of one source frame."""
         return self.transform.forward(image)
 
-    def combine(self, pyr_a: DtcwtPyramid, pyr_b: DtcwtPyramid) -> DtcwtPyramid:
-        """Stage 3: coefficient fusion."""
-        return self.rule.fuse(pyr_a, pyr_b)
-
-    def combine_many(self, pyramids: Sequence[DtcwtPyramid]) -> DtcwtPyramid:
-        """Stage 3, N-ary: reduce any number of source pyramids (two
-        delegate to the pairwise :meth:`combine` bit-for-bit)."""
-        return self.rule.fuse_many(pyramids)
+    def combine(self, *pyramids: Pyramid) -> Pyramid:
+        """Stage 3: coefficient fusion of N >= 2 source pyramids, or of
+        N pyramid stacks vectorized over their frames."""
+        return self.rule.fuse(*pyramids)
 
     def reconstruct(self, pyramid: DtcwtPyramid) -> np.ndarray:
         """Stage 4: inverse DT-CWT of the fused pyramid."""
@@ -141,28 +140,13 @@ class ImageFusion:
         """Forward DT-CWT of a whole ``(N, H, W)`` frame stack."""
         return self.transform.forward_batch(frames)
 
-    def combine_stack(self, stack_a: DtcwtPyramidStack,
-                      stack_b: DtcwtPyramidStack) -> DtcwtPyramidStack:
-        """Vectorized coefficient fusion of ``N`` pyramid pairs."""
-        return self.rule.fuse_stack(stack_a, stack_b)
-
-    def combine_stack_many(self, stacks: Sequence[DtcwtPyramidStack]
-                           ) -> DtcwtPyramidStack:
-        """Vectorized N-ary coefficient fusion of pyramid stacks (two
-        delegate to the pairwise :meth:`combine_stack` bit-for-bit)."""
-        return self.rule.fuse_stack_many(stacks)
-
     def reconstruct_batch(self, stack: DtcwtPyramidStack) -> np.ndarray:
         """Inverse DT-CWT of a fused pyramid stack -> ``(N, H, W)``."""
         return self.transform.inverse_batch(stack)
 
     # ------------------------------------------------------------------
     def fuse(self, *images: np.ndarray) -> FusionResult:
-        """Full pipeline on one co-registered frame group (N >= 2).
-
-        ``fuse(a, b)`` is the historical pair path, bit-for-bit; more
-        sources reduce through the rule's N-ary combination.
-        """
+        """Full pipeline on one co-registered frame group (N >= 2)."""
         if len(images) < 2:
             raise FusionError(
                 f"fuse needs >= 2 source frames, got {len(images)}")
@@ -174,10 +158,7 @@ class ImageFusion:
                 f"{' vs '.join(str(frame.shape) for frame in frames)}"
             )
         pyramids = tuple(self.decompose(frame) for frame in frames)
-        if len(pyramids) == 2:
-            pyr_f = self.combine(pyramids[0], pyramids[1])
-        else:
-            pyr_f = self.combine_many(pyramids)
+        pyr_f = self.combine(*pyramids)
         fused = self.reconstruct(pyr_f)
         return FusionResult(fused=fused, pyramids=pyramids,
                             pyramid_fused=pyr_f)
@@ -233,10 +214,7 @@ class ImageFusion:
         stack: one forward (:meth:`decompose_sources`), one vectorized
         coefficient fusion and one stacked inverse."""
         per_source = self.decompose_sources(stack, sources)
-        if sources == 2:
-            stack_f = self.combine_stack(per_source[0], per_source[1])
-        else:
-            stack_f = self.combine_stack_many(per_source)
+        stack_f = self.combine(*per_source)
         fused = self.reconstruct_batch(stack_f)
         return BatchFusionResult(fused=fused, pyramids=per_source,
                                  pyramids_fused=stack_f)

@@ -1,8 +1,8 @@
 """Coefficient fusion rules for DT-CWT pixel-level image fusion.
 
-After both source frames are decomposed, a fusion rule decides — per
+After every source frame is decomposed, a fusion rule decides — per
 complex high-pass coefficient and per low-pass sample — how to combine
-the two pyramids into one.  The paper uses the classic rule family from
+the pyramids into one.  The paper uses the classic rule family from
 Nikolov/Hill (its reference [2]):
 
 * **maximum magnitude** selection for the high-pass bands (a larger
@@ -17,140 +17,62 @@ quality; they share the same interface so the pipeline can swap them.
 All built-in rules are **vectorized ufunc-style operations**: the
 per-level combination methods only ever address the trailing ``(H, W)``
 axes (elementwise selects/blends, rolls along ``axis=-2``/``-1``), so
-the very same code fuses one pyramid pair or a whole stacked batch —
-:meth:`FusionRule.fuse_stack` hands them ``(6, N, H, W)`` operands and
-every frame comes out bitwise-identical to a per-frame
-:meth:`FusionRule.fuse`.  Custom subclasses keep batch support for free
-as long as their ``fuse_highpass``/``fuse_lowpass`` follow the same
-trailing-axes discipline (or override :meth:`fuse_stack`).
+the very same code fuses single pyramids or a whole stacked batch —
+:meth:`FusionRule.fuse` hands a stack's ``(6, B, H, W)`` operands to
+the same hooks, and every frame comes out bitwise-identical to fusing
+that frame alone.  Custom subclasses keep batch support for free as
+long as their hooks follow the same trailing-axes discipline.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from ..dtcwt.transform2d import DtcwtPyramid, DtcwtPyramidStack
 from ..errors import FusionError
 
+Pyramid = TypeVar("Pyramid", DtcwtPyramid, DtcwtPyramidStack)
+
 
 class FusionRule(ABC):
     """Combines N >= 2 same-shape DT-CWT pyramids into one.
 
-    The pairwise :meth:`fuse` / :meth:`fuse_stack` remain the N=2
-    entry points; :meth:`fuse_many` / :meth:`fuse_stack_many` reduce
-    any number of sources and *delegate to the pairwise path when
-    N == 2*, so two-source results are bitwise-identical whichever
-    spelling the caller uses.  The default N-ary reduction left-folds
-    :meth:`fuse_highpass` (exact for selection rules whose pairwise
-    comparison is associative, e.g. max-magnitude) and uniformly
-    averages the low-pass; rules with genuinely N-ary semantics
-    override :meth:`fuse_highpass_many` / :meth:`fuse_lowpass_many`.
+    :meth:`fuse` is the one entry point, for single pyramids and for
+    stacked batches alike.  Two sources combine with the pairwise
+    hooks :meth:`fuse_highpass` / :meth:`fuse_lowpass`; more sources
+    reduce with :meth:`fuse_highpass_many` / :meth:`fuse_lowpass_many`.
+    The default N-ary reduction left-folds :meth:`fuse_highpass`
+    (exact for selection rules whose pairwise comparison is
+    associative, e.g. max-magnitude) and uniformly averages the
+    low-pass; rules with genuinely N-ary semantics override the
+    ``_many`` hooks.
     """
 
     name = "rule"
 
-    def fuse(self, a: DtcwtPyramid, b: DtcwtPyramid) -> DtcwtPyramid:
-        """Return the fused pyramid (inputs are not modified)."""
-        _check_compatible(a, b)
-        highpasses = tuple(
-            self.fuse_highpass(ha, hb)
-            for ha, hb in zip(a.highpasses, b.highpasses)
-        )
-        lowpass = self.fuse_lowpass(a.lowpass, b.lowpass)
-        return DtcwtPyramid(
-            lowpass=lowpass,
-            highpasses=highpasses,
-            original_shape=a.original_shape,
-            padded_shape=a.padded_shape,
-            levels=a.levels,
-        )
+    def fuse(self, *pyramids: Pyramid) -> Pyramid:
+        """Fuse N >= 2 pyramids into one of the same type (inputs are
+        not modified).
 
-    def fuse_stack(self, a: DtcwtPyramidStack, b: DtcwtPyramidStack
-                   ) -> DtcwtPyramidStack:
-        """Fuse ``N`` pyramid pairs in single vectorized calls.
-
-        Frame ``i`` of the result is bitwise-identical to
-        ``fuse(a[i], b[i])``; the whole batch costs the same number of
-        NumPy calls as one pair.
+        The operands are all :class:`DtcwtPyramid` or all
+        :class:`DtcwtPyramidStack` with one frame count; frame ``i``
+        of a fused stack is bitwise-identical to fusing frame ``i`` of
+        every operand alone, at the cost in NumPy calls of one frame.
         """
-        _check_compatible(a, b)
-        if a.count != b.count:
-            raise FusionError(
-                f"pyramid stacks disagree on frame count: {a.count} vs "
-                f"{b.count}"
-            )
+        _check_compatible(pyramids)
+        pair = len(pyramids) == 2
         highpasses = tuple(
-            self.fuse_highpass(ha, hb)
-            for ha, hb in zip(a.highpasses, b.highpasses)
-        )
-        lowpass = self.fuse_lowpass(a.lowpass, b.lowpass)
-        return DtcwtPyramidStack(
-            lowpass=lowpass,
-            highpasses=highpasses,
-            original_shape=a.original_shape,
-            padded_shape=a.padded_shape,
-            levels=a.levels,
-        )
-
-    def fuse_many(self, pyramids: Sequence[DtcwtPyramid]) -> DtcwtPyramid:
-        """Reduce N >= 2 pyramids into one fused pyramid.
-
-        ``fuse_many([a, b])`` is bitwise-identical to ``fuse(a, b)``
-        (it *is* that call).
-        """
-        pyramids = list(pyramids)
-        if len(pyramids) < 2:
-            raise FusionError(
-                f"fuse_many needs >= 2 pyramids, got {len(pyramids)}")
-        if len(pyramids) == 2:
-            return self.fuse(pyramids[0], pyramids[1])
+            self.fuse_highpass(*bands) if pair
+            else self.fuse_highpass_many(bands)
+            for bands in zip(*(p.highpasses for p in pyramids)))
+        lows = [p.lowpass for p in pyramids]
+        lowpass = (self.fuse_lowpass(*lows) if pair
+                   else self.fuse_lowpass_many(lows))
         first = pyramids[0]
-        for other in pyramids[1:]:
-            _check_compatible(first, other)
-        highpasses = tuple(
-            self.fuse_highpass_many(bands)
-            for bands in zip(*(p.highpasses for p in pyramids))
-        )
-        lowpass = self.fuse_lowpass_many([p.lowpass for p in pyramids])
-        return DtcwtPyramid(
-            lowpass=lowpass,
-            highpasses=highpasses,
-            original_shape=first.original_shape,
-            padded_shape=first.padded_shape,
-            levels=first.levels,
-        )
-
-    def fuse_stack_many(self, stacks: Sequence[DtcwtPyramidStack]
-                        ) -> DtcwtPyramidStack:
-        """Reduce N >= 2 pyramid *stacks*, vectorized over frames.
-
-        Frame ``i`` of the result is bitwise-identical to
-        ``fuse_many([s[i] for s in stacks])``; two stacks delegate to
-        the pairwise :meth:`fuse_stack`.
-        """
-        stacks = list(stacks)
-        if len(stacks) < 2:
-            raise FusionError(
-                f"fuse_stack_many needs >= 2 stacks, got {len(stacks)}")
-        if len(stacks) == 2:
-            return self.fuse_stack(stacks[0], stacks[1])
-        first = stacks[0]
-        for other in stacks[1:]:
-            _check_compatible(first, other)
-            if first.count != other.count:
-                raise FusionError(
-                    f"pyramid stacks disagree on frame count: "
-                    f"{first.count} vs {other.count}"
-                )
-        highpasses = tuple(
-            self.fuse_highpass_many(bands)
-            for bands in zip(*(s.highpasses for s in stacks))
-        )
-        lowpass = self.fuse_lowpass_many([s.lowpass for s in stacks])
-        return DtcwtPyramidStack(
+        return type(first)(
             lowpass=lowpass,
             highpasses=highpasses,
             original_shape=first.original_shape,
@@ -302,16 +224,31 @@ def _box_sum(stack: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _check_compatible(a, b) -> None:
-    """Shared structural check for pyramid pairs and stack pairs."""
-    if a.levels != b.levels:
-        raise FusionError(
-            f"pyramids disagree on levels: {a.levels} vs {b.levels}"
-        )
-    if a.padded_shape != b.padded_shape:
-        raise FusionError(
-            f"pyramids disagree on shape: {a.padded_shape} vs {b.padded_shape}"
-        )
+def _check_compatible(pyramids: Sequence[Pyramid]) -> None:
+    """Structural check shared by pyramids and stacks: >= 2 operands
+    of one kind, one level count, one padded shape and, for stacks,
+    one frame count."""
+    if len(pyramids) < 2:
+        raise FusionError(f"fuse needs >= 2 pyramids, got {len(pyramids)}")
+    first = pyramids[0]
+    for other in pyramids[1:]:
+        if type(other) is not type(first):
+            raise FusionError(
+                f"cannot fuse a {type(first).__name__} with a "
+                f"{type(other).__name__}")
+        if first.levels != other.levels:
+            raise FusionError(
+                f"pyramids disagree on levels: {first.levels} vs "
+                f"{other.levels}")
+        if first.padded_shape != other.padded_shape:
+            raise FusionError(
+                f"pyramids disagree on shape: {first.padded_shape} vs "
+                f"{other.padded_shape}")
+        if (isinstance(first, DtcwtPyramidStack)
+                and first.count != other.count):
+            raise FusionError(
+                f"pyramid stacks disagree on frame count: {first.count} "
+                f"vs {other.count}")
 
 
 def rule_by_name(name: str, **kwargs) -> FusionRule:

@@ -141,7 +141,7 @@ class DtcwtPyramidStack:
     :class:`DtcwtPyramid` of *views* into the stacked arrays (no copy);
     :meth:`slice` carves out a contiguous frame range as another stack,
     which is how :meth:`repro.core.fusion.ImageFusion.fuse_batch`
-    splits one doubled transform back into its two sources.
+    splits one source-major transform back into its N sources.
     """
 
     lowpass: np.ndarray

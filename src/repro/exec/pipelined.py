@@ -4,9 +4,11 @@ Mirrors the paper's double-buffered execution (Fig. 5): while frame
 ``i`` is being fused, frame ``i+1``'s forward transforms are already
 running and frame ``i+2`` is being captured, exactly like the driver's
 two kernel-buffer areas let user-space memcpys overlap hardware
-processing.  The two forward transforms of each pair — the stage the
-paper accelerates — run concurrently on a small worker pool, so the
-visible and thermal decompositions of one frame overlap too.
+processing.  The forward transforms — the stage the paper accelerates
+— run on a small worker pool.  The lowering fuses a frame's forwards
+into one stacked unit (canonically ``visible+thermal``), so the pool
+gets one job per frame and overlaps the forwards of consecutive
+frames, not the two forwards of one frame.
 
 Stage topology (every queue bounded by ``queue_depth``)::
 
@@ -16,8 +18,8 @@ Stage topology (every queue bounded by ``queue_depth``)::
                                                               thread)
 
 The slots are filled from the processor's lowered plan: the *parallel
-wave* (:meth:`FrameProcessor.parallel_stages` — canonically the two
-forward transforms, plus any custom stateless stage that only needs
+wave* (:meth:`FrameProcessor.parallel_stages` — canonically the
+forwards' fused unit, plus any custom stateless stage that only needs
 the ingested frame) rides the pool; the *mid chain*
 (:meth:`FrameProcessor.mid_stages` — canonically fuse+inverse, plus
 any custom stage downstream of it) runs on the dedicated mid thread,
@@ -55,7 +57,7 @@ class _Envelope:
 
     __slots__ = ("task", "index", "forwards_done", "_remaining", "_lock")
 
-    def __init__(self, task: Any, index: int, forwards: int = 2):
+    def __init__(self, task: Any, index: int, forwards: int):
         self.task = task
         self.index = index
         self.forwards_done = threading.Event()

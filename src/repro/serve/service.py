@@ -68,6 +68,7 @@ produced keep the contract and the ledger reconciles exactly.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -292,6 +293,9 @@ class FusionService:
         report = service.serve()          # blocking; or start()/wait()
         report.streams["gate-cam"].model_millijoules_total
 
+    ``workers`` (the service's worker threads) defaults to one per
+    engine instance, capped at the CPU count.
+
     With ``live=True`` the service stays up between streams:
     :meth:`attach`/:meth:`detach` churn tenants at runtime, finished
     streams auto-retire (collect them with :meth:`reap`), and
@@ -327,7 +331,9 @@ class FusionService:
             self.pool = EnginePool(pool)
             self._owns_pool = True
         if workers is None:
-            workers = self.pool.size
+            # a worker per engine instance, but no more threads than
+            # CPUs: past that they only contend for the interpreter
+            workers = min(self.pool.size, os.cpu_count() or 1)
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")

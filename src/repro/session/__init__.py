@@ -28,7 +28,6 @@ from .config import FUSION_RULES, SCHEDULER_NAMES, FusionConfig
 from .report import FusedFrameResult, FusionReport
 from .session import FusionSession
 from .sources import (
-    ArrayGroupSource,
     ArraySource,
     CameraPairSource,
     CaptureChainSource,
@@ -44,7 +43,7 @@ __all__ = [
     "FUSION_RULES", "SCHEDULER_NAMES", "FusionConfig",
     "FusedFrameResult", "FusionReport",
     "FusionSession",
-    "ArrayGroupSource", "ArraySource", "CameraPairSource",
+    "ArraySource", "CameraPairSource",
     "CaptureChainSource", "FrameGroup", "FramePair", "FrameSource",
     "SyntheticSource", "as_frame_source",
     "FrameTelemetry", "TelemetrySummary",

@@ -65,7 +65,7 @@ from ..video.scaler import resize_to
 from .config import FusionConfig
 from .report import FusedFrameResult, FusionReport
 from .sources import (CaptureChainSource, ClosedAwareIterator, FrameGroup,
-                      FramePair, FrameSource, as_frame_source, float_frame)
+                      FrameSource, as_frame_source, float_frame)
 from .telemetry import FrameTelemetry
 
 
@@ -378,12 +378,7 @@ class _SessionProcessor(FrameProcessor):
                 task.pyramids[idx] = fuser.decompose(task.frames[idx])
             elif kind == "fuse":
                 fuser = self._stage_lane(task, stage, ctx)
-                if len(task.pyramids) == 2:
-                    pyramid = fuser.combine(task.pyramids[0],
-                                            task.pyramids[1])
-                else:
-                    pyramid = fuser.combine_many(task.pyramids)
-                task.fused = fuser.reconstruct(pyramid)
+                task.fused = fuser.reconstruct(fuser.combine(*task.pyramids))
             elif kind == "temporal":
                 session = self._session
                 fuser = session._fusers[task.engine.name]
@@ -734,7 +729,6 @@ class FusionSession:
         self.calibrators = ([_RigCalibrator(config.levels)
                              for _ in range(config.n_sources - 1)]
                             if config.registration else None)
-        self.calibrator = self.calibrators[0] if self.calibrators else None
         self.temporal = (TemporalFusion(fusion=self._fusers[self._engine.name])
                          if config.temporal else None)
         self.monitor = QualityMonitor() if config.monitor else None
@@ -965,14 +959,9 @@ class FusionSession:
                 "driving a stream on this session; finish or abandon "
                 "the stream first"
             )
-        if len(frames) == 2:
-            pair = FramePair(visible=frames[0], thermal=frames[1],
-                             timestamp_s=timestamp_s)
-        else:
-            pair = FrameGroup(frames=tuple(frames),
-                              timestamp_s=timestamp_s)
         processor = self._processor
-        task = processor.ingest(pair, index=0)
+        task = processor.ingest(
+            FrameGroup(frames=frames, timestamp_s=timestamp_s), index=0)
         if index is not None:
             task.index = index
         processor.process_batch([task])

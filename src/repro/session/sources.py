@@ -1,13 +1,14 @@
-"""Pluggable frame-pair sources for the fusion session.
+"""Pluggable frame-group sources for the fusion session.
 
-The session fuses *pairs* of co-registered frames; where those pairs
-come from is a :class:`FrameSource`.  New scenarios are new sources —
-not new system classes:
+The session fuses *groups* of N >= 2 co-registered frames (a visible /
+thermal pair by default); where those groups come from is a
+:class:`FrameSource`.  New scenarios are new sources — not new system
+classes:
 
 * :class:`SyntheticSource` — renders the shared synthetic world
-  directly in both modalities (fast; no capture modelling);
-* :class:`ArraySource` — replays in-memory arrays (recorded footage,
-  test fixtures, frames fetched from elsewhere);
+  directly in each modality (fast; no capture modelling);
+* :class:`ArraySource` — replays N in-memory streams (recorded
+  footage, test fixtures, frames fetched from elsewhere);
 * :class:`CameraPairSource` — the webcam + thermal camera simulators,
   with sensor behaviour (auto-exposure, NETD noise, native geometries)
   but without the BT.656 transport;
@@ -169,11 +170,10 @@ class SyntheticSource(FrameSource):
 
     The cheapest source: no camera model, no transport — just the
     world sampled at ``fps``.  ``limit`` bounds the stream (``None``
-    streams forever).  ``modalities`` selects which renders each group
-    carries, in order — the default pair yields :class:`FramePair`
-    objects bitwise-identical to the historical two-modality source;
-    ``("visible", "thermal", "depth")`` makes this a three-source
-    stream for N-way fusion.
+    streams forever).  ``modalities`` selects which renders each
+    :class:`FrameGroup` carries, in order — ``("visible", "thermal",
+    "depth")`` makes this a three-source stream for N-way fusion;
+    adding a modality leaves the earlier ones' frames unchanged.
     """
 
     def __init__(self, scene: Optional[SyntheticScene] = None,
@@ -195,119 +195,56 @@ class SyntheticSource(FrameSource):
 
     def frames(self) -> Iterator[FrameGroup]:
         index = 0
-        pair = self.modalities == ("visible", "thermal")
         while self.limit is None or index < self.limit:
             t_s = index / self.fps
-            rendered = tuple(self.scene.render(m, t_s)
-                             for m in self.modalities)
-            if pair:
-                yield FramePair(visible=rendered[0], thermal=rendered[1],
-                                timestamp_s=t_s, index=index)
-            else:
-                yield FrameGroup(frames=rendered, timestamp_s=t_s,
-                                 index=index)
+            yield FrameGroup(
+                frames=tuple(self.scene.render(m, t_s)
+                             for m in self.modalities),
+                timestamp_s=t_s, index=index)
             index += 1
 
 
 class ArraySource(FrameSource):
-    """Replay in-memory (visible, thermal) arrays as a stream.
-
-    Malformed *frames* (non-2-D data, empty lists, bad fps) raise
-    :class:`VideoError` like every other source, and frames that are
-    not real intensities (complex, strings) raise :class:`FusionError`
-    (see :func:`float_frame`); malformed *pairings*
-    — unequal sequence lengths, or a pair whose two frames disagree on
-    shape — are fusion-contract violations and raise a
-    :class:`FusionError` naming the offending index.  (The live camera
-    sources legitimately yield differing native geometries that the
-    session rescales; recorded arrays are expected to be co-registered
-    already, so a shape mismatch here is a data bug, not a rig.)
-    """
-
-    def __init__(self, visible: Sequence[np.ndarray],
-                 thermal: Sequence[np.ndarray],
-                 fps: float = 25.0, loop: bool = False):
-        visible = [float_frame(v, i, "visible")
-                   for i, v in enumerate(visible)]
-        thermal = [float_frame(t, i, "thermal")
-                   for i, t in enumerate(thermal)]
-        # `or`, not `and`: a one-sided-empty recording is just as
-        # unusable as a fully empty one, and must not fall through to
-        # the confusing count-mismatch error below
-        if not visible or not thermal:
-            raise VideoError("ArraySource needs at least one frame pair")
-        if len(visible) != len(thermal):
-            raise FusionError(
-                f"ArraySource pairs visible with thermal frames "
-                f"one-to-one, but the counts differ: {len(visible)} "
-                f"visible vs {len(thermal)} thermal"
-            )
-        for index, (v, t) in enumerate(zip(visible, thermal)):
-            _check_2d((v, t), index)
-            if v.shape != t.shape:
-                raise FusionError(
-                    f"frame pair {index} mismatched: visible {v.shape} "
-                    f"vs thermal {t.shape} — recorded arrays must be "
-                    f"co-registered to a shared geometry"
-                )
-        if fps <= 0:
-            raise VideoError(f"fps must be positive, got {fps}")
-        self.visible = visible
-        self.thermal = thermal
-        self.fps = fps
-        self.loop = loop
-
-    def __len__(self) -> int:
-        return len(self.visible)
-
-    def frames(self) -> Iterator[FramePair]:
-        index = 0
-        while True:
-            slot = index % len(self.visible)
-            if not self.loop and index >= len(self.visible):
-                return
-            yield FramePair(
-                visible=self.visible[slot],
-                thermal=self.thermal[slot],
-                timestamp_s=index / self.fps,
-                index=index,
-            )
-            index += 1
-
-
-class ArrayGroupSource(FrameSource):
     """Replay N >= 2 in-memory co-registered streams as frame groups.
 
-    The N-way generalization of :class:`ArraySource`: each positional
-    argument is one modality's frame sequence, and frame ``i`` of the
-    group is drawn from position ``i`` of every stream.  The same
-    contract applies — equal counts across streams (a
-    :class:`FusionError` names the offenders otherwise), 2-D frames,
-    and per-group shape agreement.
+    Each positional argument is one modality's frame sequence, in
+    source order (``ArraySource(visible, thermal)`` for a pair), and
+    group ``i`` is drawn from position ``i`` of every stream.
+
+    Malformed *frames* (non-2-D data, empty streams, bad fps) raise
+    :class:`VideoError` like every other source, and frames that are
+    not real intensities (complex, strings) raise :class:`FusionError`
+    (see :func:`float_frame`); malformed *groupings* — unequal stream
+    lengths, or a group whose frames disagree on shape — are
+    fusion-contract violations and raise a :class:`FusionError` naming
+    the offending index.  (The live camera sources legitimately yield
+    differing native geometries that the session rescales; recorded
+    arrays are expected to be co-registered already, so a shape
+    mismatch here is a data bug, not a rig.)
     """
 
     def __init__(self, *streams: Sequence[np.ndarray],
                  fps: float = 25.0, loop: bool = False):
         if len(streams) < 2:
             raise VideoError(
-                f"ArrayGroupSource needs >= 2 streams, got {len(streams)}")
+                f"ArraySource needs >= 2 streams, got {len(streams)}")
         streams = tuple(
             [float_frame(f, i, source) for i, f in enumerate(stream)]
             for stream, source in zip(streams,
                                       forward_stage_names(len(streams))))
+        # `any`, not `all`: a one-sided-empty recording is just as
+        # unusable as a fully empty one, and must not fall through to
+        # the confusing count-mismatch error below
         if any(not stream for stream in streams):
-            raise VideoError(
-                "ArrayGroupSource needs at least one frame group")
-        counts = {len(stream) for stream in streams}
-        if len(counts) != 1:
+            raise VideoError("ArraySource needs at least one frame group")
+        counts = tuple(len(stream) for stream in streams)
+        if len(set(counts)) != 1:
             raise FusionError(
-                f"ArrayGroupSource pairs streams frame-for-frame, but "
-                f"the counts differ: "
-                f"{tuple(len(stream) for stream in streams)}")
+                f"ArraySource pairs streams frame-for-frame, but the "
+                f"counts differ: {counts}")
         for index, group in enumerate(zip(*streams)):
             _check_2d(group, index)
-            shapes = {frame.shape for frame in group}
-            if len(shapes) != 1:
+            if len({frame.shape for frame in group}) != 1:
                 raise FusionError(
                     f"frame group {index} mismatched: "
                     f"{tuple(frame.shape for frame in group)} — "
@@ -323,12 +260,10 @@ class ArrayGroupSource(FrameSource):
         return len(self.streams[0])
 
     def frames(self) -> Iterator[FrameGroup]:
+        count = len(self)
         index = 0
-        count = len(self.streams[0])
-        while True:
+        while self.loop or index < count:
             slot = index % count
-            if not self.loop and index >= count:
-                return
             yield FrameGroup(
                 frames=tuple(stream[slot] for stream in self.streams),
                 timestamp_s=index / self.fps,

@@ -100,7 +100,7 @@ class TestFuseBatch:
         stack_a = fusion.decompose_batch(vis)
         stack_b = fusion.decompose_batch(th)
         fused = fusion.reconstruct_batch(
-            fusion.combine_stack(stack_a, stack_b))
+            fusion.combine(stack_a, stack_b))
         assert np.array_equal(fused, fusion.fuse_batch(vis, th).fused)
 
     def test_source_major_stack_matches_per_group_fuse(self, rng):

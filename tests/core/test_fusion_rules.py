@@ -131,8 +131,8 @@ class TestCompatibility:
 
 class TestFuseStack:
     """Every built-in rule is a vectorized ufunc-style operation: one
-    stacked call fuses N pyramid pairs bitwise-identically to N
-    per-pair calls."""
+    stacked call fuses B frame groups bitwise-identically to B
+    per-frame calls, at any source count."""
 
     @pytest.mark.parametrize("rule", [
         MaxMagnitudeRule(),
@@ -142,29 +142,48 @@ class TestFuseStack:
     ])
     def test_stack_matches_per_pair(self, rng, rule):
         t = Dtcwt2D(levels=2)
-        frames_a = rng.standard_normal((3, 32, 32))
-        frames_b = rng.standard_normal((3, 32, 32))
-        stack = rule.fuse_stack(t.forward_batch(frames_a),
-                                t.forward_batch(frames_b))
-        assert isinstance(stack, DtcwtPyramidStack)
-        for i in range(3):
-            pair = rule.fuse(t.forward(frames_a[i]), t.forward(frames_b[i]))
-            assert np.array_equal(stack[i].lowpass, pair.lowpass)
-            for got, ref in zip(stack[i].highpasses, pair.highpasses):
-                assert np.array_equal(got, ref)
+        for n_sources in (2, 3):
+            sources = [rng.standard_normal((3, 32, 32))
+                       for _ in range(n_sources)]
+            stack = rule.fuse(*(t.forward_batch(s) for s in sources))
+            assert isinstance(stack, DtcwtPyramidStack)
+            for i in range(3):
+                single = rule.fuse(*(t.forward(s[i]) for s in sources))
+                assert np.array_equal(stack[i].lowpass, single.lowpass)
+                for got, ref in zip(stack[i].highpasses,
+                                    single.highpasses):
+                    assert np.array_equal(got, ref)
 
     def test_count_mismatch_rejected(self, rng):
         t = Dtcwt2D(levels=1)
         a = t.forward_batch(rng.standard_normal((2, 16, 16)))
         b = t.forward_batch(rng.standard_normal((3, 16, 16)))
         with pytest.raises(FusionError, match="frame count"):
-            MaxMagnitudeRule().fuse_stack(a, b)
+            MaxMagnitudeRule().fuse(a, b)
+        with pytest.raises(FusionError, match="frame count"):
+            MaxMagnitudeRule().fuse(a, a, b)
 
     def test_structure_mismatch_rejected(self, rng):
         a = Dtcwt2D(levels=1).forward_batch(rng.standard_normal((2, 16, 16)))
         b = Dtcwt2D(levels=2).forward_batch(rng.standard_normal((2, 16, 16)))
         with pytest.raises(FusionError):
-            MaxMagnitudeRule().fuse_stack(a, b)
+            MaxMagnitudeRule().fuse(a, b)
+
+    def test_mixed_kinds_rejected(self, rng):
+        t = Dtcwt2D(levels=1)
+        frames = rng.standard_normal((2, 16, 16))
+        stack = t.forward_batch(frames)
+        single = t.forward(frames[0])
+        with pytest.raises(FusionError, match="DtcwtPyramidStack"):
+            MaxMagnitudeRule().fuse(single, stack)
+        with pytest.raises(FusionError,
+                           match="DtcwtPyramidStack with a DtcwtPyramid$"):
+            MaxMagnitudeRule().fuse(stack, stack, single)
+
+    def test_single_operand_rejected(self, rng):
+        a = Dtcwt2D(levels=1).forward(rng.standard_normal((16, 16)))
+        with pytest.raises(FusionError, match=">= 2 pyramids"):
+            MaxMagnitudeRule().fuse(a)
 
 
 class TestFactory:

@@ -36,10 +36,7 @@ def test_no_output_shares_memory_with_the_input_stack(engine, batch,
 
     slices = [stacked.slice(s * batch, (s + 1) * batch)
               for s in range(n_sources)]
-    if n_sources == 2:
-        combined = fuser.combine_stack(slices[0], slices[1])
-    else:
-        combined = fuser.combine_stack_many(slices)
+    combined = fuser.combine(*slices)
     fused = fuser.reconstruct_batch(combined)
     assert fused.shape == (batch,) + SHAPE
     assert not np.shares_memory(fused, stack)

@@ -1,5 +1,6 @@
 """FusionService: N-stream parity, admission, leases, energy accounting."""
 
+import os
 import threading
 import time
 
@@ -385,6 +386,18 @@ class TestServiceReport:
 
 # ----------------------------------------------------------------------
 class TestServiceValidation:
+    def test_workers_default_is_pool_size_capped_at_cpus(self,
+                                                         monkeypatch):
+        """Without ``workers=``, one thread per engine instance, but
+        never more threads than CPUs; an explicit count is kept."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert FusionService(pool={"arm": 4, "neon": 4}).workers == 2
+        assert FusionService(pool={"neon": 1}).workers == 1
+        assert FusionService(pool={"arm": 4, "neon": 4},
+                             workers=8).workers == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert FusionService(pool={"arm": 4}).workers == 1
+
     def test_duplicate_stream_name_rejected(self):
         service = FusionService(pool={"neon": 1})
         service.add_stream("s", config=config(),

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigurationError, FusionError, VideoError
 from repro.hw.registry import create_engine, engine_names, register_engine
 from repro.session import (
-    ArrayGroupSource,
     ArraySource,
     CameraPairSource,
     CaptureChainSource,
@@ -236,17 +235,17 @@ class TestFrameSources:
             ArraySource(good, good * 2)
         with pytest.raises(VideoError):
             ArraySource([np.zeros((8, 8, 3))], good)
-        with pytest.raises(FusionError, match="pair 0 mismatched"):
+        with pytest.raises(FusionError, match="group 0 mismatched"):
             ArraySource([np.zeros((8, 8))], [np.zeros((8, 10))])
 
     def test_array_source_rejects_empty_visible_side(self):
         """An empty visible recording must hit the emptiness guard,
         not fall through to the count-mismatch complaint."""
-        with pytest.raises(VideoError, match="at least one frame pair"):
+        with pytest.raises(VideoError, match="at least one frame group"):
             ArraySource([], [np.zeros((8, 8))])
 
     def test_array_source_rejects_empty_thermal_side(self):
-        with pytest.raises(VideoError, match="at least one frame pair"):
+        with pytest.raises(VideoError, match="at least one frame group"):
             ArraySource([np.zeros((8, 8))], [])
 
     def test_close_is_idempotent_across_all_sources(self):
@@ -330,7 +329,7 @@ class TestFrameSources:
         session = FusionSession(small_config(n_sources=3))
         with pytest.raises(FusionError,
                            match=r"frame 0, source 'source2': 1600 NaN"):
-            session.run(1, source=ArrayGroupSource(good, good, depth))
+            session.run(1, source=ArraySource(good, good, depth))
 
     @pytest.mark.parametrize("bad", [
         np.full((48, 48), 3 + 4j), np.full((48, 48), "12")],
@@ -366,7 +365,7 @@ class TestFrameSources:
                 ArraySource([good, bad], [good, good])
             with pytest.raises(FusionError,
                                match=r"frame 0, source 'source2': dtype"):
-                ArrayGroupSource([good], [good], [bad])
+                ArraySource([good], [good], [bad])
             with pytest.raises(FusionError,
                                match=r"frame 0, source 'thermal': dtype"):
                 list(as_frame_source(iter([(good, bad)])))
@@ -400,8 +399,8 @@ class TestFrameSources:
 
 
 class TestFrameGroups:
-    """The N-way source protocol: FrameGroup, its pair alias, and the
-    group-replaying sources."""
+    """The N-way source protocol: FrameGroup, its pair constructor,
+    and N-way sessions."""
 
     def test_frame_group_basics(self):
         frames = tuple(np.full((8, 8), float(i)) for i in range(3))
@@ -442,28 +441,30 @@ class TestFrameGroups:
                                  modalities=("visible", "sonar")))
 
     def test_array_group_source_replays_and_loops(self):
+        # N streams replay as N-frame groups, drawn position by position
         streams = [[np.full((8, 8), float(10 * s + i)) for i in range(2)]
                    for s in range(3)]
-        groups = list(ArrayGroupSource(*streams))
+        groups = list(ArraySource(*streams))
         assert len(groups) == 2
         assert all(len(g) == 3 for g in groups)
         assert np.array_equal(groups[1].frames[2], streams[2][1])
-        looped = ArrayGroupSource(*streams, loop=True)
+        looped = ArraySource(*streams, loop=True)
         taken = [g for g, _ in zip(looped, range(5))]
         assert np.array_equal(taken[4].frames[0], streams[0][0])
 
     def test_array_group_source_validation(self):
+        # ArraySource holds the N-way contract at N = 3
         good = [np.zeros((8, 8))]
         with pytest.raises(VideoError, match=">= 2 streams"):
-            ArrayGroupSource(good)
+            ArraySource(good)
         with pytest.raises(VideoError, match="at least one"):
-            ArrayGroupSource(good, [], good)
+            ArraySource(good, [], good)
         with pytest.raises(FusionError, match="counts differ"):
-            ArrayGroupSource(good, good * 2, good)
+            ArraySource(good, good * 2, good)
         with pytest.raises(VideoError, match="2-D"):
-            ArrayGroupSource(good, good, [np.zeros((8, 8, 3))])
+            ArraySource(good, good, [np.zeros((8, 8, 3))])
         with pytest.raises(FusionError, match="group 0 mismatched"):
-            ArrayGroupSource(good, good, [np.zeros((8, 10))])
+            ArraySource(good, good, [np.zeros((8, 10))])
 
     def test_three_source_session_stream(self):
         config = small_config(n_sources=3)
