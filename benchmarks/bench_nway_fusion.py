@@ -78,16 +78,23 @@ def fuse_group(mode: str, fusion: ImageFusion,
     """Fuse one group with one strategy.
 
     ``separate`` runs one forward per source (the naive N-way
-    generalization); ``stacked`` rides the group through the
-    batch-first path — one ``(N, H, W)`` forward, vectorized
-    reduction, one stacked inverse — :meth:`ImageFusion.fuse_stack`,
-    the code the session's stacked core runs.
+    generalization, and the slow reference); ``stacked`` rides the
+    group through :meth:`ImageFusion.fuse` — one ``(N, H, W)``
+    forward, vectorized reduction, one inverse — the same stages the
+    session's stacked core runs.
     """
     if mode == "separate":
-        pyramids = [fusion.decompose(frame) for frame in group]
-        fusion.reconstruct(fusion.combine(*pyramids))
+        fuse_separately(fusion, group)
     else:
-        fusion.fuse_batch(*(frame[None] for frame in group))
+        fusion.fuse(*group)
+
+
+def fuse_separately(fusion: ImageFusion,
+                    group: List[np.ndarray]) -> np.ndarray:
+    """The per-source reference: one forward per source frame, then
+    :meth:`ImageFusion.combine` and :meth:`ImageFusion.reconstruct`."""
+    pyramids = [fusion.decompose(frame) for frame in group]
+    return fusion.reconstruct(fusion.combine(*pyramids))
 
 
 def measure(groups: List[List[np.ndarray]],
@@ -115,9 +122,8 @@ def check_parity(groups: List[List[np.ndarray]], levels: int) -> bool:
     is bitwise-identical to separate forwards."""
     fusion = ImageFusion(levels=levels)
     for group in groups[:4]:
-        single = fusion.fuse(*group).fused
-        stacked = fusion.fuse_batch(*(frame[None] for frame in group))
-        if not np.array_equal(single, stacked.fused[0]):
+        if not np.array_equal(fuse_separately(fusion, group),
+                              fusion.fuse(*group).fused):
             return False
     return True
 

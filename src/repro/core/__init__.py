@@ -8,7 +8,7 @@ from .adaptive import (
     PerLevelScheduler,
     default_engines,
 )
-from .fusion import BatchFusionResult, FusionResult, ImageFusion, fuse_images
+from .fusion import FusionResult, ImageFusion, fuse_images
 from .fusion_rules import (
     FusionRule,
     MaxMagnitudeRule,
@@ -46,7 +46,7 @@ from .video_fusion import TemporalFusion, TemporalStats, selection_flicker
 __all__ = [
     "CostModelScheduler", "Decision", "LevelPlan", "OnlineScheduler",
     "PerLevelScheduler", "default_engines",
-    "BatchFusionResult", "FusionResult", "ImageFusion", "fuse_images",
+    "FusionResult", "ImageFusion", "fuse_images",
     "FusionRule", "MaxMagnitudeRule", "WeightedRule", "WindowActivityRule",
     "rule_by_name",
     "average_gradient", "entropy", "fusion_mutual_information",

@@ -17,7 +17,7 @@ quality; they share the same interface so the pipeline can swap them.
 All built-in rules are **vectorized ufunc-style operations**: the
 per-level combination methods only ever address the trailing ``(H, W)``
 axes (elementwise selects/blends, rolls along ``axis=-2``/``-1``), so
-the very same code fuses single pyramids or a whole stacked batch —
+the very same code fuses single-frame pyramids or stacked ones —
 :meth:`FusionRule.fuse` hands a stack's ``(6, B, H, W)`` operands to
 the same hooks, and every frame comes out bitwise-identical to fusing
 that frame alone.  Custom subclasses keep batch support for free as
@@ -27,21 +27,19 @@ long as their hooks follow the same trailing-axes discipline.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
-from ..dtcwt.transform2d import DtcwtPyramid, DtcwtPyramidStack
+from ..dtcwt.transform2d import DtcwtPyramid
 from ..errors import FusionError
-
-Pyramid = TypeVar("Pyramid", DtcwtPyramid, DtcwtPyramidStack)
 
 
 class FusionRule(ABC):
     """Combines N >= 2 same-shape DT-CWT pyramids into one.
 
-    :meth:`fuse` is the one entry point, for single pyramids and for
-    stacked batches alike.  Two sources combine with the pairwise
+    :meth:`fuse` is the one entry point, for single-frame and stacked
+    pyramids alike.  Two sources combine with the pairwise
     hooks :meth:`fuse_highpass` / :meth:`fuse_lowpass`; more sources
     reduce with :meth:`fuse_highpass_many` / :meth:`fuse_lowpass_many`.
     The default N-ary reduction left-folds :meth:`fuse_highpass`
@@ -53,14 +51,13 @@ class FusionRule(ABC):
 
     name = "rule"
 
-    def fuse(self, *pyramids: Pyramid) -> Pyramid:
-        """Fuse N >= 2 pyramids into one of the same type (inputs are
-        not modified).
+    def fuse(self, *pyramids: DtcwtPyramid) -> DtcwtPyramid:
+        """Fuse N >= 2 pyramids with one frame axis into one (inputs
+        are not modified).
 
-        The operands are all :class:`DtcwtPyramid` or all
-        :class:`DtcwtPyramidStack` with one frame count; frame ``i``
-        of a fused stack is bitwise-identical to fusing frame ``i`` of
-        every operand alone, at the cost in NumPy calls of one frame.
+        Frame ``i`` of fused stacks is bitwise-identical to fusing
+        frame ``i`` of every operand alone, at the cost in NumPy calls
+        of one frame.
         """
         _check_compatible(pyramids)
         pair = len(pyramids) == 2
@@ -72,7 +69,7 @@ class FusionRule(ABC):
         lowpass = (self.fuse_lowpass(*lows) if pair
                    else self.fuse_lowpass_many(lows))
         first = pyramids[0]
-        return type(first)(
+        return DtcwtPyramid(
             lowpass=lowpass,
             highpasses=highpasses,
             original_shape=first.original_shape,
@@ -224,18 +221,13 @@ def _box_sum(stack: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _check_compatible(pyramids: Sequence[Pyramid]) -> None:
-    """Structural check shared by pyramids and stacks: >= 2 operands
-    of one kind, one level count, one padded shape and, for stacks,
-    one frame count."""
+def _check_compatible(pyramids: Sequence[DtcwtPyramid]) -> None:
+    """Structural check: >= 2 operands with one level count, one
+    padded shape and one frame axis."""
     if len(pyramids) < 2:
         raise FusionError(f"fuse needs >= 2 pyramids, got {len(pyramids)}")
     first = pyramids[0]
     for other in pyramids[1:]:
-        if type(other) is not type(first):
-            raise FusionError(
-                f"cannot fuse a {type(first).__name__} with a "
-                f"{type(other).__name__}")
         if first.levels != other.levels:
             raise FusionError(
                 f"pyramids disagree on levels: {first.levels} vs "
@@ -244,11 +236,10 @@ def _check_compatible(pyramids: Sequence[Pyramid]) -> None:
             raise FusionError(
                 f"pyramids disagree on shape: {first.padded_shape} vs "
                 f"{other.padded_shape}")
-        if (isinstance(first, DtcwtPyramidStack)
-                and first.count != other.count):
+        if first.frames != other.frames:
             raise FusionError(
-                f"pyramid stacks disagree on frame count: {first.count} "
-                f"vs {other.count}")
+                f"pyramids disagree on frame axes: {first.frames} vs "
+                f"{other.frames}")
 
 
 def rule_by_name(name: str, **kwargs) -> FusionRule:

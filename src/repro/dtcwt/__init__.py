@@ -39,7 +39,6 @@ from .transform2d import (
     ORIENTATIONS,
     Dtcwt2D,
     DtcwtPyramid,
-    DtcwtPyramidStack,
     c2q,
     forward,
     inverse,
@@ -72,7 +71,6 @@ __all__ = [
     "ORIENTATIONS",
     "Dtcwt2D",
     "DtcwtPyramid",
-    "DtcwtPyramidStack",
     "c2q",
     "q2c",
     "forward",

@@ -18,11 +18,11 @@ whose datapath holds one shift register feeding two MAC chains
 The primitives are also **shape-polymorphic**: inputs may carry any
 number of leading (batch) axes ahead of the filtered one — a stacked
 ``(N, H, W)`` call filters all ``N`` frames' lines through the same
-datapath sweep, accounting exactly like ``N`` separate calls.  The
-batch transforms (:meth:`repro.dtcwt.Dtcwt2D.forward_batch`) rely on
-this to amortize per-call overhead without changing a single output
-bit; implementations must keep per-element arithmetic independent of
-the leading axes.
+datapath sweep, accounting exactly like ``N`` separate calls.  A
+stacked transform (:meth:`repro.dtcwt.Dtcwt2D.forward` of an
+``(N, H, W)`` stack) relies on this to amortize per-call overhead
+without changing a single output bit; implementations must keep
+per-element arithmetic independent of the leading axes.
 
 ========================  =================================================
 ``analysis_u``            undecimated centered filtering (DT-CWT level 1)

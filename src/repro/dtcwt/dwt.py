@@ -69,6 +69,9 @@ class Dwt2D:
     def forward(self, image: np.ndarray) -> DwtPyramid:
         be = self.backend
         img = as_float_image(image, dtype=be.dtype)
+        if img.ndim != 2:
+            raise TransformError(
+                f"expected a 2-D image, got shape {img.shape}")
         img, original_shape = pad_to_multiple(img, 2 ** self.levels)
         padded_shape = img.shape
 

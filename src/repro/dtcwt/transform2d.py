@@ -25,28 +25,30 @@ Batch-first numerics
 Every step below is **shape-polymorphic over leading axes**: the
 filtering primitives, polyphase splits and ``q2c``/``c2q`` maps all
 operate on the trailing ``(H, W)`` axes of an arbitrarily stacked
-array.  :meth:`Dtcwt2D.forward_batch` exploits that to decompose a
-whole frame stack ``(N, H, W)`` with exactly the same number of NumPy
-calls as one frame — the software analogue of streaming many lines
-through one hardware datapath invocation — and
-:meth:`Dtcwt2D.inverse_batch` reconstructs a stack the same way.
-Because the per-element arithmetic (operation order, dtypes,
-accumulation sequence) is identical either way, batched results are
-bitwise-equal to per-frame results; the tests pin that invariant.
+array.  :meth:`Dtcwt2D.forward` therefore takes one frame ``(H, W)``
+or a frame stack ``(N, H, W)``, and a stack costs exactly the same
+number of NumPy calls as one frame — the software analogue of
+streaming many lines through one hardware datapath invocation.  The
+pyramid keeps the frame axis (:attr:`DtcwtPyramid.frames`) and
+:meth:`Dtcwt2D.inverse` returns the rank it implies.  Because the
+per-element arithmetic (operation order, dtypes, accumulation
+sequence) is identical either way, every frame of a stack is
+bitwise-equal to transforming that frame alone; the tests pin that
+invariant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import TransformError
 from .backend import KernelBackend
 from .coeffs import DtcwtBanks, dtcwt_banks
-from .util import as_float_image, as_float_stack, crop_to, pad_to_multiple
+from .util import as_float_image, crop_to, pad_to_multiple
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -55,7 +57,7 @@ ORIENTATIONS = (15, 45, 75, 105, 135, 165)
 
 
 class _StackIndexError(TransformError, IndexError):
-    """Out-of-range frame index on a pyramid stack.
+    """Out-of-range frame index on a stacked pyramid.
 
     Doubly derived so both contracts hold: library callers catching
     :class:`TransformError` see it, and Python's sequence-iteration
@@ -88,60 +90,30 @@ def c2q(z_pos: np.ndarray, z_neg: np.ndarray
 
 @dataclass
 class DtcwtPyramid:
-    """Result of a forward 2-D DT-CWT.
+    """Result of a forward 2-D DT-CWT of one frame or a frame stack.
+
+    A stack's frame axis sits *after* the tree/band axes — exactly
+    where the transform produces it — so per-level arrays are single
+    contiguous operands for vectorized fusion rules.
 
     Attributes
     ----------
     lowpass:
-        Array of shape ``(2, 2, H/2^L, W/2^L)`` holding the final
+        Array of shape ``(2, 2, [N,] H/2^L, W/2^L)`` holding the final
         low-pass image of each (vertical-tree, horizontal-tree) pair.
     highpasses:
-        One complex array per level, shape ``(6, H/2^l, W/2^l)``,
+        One complex array per level, shape ``(6, [N,] H/2^l, W/2^l)``,
         subbands ordered as :data:`ORIENTATIONS`.
     original_shape:
-        Image shape before internal padding; the inverse crops back.
+        Frame shape before internal padding; the inverse crops back.
     padded_shape:
-        Shape actually transformed.
+        Frame shape actually transformed.
     levels:
         Number of decomposition levels.
-    """
 
-    lowpass: np.ndarray
-    highpasses: Tuple[np.ndarray, ...]
-    original_shape: Tuple[int, int]
-    padded_shape: Tuple[int, int]
-    levels: int
-
-    def copy(self) -> "DtcwtPyramid":
-        return DtcwtPyramid(
-            lowpass=self.lowpass.copy(),
-            highpasses=tuple(h.copy() for h in self.highpasses),
-            original_shape=self.original_shape,
-            padded_shape=self.padded_shape,
-            levels=self.levels,
-        )
-
-    @property
-    def total_coefficients(self) -> int:
-        return self.lowpass.size + sum(h.size for h in self.highpasses)
-
-
-@dataclass
-class DtcwtPyramidStack:
-    """Forward DT-CWTs of ``N`` same-shape frames as stacked arrays.
-
-    The frame axis sits *after* the tree/band axes — exactly where the
-    batch transform produces it — so per-level arrays are single
-    contiguous operands for vectorized fusion rules:
-
-    * ``lowpass``: ``(2, 2, N, H/2^L, W/2^L)``;
-    * ``highpasses[l]``: complex ``(6, N, H/2^l, W/2^l)``.
-
-    ``stack[i]`` gives frame ``i`` as an ordinary
-    :class:`DtcwtPyramid` of *views* into the stacked arrays (no copy);
-    :meth:`slice` carves out a contiguous frame range as another stack,
-    which is how :meth:`repro.core.fusion.ImageFusion.fuse_batch`
-    splits one source-major transform back into its N sources.
+    ``pyr[i]`` gives frame ``i`` of a stack and ``pyr[a:b]`` a frame
+    range, both as pyramids of *views* into the stacked arrays (no
+    copy).
     """
 
     lowpass: np.ndarray
@@ -151,19 +123,20 @@ class DtcwtPyramidStack:
     levels: int
 
     @property
-    def count(self) -> int:
-        """Number of stacked frames."""
-        return self.lowpass.shape[2]
+    def frames(self) -> Tuple[int, ...]:
+        """``()`` for one frame, ``(N,)`` for a stack of ``N``."""
+        return self.lowpass.shape[2:-2]
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, index: int) -> DtcwtPyramid:
-        """Frame ``index`` as a view-backed :class:`DtcwtPyramid`."""
-        if not -self.count <= index < self.count:
+    def __getitem__(self, index: Union[int, slice]) -> "DtcwtPyramid":
+        """Frame ``index`` (or a frame range) of a stack, as views."""
+        if not self.frames:
+            raise TransformError(
+                "a single-frame pyramid has no frame axis to index")
+        count = self.frames[0]
+        if not isinstance(index, slice) and not -count <= index < count:
             raise _StackIndexError(
                 f"frame index {index} out of range for a stack of "
-                f"{self.count}"
+                f"{count}"
             )
         return DtcwtPyramid(
             lowpass=self.lowpass[:, :, index],
@@ -173,49 +146,13 @@ class DtcwtPyramidStack:
             levels=self.levels,
         )
 
-    def slice(self, start: int, stop: int) -> "DtcwtPyramidStack":
-        """Frames ``[start, stop)`` as a view-backed sub-stack."""
-        return DtcwtPyramidStack(
-            lowpass=self.lowpass[:, :, start:stop],
-            highpasses=tuple(h[:, start:stop] for h in self.highpasses),
-            original_shape=self.original_shape,
-            padded_shape=self.padded_shape,
-            levels=self.levels,
-        )
-
-    def copy(self) -> "DtcwtPyramidStack":
-        return DtcwtPyramidStack(
+    def copy(self) -> "DtcwtPyramid":
+        return DtcwtPyramid(
             lowpass=self.lowpass.copy(),
             highpasses=tuple(h.copy() for h in self.highpasses),
             original_shape=self.original_shape,
             padded_shape=self.padded_shape,
             levels=self.levels,
-        )
-
-    @classmethod
-    def from_pyramids(cls, pyramids: Sequence[DtcwtPyramid]
-                      ) -> "DtcwtPyramidStack":
-        """Stack per-frame pyramids (all levels/shapes must agree)."""
-        if not pyramids:
-            raise TransformError("cannot stack zero pyramids")
-        first = pyramids[0]
-        for pyr in pyramids[1:]:
-            if (pyr.levels != first.levels
-                    or pyr.padded_shape != first.padded_shape
-                    or pyr.original_shape != first.original_shape):
-                raise TransformError(
-                    "pyramids disagree on levels/shape and cannot be "
-                    "stacked"
-                )
-        return cls(
-            lowpass=np.stack([p.lowpass for p in pyramids], axis=2),
-            highpasses=tuple(
-                np.stack([p.highpasses[l] for p in pyramids], axis=1)
-                for l in range(first.levels)
-            ),
-            original_shape=first.original_shape,
-            padded_shape=first.padded_shape,
-            levels=first.levels,
         )
 
     @property
@@ -250,37 +187,14 @@ class Dtcwt2D:
     # forward
     # ------------------------------------------------------------------
     def forward(self, image: np.ndarray) -> DtcwtPyramid:
-        """Decompose one 2-D ``image`` into a :class:`DtcwtPyramid`."""
-        img = as_float_image(image, dtype=self.backend.dtype)
-        lowpass, highpasses, original, padded = self._forward_arrays(img)
-        return DtcwtPyramid(
-            lowpass=lowpass,
-            highpasses=highpasses,
-            original_shape=original,
-            padded_shape=padded,
-            levels=self.levels,
-        )
+        """Decompose one image ``(H, W)`` or a frame stack ``(N, H, W)``.
 
-    def forward_batch(self, frames: np.ndarray) -> DtcwtPyramidStack:
-        """Decompose a frame stack ``(N, H, W)`` in one pass.
-
-        All ``N`` transforms execute inside the same NumPy (or
+        A stack's ``N`` transforms execute inside the same NumPy (or
         hardware-backend) primitive calls, amortizing per-call
         overhead; each frame's coefficients are bitwise-identical to
         what :meth:`forward` produces for it alone.
         """
-        stack = as_float_stack(frames, dtype=self.backend.dtype)
-        lowpass, highpasses, original, padded = self._forward_arrays(stack)
-        return DtcwtPyramidStack(
-            lowpass=lowpass,
-            highpasses=highpasses,
-            original_shape=original,
-            padded_shape=padded,
-            levels=self.levels,
-        )
-
-    def _forward_arrays(self, img: np.ndarray):
-        """Shared decomposition over the trailing ``(H, W)`` axes."""
+        img = as_float_image(image, dtype=self.backend.dtype)
         be = self.backend
         img, original_shape = pad_to_multiple(img, 2 ** self.levels)
         padded_shape = img.shape[-2:]
@@ -332,46 +246,34 @@ class Dtcwt2D:
             low_trees = new_low
             highpasses.append(_bands_from_tree_quads(lh_trees, hl_trees, hh_trees))
 
-        return low_trees, tuple(highpasses), original_shape, padded_shape
+        return DtcwtPyramid(
+            lowpass=low_trees,
+            highpasses=tuple(highpasses),
+            original_shape=original_shape,
+            padded_shape=padded_shape,
+            levels=self.levels,
+        )
 
     # ------------------------------------------------------------------
     # inverse
     # ------------------------------------------------------------------
     def inverse(self, pyramid: DtcwtPyramid) -> np.ndarray:
-        """Reconstruct the image from a (possibly modified) pyramid."""
+        """Reconstruct from a (possibly modified) pyramid: ``(H, W)``
+        for one frame, ``(N, H, W)`` for a stack."""
         if pyramid.levels != self.levels:
             raise TransformError(
                 f"pyramid has {pyramid.levels} levels, transform expects {self.levels}"
             )
-        return self._inverse_arrays(pyramid.lowpass, pyramid.highpasses,
-                                    pyramid.original_shape)
-
-    def inverse_batch(self, stack: DtcwtPyramidStack) -> np.ndarray:
-        """Reconstruct every frame of a pyramid stack; returns
-        ``(N, H, W)``, each frame bitwise-equal to :meth:`inverse` of
-        its per-frame pyramid."""
-        if stack.levels != self.levels:
-            raise TransformError(
-                f"pyramid stack has {stack.levels} levels, transform "
-                f"expects {self.levels}"
-            )
-        return self._inverse_arrays(stack.lowpass, stack.highpasses,
-                                    stack.original_shape)
-
-    def _inverse_arrays(self, lowpass: np.ndarray,
-                        highpasses: Tuple[np.ndarray, ...],
-                        original_shape: Tuple[int, int]) -> np.ndarray:
-        """Shared reconstruction over the trailing ``(H, W)`` axes."""
         be = self.backend
         qs = self.banks.qshift
         # mirror the tree assignment used by forward()
         h0 = (qs.h0b, qs.h0a)
         h1 = (qs.h1b, qs.h1a)
 
-        low_trees = lowpass.astype(be.dtype, copy=True)
+        low_trees = pyramid.lowpass.astype(be.dtype, copy=True)
         for level in range(self.levels, 1, -1):
             lh_trees, hl_trees, hh_trees = _tree_quads_from_bands(
-                highpasses[level - 1], be.dtype
+                pyramid.highpasses[level - 1], be.dtype
             )
             rows = low_trees.shape[-2] * 2
             cols = low_trees.shape[-1] * 2
@@ -390,7 +292,7 @@ class Dtcwt2D:
             low_trees = new_low
 
         lh_trees, hl_trees, hh_trees = _tree_quads_from_bands(
-            highpasses[0], be.dtype
+            pyramid.highpasses[0], be.dtype
         )
         u_ll = _polyphase_merge(low_trees)
         u_lh = _polyphase_merge(lh_trees)
@@ -404,7 +306,7 @@ class Dtcwt2D:
                                 bank.g1, bank.c_g1, axis=-1)
         image = be.synthesis_u(lo_col, hi_col, bank.g0, bank.c_g0,
                                bank.g1, bank.c_g1, axis=-2) / 4.0
-        return crop_to(image, original_shape)
+        return crop_to(image, pyramid.original_shape)
 
 
 # ----------------------------------------------------------------------

@@ -19,32 +19,21 @@ from ..errors import TransformError
 
 
 def as_float_image(image: np.ndarray, dtype: np.dtype = np.float64) -> np.ndarray:
-    """Validate and convert a 2-D image to a floating point array."""
-    arr = np.asarray(image)
-    if arr.ndim != 2:
-        raise TransformError(f"expected a 2-D image, got shape {arr.shape}")
-    if arr.size == 0:
-        raise TransformError("cannot transform an empty image")
-    return arr.astype(dtype, copy=False)
+    """Validate and convert one image ``(H, W)`` or a frame stack
+    ``(N, H, W)`` to a floating point array.
 
-
-def as_float_stack(frames: np.ndarray, dtype: np.dtype = np.float64
-                   ) -> np.ndarray:
-    """Validate and convert a frame stack ``(N, H, W)`` to float.
-
-    Accepts anything :func:`numpy.stack` would turn into a 3-D array
-    (a list of same-shape 2-D frames included).  The batch transforms
-    process all ``N`` frames in single NumPy calls, so the stack must
-    be rectangular.
+    Accepts anything :func:`numpy.asarray` turns into such an array (a
+    list of same-shape 2-D frames included); a stack is transformed in
+    single NumPy calls, so it must be rectangular.
     """
-    arr = np.asarray(frames)
-    if arr.ndim != 3:
+    arr = np.asarray(image)
+    if arr.ndim not in (2, 3):
         raise TransformError(
-            f"expected a frame stack of shape (N, H, W), got shape "
-            f"{arr.shape}"
-        )
-    if arr.shape[0] == 0 or arr.size == 0:
-        raise TransformError("cannot transform an empty frame stack")
+            f"expected a 2-D image or an (N, H, W) frame stack, got "
+            f"shape {arr.shape}")
+    if arr.size == 0:
+        raise TransformError(f"cannot transform an empty image, got "
+                             f"shape {arr.shape}")
     return arr.astype(dtype, copy=False)
 
 

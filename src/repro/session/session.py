@@ -427,10 +427,11 @@ class _SessionProcessor(FrameProcessor):
     def _stacked_core(self, tasks: List[_FrameTask], fuser: ImageFusion,
                       ctx: Optional[_WorkerContext],
                       with_fuse: bool = True) -> None:
-        """Every source of ``tasks`` (B frames on one lane) through
-        :meth:`ImageFusion.fuse_stack` — one stacked forward, one
-        vectorized coefficient fusion, one stacked inverse — or,
-        without ``with_fuse``, through its stacked forward alone.
+        """Every source of ``tasks`` (B frames on one lane) through one
+        stacked :meth:`ImageFusion.decompose`, sliced back into one
+        ``B``-frame pyramid per source, then — with ``with_fuse`` —
+        one vectorized :meth:`ImageFusion.combine` and one stacked
+        :meth:`ImageFusion.reconstruct`.
 
         The ``(k*B, H, W)`` input stack is source-major and pooled in
         the lane's working dtype: ``ctx.scratch`` on a worker, else the
@@ -449,13 +450,12 @@ class _SessionProcessor(FrameProcessor):
         for i, task in enumerate(tasks):
             for s, frame in enumerate(task.frames):
                 stack[s * count + i] = frame
+        stacked = fuser.decompose(stack)
+        slices = [stacked[s * count:(s + 1) * count] for s in range(k)]
         if with_fuse:
-            result = fuser.fuse_stack(stack, k)
-            slices = result.pyramids
+            fused = fuser.reconstruct(fuser.combine(*slices))
             for i, task in enumerate(tasks):
-                task.fused = result.fused[i]
-        else:
-            slices = fuser.decompose_sources(stack, k)
+                task.fused = fused[i]
         for i, task in enumerate(tasks):
             for s in range(k):
                 task.pyramids[s] = slices[s][i]

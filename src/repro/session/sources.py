@@ -383,9 +383,9 @@ def as_frame_source(source) -> FrameSource:
     """Coerce plain iterables of frame tuples into a source.
 
     Accepts a :class:`FrameSource` (or anything with a ``frames()``
-    method) unchanged, or any iterable yielding :class:`FrameGroup` /
-    :class:`FramePair` objects or N-tuples of arrays (2-tuples become
-    pairs, longer tuples become groups) — so callers can stream
+    method) unchanged, or any iterable yielding :class:`FrameGroup`
+    objects (:class:`FramePair` included) or N-tuples of arrays, which
+    become :class:`FrameGroup` s whatever N — so callers can stream
     generator expressions without wrapping them themselves.
     """
     if isinstance(source, FrameSource):
@@ -426,11 +426,7 @@ class _IterableSource(FrameSource):
                 yield item
             else:
                 item = tuple(item)
-                frames = tuple(
+                yield FrameGroup(frames=tuple(
                     float_frame(frame, index, source) for frame, source
-                    in zip(item, forward_stage_names(len(item))))
-                if len(frames) == 2:
-                    yield FramePair(visible=frames[0], thermal=frames[1],
-                                    index=index)
-                else:
-                    yield FrameGroup(frames=frames, index=index)
+                    in zip(item, forward_stage_names(len(item)))),
+                    index=index)

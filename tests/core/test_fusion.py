@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.fusion import (
-    BatchFusionResult,
-    FusionResult,
-    ImageFusion,
-    fuse_images,
-)
+from repro.core.fusion import FusionResult, ImageFusion, fuse_images
 from repro.core.fusion_rules import WeightedRule
 from repro.errors import FusionError
 
@@ -59,6 +54,13 @@ class TestFuse:
         assert np.max(np.abs(fused - vis)) < 1e-8
 
 
+def fuse_separately(fusion, *frames):
+    """The slow reference: one forward per source frame, then the
+    coefficient and inverse stages."""
+    pyramids = [fusion.decompose(frame) for frame in frames]
+    return fusion.reconstruct(fusion.combine(*pyramids))
+
+
 class TestStagedApi:
     def test_stages_compose_to_fuse(self, structured_pair):
         vis, th = structured_pair
@@ -67,10 +69,17 @@ class TestStagedApi:
         pyr_b = fusion.decompose(th)
         fused_pyr = fusion.combine(pyr_a, pyr_b)
         fused = fusion.reconstruct(fused_pyr)
-        assert np.allclose(fused, fusion.fuse(vis, th).fused)
+        assert np.array_equal(fused, fusion.fuse(vis, th).fused)
 
     def test_levels_property(self):
         assert ImageFusion(levels=4).levels == 4
+
+    def test_single_frame_and_stack_do_not_combine(self, rng):
+        fusion = ImageFusion(levels=2)
+        frames = rng.standard_normal((2, 16, 16))
+        single, stack = fusion.decompose(frames[0]), fusion.decompose(frames)
+        with pytest.raises(FusionError, match=r"\(\) vs \(2,\)"):
+            fusion.combine(single, stack)
 
 
 class TestFuseBatch:
@@ -78,69 +87,77 @@ class TestFuseBatch:
         vis = rng.standard_normal((4, 40, 40)) * 40 + 110
         th = rng.standard_normal((4, 40, 40)) * 40 + 90
         fusion = ImageFusion(levels=2)
-        batch = fusion.fuse_batch(vis, th)
-        assert isinstance(batch, BatchFusionResult)
-        assert len(batch) == 4
+        batch = fusion.fuse(vis, th)
+        assert isinstance(batch, FusionResult)
+        assert batch.fused.shape == (4, 40, 40)
+        assert batch.pyramid_fused.frames == (4,)
         for i in range(4):
+            assert np.array_equal(batch.fused[i],
+                                  fuse_separately(fusion, vis[i], th[i]))
             assert np.array_equal(batch.fused[i],
                                   fusion.fuse(vis[i], th[i]).fused)
 
     def test_getitem_adapts_to_fusion_result(self, rng):
         vis = rng.standard_normal((2, 32, 32))
         th = rng.standard_normal((2, 32, 32))
-        result = ImageFusion(levels=2).fuse_batch(vis, th)[1]
+        fusion = ImageFusion(levels=2)
+        stacked = fusion.fuse(vis, th)
+        result = fusion.fuse(vis[1], th[1])
         assert isinstance(result, FusionResult)
         assert result.pyramid_a.levels == 2
         assert result.fused.shape == (32, 32)
+        assert np.array_equal(stacked.pyramid_a[1].lowpass,
+                              result.pyramid_a.lowpass)
+        assert np.array_equal(stacked.pyramid_fused[1].highpasses[0],
+                              result.pyramid_fused.highpasses[0])
 
     def test_staged_batch_api_composes(self, rng):
         vis = rng.standard_normal((3, 32, 32))
         th = rng.standard_normal((3, 32, 32))
         fusion = ImageFusion(levels=2)
-        stack_a = fusion.decompose_batch(vis)
-        stack_b = fusion.decompose_batch(th)
-        fused = fusion.reconstruct_batch(
-            fusion.combine(stack_a, stack_b))
-        assert np.array_equal(fused, fusion.fuse_batch(vis, th).fused)
+        stack_a = fusion.decompose(vis)
+        stack_b = fusion.decompose(th)
+        fused = fusion.reconstruct(fusion.combine(stack_a, stack_b))
+        assert np.array_equal(fused, fusion.fuse(vis, th).fused)
 
     def test_source_major_stack_matches_per_group_fuse(self, rng):
-        """fuse_stack on a pre-filled (N*B, H, W) stack (source s owns
-        rows s*B..(s+1)*B) is fuse() per group; decompose_sources is
-        its forward alone."""
+        """One forward of a source-major (N*B, H, W) stack (source s
+        owns rows s*B..(s+1)*B), sliced per source, combined and
+        reconstructed, is the per-source reference for every group."""
         frames = rng.standard_normal((3, 2, 32, 32)) * 40 + 100
         fusion = ImageFusion(levels=2)
-        stack = frames.reshape(6, 32, 32)
-        result = fusion.fuse_stack(stack, 3)
-        pyramids = fusion.decompose_sources(stack, 3)
+        stacked = fusion.decompose(frames.reshape(6, 32, 32))
+        pyramids = [stacked[s * 2:(s + 1) * 2] for s in range(3)]
+        fused = fusion.reconstruct(fusion.combine(*pyramids))
         for b in range(2):
-            single = fusion.fuse(*frames[:, b])
-            assert np.array_equal(result.fused[b], single.fused)
+            assert np.array_equal(fused[b],
+                                  fuse_separately(fusion, *frames[:, b]))
             for s in range(3):
                 assert np.array_equal(pyramids[s][b].lowpass,
-                                      single.pyramids[s].lowpass)
+                                      fusion.decompose(frames[s, b]).lowpass)
 
     def test_accepts_frame_lists(self, rng):
         vis = [rng.standard_normal((16, 16)) for _ in range(2)]
         th = [rng.standard_normal((16, 16)) for _ in range(2)]
-        assert ImageFusion(levels=1).fuse_batch(vis, th).fused.shape \
+        assert ImageFusion(levels=1).fuse(vis, th).fused.shape \
             == (2, 16, 16)
 
     def test_rejects_2d_inputs_and_shape_mismatch(self, rng):
         fusion = ImageFusion(levels=2)
-        with pytest.raises(FusionError, match="fuse_batch expects"):
-            fusion.fuse_batch(rng.standard_normal((16, 16)),
-                              rng.standard_normal((16, 16)))
         with pytest.raises(FusionError, match="share a shape"):
-            fusion.fuse_batch(rng.standard_normal((2, 16, 16)),
-                              rng.standard_normal((3, 16, 16)))
-        with pytest.raises(FusionError):
-            fusion.fuse_batch(rng.standard_normal((2, 2, 16, 16)),
-                              rng.standard_normal((2, 2, 16, 16)))
+            fusion.fuse(rng.standard_normal((16, 16)),
+                        rng.standard_normal((2, 16, 16)))
+        with pytest.raises(FusionError, match="share a shape"):
+            fusion.fuse(rng.standard_normal((2, 16, 16)),
+                        rng.standard_normal((3, 16, 16)))
+        with pytest.raises(FusionError, match="2-D frames or"):
+            fusion.fuse(rng.standard_normal((2, 2, 16, 16)),
+                        rng.standard_normal((2, 2, 16, 16)))
         with pytest.raises(FusionError, match="empty"):
-            fusion.fuse_batch(np.empty((0, 16, 16)), np.empty((0, 16, 16)))
+            fusion.fuse(np.empty((0, 16, 16)), np.empty((0, 16, 16)))
 
     def test_odd_sizes_supported(self, rng):
         vis = rng.standard_normal((2, 35, 35))
         th = rng.standard_normal((2, 35, 35))
-        assert ImageFusion(levels=3).fuse_batch(vis, th).fused.shape \
+        assert ImageFusion(levels=3).fuse(vis, th).fused.shape \
             == (2, 35, 35)

@@ -9,7 +9,7 @@ from repro.core.fusion_rules import (
     WindowActivityRule,
     rule_by_name,
 )
-from repro.dtcwt import Dtcwt2D, DtcwtPyramidStack
+from repro.dtcwt import Dtcwt2D
 from repro.errors import FusionError
 
 
@@ -145,8 +145,8 @@ class TestFuseStack:
         for n_sources in (2, 3):
             sources = [rng.standard_normal((3, 32, 32))
                        for _ in range(n_sources)]
-            stack = rule.fuse(*(t.forward_batch(s) for s in sources))
-            assert isinstance(stack, DtcwtPyramidStack)
+            stack = rule.fuse(*(t.forward(s) for s in sources))
+            assert stack.frames == (3,)
             for i in range(3):
                 single = rule.fuse(*(t.forward(s[i]) for s in sources))
                 assert np.array_equal(stack[i].lowpass, single.lowpass)
@@ -156,28 +156,29 @@ class TestFuseStack:
 
     def test_count_mismatch_rejected(self, rng):
         t = Dtcwt2D(levels=1)
-        a = t.forward_batch(rng.standard_normal((2, 16, 16)))
-        b = t.forward_batch(rng.standard_normal((3, 16, 16)))
-        with pytest.raises(FusionError, match="frame count"):
+        a = t.forward(rng.standard_normal((2, 16, 16)))
+        b = t.forward(rng.standard_normal((3, 16, 16)))
+        mismatch = r"frame axes: \(2,\) vs \(3,\)"
+        with pytest.raises(FusionError, match=mismatch):
             MaxMagnitudeRule().fuse(a, b)
-        with pytest.raises(FusionError, match="frame count"):
+        with pytest.raises(FusionError, match=mismatch):
             MaxMagnitudeRule().fuse(a, a, b)
 
     def test_structure_mismatch_rejected(self, rng):
-        a = Dtcwt2D(levels=1).forward_batch(rng.standard_normal((2, 16, 16)))
-        b = Dtcwt2D(levels=2).forward_batch(rng.standard_normal((2, 16, 16)))
+        a = Dtcwt2D(levels=1).forward(rng.standard_normal((2, 16, 16)))
+        b = Dtcwt2D(levels=2).forward(rng.standard_normal((2, 16, 16)))
         with pytest.raises(FusionError):
             MaxMagnitudeRule().fuse(a, b)
 
     def test_mixed_kinds_rejected(self, rng):
         t = Dtcwt2D(levels=1)
         frames = rng.standard_normal((2, 16, 16))
-        stack = t.forward_batch(frames)
+        stack = t.forward(frames)
         single = t.forward(frames[0])
-        with pytest.raises(FusionError, match="DtcwtPyramidStack"):
+        with pytest.raises(FusionError, match=r"\(\) vs \(2,\)"):
             MaxMagnitudeRule().fuse(single, stack)
         with pytest.raises(FusionError,
-                           match="DtcwtPyramidStack with a DtcwtPyramid$"):
+                           match=r"frame axes: \(2,\) vs \(\)$"):
             MaxMagnitudeRule().fuse(stack, stack, single)
 
     def test_single_operand_rejected(self, rng):

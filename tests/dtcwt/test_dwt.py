@@ -38,6 +38,10 @@ class TestDwtRoundtrip:
         with pytest.raises(TransformError):
             Dwt2D(levels=0)
 
+    def test_rejects_frame_stacks(self):
+        with pytest.raises(TransformError, match="2-D image"):
+            Dwt2D(levels=1).forward(np.zeros((2, 8, 8)))
+
 
 class TestStructure:
     def test_detail_shapes_follow_fig1(self, rng):

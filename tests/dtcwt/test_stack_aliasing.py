@@ -28,15 +28,15 @@ def test_no_output_shares_memory_with_the_input_stack(engine, batch,
     stack = rng.uniform(0, 255, (n_sources * batch,) + SHAPE).astype(
         fuser.transform.backend.dtype)
 
-    stacked = fuser.decompose_batch(stack)
+    stacked = fuser.decompose(stack)
     outputs = [stacked.lowpass, *stacked.highpasses]
     assert len(outputs) == LEVELS + 1
     for array in outputs:
         assert not np.shares_memory(array, stack)
 
-    slices = [stacked.slice(s * batch, (s + 1) * batch)
+    slices = [stacked[s * batch:(s + 1) * batch]
               for s in range(n_sources)]
     combined = fuser.combine(*slices)
-    fused = fuser.reconstruct_batch(combined)
+    fused = fuser.reconstruct(combined)
     assert fused.shape == (batch,) + SHAPE
     assert not np.shares_memory(fused, stack)

@@ -177,14 +177,15 @@ class TestOptimizedSessions:
         assert "visible+thermal+fuse" in wall
         assert "batch-core" not in wall
 
-    @pytest.mark.parametrize("executor, forward_batch_calls",
+    @pytest.mark.parametrize("executor, stacked_calls",
                              (("batch", 2), ("serial", 8)))
     def test_forced_core_is_one_stacked_call_under_every_driver(
-            self, executor, forward_batch_calls):
+            self, executor, stacked_calls):
         """One rule decides stacking: a core forced onto the FPGA is
-        one unit, so 8 frames at B=4 make 2 stacked forwards under
-        ``batch`` (8 one-frame ones under ``serial``) and never a
-        per-frame ``forward``, bitwise-equal to the unfused plan."""
+        one unit, so 8 frames at B=4 make 2 stacked ``(N, H, W)``
+        forwards under ``batch`` (8 one-group ones under ``serial``)
+        and never a per-frame 2-D ``forward``, bitwise-equal to the
+        unfused plan."""
         place = {"visible": "fpga", "thermal": "fpga", "fuse": "fpga"}
         config = _config(executor=executor, batch_size=4,
                          keep_records=True,
@@ -192,25 +193,19 @@ class TestOptimizedSessions:
         pairs = _pairs(8)
         with unfused_sessions(), FusionSession(config) as plain:
             ref = plain.run(len(pairs), source=iter(list(pairs)))
-        calls = {"forward": 0, "forward_batch": 0}
+        calls = {2: 0, 3: 0}
+        forward = Dtcwt2D.forward
 
-        def counted(name):
-            original = getattr(Dtcwt2D, name)
+        def counted(self, image):
+            calls[np.ndim(image)] += 1
+            return forward(self, image)
 
-            def wrapper(self, *args, **kwargs):
-                calls[name] += 1
-                return original(self, *args, **kwargs)
-            return wrapper
-
-        with mock.patch.object(Dtcwt2D, "forward", counted("forward")), \
-                mock.patch.object(Dtcwt2D, "forward_batch",
-                                  counted("forward_batch")), \
+        with mock.patch.object(Dtcwt2D, "forward", counted), \
                 FusionSession(config) as fused:
             assert fused.plan.units == {
                 "visible+thermal+fuse": ("visible", "thermal", "fuse")}
             got = fused.run(len(pairs), source=iter(list(pairs)))
-        assert calls == {"forward": 0,
-                         "forward_batch": forward_batch_calls}
+        assert calls == {2: 0, 3: stacked_calls}
         assert ref.model_millijoules_total == got.model_millijoules_total
         for a, b in zip(ref.records, got.records):
             assert np.array_equal(a.frame.pixels, b.frame.pixels)

@@ -237,13 +237,13 @@ class TestCustomStageParity:
         assert plan.units == {"visible+thermal+fuse+a+b+c": (
             "visible", "thermal", "fuse", "a", "b", "c")}
 
-        fuse_stack = ImageFusion.fuse_stack
+        combine = ImageFusion.combine
 
-        def core(fuser, stack, sources):
-            calls.append(("core", stack.shape[0] // sources))
-            return fuse_stack(fuser, stack, sources)
+        def core(fuser, *pyramids):
+            calls.append(("core", pyramids[0].frames[0]))
+            return combine(fuser, *pyramids)
 
-        with mock.patch.object(ImageFusion, "fuse_stack", core):
+        with mock.patch.object(ImageFusion, "combine", core):
             fuse_stream("batch", build, n=4, batch_size=2)
         batch = [("core", 2), ("a", 0), ("a", 1),
                  ("b", 0), ("b", 1), ("c", 0), ("c", 1)]

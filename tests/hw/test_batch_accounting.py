@@ -31,7 +31,7 @@ class TestHlsBatchAccounting:
         batch_backend = engine.make_backend()
         batch_transform = engine.transform(levels=2)
         batch_transform.backend = batch_backend
-        batch_transform.forward_batch(frames)
+        batch_transform.forward(frames)
         batched = _engine_stats(batch_backend)
 
         assert batched.invocations == serial.invocations
@@ -55,9 +55,9 @@ class TestHlsBatchAccounting:
         batch_backend = engine.make_backend()
         tb = engine.transform(levels=2)
         tb.backend = batch_backend
-        stack = tb.forward_batch(frames)
+        stack = tb.forward(frames)
         batch_backend.engine.stats.reset()
-        tb.inverse_batch(stack)
+        tb.inverse(stack)
         batched = _engine_stats(batch_backend)
 
         assert batched.invocations == serial.invocations
@@ -80,7 +80,7 @@ class TestHlsBatchAccounting:
         batch_backend = engine.make_backend()
         tb = engine.transform(levels=2)
         tb.backend = batch_backend
-        tb.forward_batch(frames)
+        tb.forward(frames)
 
         assert (_engine_stats(batch_backend).coefficient_loads
                 <= _engine_stats(serial_backend).coefficient_loads)

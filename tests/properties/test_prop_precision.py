@@ -98,8 +98,8 @@ class TestKernelSwapBitwiseParity:
         """Leading batch axes ride the same per-element arithmetic."""
         ref = Dtcwt2D(levels=2, backend=NumpyBackend(dtype=np.float32))
         jit = Dtcwt2D(levels=2, backend=KernelBackend(dtype=np.float32))
-        pr = ref.forward_batch(stack)
-        pj = jit.forward_batch(stack)
+        pr = ref.forward(stack)
+        pj = jit.forward(stack)
         assert np.array_equal(pr.lowpass, pj.lowpass)
         for hr, hj in zip(pr.highpasses, pj.highpasses):
             assert np.array_equal(hr, hj)

@@ -282,7 +282,10 @@ class TestFrameSources:
         pairs = [(np.zeros((8, 8)), np.ones((8, 8)))] * 2
         source = as_frame_source(iter(pairs))
         out = list(source)
-        assert len(out) == 2 and isinstance(out[0], FramePair)
+        assert len(out) == 2 and type(out[0]) is FrameGroup
+        assert len(out[0]) == 2
+        assert np.array_equal(out[0].visible, np.zeros((8, 8)))
+        assert np.array_equal(out[0].thermal, np.ones((8, 8)))
         with pytest.raises(VideoError):
             as_frame_source(42)
 
