@@ -42,8 +42,7 @@ class FusionResult:
     """Fused frame (or ``(B, H, W)`` stack) plus the intermediate
     pyramids (for inspection).
 
-    ``pyramids`` holds every source's pyramid in input order; the
-    historical ``pyramid_a`` / ``pyramid_b`` names read the first two.
+    ``pyramids`` holds every source's pyramid in input order.
     For stacked sources each pyramid carries the same frame axis as
     ``fused`` (index it with ``pyramid[i]``).
     """
@@ -51,14 +50,6 @@ class FusionResult:
     fused: np.ndarray
     pyramids: Tuple[DtcwtPyramid, ...]
     pyramid_fused: DtcwtPyramid
-
-    @property
-    def pyramid_a(self) -> DtcwtPyramid:
-        return self.pyramids[0]
-
-    @property
-    def pyramid_b(self) -> DtcwtPyramid:
-        return self.pyramids[1]
 
 
 class ImageFusion:

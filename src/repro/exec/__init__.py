@@ -7,9 +7,8 @@ package makes those schedules a first-class, swappable layer: the
 capture → forward ×2 → fuse → inverse → report dataflow is described
 once — declaratively, as a :class:`repro.graph.FusionGraph` lowered to
 a :class:`repro.graph.FusionPlan` that the :class:`FrameProcessor`
-carries — and driven by an :class:`Executor`, each of which is an
-*interpreter* of that plan (custom stages included) rather than a
-hard-coded stage order.
+carries — and driven by an :class:`Executor`, which schedules whole
+frames through the processor and never sees a stage order.
 
 Executor ↔ paper map
 --------------------
@@ -21,26 +20,32 @@ Executor ↔ paper map
     ``batch_size=1``.
 
 ``pipeline`` — :class:`PipelineExecutor`
-    Stage-parallel streaming through bounded queues: capture, forward
-    transforms, fusion/inverse and reporting overlap across frames,
-    and the two forward transforms of each pair run concurrently.
+    Frame-parallel streaming: a capture thread ingests frames in
+    order, a pool of ``workers`` threads computes whole frames (one
+    :meth:`FrameProcessor.compute` call per frame, each on its own
+    worker context), and the caller's thread finalizes them in order.
     This is the software analogue of Section IV's double-buffered
     driver, where memcpys into one kernel buffer area overlap the
-    hardware crunching the other.
+    hardware crunching the other.  A sequential plan (temporal
+    fusion) gets one pool thread, which takes frames in capture order.
 
 ``batch`` — :class:`BatchExecutor`
     Micro-batched NumPy vectorization on one thread: every
-    ``batch_size`` frame pairs go to
-    :meth:`FrameProcessor.process_batch`, where each fused unit of the
+    ``batch_size`` frame groups go to one
+    :meth:`FrameProcessor.compute` call, where each fused unit of the
     plan stacks them through *one* forward transform per lane (every
     modality in the same stack), fuses them with vectorized rules and
     reconstructs them with one stacked inverse, while ingest/finalize
     stay per-frame and ordered.  This is the paper's
     many-lines-per-invocation amortization applied at frame
     granularity — the right choice on single-core hosts where the
-    thread executor cannot overlap.  Which stages stack is the
-    planner's decision (its units), never the executor's: ``serial``
-    and ``batch`` only choose how many frames one call receives.
+    thread executor cannot overlap.
+
+Every executor drives the one plan the planner lowered, through the
+same three calls — ``ingest``, ``compute`` and ``finalize``.  Which
+stages stack is the planner's decision (its units), never the
+executor's: an executor only chooses how many frames one ``compute``
+call receives and on which thread it runs.
 
 Which engine computes a stage is not an executor concern: the paper's
 adaptive system makes a static per-workload choice, and a stage is

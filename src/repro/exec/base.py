@@ -1,4 +1,4 @@
-"""Execution-layer contracts: the stage protocol and executor interface.
+"""Execution-layer contracts: the frame processor and executor interface.
 
 The paper's system is a dataflow per fused frame — capture, two
 forward DT-CWTs, coefficient fusion, inverse DT-CWT — followed by
@@ -7,18 +7,14 @@ reporting.  This module names that work once, as the
 pipelined across threads, micro-batched) becomes a
 swappable :class:`Executor` instead of a loop baked into the session.
 
-Executors are **plan interpreters**: they never hard-code a stage
-order.  A processor advertises, per drive, the stage names of its
-lowered :class:`~repro.graph.FusionPlan` — an ordered ingest, a
-*parallel wave* (:meth:`FrameProcessor.parallel_stages`, stateless
-stages an executor may run concurrently), a *mid chain*
-(:meth:`FrameProcessor.mid_stages`, run after the wave in dependency
-order), and an ordered finalize — and executors drive those names
-through :meth:`FrameProcessor.run_stage`.  The default hooks describe
-the paper's canonical pipeline (``visible``/``thermal`` forwards, then
-``fuse``), so a processor that implements only ``ingest``,
-``run_stage`` and ``finalize`` is driven through that canonical
-order.
+Every executor talks to a processor through three calls:
+:meth:`FrameProcessor.ingest` (ordered, one frame),
+:meth:`FrameProcessor.compute` (every stage between ingest and
+finalize, over one or more ingested frames, on one worker context) and
+:meth:`FrameProcessor.finalize` (ordered, one frame).  Which stages
+run and how they stack is the processor's lowered plan, the same for
+every executor; an executor only chooses how many frames one
+``compute`` call receives and on which thread it runs.
 
 Determinism is a design invariant, not an accident: every stage's
 arithmetic is bound to the frame's selected engine (or the stage's
@@ -32,7 +28,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ConfigurationError, FusionError
 
@@ -80,7 +76,7 @@ class ExecStats:
     #: frames and threads
     stage_wall_s: Dict[str, float] = field(default_factory=dict)
     #: the same record summed per thread (``MainThread``,
-    #: ``exec-capture``, ``exec-forward-0``, ...): how long each
+    #: ``exec-capture``, ``exec-compute-0``, ...): how long each
     #: thread spent inside a stage
     thread_busy_s: Dict[str, float] = field(default_factory=dict)
 
@@ -110,15 +106,15 @@ class ExecStats:
 
 
 class FrameProcessor(ABC):
-    """The staged work of fusing one frame, independent of scheduling.
+    """The work of fusing frames, independent of scheduling.
 
     An executor calls, for every frame: :meth:`ingest` (ordered,
     stateful: normalisation, rig calibration, engine selection), then
-    :meth:`run_stage` for each name of the parallel wave and the mid
-    chain, then :meth:`finalize` (ordered, stateful: monitoring,
-    telemetry, aggregation).  Wave stages are pure and may run
-    concurrently, also with other frames' stages; the mid chain runs
-    in frame order on one lane when :attr:`sequential_mid` is set.
+    :meth:`compute` on a list of ingested tasks, then :meth:`finalize`
+    (ordered, stateful: monitoring, telemetry, aggregation).  Compute
+    calls on different contexts may run concurrently unless
+    :attr:`sequential` is set; a sequential processor must see every
+    task through one lane, in frame order.
 
     ``ctx`` arguments are opaque worker contexts from
     :meth:`make_contexts`; a context is only ever used by one thread
@@ -127,20 +123,10 @@ class FrameProcessor(ABC):
     """
 
     @property
-    def sequential_mid(self) -> bool:
-        """True when the whole mid chain must run in frame order on a
-        single ordered lane (a stateful stage sits in it)."""
+    def sequential(self) -> bool:
+        """True when compute must run in frame order on a single lane
+        (a stateful stage sits between ingest and finalize)."""
         return False
-
-    def parallel_stages(self) -> Tuple[str, ...]:
-        """Stage names of the parallel wave, dispatchable concurrently
-        (with each other and across frames).  Empty when the mid chain
-        is sequential — the ordered lane then owns all compute."""
-        return () if self.sequential_mid else ("visible", "thermal")
-
-    def mid_stages(self) -> Tuple[str, ...]:
-        """Stage names run after the parallel wave, in this order."""
-        return ("fuse",)
 
     def make_contexts(self, n: int) -> List[Optional[object]]:
         """``n`` opaque per-worker contexts (default: none needed)."""
@@ -151,29 +137,12 @@ class FrameProcessor(ABC):
         """Turn a raw frame group into a task (ordered, stateful)."""
 
     @abstractmethod
-    def run_stage(self, name: str, task: Any,
-                  ctx: Optional[object] = None) -> None:
-        """Execute the named stage on ``task`` — the one entry point
-        executors use for every stage between ingest and finalize."""
-
-    def process_batch(self, tasks: Sequence[Any]) -> None:
-        """Compute a micro-batch of ingested tasks (every wave and mid
-        stage).
-
-        The hook of the batch and serial executors (and of the serving
-        layer's grants): a processor that can stack frames through one
-        transform invocation overrides this to amortize per-call
-        overhead.  The default simply drives the per-frame
-        stages in frame order, so any processor is batch-drivable.
-        Implementations must leave each task exactly as the per-frame
-        stages would (bitwise), and must keep stateful stages
-        (:attr:`sequential_mid`) in frame order — which the default
-        does by driving the full per-frame chain frame-major.
-        """
-        names = (*self.parallel_stages(), *self.mid_stages())
-        for task in tasks:
-            for name in names:
-                self.run_stage(name, task)
+    def compute(self, tasks: Sequence[Any],
+                ctx: Optional[object] = None) -> None:
+        """Run every stage between ingest and finalize on ``tasks``
+        (ingested, in frame order) using context ``ctx`` (None: the
+        processor's own serial lane).  Implementations must leave each
+        task bitwise as one-frame calls would."""
 
     @abstractmethod
     def finalize(self, task: Any) -> Any:
@@ -181,10 +150,11 @@ class FrameProcessor(ABC):
 
 
 class Executor(ABC):
-    """One strategy for driving :class:`FrameProcessor` stages.
+    """One strategy for driving a :class:`FrameProcessor`.
 
-    ``run`` is a generator: it consumes raw pairs, routes them through
-    the processor's stages, and yields results *in frame order*.
+    ``run`` is a generator: it consumes raw frame groups, routes them
+    through ingest, compute and finalize, and yields results *in frame
+    order*.
     Implementations own whatever threads/queues they need and must
     release them when the generator is closed early, when a stage
     raises, or when :meth:`close` is called.
@@ -248,7 +218,8 @@ class Executor(ABC):
     @abstractmethod
     def run(self, processor: FrameProcessor, pairs: Iterator[Any],
             limit: Optional[int] = None) -> Iterator[Any]:
-        """Drive ``pairs`` through the stages; yield ordered results."""
+        """Drive ``pairs`` through the processor; yield ordered
+        results."""
 
     def close(self) -> None:
         """Join worker threads and release queues (idempotent)."""

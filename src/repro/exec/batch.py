@@ -4,15 +4,16 @@ The paper's engines earn their throughput by streaming many lines
 through one datapath invocation; the Python port's analogue is
 streaming many *frames* through one NumPy primitive call.
 :class:`BatchExecutor` drains the source in micro-batches of
-``batch_size`` frame pairs and hands each batch to
-:meth:`~repro.exec.base.FrameProcessor.process_batch`.  The session's
-processor computes it from its lowered plan's units: a unit's
-``visible+thermal+fuse`` chain rides stacked transforms — all
-forwards of the batch (every source) in one call per lane, vectorized
-coefficient fusion, one stacked inverse — and the remaining stages
-run stage-major or, when not batchable, frame-major, in schedule
-order.  :class:`~repro.exec.serial.SerialExecutor` is this executor
-at ``batch_size=1``.
+``batch_size`` frame groups and hands each batch to one
+:meth:`~repro.exec.base.FrameProcessor.compute` call on the
+processor's own lane.  The session's processor computes it from its
+lowered plan's units: a unit's ``visible+thermal+fuse`` chain rides
+stacked transforms — all forwards of the batch (every source) in one
+call per lane, vectorized coefficient fusion, one stacked inverse —
+and the remaining stages run stage-major or, when not batchable,
+frame-major, in schedule order.
+:class:`~repro.exec.serial.SerialExecutor` is this executor at
+``batch_size=1``.
 
 Everything else stays per-frame: ingest runs in frame order *before*
 the batch computes (so scheduler observations, calibration and frame
@@ -78,7 +79,7 @@ class BatchExecutor(Executor):
                 tasks = [processor.ingest(pair, index + offset)
                          for offset, pair in enumerate(raw)]
                 index += len(tasks)
-                processor.process_batch(tasks)
+                processor.compute(tasks)
                 stats.queue_peak["batch"] = max(
                     stats.queue_peak.get("batch", 0), len(tasks))
                 for task in tasks:

@@ -1,42 +1,33 @@
-"""The pipelined executor: bounded-queue, multi-stage thread pipeline.
+"""The pipelined executor: capture thread, compute pool, ordered finalize.
 
 Mirrors the paper's double-buffered execution (Fig. 5): while frame
-``i`` is being fused, frame ``i+1``'s forward transforms are already
-running and frame ``i+2`` is being captured, exactly like the driver's
-two kernel-buffer areas let user-space memcpys overlap hardware
-processing.  The forward transforms — the stage the paper accelerates
-— run on a small worker pool.  The lowering fuses a frame's forwards
-into one stacked unit (canonically ``visible+thermal``), so the pool
-gets one job per frame and overlaps the forwards of consecutive
-frames, not the two forwards of one frame.
+``i`` is being finalized, frames ``i+1``, ``i+2`` are computing on the
+pool and frame ``i+3`` is being captured, exactly like the driver's two
+kernel-buffer areas let user-space memcpys overlap hardware
+processing.  Each pool thread computes whole frames with one
+:meth:`~repro.exec.base.FrameProcessor.compute` call on its own
+context, so the plan's units stack a frame's transforms exactly as
+they do under ``serial``; the pool overlaps consecutive frames.
 
-Stage topology (every queue bounded by ``queue_depth``)::
+Topology (frames in flight bounded by ``queue_depth``)::
 
-    capture/ingest ──> [wave pool: workers] ──> mid chain ──> finalize
-         (ordered)       (unordered, pure)      (ordered)    (ordered,
-                                                              caller
-                                                              thread)
+    capture/ingest ──> [compute pool: workers] ──> finalize
+       (ordered)          (whole frames)          (ordered, caller
+                                                    thread)
 
-The slots are filled from the processor's lowered plan: the *parallel
-wave* (:meth:`FrameProcessor.parallel_stages` — canonically the
-forwards' fused unit, plus any custom stateless stage that only needs
-the ingested frame) rides the pool; the *mid chain*
-(:meth:`FrameProcessor.mid_stages` — canonically fuse+inverse, plus
-any custom stage downstream of it) runs on the dedicated mid thread,
-which sees frames in capture order.
-
-Ordering and determinism: ingest, the mid chain and finalize each run
-on a single thread and see frames in capture order, so all stateful
-policies (rig calibration, temporal fusion, monitoring, telemetry)
-behave exactly as in the serial loop; wave stages are pure and bound
-to the frame's engine, so results are bitwise identical no matter how
-the pool interleaves them.
+Ordering and determinism: ingest and finalize each run on a single
+thread and see frames in capture order, so the ordered policies (rig
+calibration, monitoring, telemetry) behave exactly as in the serial
+loop.  A sequential processor (temporal fusion, or a custom ordered
+stage) gets one pool thread, which takes frames in capture order.
+Otherwise compute is pure and bound to the frame's engine, so results
+are bitwise identical no matter how the pool interleaves frames.
 
 The executor times only its drive; the session's processor times
 every stage on whichever thread runs it, so a report's
 ``thread_busy_s`` shows how long each ``exec-*`` thread really
-worked, and ``worker_frames`` counts each pool thread's stage jobs
-under the same thread names.
+worked, and ``worker_frames`` counts each pool thread's frames under
+the same thread names.
 """
 
 from __future__ import annotations
@@ -53,28 +44,17 @@ _DONE = object()  # end-of-stream sentinel
 
 
 class _Envelope:
-    """Executor-side wrapper tracking one task through the stages."""
+    """One ingested task and the event its computing worker sets."""
 
-    __slots__ = ("task", "index", "forwards_done", "_remaining", "_lock")
+    __slots__ = ("task", "done")
 
-    def __init__(self, task: Any, index: int, forwards: int):
+    def __init__(self, task: Any):
         self.task = task
-        self.index = index
-        self.forwards_done = threading.Event()
-        self._remaining = forwards
-        self._lock = threading.Lock()
-        if forwards == 0:
-            self.forwards_done.set()
-
-    def forward_completed(self) -> None:
-        with self._lock:
-            self._remaining -= 1
-            if self._remaining == 0:
-                self.forwards_done.set()
+        self.done = threading.Event()
 
 
 class PipelineExecutor(Executor):
-    """Capture, forward, fuse and finalize as overlapped stages."""
+    """Capture, compute and finalize as overlapped stages."""
 
     name = "pipeline"
 
@@ -109,6 +89,13 @@ class PipelineExecutor(Executor):
                 continue
         return _DONE
 
+    def _await(self, event: threading.Event) -> bool:
+        """Stop-aware wait; False when the drive stopped first."""
+        while not event.wait(timeout=self.TICK_S):
+            if self._stop:
+                return False
+        return True
+
     # ------------------------------------------------------------------
     def run(self, processor: FrameProcessor, pairs: Iterator[Any],
             limit: Optional[int] = None) -> Iterator[Any]:
@@ -121,16 +108,10 @@ class PipelineExecutor(Executor):
         started = time.perf_counter()
 
         q_order: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
-        q_forward: "queue.Queue" = queue.Queue()
-        q_done: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
-        wave = tuple(processor.parallel_stages())
-        mid = tuple(processor.mid_stages())
-        # an empty wave (sequential mid chain, e.g. temporal fusion)
-        # means no pool jobs will exist, so no pool threads or
-        # contexts are built
-        pool_size = 0 if not wave else self.workers
-        contexts = processor.make_contexts(pool_size + 1)
-        fuse_ctx, pool_ctxs = contexts[0], contexts[1:]
+        q_compute: "queue.Queue" = queue.Queue()
+        # one FIFO worker keeps a sequential processor in frame order
+        pool_size = 1 if processor.sequential else self.workers
+        contexts = processor.make_contexts(pool_size)
 
         def capture() -> None:
             produced = 0
@@ -146,66 +127,40 @@ class PipelineExecutor(Executor):
                         pair = next(iterator)
                     except StopIteration:
                         break
-                    index = produced
-                    task = processor.ingest(pair, index)
-                    # with a sequential mid chain (temporal fusion) the
-                    # whole transform runs there; no wave jobs exist
-                    env = _Envelope(task, index, forwards=len(wave))
+                    env = _Envelope(processor.ingest(pair, produced))
                     if not self._put(q_order, env, "order"):
                         break
-                    for stage in wave:
-                        q_forward.put((stage, env))
-                    if wave:
-                        peak = stats.queue_peak
-                        peak["forward"] = max(peak.get("forward", 0),
-                                              q_forward.qsize())
+                    q_compute.put(env)
+                    peak = stats.queue_peak
+                    peak["compute"] = max(peak.get("compute", 0),
+                                          q_compute.qsize())
                     produced += 1
             except BaseException as exc:  # noqa: BLE001 - crosses threads
                 self._fail(exc)
             finally:
                 self._put(q_order, _DONE, "order")
                 for _ in range(pool_size):
-                    q_forward.put(_DONE)
+                    q_compute.put(_DONE)
 
-        def forward_worker(slot: int) -> None:
-            ctx = pool_ctxs[slot]
+        def worker(slot: int) -> None:
+            ctx = contexts[slot]
             name = threading.current_thread().name
             try:
                 while not self._stop:
-                    job = self._get(q_forward)
-                    if job is _DONE:
+                    env = self._get(q_compute)
+                    if env is _DONE:
                         return
-                    stage, env = job
-                    processor.run_stage(stage, env.task, ctx)
+                    processor.compute([env.task], ctx)
                     stats.worker_frames[name] = \
                         stats.worker_frames.get(name, 0) + 1
-                    env.forward_completed()
-            except BaseException as exc:  # noqa: BLE001
-                self._fail(exc)
-
-        def fuse_stage() -> None:
-            try:
-                while not self._stop:
-                    env = self._get(q_order)
-                    if env is _DONE:
-                        break
-                    while not env.forwards_done.wait(timeout=self.TICK_S):
-                        if self._stop:
-                            return
-                    for stage in mid:
-                        processor.run_stage(stage, env.task, fuse_ctx)
-                    if not self._put(q_done, env, "done"):
-                        return
-                self._put(q_done, _DONE, "done")
+                    env.done.set()
             except BaseException as exc:  # noqa: BLE001
                 self._fail(exc)
 
         threads = [threading.Thread(target=capture, name="exec-capture",
-                                    daemon=True),
-                   threading.Thread(target=fuse_stage, name="exec-fuse",
                                     daemon=True)]
-        threads += [threading.Thread(target=forward_worker, args=(i,),
-                                     name=f"exec-forward-{i}", daemon=True)
+        threads += [threading.Thread(target=worker, args=(i,),
+                                     name=f"exec-compute-{i}", daemon=True)
                     for i in range(pool_size)]
         self._threads = threads
         for thread in threads:
@@ -213,8 +168,8 @@ class PipelineExecutor(Executor):
 
         try:
             while True:
-                env = self._get(q_done)
-                if env is _DONE:
+                env = self._get(q_order)
+                if env is _DONE or not self._await(env.done):
                     break
                 result = processor.finalize(env.task)
                 stats.frames += 1

@@ -2,8 +2,8 @@
 
 Every stage of frame ``i`` completes before frame ``i+1`` is pulled,
 on the caller's thread: ingest, one
-:meth:`~repro.exec.base.FrameProcessor.process_batch` call on that
-single frame, then finalize.  The plan's units decide stacking for it
+:meth:`~repro.exec.base.FrameProcessor.compute` call on that single
+frame, then finalize.  The plan's units decide stacking for it
 exactly as for ``batch``, so a unit's transform chain is one stacked
 call per frame.  It is the paper's unoverlapped baseline and the
 reference every other executor is tested against.  All of its

@@ -287,8 +287,8 @@ class FusionGraph:
 
         ``ingest -> [register ->] visible+thermal -> fuse -> finalize``
         by default; with ``n_sources > 2`` further forward stages
-        (``source2``, ``source3``, ...) join the parallel wave and the
-        fuse node reduces all of them.  With ``temporal`` the forwards
+        (``source2``, ``source3``, ...) join the forwards and the fuse
+        node reduces all of them.  With ``temporal`` the forwards
         and the fuse node are replaced by one ordered ``temporal``
         stage, because flicker-suppressing temporal fusion decomposes
         internally and carries smoothed masks across frames — that

@@ -3,14 +3,13 @@
 The planner is the seam between *describing* the dataflow and
 *driving* it.  It validates a graph against a
 :class:`~repro.session.FusionConfig`-shaped object, then emits a
-:class:`FusionPlan` that every executor interprets:
+:class:`FusionPlan` that every executor drives unchanged:
 
 * a deterministic **schedule** (topological order, insertion-order
   tie-break);
 * a partition into the **head** (ordered stages run on the capture
-  thread, frame by frame), the **parallel wave** (stateless stages an
-  executor may run concurrently), the **mid chain** (stages run after
-  the wave, in dependency order) and the **tail** (the ordered
+  thread, frame by frame), the **compute** region (every stage the
+  processor's ``compute`` call runs) and the **tail** (the ordered
   finalize);
 * **placement** per stage — ``auto`` resolved through the same cost
   models the session schedules with (fixed engine, the cost-model
@@ -20,27 +19,23 @@ The planner is the seam between *describing* the dataflow and
 * a modelled **per-stage cost** so ``repro-fusion plan`` can show
   where the frame time goes before anything runs;
 * **fused dispatch units** — chains of two or more adjacent stateless
-  stages with the same placement key collapse into one unit the
-  session drives with a single ``run_stage`` call.  The canonical
-  ``visible+thermal+fuse`` chain rides one stacked ``(N, H, W)``
-  forward, vectorized coefficient fusion and one stacked inverse,
-  from a pooled per-worker input stack (the paper's HLS datapath
-  likewise streams forward -> fuse -> inverse without returning to
-  the host).  The ``pipeline`` executor overlaps the parallel wave
-  with the mid chain, so only wave stages fuse there; ``serial`` and
-  ``batch`` fuse across the whole compute region.  A placement
-  change breaks a chain: members are either all ``auto`` or all
-  forced onto one engine.  Units are the only stacking rule: the
-  session's ``process_batch`` runs a unit's transform chain as one
-  stacked call per lane over however many frames a driver hands it
-  (one for ``serial`` and ``process()``, ``batch_size`` for
-  ``batch``, a grant under serving).
+  stages with the same placement key collapse into one unit.  The
+  canonical ``visible+thermal+fuse`` chain rides one stacked
+  ``(N, H, W)`` forward, vectorized coefficient fusion and one stacked
+  inverse, from a pooled per-worker input stack (the paper's HLS
+  datapath likewise streams forward -> fuse -> inverse without
+  returning to the host).  A placement change breaks a chain: members
+  are either all ``auto`` or all forced onto one engine.  Units are
+  the only stacking rule: the session's ``compute`` runs a unit's
+  transform chain as one stacked call per lane over however many
+  frames a driver hands it (one for ``serial``, ``pipeline`` and
+  ``process()``, ``batch_size`` for ``batch``, a grant under serving).
 
-If any stage between head and tail is ordered, the whole compute
-region degrades to a sequential mid chain (``sequential_mid``):
-every executor then runs those stages in frame order on its ordered
-lane, which is exactly how stateful temporal fusion has always been
-driven, and no stage fuses.
+Lowering reads no executor: every executor drives the same plan.  If
+any stage between head and tail is ordered, the plan is
+``sequential``: every executor then computes frames in frame order on
+one lane, which is exactly how stateful temporal fusion has always
+been driven, and no stage fuses.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ class PlannedStage:
     """One stage with everything the executors and reports need."""
 
     stage: Stage
-    role: str            # "head" | "parallel" | "mid" | "tail"
+    role: str            # "head" | "compute" | "tail"
     engine: str          # resolved placement (engine name or "host")
     model_seconds: float  # modelled compute cost on that engine
     #: kernel driving the stage's arithmetic, named by its engine
@@ -106,19 +101,16 @@ class FusionPlan:
     graph: FusionGraph
     schedule: Tuple[str, ...]
     head: Tuple[str, ...]
-    parallel: Tuple[str, ...]
-    mid: Tuple[str, ...]
     tail: Tuple[str, ...]
-    compute: Tuple[str, ...]          # parallel+mid in schedule order
-    sequential_mid: bool
+    compute: Tuple[str, ...]          # between head and tail, in order
+    sequential: bool
     nodes: Dict[str, PlannedStage] = field(repr=False)
     dynamic_engine: bool = False
-    executor: str = "serial"
     engine: str = "adaptive"
     shape: str = ""
     levels: int = 3
     #: fused dispatch units (unit name -> ordered member stage names;
-    #: the unit name appears in ``parallel``/``mid``/``compute`` while
+    #: the unit name appears in ``compute`` while
     #: ``schedule``/``nodes`` keep every original stage)
     units: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
@@ -150,16 +142,14 @@ class FusionPlan:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "executor": self.executor,
             "engine": self.engine,
             "shape": self.shape,
             "levels": self.levels,
             "schedule": list(self.schedule),
             "head": list(self.head),
-            "parallel": list(self.parallel),
-            "mid": list(self.mid),
+            "compute": list(self.compute),
             "tail": list(self.tail),
-            "sequential_mid": self.sequential_mid,
+            "sequential": self.sequential,
             "dynamic_engine": self.dynamic_engine,
             "stages": [self.nodes[name].as_dict()
                        for name in self.schedule],
@@ -170,7 +160,7 @@ class FusionPlan:
 
     def describe(self) -> str:
         lines = [
-            f"FusionPlan: executor={self.executor} engine={self.engine} "
+            f"FusionPlan: engine={self.engine} "
             f"({self.shape}, levels={self.levels})",
             f"  {'stage':<12} {'role':<9} {'placement':<10} "
             f"{'state':<10} {'cost/frame':>12}",
@@ -181,15 +171,15 @@ class FusionPlan:
                     if node.model_seconds else "-")
             placement = node.engine
             if (node.stage.placement == AUTO and self.dynamic_engine
-                    and node.role in ("parallel", "mid")):
+                    and node.role == "compute"):
                 placement = f"{node.engine}*"
             lines.append(f"  {name:<12} {node.role:<9} {placement:<10} "
                          f"{node.stage.state:<10} {cost:>12}")
         if self.dynamic_engine:
             lines.append("  (* online scheduler: engine re-selected "
                          "per frame; cost shown for the probe engine)")
-        lines.append(f"  mid chain    : "
-                     f"{'sequential (ordered stage present)' if self.sequential_mid else 'concurrent-eligible'}")
+        lines.append(f"  compute      : "
+                     f"{'sequential (ordered stage present)' if self.sequential else 'concurrent-eligible'}")
         kernels = ", ".join(
             f"{name}={self.nodes[name].kernel}/{self.nodes[name].precision}"
             for name in self.schedule if self.nodes[name].kernel)
@@ -224,22 +214,8 @@ class Planner:
                 break
         tail = (order[-1],)
         compute = tuple(n for n in order if n not in head and n not in tail)
-
-        sequential_mid = any(graph.stage(n).ordered for n in compute)
+        sequential = any(graph.stage(n).ordered for n in compute)
         head_set = set(head)
-        if sequential_mid:
-            parallel: Tuple[str, ...] = ()
-            mid = compute
-        else:
-            parallel = tuple(
-                n for n in compute
-                if set(graph.stage(n).after) <= head_set
-                and graph.stage(n).kind not in ("fuse", "temporal"))
-            mid = tuple(n for n in compute if n not in parallel)
-        if not mid:
-            raise ConfigurationError(
-                "lowered plan has an empty mid chain; the fuse or "
-                "temporal stage must depend on the transform stages")
 
         engine_label, dynamic = self._resolve_default_engine(config)
         placements = self._resolve_placements(graph, order, head_set,
@@ -249,41 +225,26 @@ class Planner:
                    if name != HOST}
         costs = self._model_costs(graph, placements, engines, config)
         kernels = self._kernel_info(placements, engines, config)
-        units: Dict[str, Tuple[str, ...]] = {}
-        if not sequential_mid:
-            units = self._fuse_units(
-                graph, parallel if config.executor == "pipeline"
-                else compute)
+        units = {} if sequential else self._fuse_units(graph, compute)
 
         nodes = {}
         for name in order:
             role = ("head" if name in head_set
                     else "tail" if name in tail
-                    else "parallel" if name in parallel
-                    else "mid")
+                    else "compute")
             kernel, precision = kernels[name]
             nodes[name] = PlannedStage(stage=graph.stage(name), role=role,
                                        engine=placements[name],
                                        model_seconds=costs[name],
                                        kernel=kernel, precision=precision)
-        if units:
-            owner = {member: unit for unit, members in units.items()
-                     for member in members}
-            parallel_set = set(parallel)
-            compute = tuple(dict.fromkeys(owner.get(n, n) for n in compute))
-            # a unit joins the parallel wave only when every member was
-            # in it: one member from the mid chain pins it there
-            parallel = tuple(n for n in compute
-                             if set(units.get(n, (n,))) <= parallel_set)
-            mid = tuple(n for n in compute if n not in parallel)
+        owner = {member: unit for unit, members in units.items()
+                 for member in members}
         return FusionPlan(
-            graph=graph, schedule=order, head=tuple(head),
-            parallel=parallel, mid=mid, tail=tail, compute=compute,
-            sequential_mid=sequential_mid, nodes=nodes,
-            dynamic_engine=dynamic,
-            executor=config.executor, engine=config.engine,
-            shape=str(config.fusion_shape), levels=config.levels,
-            units=units,
+            graph=graph, schedule=order, head=tuple(head), tail=tail,
+            compute=tuple(dict.fromkeys(owner.get(n, n) for n in compute)),
+            sequential=sequential, nodes=nodes, dynamic_engine=dynamic,
+            engine=config.engine, shape=str(config.fusion_shape),
+            levels=config.levels, units=units,
         )
 
     @staticmethod

@@ -28,8 +28,8 @@ Execution model
   proportion to weight), so a best-effort stream never starves a
   tenant with a rate to keep, and equally-behind tenants split energy
   by class.  The worker leases the engine, computes the grant with
-  one :meth:`~repro.exec.FrameProcessor.process_batch` call (one
-  frame or a micro-batch; the plan's units decide what stacks),
+  one :meth:`~repro.exec.FrameProcessor.compute` call (one frame or a
+  micro-batch; the plan's units decide what stacks),
   finalizes in frame order, then releases the lease — on success,
   error and cancellation alike.
 
@@ -55,7 +55,7 @@ Determinism contract
 --------------------
 Per-stream compute is serialized (one grant at a time per stream) and
 runs through the stream's own session processor, the same
-``process_batch`` a solo session drives; every stage's arithmetic is
+``compute`` a solo session drives; every stage's arithmetic is
 bound to the frame's assigned engine — the stream's lanes come from
 the same registry factory as the pool's instances — so **with a fixed
 seed and any worker count, each stream's output frames are
@@ -840,7 +840,7 @@ class FusionService:
 
     def _compute(self, st: _StreamState, tasks: List[object],
                  progress: List[int]) -> None:
-        """Drive one grant: one ``process_batch`` over its frames, then
+        """Drive one grant: one ``compute`` over its frames, then
         ordered finalize — the per-stream batch interpretation of its
         plan, held under the engine lease.  The grant computes on the
         stream's private lanes (per-stream compute is serialized, so
@@ -849,7 +849,7 @@ class FusionService:
         ``progress[0]`` counts frames actually finalized, so an error
         mid-grant is charged to exactly the frames it lost."""
         processor = st.processor
-        processor.process_batch(tasks)
+        processor.compute(tasks)
         for task in tasks:
             result = processor.finalize(task)
             progress[0] += 1

@@ -71,11 +71,13 @@ class FusionConfig:
         support it.  See README "Precision & compiled backends" for
         the tolerance-parity contract between the two precisions.
     workers:
-        Concurrent stage workers (``"pipeline"``: forward-transform
-        pool size; ignored by the other executors).
+        Compute pool size of the ``"pipeline"`` executor: each pool
+        thread computes whole frames, so up to ``workers`` frames
+        compute at once (one on a sequential plan, such as temporal
+        fusion).  Ignored by the other executors.
     queue_depth:
-        Bound on frames in flight between stages — the analogue of the
-        driver's buffer-area count.
+        Bound on frames in flight between capture and finalize — the
+        analogue of the driver's buffer-area count.
     batch_size:
         Micro-batch size for the ``"batch"`` executor: how many frame
         pairs ride one stacked transform invocation (both modalities

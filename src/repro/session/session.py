@@ -19,12 +19,14 @@ monitoring, per-frame metrics — is switched by the
 *How* frames are driven is equally pluggable — and *what* is driven is
 declarative: the session constructs its pipeline as a
 :class:`repro.graph.FusionGraph` (ingest → register → forward ×2 →
-fuse/temporal → finalize), lowers it through the
+fuse/temporal → finalize), lowers it once through the
 :class:`repro.graph.Planner`, and :meth:`stream`/:meth:`run` route
 every frame through the :mod:`repro.exec` executor the config names —
 the serial reference loop, the double-buffered thread pipeline, or
-micro-batched NumPy vectorization — each interpreting the same lowered
-plan via the :class:`_SessionProcessor` below.  Users extend the dataflow with
+micro-batched NumPy vectorization.  Every executor (and the serving
+layer) drives the same lowered plan through the
+:class:`_SessionProcessor` below, with the same three calls: ingest,
+compute and finalize.  Users extend the dataflow with
 custom stages (``session.canonical_graph()`` + ``run(graph=...)``, or
 ``FusionConfig.graph_overrides``) and inspect it
 (``session.plan.describe()``, the CLI's ``plan`` subcommand).  The
@@ -38,7 +40,6 @@ concurrent streams).
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 import warnings
@@ -144,14 +145,15 @@ class _FrameTask:
 
 
 class _WorkerContext:
-    """Per-worker compute state handed to concurrent stage calls.
+    """Per-worker compute state handed to each compute call.
 
     Engines carry non-thread-safe backend state (the FPGA driver's
-    buffers, coefficient caches), so each concurrent worker gets its
-    own :class:`ImageFusion` lane per engine *name*, built from that
-    engine's own transform factory.  Lanes are functionally identical
-    to the session's serial fusers, which is what keeps concurrent
-    schedules bitwise-equal to the serial loop.
+    buffers, coefficient caches), so each worker gets its own
+    :class:`ImageFusion` lane per engine *name*, built from that
+    engine's own transform factory, and its own scratch pool.  The
+    session's serial lane is one more context (``session._serial``).
+    Every lane of an engine computes identically, which is what keeps
+    concurrent schedules bitwise-equal to the serial loop.
     """
 
     def __init__(self, session: "FusionSession"):
@@ -178,8 +180,8 @@ class _SessionProcessor(FrameProcessor):
     coefficient fusion + inverse, stateful temporal fusion, and
     monitoring/telemetry for ``finalize``) and calls custom ``map``
     stages' ``fn(task)`` directly.  Executors never see stage
-    semantics — they drive the plan's stage *names* through
-    :meth:`run_stage`.
+    semantics or stage names — they hand ingested tasks to
+    :meth:`compute`.
     """
 
     def __init__(self, session: "FusionSession", plan: "FusionPlan"):
@@ -187,8 +189,8 @@ class _SessionProcessor(FrameProcessor):
         self.plan = plan
         self._head_rest = plan.head[1:]
         # ordered stages may never execute concurrently; a violated
-        # guard is an executor bug (or a user driving run_stage by
-        # hand from several threads) and raises instead of corrupting
+        # guard is an executor bug (or a user driving compute by hand
+        # from several threads) and raises instead of corrupting
         # cross-frame state.  Built over the schedule (every original
         # stage name), because the plan's compute tuple may carry fused
         # dispatch units instead of raw stage names.
@@ -197,13 +199,10 @@ class _SessionProcessor(FrameProcessor):
             name: threading.Lock() for name in plan.schedule
             if name not in head_tail and plan.stage(name).ordered
         }
-        # the stacked core's input stacks for the serial lane and the
-        # batch core (ctx=None paths); worker contexts carry their own
-        self._scratch = ScratchPool()
         # the program's one stage timer: measured seconds keyed by
         # (stage or unit name, thread name).  Executors of every kind
-        # and the serving layer funnel through ingest, run_stage,
-        # process_batch and finalize, so one record covers them all
+        # and the serving layer funnel through ingest, compute and
+        # finalize, so one record covers them all
         self._stage_wall: Dict[Tuple[str, str], float] = {}
         self._wall_lock = threading.Lock()
         # the plan's forward stages in schedule order: ("visible",
@@ -239,16 +238,9 @@ class _SessionProcessor(FrameProcessor):
             if name in plan and plan.stage(name).placement != "auto"
         }
 
-    # -- plan hints the executors interpret -----------------------------
     @property
-    def sequential_mid(self) -> bool:
-        return self.plan.sequential_mid
-
-    def parallel_stages(self):
-        return self.plan.parallel
-
-    def mid_stages(self):
-        return self.plan.mid
+    def sequential(self) -> bool:
+        return self.plan.sequential
 
     # -- measured per-stage wall time ----------------------------------
     def _record_wall(self, name: str, seconds: float) -> None:
@@ -326,7 +318,7 @@ class _SessionProcessor(FrameProcessor):
         session._next_index += 1
         self._record_wall("ingest", time.perf_counter() - started)
         for name in self._head_rest:
-            self.run_stage(name, task)
+            self._stage(name, task, None)
         return task
 
     def _register(self, task: _FrameTask) -> None:
@@ -350,14 +342,12 @@ class _SessionProcessor(FrameProcessor):
                 if s == 1:
                     task.applied_shift = offset
 
-    def run_stage(self, name: str, task: _FrameTask,
-                  ctx: Optional[_WorkerContext] = None) -> None:
+    def _stage(self, name: str, task: _FrameTask,
+               ctx: Optional[_WorkerContext]) -> None:
+        """One plan stage on one frame, timed under the stage's name."""
         started = time.perf_counter()
         try:
-            if self.plan.is_unit(name):
-                self._run_unit(name, task, ctx)
-            else:
-                self._run_single(name, task, ctx)
+            self._run_single(name, task, ctx)
         finally:
             self._record_wall(name, time.perf_counter() - started)
 
@@ -381,8 +371,7 @@ class _SessionProcessor(FrameProcessor):
                 task.fused = fuser.reconstruct(fuser.combine(*task.pyramids))
             elif kind == "temporal":
                 session = self._session
-                fuser = session._fusers[task.engine.name]
-                session.temporal.fusion = fuser
+                session.temporal.fusion = ctx.lane(task.engine)
                 task.fused = session.temporal.fuse(task.visible,
                                                    task.thermal)
             elif kind == "register":
@@ -394,21 +383,8 @@ class _SessionProcessor(FrameProcessor):
                 guard.release()
 
     # -- fused dispatch units and the stacked core ----------------------
-    def _run_unit(self, name: str, task: _FrameTask,
-                  ctx: Optional[_WorkerContext]) -> None:
-        """Execute a fused dispatch unit for one frame: its stacked
-        core (:meth:`_run_core`), then any remaining members in
-        schedule order, exactly as their per-stage dispatch would run
-        them: fusion never changes what executes, only how many
-        dispatches carry it."""
-        prefix = self._cores.get(name, 0)
-        if prefix:
-            self._run_core(name, [task], ctx)
-        for member in self.plan.units[name][prefix:]:
-            self._run_single(member, task, ctx)
-
     def _run_core(self, name: str, tasks: List[_FrameTask],
-                  ctx: Optional[_WorkerContext]) -> None:
+                  ctx: _WorkerContext) -> None:
         """Unit ``name``'s transform chain (``visible+thermal+fuse``,
         or the forwards alone) over ``tasks``: one :meth:`_stacked_core`
         call per lane, each lane's tasks in frame order.  Members of a
@@ -425,8 +401,7 @@ class _SessionProcessor(FrameProcessor):
             self._stacked_core(group, fuser, ctx, with_fuse)
 
     def _stacked_core(self, tasks: List[_FrameTask], fuser: ImageFusion,
-                      ctx: Optional[_WorkerContext],
-                      with_fuse: bool = True) -> None:
+                      ctx: _WorkerContext, with_fuse: bool = True) -> None:
         """Every source of ``tasks`` (B frames on one lane) through one
         stacked :meth:`ImageFusion.decompose`, sliced back into one
         ``B``-frame pyramid per source, then — with ``with_fuse`` —
@@ -434,19 +409,18 @@ class _SessionProcessor(FrameProcessor):
         :meth:`ImageFusion.reconstruct`.
 
         The ``(k*B, H, W)`` input stack is source-major and pooled in
-        the lane's working dtype: ``ctx.scratch`` on a worker, else the
-        processor's own pool.  Assigning the float64 host frames into
-        it rounds exactly once, as the backend's cast of a float64
-        stack would, so the output is bitwise-identical to the
-        stage-by-stage path.  The kernels never return a view of their
-        input, so the pyramids outlive the next write into the pool.
+        the lane's working dtype in ``ctx.scratch``.  Assigning the
+        float64 host frames into it rounds exactly once, as the
+        backend's cast of a float64 stack would, so the output is
+        bitwise-identical to the stage-by-stage path.  The kernels
+        never return a view of their input, so the pyramids outlive
+        the next write into the pool.
         """
         count = len(tasks)
         k = len(tasks[0].frames)
         shape = (k * count,) + tasks[0].frames[0].shape
-        pool = ctx.scratch if ctx is not None else self._scratch
-        stack = pool.take(shape, shape,
-                          dtype=fuser.transform.backend.dtype)
+        stack = ctx.scratch.take(shape, shape,
+                                 dtype=fuser.transform.backend.dtype)
         for i, task in enumerate(tasks):
             for s, frame in enumerate(task.frames):
                 stack[s * count + i] = frame
@@ -461,53 +435,49 @@ class _SessionProcessor(FrameProcessor):
                 task.pyramids[s] = slices[s][i]
 
     def _stage_lane(self, task: _FrameTask, stage,
-                    ctx: Optional[_WorkerContext]) -> ImageFusion:
+                    ctx: _WorkerContext) -> ImageFusion:
         """The :class:`ImageFusion` lane ``stage`` must compute with
-        for ``task`` — forced placement first, then the frame's
-        selected engine."""
+        for ``task`` on ``ctx`` — forced placement first, then the
+        frame's selected engine."""
         if stage.placement != "auto":
-            engine = self._session._placement_engine(stage.placement)
-            if ctx is not None:
-                return ctx.lane(engine)
-            return self._session._fuser_for(engine)
-        if ctx is None:
-            return self._session._fusers[task.engine.name]
+            return ctx.lane(self._session._placement_engine(stage.placement))
         return ctx.lane(task.engine)
 
-    def process_batch(self, tasks) -> None:
-        """Compute B >= 1 ingested frames: the one multi-stage compute
-        entry of ``serial`` (B=1), ``batch``, serving grants and
-        :meth:`FusionSession.process`.
+    def compute(self, tasks, ctx: Optional[_WorkerContext] = None) -> None:
+        """Compute B >= 1 ingested frames on ``ctx`` (None: the
+        session's serial lane): the one compute entry of every
+        executor, of serving grants and of :meth:`FusionSession.process`.
 
-        A sequential mid chain (stateful temporal fusion, or a custom
+        A sequential plan (stateful temporal fusion, or a custom
         ordered stage) keeps the strict per-frame order: the whole
-        chain runs frame-major.  Otherwise the plan's units decide
-        stacking: a unit's transform chain runs through
-        :meth:`_run_core` — one stacked call per lane over the whole
-        micro-batch.  The unit's remaining members and the plain
-        stages follow in schedule order with their declared
-        granularity: *batchable* stages go stage-major (the whole
-        micro-batch through one stage before the next), while
-        contiguous runs of non-batchable stages go frame-major — each
-        frame passes through the whole run before the next frame
-        enters it, so a latency-sensitive sink declared
-        ``batchable=False`` keeps its per-frame cadence.  Either way
-        each stage sees frames in index order and its arithmetic is
-        bound to the frame's engine (or its forced placement), so the
-        frames are bitwise-identical at every B.
+        compute region runs frame-major.  Otherwise the plan's units
+        decide stacking: a unit's transform chain runs through
+        :meth:`_run_core` — one stacked call per lane over all of
+        ``tasks``.  The unit's remaining members and the plain stages
+        follow in schedule order with their declared granularity:
+        *batchable* stages go stage-major (every task through one
+        stage before the next), while contiguous runs of non-batchable
+        stages go frame-major — each frame passes through the whole
+        run before the next frame enters it, so a latency-sensitive
+        sink declared ``batchable=False`` keeps its per-frame cadence.
+        Either way each stage sees frames in index order and its
+        arithmetic is bound to the frame's engine (or its forced
+        placement), so the frames are bitwise-identical at every B.
         """
+        if ctx is None:
+            ctx = self._session._serial
         plan = self.plan
-        if plan.sequential_mid:
+        if plan.sequential:
             for task in tasks:
                 for name in plan.compute:
-                    self.run_stage(name, task)
+                    self._stage(name, task, ctx)
             return
         frame_run: List[str] = []
 
         def flush() -> None:
             for task in tasks:
                 for member in frame_run:
-                    self.run_stage(member, task)
+                    self._stage(member, task, ctx)
             frame_run.clear()
 
         for name in plan.compute:
@@ -515,7 +485,7 @@ class _SessionProcessor(FrameProcessor):
             if prefix:
                 flush()
                 started = time.perf_counter()
-                self._run_core(name, tasks, None)
+                self._run_core(name, tasks, ctx)
                 self._record_wall(name, time.perf_counter() - started)
             for member in plan.members(name)[prefix:]:
                 if not plan.stage(member).batchable:
@@ -523,7 +493,7 @@ class _SessionProcessor(FrameProcessor):
                     continue
                 flush()
                 for task in tasks:
-                    self.run_stage(member, task)
+                    self._stage(member, task, ctx)
         flush()
 
     # -- accounting -----------------------------------------------------
@@ -714,14 +684,11 @@ class FusionSession:
             self._engine = create_engine(config.engine)
             engines = (self._engine,)
 
-        rule = config.make_rule()
-        self._fusers: Dict[str, ImageFusion] = {
-            engine.name: ImageFusion(
-                transform=engine.transform(config.levels,
-                                           precision=config.precision),
-                rule=rule)
-            for engine in engines
-        }
+        # the serial lane: the compute context of every call that
+        # brings none (serial, batch, serving grants, process())
+        self._serial = _WorkerContext(self)
+        for engine in engines:
+            self._serial.lane(engine)
         self._placement_engines: Dict[str, Engine] = {}
 
         # one calibrator per non-reference source: each consensus is
@@ -729,7 +696,7 @@ class FusionSession:
         self.calibrators = ([_RigCalibrator(config.levels)
                              for _ in range(config.n_sources - 1)]
                             if config.registration else None)
-        self.temporal = (TemporalFusion(fusion=self._fusers[self._engine.name])
+        self.temporal = (TemporalFusion(fusion=self._serial.lane(self._engine))
                          if config.temporal else None)
         self.monitor = QualityMonitor() if config.monitor else None
         self.telemetry = FrameTelemetry(
@@ -738,7 +705,7 @@ class FusionSession:
 
         self._planner = Planner()
         self._graph = self._build_graph()
-        self.plan = self._lower(self._graph)
+        self.plan = self._planner.lower(self._graph, config)
         self._processor = _SessionProcessor(self, self.plan)
         self._default_source: Optional[CaptureChainSource] = None
         self._frames = 0
@@ -779,30 +746,14 @@ class FusionSession:
         it to :meth:`run`/:meth:`stream` as ``graph=``."""
         return self._graph.copy()
 
-    def _lower(self, graph: FusionGraph,
-               executor: Optional[str] = None) -> "FusionPlan":
-        """Lower ``graph`` against this config, for ``executor`` when a
-        drive overrides the config's: fused units depend on the
-        executor that drives them."""
-        config = self.config
-        if executor is not None and executor != config.executor:
-            # a shallow copy, not with_overrides: a drive-time conflict
-            # is _validate_drive's to report, naming both knobs
-            config = copy.copy(config)
-            config.executor = executor
-        return self._planner.lower(graph, config)
-
-    def _processor_for(self, graph: Optional[FusionGraph],
-                       executor: Optional[str] = None
+    def _processor_for(self, graph: Optional[FusionGraph]
                        ) -> "_SessionProcessor":
         """The session's standing processor, or a one-drive processor
-        interpreting ``graph`` (default: the session's) lowered for
-        the drive's ``executor``."""
+        interpreting ``graph`` lowered against this config."""
         if graph is None:
-            if executor is None or executor == self.config.executor:
-                return self._processor
-            graph = self._graph
-        return _SessionProcessor(self, self._lower(graph, executor))
+            return self._processor
+        return _SessionProcessor(self, self._planner.lower(graph,
+                                                           self.config))
 
     # ------------------------------------------------------------------
     @property
@@ -820,22 +771,12 @@ class FusionSession:
         return engine
 
     def _new_fuser(self, engine: Engine) -> ImageFusion:
-        """A fresh fusion lane on ``engine`` (worker contexts and late
-        placements build their lanes here)."""
+        """A fresh fusion lane on ``engine`` (every worker context,
+        the serial one included, builds its lanes here)."""
         return ImageFusion(
             transform=engine.transform(self.config.levels,
                                        precision=self.config.precision),
             rule=self.config.make_rule())
-
-    def _fuser_for(self, engine: Engine) -> ImageFusion:
-        """The serial-lane fuser for ``engine``, created on first use
-        (forced placements may name engines outside the scheduler's
-        set)."""
-        fuser = self._fusers.get(engine.name)
-        if fuser is None:
-            fuser = self._new_fuser(engine)
-            self._fusers[engine.name] = fuser
-        return fuser
 
     @property
     def frames_processed(self) -> int:
@@ -945,9 +886,9 @@ class FusionSession:
         Positional arguments are the source frames in source order —
         the historical ``process(visible, thermal)`` pair, or N frames
         matching ``FusionConfig(n_sources=N)``.  Always executes
-        inline on the calling thread, as a one-frame micro-batch
-        (``process_batch([task])``, the serial path), whatever
-        executor the config names for streams.  It cannot run while a
+        inline on the calling thread, as one ``compute([task])`` call
+        on the serial lane, whatever executor the config names for
+        streams.  It cannot run while a
         *concurrent* stream is driving this session: the executor's
         capture thread mutates the same ordered state (frame indices,
         scheduler, calibration), so the call is rejected rather than
@@ -964,7 +905,7 @@ class FusionSession:
             FrameGroup(frames=frames, timestamp_s=timestamp_s), index=0)
         if index is not None:
             task.index = index
-        processor.process_batch([task])
+        processor.compute([task])
         return processor.finalize(task)
 
     # ------------------------------------------------------------------
@@ -1012,7 +953,7 @@ class FusionSession:
         decode_start = getattr(src, "decode_errors", None)
         driver: Optional[Executor] = None
         try:
-            processor = self._processor_for(graph, executor)
+            processor = self._processor_for(graph)
             stage_mark = processor.stage_wall_snapshot()
             driver = self._make_executor(executor)
             self._concurrent_drive = driver.concurrent

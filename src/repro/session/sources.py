@@ -24,8 +24,9 @@ session registers both modalities onto the configured fusion shape.
 Naming note: :class:`repro.video.frames.FrameSource` is the older
 *single-camera* interface (``capture()`` yields one
 :class:`VideoFrame`); this module's :class:`FrameSource` streams
-co-captured *pairs*.  A single camera becomes session input by pairing
-it with its counterpart — that is what :class:`CameraPairSource` does.
+co-captured *frame groups*.  A single camera becomes session input by
+pairing it with its counterpart — that is what
+:class:`CameraPairSource` does.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class FramePair(FrameGroup):
 
 
 class FrameSource:
-    """Stream interface the session consumes: an iterator of pairs.
+    """Stream interface the session consumes: an iterator of frame groups.
 
     Subclasses implement :meth:`frames`; it may be infinite (live
     cameras) or finite (recorded arrays).  Iterating the source object
@@ -143,7 +144,7 @@ class FrameSource:
     #: pull from a closed source mid-drive
     closed: bool = False
 
-    def frames(self) -> Iterator[FramePair]:  # pragma: no cover - interface
+    def frames(self) -> Iterator[FrameGroup]:  # pragma: no cover - interface
         raise NotImplementedError
 
     def close(self) -> None:
@@ -155,7 +156,7 @@ class FrameSource:
         set ``self.closed = True``).
         """
 
-    def __iter__(self) -> Iterator[FramePair]:
+    def __iter__(self) -> Iterator[FrameGroup]:
         return self.frames()
 
     def __enter__(self) -> "FrameSource":
@@ -292,7 +293,7 @@ class CameraPairSource(FrameSource):
                                               profile=thermal_profile)
         self.limit = limit
 
-    def frames(self) -> Iterator[FramePair]:
+    def frames(self) -> Iterator[FrameGroup]:
         index = 0
         while self.limit is None or index < self.limit:
             visible = self.webcam.capture_gray()
@@ -334,7 +335,7 @@ class CaptureChainSource(FrameSource):
     def decode_errors(self) -> int:
         return self.chain.decode_errors
 
-    def frames(self) -> Iterator[FramePair]:
+    def frames(self) -> Iterator[FrameGroup]:
         index = 0
         while True:
             captured = self.chain.capture_pair()
@@ -375,7 +376,7 @@ class ClosedAwareIterator:
     def __iter__(self) -> "ClosedAwareIterator":
         return self
 
-    def __next__(self) -> FramePair:
+    def __next__(self) -> FrameGroup:
         return next(self._iterator)
 
 

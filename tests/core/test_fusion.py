@@ -18,7 +18,7 @@ class TestFuse:
         vis, th = structured_pair
         result = ImageFusion(levels=2).fuse(vis, th)
         assert isinstance(result, FusionResult)
-        assert result.pyramid_a.levels == 2
+        assert result.pyramids[0].levels == 2
         assert result.pyramid_fused.levels == 2
         assert result.fused.shape == vis.shape
 
@@ -104,10 +104,10 @@ class TestFuseBatch:
         stacked = fusion.fuse(vis, th)
         result = fusion.fuse(vis[1], th[1])
         assert isinstance(result, FusionResult)
-        assert result.pyramid_a.levels == 2
+        assert result.pyramids[0].levels == 2
         assert result.fused.shape == (32, 32)
-        assert np.array_equal(stacked.pyramid_a[1].lowpass,
-                              result.pyramid_a.lowpass)
+        assert np.array_equal(stacked.pyramids[0][1].lowpass,
+                              result.pyramids[0].lowpass)
         assert np.array_equal(stacked.pyramid_fused[1].highpasses[0],
                               result.pyramid_fused.highpasses[0])
 

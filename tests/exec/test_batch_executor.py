@@ -128,18 +128,20 @@ class TestBatchSemantics:
         with pytest.raises(ConfigurationError, match="one"):
             executor.run(_CountingProcessor(), iter(range(3)))
 
-    def test_default_process_batch_drives_per_frame_stages(self):
-        """A processor without a batch override still works: the base
-        hook falls back to the per-frame stages in frame order."""
+    def test_batch_ingest_compute_finalize_order(self):
+        """Each micro-batch is ingested in frame order, computed by one
+        call on the processor's own lane, then finalized in order."""
         processor = _CountingProcessor()
         executor = BatchExecutor(batch_size=4)
         results = list(executor.run(processor, iter(range(6)), limit=6))
         assert results == list(range(6))
-        # 6 frames at batch_size 4: ingest the whole micro-batch in
-        # frame order, then drive each frame's stages in order
+        # 6 frames at batch_size 4: a whole batch of 4, then the
+        # bounded drive's smaller last batch of 2
         assert processor.calls == (
-            ["ingest"] * 4 + ["visible", "thermal", "fuse"] * 4
-            + ["ingest"] * 2 + ["visible", "thermal", "fuse"] * 2
+            ["ingest"] * 4 + [("compute", (0, 1, 2, 3), None)]
+            + ["finalize"] * 4
+            + ["ingest"] * 2 + [("compute", (4, 5), None)]
+            + ["finalize"] * 2
         )
 
     def test_spawns_no_threads(self):
@@ -157,7 +159,7 @@ class TestBatchSemantics:
 
 
 class _CountingProcessor(FrameProcessor):
-    """Minimal processor recording the stage order it was driven in."""
+    """Minimal processor recording the calls it was driven with."""
 
     def __init__(self):
         self.calls = []
@@ -166,8 +168,10 @@ class _CountingProcessor(FrameProcessor):
         self.calls.append("ingest")
         return {"index": index}
 
-    def run_stage(self, name, task, ctx=None):
-        self.calls.append(name)
+    def compute(self, tasks, ctx=None):
+        self.calls.append(
+            ("compute", tuple(task["index"] for task in tasks), ctx))
 
     def finalize(self, task):
+        self.calls.append("finalize")
         return task["index"]

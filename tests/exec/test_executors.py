@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.exec import (
     register_executor,
 )
 from repro.exec.base import FrameProcessor
+from repro.graph import Planner
 from repro.hw.registry import create_engine
 from repro.serve import FusionService
 from repro.session import (
@@ -192,16 +194,17 @@ class TestDeterminism:
             with pytest.raises(ConfigurationError):
                 s.run(1, executor="warp")
 
-    def test_per_call_executor_override_lowers_for_that_executor(self):
-        """A pipeline override of a serial config drives the plan
-        lowered for the pipeline: the forward wave is a fused unit the
-        workers run, not an empty wave behind a whole-core mid unit."""
+    def test_per_call_executor_override_drives_the_standing_plan(self):
+        """A pipeline override of a serial config drives the session's
+        standing plan, lowered once: the pool computes its whole-core
+        unit, and nothing is lowered again for the override."""
         with FusionSession(small_config()) as s:
-            assert s.plan.parallel == ()
-            report = s.run(2, executor="pipeline")
+            with mock.patch.object(Planner, "lower",
+                                   side_effect=AssertionError("lowered")):
+                report = s.run(2, executor="pipeline")
         walls = report.throughput["stage_wall_s"]
-        assert "visible+thermal" in walls
-        assert "visible+thermal+fuse" not in walls
+        assert "visible+thermal+fuse" in walls
+        assert "visible+thermal" not in walls
 
     def test_mixed_team_attributes_stages(self):
         """A mixed placement bills each modelled stage's time *and
@@ -385,9 +388,7 @@ class TestLifecycle:
                 second = [processor.ingest(p, i + 2) for i, p in
                           enumerate(itertools.islice(pairs, 2))]
                 for task in first + second:
-                    for name in (*processor.parallel_stages(),
-                                 *processor.mid_stages()):
-                        processor.run_stage(name, task)
+                    processor.compute([task])
                     self.stats.frames += 1
                     yield processor.finalize(task)
 
@@ -453,16 +454,19 @@ class TestLifecycle:
             # once the stream is gone, process() works again
             assert s.process(vis, vis).frame.pixels.shape == (40, 40)
 
-    def test_temporal_pipeline_spawns_no_forward_pool(self):
-        """With a sequential fuse stage the pipeline has no forward
-        jobs, so no pool threads or worker contexts exist."""
+    def test_sequential_plan_runs_on_one_pipeline_worker(self):
+        """A sequential plan (temporal fusion) gets exactly one pool
+        thread whatever ``workers`` says, and that thread computes
+        every frame."""
         with FusionSession(small_config(executor="pipeline",
-                                        temporal=True)) as s:
-            report = s.run(3)
-        busy = report.throughput["thread_busy_s"]
-        assert not any(name.startswith("exec-forward") for name in busy)
-        assert report.throughput["worker_frames"] == {}
-        assert report.frames == 3
+                                        temporal=True, workers=3)) as s:
+            assert s.plan.sequential
+            report = s.run(5)
+        block = report.throughput
+        assert block["worker_frames"] == {"exec-compute-0": 5}
+        assert [name for name in block["thread_busy_s"]
+                if name.startswith("exec-compute-")] == ["exec-compute-0"]
+        assert report.frames == 5
 
     def test_stage_error_propagates_from_worker(self):
         """A failure inside a worker thread surfaces to the caller."""
@@ -496,14 +500,16 @@ class TestThroughputTelemetry:
         with FusionSession(small_config(executor="pipeline",
                                         queue_depth=2)) as s:
             report = s.run(5)
+            compute = s.plan.compute
         block = report.throughput
         threads = set(block["thread_busy_s"])
-        assert {"exec-capture", "exec-fuse",
-                threading.current_thread().name} <= threads
-        assert any(name.startswith("exec-forward-") for name in threads)
-        assert {"ingest", "fuse", "finalize"} <= set(block["stage_wall_s"])
+        assert {"exec-capture", threading.current_thread().name} <= threads
+        assert any(name.startswith("exec-compute-") for name in threads)
+        assert {"ingest", *compute, "finalize"} <= set(block["stage_wall_s"])
         assert block["queue_peak"]["order"] <= 2
-        assert block["queue_peak"]["done"] <= 2
+        # a frame waits in the compute queue only while it is in the
+        # order queue or is the one the caller is about to finalize
+        assert block["queue_peak"]["compute"] <= 3
 
     def test_telemetry_gains_wall_latency(self):
         with FusionSession(small_config(executor="pipeline")) as s:
@@ -515,12 +521,12 @@ class TestThroughputTelemetry:
         stats = ExecStats(executor="x", frames=10, wall_seconds=2.0,
                           stage_wall_s={"fuse": 1.5},
                           thread_busy_s={"MainThread": 0.5,
-                                         "exec-fuse": 1.0})
+                                         "exec-compute-0": 1.0})
         assert stats.wall_fps == 5.0
         as_dict = stats.as_dict()
         assert as_dict["wall_fps"] == 5.0
         assert as_dict["unattributed_s"] == {"MainThread": 1.5,
-                                             "exec-fuse": 1.0}
+                                             "exec-compute-0": 1.0}
         for removed in ("stage_busy_s", "stage_occupancy"):
             assert removed not in as_dict
 
@@ -550,19 +556,18 @@ class TestOneStageRecord:
 
     def test_record_under_thread_contention(self):
         """More pool threads than cores and a short switch interval:
-        every wave job is counted once and lands in the record under
-        the thread that ran it."""
+        every frame is counted once and lands in the record under the
+        thread that computed it."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with FusionSession(small_config(executor="pipeline",
                                             workers=4)) as s:
                 block = s.run(12).throughput
-                wave = len(s.plan.parallel)
         finally:
             sys.setswitchinterval(interval)
         jobs = block["worker_frames"]
-        assert sum(jobs.values()) == 12 * wave
+        assert sum(jobs.values()) == 12
         assert set(jobs) <= set(block["thread_busy_s"])
         assert sum(block["stage_wall_s"].values()) == pytest.approx(
             sum(block["thread_busy_s"].values()), rel=1e-9)
@@ -613,34 +618,36 @@ class TestOneStageRecord:
 
 # ----------------------------------------------------------------------
 class _SleepyProcessor(FrameProcessor):
-    """Minimal processor whose forward stages dawdle, so a
-    concurrent executor really has work in flight."""
+    """Minimal processor whose compute dawdles, so a concurrent
+    executor really has work in flight."""
 
     def ingest(self, pair, index):
         return {"index": index}
 
-    def run_stage(self, name, task, ctx=None):
-        if name != "fuse":
-            time.sleep(0.01)
+    def compute(self, tasks, ctx=None):
+        time.sleep(0.01 * len(tasks))
 
     def finalize(self, task):
         return task["index"]
 
 
 class _MinimalProcessor(FrameProcessor):
-    """Implements only the abstract contract: ingest, run_stage and
-    finalize; every optional hook keeps its default."""
+    """Implements only the abstract contract: ingest, compute and
+    finalize; ``sequential`` and ``make_contexts`` keep their
+    defaults."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.stages = {}
+        self.computed = {}
 
     def ingest(self, pair, index):
         return {"pair": pair}
 
-    def run_stage(self, name, task, ctx=None):
+    def compute(self, tasks, ctx=None):
         with self.lock:
-            self.stages.setdefault(task["pair"], []).append(name)
+            for task in tasks:
+                self.computed[task["pair"]] = \
+                    self.computed.get(task["pair"], 0) + 1
 
     def finalize(self, task):
         return task["pair"]
@@ -654,7 +661,5 @@ class TestMinimalProcessorContract:
             results = list(executor.run(processor, iter(range(7)),
                                         limit=7))
         assert results == list(range(7))
-        for frame in range(7):
-            assert sorted(processor.stages[frame]) == \
-                ["fuse", "thermal", "visible"]
-            assert processor.stages[frame][-1] == "fuse"
+        # every frame is computed exactly once
+        assert processor.computed == {frame: 1 for frame in range(7)}

@@ -55,15 +55,17 @@ class TestStatelessFusionPass:
                                  "finalize")
         assert set(plan.nodes) == set(plan.schedule)
 
-    def test_concurrent_executors_fuse_only_the_parallel_wave(self):
-        plan, _ = _lower(_config(executor="pipeline"))
-        assert plan.units == {"visible+thermal": ("visible", "thermal")}
-        assert plan.parallel == ("visible+thermal",)
-        assert plan.mid == ("fuse",)
+    def test_executors_share_units(self):
+        serial, _ = _lower(_config(executor="serial"))
+        for executor in ("pipeline", "batch"):
+            plan, _ = _lower(_config(executor=executor))
+            assert plan.units == serial.units
+            assert plan.compute == serial.compute == (
+                "visible+thermal+fuse",)
 
-    def test_sequential_mid_is_left_alone(self):
+    def test_sequential_plan_is_left_alone(self):
         plan, _ = _lower(_config(temporal=True))
-        assert plan.sequential_mid
+        assert plan.sequential
         assert plan.units == {}
         assert plan.compute == ("temporal",)
 
@@ -85,8 +87,6 @@ class TestStatelessFusionPass:
         reference = unfuse(plan)
         assert reference.units == {}
         assert reference.compute == ("visible", "thermal", "fuse")
-        assert reference.parallel == ("visible", "thermal")
-        assert reference.mid == ("fuse",)
 
 
 class TestMaterializationEliminationPass:
@@ -95,14 +95,14 @@ class TestMaterializationEliminationPass:
         pairs = _pairs(2)
         with FusionSession(_config(temporal=True)) as session:
             session.process(*pairs[0])
-            assert len(session._processor._scratch) == 0
+            assert len(session._serial.scratch) == 0
 
     def test_fires_after_stage_fusion(self):
         pairs = _pairs(2)
         with FusionSession(_config(executor="serial")) as session:
             session.process(*pairs[0])
-            pool = session._processor._scratch
-            dtype = session._fusers["arm"].transform.backend.dtype
+            pool = session._serial.scratch
+            dtype = session._serial._lanes["arm"].transform.backend.dtype
             assert len(pool) == 1
             assert pool.nbytes == 2 * SHAPE.pixels * np.dtype(dtype).itemsize
 
@@ -111,8 +111,8 @@ class TestMaterializationEliminationPass:
         with FusionSession(_config(executor="batch",
                                    batch_size=4)) as session:
             session.run(len(pairs), source=iter(list(pairs)))
-            pool = session._processor._scratch
-            dtype = session._fusers["arm"].transform.backend.dtype
+            pool = session._serial.scratch
+            dtype = session._serial._lanes["arm"].transform.backend.dtype
             # one source-major (2B, H, W) stack per micro-batch shape
             assert len(pool) == 1
             assert pool.nbytes == (2 * 4 * SHAPE.pixels
@@ -215,8 +215,8 @@ class TestOptimizedSessions:
         pairs = _pairs(2)
         with FusionSession(_config()) as session:
             session.process(*pairs[0])
-            assert len(session._processor._scratch) == 1
-            before = session._processor._scratch.nbytes
+            assert len(session._serial.scratch) == 1
+            before = session._serial.scratch.nbytes
             session.process(*pairs[1])
             # steady state: the second frame reuses the pooled buffer
-            assert session._processor._scratch.nbytes == before
+            assert session._serial.scratch.nbytes == before

@@ -127,17 +127,14 @@ class TestPlannerLowering:
         assert plan.schedule == ("ingest", "visible", "thermal", "fuse",
                                  "finalize")
         assert plan.head == ("ingest",)
-        # the serial executor fuses the whole core into one unit; the
-        # stages keep their wave/mid roles
-        assert plan.parallel == ()
-        assert plan.mid == ("visible+thermal+fuse",)
+        # the whole core is one unit; the stages keep their roles
+        assert plan.compute == ("visible+thermal+fuse",)
         assert plan.members("visible+thermal+fuse") == (
             "visible", "thermal", "fuse")
-        assert [plan.node(n).role for n in ("visible", "thermal",
-                                            "fuse")] == [
-            "parallel", "parallel", "mid"]
+        assert [plan.node(n).role for n in plan.schedule] == [
+            "head", "compute", "compute", "compute", "tail"]
         assert plan.tail == ("finalize",)
-        assert not plan.sequential_mid
+        assert not plan.sequential
         # the one stacking rule: the whole transform core is one unit
         assert plan.units == {
             "visible+thermal+fuse": ("visible", "thermal", "fuse")}
@@ -147,9 +144,7 @@ class TestPlannerLowering:
             FusionGraph.canonical(registration=True, temporal=True),
             small_config(registration=True, temporal=True))
         assert plan.head == ("ingest", "register")
-        assert plan.parallel == ()
-        assert plan.mid == ("temporal",)
-        assert plan.sequential_mid
+        assert plan.sequential
         # an ordered stage in the compute region: nothing stacks
         assert plan.units == {}
         assert plan.compute == ("temporal",)
@@ -197,7 +192,7 @@ class TestPlannerLowering:
         plan = Planner().lower(graph, small_config())
         assert plan.units == {"visible+thermal+sharpen+fuse": (
             "visible", "thermal", "sharpen", "fuse")}
-        assert plan.node("sharpen").role == "mid"
+        assert plan.node("sharpen").role == "compute"
 
     def test_temporal_graph_needs_temporal_config(self):
         with pytest.raises(ConfigurationError, match="temporal"):
@@ -340,9 +335,10 @@ class TestSessionPlanIntegration:
             small_config(graph_overrides={"insert_after": {"fuse": noop}})
 
     def test_ordered_stage_guard_trips_on_concurrent_drive(self):
-        """Driving an ordered stage from two threads at once is an
-        executor-contract violation and raises FusionError instead of
-        silently corrupting cross-frame state."""
+        """Computing a sequential plan from two threads at once, each
+        on its own worker context, is an executor-contract violation:
+        the ordered stage raises FusionError instead of silently
+        corrupting cross-frame state."""
         entered = threading.Event()
         release = threading.Event()
 
@@ -355,13 +351,16 @@ class TestSessionPlanIntegration:
                                          state=ORDERED))
         with FusionSession(small_config()) as session:
             processor = session._processor_for(graph)
-            task = processor.ingest(FramePair(visible=np.zeros((40, 40)),
-                                              thermal=np.zeros((40, 40))), 0)
+            assert processor.sequential
+            tasks = [processor.ingest(
+                FramePair(visible=np.zeros((40, 40)),
+                          thermal=np.zeros((40, 40))), i) for i in range(2)]
+            contexts = processor.make_contexts(2)
             errors = []
 
             def drive():
                 try:
-                    processor.run_stage("slow", task)
+                    processor.compute([tasks[0]], contexts[0])
                 except FusionError as exc:
                     errors.append(exc)
 
@@ -369,7 +368,7 @@ class TestSessionPlanIntegration:
             first.start()
             assert entered.wait(timeout=5)
             with pytest.raises(FusionError, match="ordered stage"):
-                processor.run_stage("slow", task)
+                processor.compute([tasks[1]], contexts[1])
             release.set()
             first.join(timeout=5)
             assert not errors  # the first drive held the lane legally

@@ -134,12 +134,10 @@ class TestPassParityProperties:
         assert reference.schedule == plan.schedule
         assert set(reference.nodes) == set(plan.nodes)
         # every unit is a maximal run of >= 2 adjacent stages sharing
-        # one placement key, in the region the executor may fuse
-        region = (reference.parallel if config.executor == "pipeline"
-                  else reference.compute)
+        # one placement key in the compute region, whatever the executor
         runs = [tuple(run) for _, run in groupby(
-            region, key=lambda n: plan.stage(n).placement)]
-        expected = ([] if plan.sequential_mid
+            reference.compute, key=lambda n: plan.stage(n).placement)]
+        expected = ([] if plan.sequential
                     else [run for run in runs if len(run) >= 2])
         assert list(plan.units.values()) == expected
         # units partition the compute region: each member once, and
@@ -147,9 +145,6 @@ class TestPassParityProperties:
         members = [m for unit in plan.units.values() for m in unit]
         assert len(members) == len(set(members))
         assert not set(members) & set(plan.compute)
-        # the parallel wave only holds whole units of wave stages
-        for name in plan.parallel:
-            assert set(plan.members(name)) <= set(reference.parallel)
 
     @settings(**_SETTINGS)
     @given(case=optimizable_case())
@@ -160,6 +155,5 @@ class TestPassParityProperties:
         twice = Planner().lower(graph.copy(), config)
         assert twice.units == once.units
         assert twice.compute == once.compute
-        assert twice.parallel == once.parallel
-        assert twice.mid == once.mid
+        assert twice.sequential == once.sequential
         assert unfuse(unfuse(once)) == unfuse(once)

@@ -4,13 +4,12 @@ The planner is the seam every executor (and now the serving layer)
 trusts: whatever graph a user builds and whatever config it is lowered
 against, the emitted :class:`~repro.graph.FusionPlan` must schedule
 every stage exactly once, respect the dataflow edges, partition the
-schedule cleanly into head/parallel/mid/tail, and cost the plan as the
-sum of its per-stage costs.  Hypothesis builds the graphs: the
-canonical pipeline under random feature flags, splice-extended with
-random custom map stages at random anchors.
+schedule cleanly into head/compute/tail, cost the plan as the sum of
+its per-stage costs, and come out the same for every executor.
+Hypothesis builds the graphs: the canonical pipeline under random
+feature flags, splice-extended with random custom map stages at random
+anchors.
 """
-
-import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,12 +69,14 @@ class TestPlannerProperties:
         assert sorted(plan.schedule) == sorted(graph.names())
         assert len(set(plan.schedule)) == len(plan.schedule)
         # the role partition covers the schedule exactly once too
-        partition = (*plan.head, *_stages(plan, plan.parallel),
-                     *_stages(plan, plan.mid), *plan.tail)
+        partition = (*plan.head, *_stages(plan, plan.compute),
+                     *plan.tail)
         assert sorted(partition) == sorted(plan.schedule)
         assert _stages(plan, plan.compute) == tuple(
             n for n in plan.schedule
             if n not in plan.head and n not in plan.tail)
+        assert all(plan.node(n).role == "compute"
+                   for n in _stages(plan, plan.compute))
 
     @settings(**_SETTINGS)
     @given(pair=graph_and_config())
@@ -117,15 +118,11 @@ class TestPlannerProperties:
     def test_ordered_stages_never_join_the_parallel_wave(self, pair):
         graph, config = pair
         plan = Planner().lower(graph, config)
-        for name in _stages(plan, plan.parallel):
-            assert not graph.stage(name).ordered
-        if plan.sequential_mid:
-            assert plan.parallel == ()
-        # an ordered stage strictly between head and tail forces the
-        # sequential mid chain, and vice versa
+        # an ordered stage strictly between head and tail makes the
+        # whole plan sequential (one lane, frame order), and vice versa
         ordered_compute = [n for n in _stages(plan, plan.compute)
                            if graph.stage(n).ordered]
-        assert bool(ordered_compute) == plan.sequential_mid
+        assert bool(ordered_compute) == plan.sequential
 
     @settings(**_SETTINGS)
     @given(pair=graph_and_config())
@@ -134,12 +131,13 @@ class TestPlannerProperties:
         each is a run of two or more stateless stages adjacent in the
         schedule under one placement key, the compute region covers
         every member exactly once, a sequential plan has none, and
-        ``serial`` and ``batch`` lower to the same units."""
+        every executor lowers to the same units (see
+        :meth:`test_lowering_ignores_the_executor`)."""
         graph, config = pair
         plan = Planner().lower(graph, config)
         expanded = _stages(plan, plan.compute)
         assert len(set(expanded)) == len(expanded)
-        if plan.sequential_mid:
+        if plan.sequential:
             assert plan.units == {}
         position = {name: i for i, name in enumerate(plan.schedule)}
         for unit, members in plan.units.items():
@@ -150,11 +148,21 @@ class TestPlannerProperties:
             first = position[members[0]]
             assert [position[m] for m in members] == list(
                 range(first, first + len(members)))
-        if config.executor in ("serial", "batch"):
-            other = copy.copy(config)
-            other.executor = ("batch" if config.executor == "serial"
-                              else "serial")
-            assert Planner().lower(graph, other).units == plan.units
+
+    @settings(**_SETTINGS)
+    @given(pair=graph_and_config())
+    def test_lowering_ignores_the_executor(self, pair):
+        """One lowering for every driver: the compute region, its
+        units and the sequential flag are the same under ``serial``,
+        ``batch`` and ``pipeline``."""
+        graph, config = pair
+        shapes = set()
+        for executor in ("serial", "batch", "pipeline"):
+            plan = Planner().lower(graph, config.with_overrides(
+                executor=executor))
+            shapes.add((plan.compute, tuple(plan.units.items()),
+                        plan.sequential))
+        assert len(shapes) == 1
 
     @settings(**_SETTINGS)
     @given(pair=graph_and_config())
@@ -165,8 +173,7 @@ class TestPlannerProperties:
         assert first.schedule == second.schedule
         assert first.compute == second.compute
         assert first.units == second.units
-        assert (first.parallel, first.mid) == (second.parallel,
-                                               second.mid)
+        assert first.sequential == second.sequential
         assert {n: first.node(n).engine for n in first.schedule} \
             == {n: second.node(n).engine for n in second.schedule}
         assert first.model_seconds_per_frame \

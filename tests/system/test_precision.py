@@ -81,7 +81,7 @@ class TestEndToEndParity:
         session = FusionSession(small_config(engine="arm",
                                              precision=precision))
         dtypes = {f.transform.backend.dtype
-                  for f in session._fusers.values()}
+                  for f in session._serial._lanes.values()}
         assert dtypes == {np.dtype(expect)}
 
     @pytest.mark.parametrize("executor", ["serial", "pipeline", "batch"])

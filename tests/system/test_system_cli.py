@@ -151,7 +151,9 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schedule"] == ["ingest", "visible", "thermal",
                                        "fuse", "finalize"]
-        assert payload["executor"] == "batch"
+        # lowering reads no executor, so the plan names none
+        assert "executor" not in payload
+        assert payload["compute"] == ["visible+thermal+fuse"]
         assert payload["units"] == {
             "visible+thermal+fuse": ["visible", "thermal", "fuse"]}
         for key in ("batch_schedule", "batch_groups", "fusable_core"):
@@ -166,18 +168,19 @@ class TestCli:
                      "--engine", "neon", "--size", "40x40",
                      "--levels", "2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["sequential_mid"] is True
+        assert payload["sequential"] is True
         assert "register" in payload["head"]
-        assert payload["mid"] == ["temporal"]
+        assert payload["compute"] == ["temporal"]
 
-        # the overlapping executor fuses only the parallel wave
+        # the overlapping executor drives the same whole-core unit
         assert main(["plan", "--executor", "pipeline",
                      "--engine", "neon", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["units"] == {
-            "visible+thermal": ["visible", "thermal"]}
-        assert payload["mid"] == ["fuse"]
-        assert "affinity" not in payload
+            "visible+thermal+fuse": ["visible", "thermal", "fuse"]}
+        assert payload["compute"] == ["visible+thermal+fuse"]
+        for key in ("parallel", "mid", "affinity"):
+            assert key not in payload
 
     def _serve_spec(self, tmp_path, **top):
         spec = {

@@ -13,26 +13,22 @@ from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
-from repro.session import FusionSession
+from repro.graph import Planner
 
 
 def unfuse(plan):
-    """``plan`` with every unit replaced by its members, in order, and
-    the parallel/mid split restored from the stages' lowered roles."""
+    """``plan`` with every unit replaced by its members, in order."""
     compute = tuple(member for name in plan.compute
                     for member in plan.members(name))
-    return replace(
-        plan, compute=compute, units={},
-        parallel=tuple(n for n in compute
-                       if plan.node(n).role == "parallel"),
-        mid=tuple(n for n in compute if plan.node(n).role == "mid"))
+    return replace(plan, compute=compute, units={})
 
 
 @contextmanager
 def unfused_sessions():
-    """Within the block, every :class:`FusionSession` lowers to the
-    unfused reference plan."""
-    lower = FusionSession._lower
-    with mock.patch.object(FusionSession, "_lower",
+    """Within the block, every lowering (and so every
+    :class:`~repro.session.FusionSession`) gives the unfused reference
+    plan."""
+    lower = Planner.lower
+    with mock.patch.object(Planner, "lower",
                            lambda self, *args: unfuse(lower(self, *args))):
         yield
