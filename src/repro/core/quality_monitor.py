@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import FusionError
-from .metrics import petrovic_qabf, spatial_frequency
+from .metrics import check_shapes, petrovic_qabf, spatial_frequency
 
 #: Recommended actions, in escalating order of degradation.
 ACTION_FUSE = "fuse"
@@ -79,12 +79,20 @@ class QualityMonitor:
         return self._baseline[key]
 
     def observe(self, visible: np.ndarray, thermal: np.ndarray,
-                fused: np.ndarray) -> MonitorReading:
-        """Assess one frame triple; returns the reading (also stored)."""
+                fused: np.ndarray,
+                qabf: Optional[float] = None) -> MonitorReading:
+        """Assess one frame triple; returns the reading (also stored).
+
+        ``qabf`` is the triple's Q^AB/F when the caller has already
+        graded it (the session grades each compute batch at once);
+        None computes it here."""
+        check_shapes("the quality monitor", visible=visible,
+                     thermal=thermal, fused=fused)
         self._frame += 1
         act_v = spatial_frequency(np.asarray(visible, dtype=np.float64))
         act_t = spatial_frequency(np.asarray(thermal, dtype=np.float64))
-        qabf = petrovic_qabf(visible, thermal, fused)
+        if qabf is None:
+            qabf = petrovic_qabf(visible, thermal, fused)
 
         in_warmup = self._frame <= self.warmup
         if in_warmup:

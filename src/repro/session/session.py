@@ -50,7 +50,7 @@ import numpy as np
 
 from ..core.adaptive import (CostModelScheduler, Decision, OnlineScheduler)
 from ..core.fusion import ImageFusion
-from ..core.metrics import fusion_report
+from ..core.metrics import fusion_report, petrovic_qabf
 from ..core.quality_monitor import ACTION_FUSE, QualityMonitor
 from ..core.registration import DtcwtRegistration
 from ..core.video_fusion import TemporalFusion
@@ -122,6 +122,10 @@ class _FrameTask:
     started: float = 0.0
     pyramids: List[object] = dataclass_field(default_factory=list)
     fused: Optional[np.ndarray] = None
+    #: the frame's fusion report and Q^AB/F, graded at the end of
+    #: ``compute`` (None: not graded)
+    quality: Optional[Dict[str, float]] = None
+    qabf: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.pyramids:
@@ -463,6 +467,8 @@ class _SessionProcessor(FrameProcessor):
         Either way each stage sees frames in index order and its
         arithmetic is bound to the frame's engine (or its forced
         placement), so the frames are bitwise-identical at every B.
+        The computed batch is then graded as a whole
+        (:meth:`_grade`).
         """
         if ctx is None:
             ctx = self._session._serial
@@ -471,6 +477,7 @@ class _SessionProcessor(FrameProcessor):
             for task in tasks:
                 for name in plan.compute:
                     self._stage(name, task, ctx)
+            self._grade(tasks)
             return
         frame_run: List[str] = []
 
@@ -495,6 +502,33 @@ class _SessionProcessor(FrameProcessor):
                 for task in tasks:
                     self._stage(member, task, ctx)
         flush()
+        self._grade(tasks)
+
+    def _grade(self, tasks) -> None:
+        """The quality metrics of the computed batch, graded at once:
+        one :func:`fusion_report` over the batch's visible, thermal
+        and fused frames (or, with the metrics off and the
+        monitor on, the Q^AB/F the monitor reads), timed under the
+        ``metrics`` record key.  The metrics are pure, so any driver's
+        batch grades every frame exactly as it would grade alone; the
+        quality sums and the stateful monitor stay in ordered
+        :meth:`finalize`."""
+        session = self._session
+        report = session.config.quality_metrics
+        if not tasks or not (report or session.monitor is not None):
+            return
+        started = time.perf_counter()
+        frames = ([task.visible for task in tasks],
+                  [task.thermal for task in tasks],
+                  [task.fused for task in tasks])
+        if report:
+            for task, quality in zip(tasks, fusion_report(*frames)):
+                task.quality = quality
+                task.qabf = quality["qabf"]
+        else:
+            for task, qabf in zip(tasks, petrovic_qabf(*frames)):
+                task.qabf = qabf
+        self._record_wall("metrics", time.perf_counter() - started)
 
     # -- accounting -----------------------------------------------------
     def _frame_cost(self, task: _FrameTask
@@ -543,13 +577,13 @@ class _SessionProcessor(FrameProcessor):
         action = ACTION_FUSE
         if session.monitor is not None:
             action = session.monitor.observe(task.visible, task.thermal,
-                                             fused).action
+                                             fused, qabf=task.qabf).action
 
         seconds, mj, engine_label, stages = self._frame_cost(task)
 
         quality: Dict[str, float] = {}
         if session.config.quality_metrics:
-            quality = fusion_report(task.visible, task.thermal, fused)
+            quality = task.quality
             for key, value in quality.items():
                 session._quality_sums[key] = \
                     session._quality_sums.get(key, 0.0) + value

@@ -51,6 +51,13 @@ class TestMutualInformation:
             metrics.mutual_information(rng.uniform(0, 1, (8, 8)),
                                        rng.uniform(0, 1, (9, 9)))
 
+    def test_transposed_shape_is_a_mismatch(self, rng):
+        """Equal sizes are not enough: a 72x88 frame against an 88x72
+        one is a shape bug, named in the error."""
+        with pytest.raises(FusionError, match=r"\(72, 88\).*\(88, 72\)"):
+            metrics.mutual_information(rng.uniform(0, 255, (72, 88)),
+                                       rng.uniform(0, 255, (88, 72)))
+
     def test_fusion_mi_sums_sources(self, image, rng):
         other = rng.uniform(0, 255, image.shape)
         fused = (image + other) / 2
@@ -83,6 +90,21 @@ class TestQabf:
     def test_flat_images_score_zero(self):
         flat = np.zeros((16, 16))
         assert metrics.petrovic_qabf(flat, flat, flat) == 0.0
+
+    def test_shape_mismatch_names_the_shapes(self, rng):
+        a = rng.uniform(0, 255, (72, 88))
+        with pytest.raises(FusionError, match=r"\(72, 88\).*\(88, 72\)"):
+            metrics.petrovic_qabf(a, a.T, a)
+        with pytest.raises(FusionError, match=r"\(72, 88\).*\(88, 72\)"):
+            metrics.petrovic_qabf(a, a, a.T)
+
+    def test_stack_gives_one_value_per_frame(self, rng):
+        a = rng.uniform(0, 255, (3, 16, 12))
+        b = rng.uniform(0, 255, (3, 16, 12))
+        q = metrics.petrovic_qabf(a, b, (a + b) / 2)
+        assert len(q) == 3
+        assert q == [metrics.petrovic_qabf(a[i], b[i], (a[i] + b[i]) / 2)
+                     for i in range(3)]
 
 
 class TestSsim:
@@ -130,3 +152,21 @@ class TestReport:
         report = metrics.fusion_report(vis, th, (vis + th) / 2)
         assert set(report) == {"entropy", "mutual_information", "qabf",
                                "spatial_frequency", "average_gradient"}
+
+    def test_stack_gives_one_report_per_frame(self, structured_pair):
+        vis, th = structured_pair
+        fused = (vis + th) / 2
+        reports = metrics.fusion_report(np.stack([vis, th]),
+                                        np.stack([th, vis]),
+                                        np.stack([fused, fused]))
+        assert reports == [metrics.fusion_report(vis, th, fused),
+                           metrics.fusion_report(th, vis, fused)]
+
+    def test_shape_mismatch_names_the_shapes(self, structured_pair):
+        vis, th = structured_pair
+        with pytest.raises(FusionError, match=r"\(72, 88\).*\(88, 72\)"):
+            metrics.fusion_report(vis, th.T, vis)
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(FusionError):
+            metrics.fusion_report(*[np.zeros((2, 3, 4, 5))] * 3)

@@ -89,6 +89,27 @@ class TestFailureDetection:
 
 
 class TestValidation:
+    def test_shape_mismatch_names_the_shapes(self, frame_pair):
+        visible, thermal = frame_pair
+        monitor = QualityMonitor()
+        with pytest.raises(FusionError, match=r"\(80, 96\).*\(96, 80\)"):
+            monitor.observe(visible, thermal.T, visible)
+        with pytest.raises(FusionError, match=r"\(80, 96\).*\(96, 80\)"):
+            monitor.observe(visible, thermal, visible.T, qabf=0.5)
+        assert monitor.history == []
+
+    def test_given_qabf_is_the_reading(self, frame_pair):
+        """A caller that already graded the triple hands its Q^AB/F in;
+        the monitor uses it instead of grading again."""
+        visible, thermal = frame_pair
+        fused = fuse_images(visible, thermal, levels=2)
+        computed = QualityMonitor().observe(visible, thermal, fused)
+        given = QualityMonitor().observe(visible, thermal, fused,
+                                         qabf=computed.fused_qabf)
+        assert given == computed
+        assert QualityMonitor().observe(visible, thermal, fused,
+                                        qabf=0.25).fused_qabf == 0.25
+
     def test_parameters(self):
         with pytest.raises(FusionError):
             QualityMonitor(alpha=0.0)

@@ -554,6 +554,58 @@ class TestOneStageRecord:
             assert block["worker_frames"]
             assert set(block["worker_frames"]) <= set(threads)
 
+    @pytest.mark.parametrize("executor", executor_names())
+    def test_metrics_are_attributed_not_unattributed(self, executor,
+                                                     monkeypatch):
+        """The stacked quality metrics run in compute under their own
+        record key, so their time lands in a thread's busy time and
+        the wall budget still closes: a 30 ms ``fusion_report`` shows
+        in ``stage_wall_s["metrics"]`` and in the computing threads'
+        busy time, and an inline executor's unattributed remainder
+        does not grow by it."""
+        import repro.session.session as session_module
+        report_fn = session_module.fusion_report
+
+        def slow_report(*args):
+            time.sleep(0.03)
+            return report_fn(*args)
+
+        frames = 4
+
+        def drive(**overrides):
+            with FusionSession(small_config(executor=executor,
+                                            batch_size=1,
+                                            **overrides)) as s:
+                block = s.run(frames).throughput
+                graders = {thread for stage, thread
+                           in s._processor.stage_wall_snapshot()
+                           if stage == "metrics"}
+            return block, graders
+
+        plain, _ = drive()
+        monkeypatch.setattr(session_module, "fusion_report", slow_report)
+        block, graders = drive(quality_metrics=True)
+        stages, threads = block["stage_wall_s"], block["thread_busy_s"]
+        assert "metrics" not in plain["stage_wall_s"]
+        assert stages["metrics"] >= 0.03 * frames
+        assert sum(stages.values()) == pytest.approx(
+            sum(threads.values()), rel=1e-9)
+        # the threads that graded frames are the ones that compute
+        if executor == "pipeline":
+            # a pool thread's unattributed time is mostly waiting for
+            # its next frame, which follows the other workers' pace;
+            # what must hold is that the grading is in their busy time
+            assert graders and all(thread.startswith("exec-compute-")
+                                   for thread in graders)
+            assert sum(threads[thread] for thread in graders) >= \
+                stages["metrics"]
+            return
+        assert graders == {threading.current_thread().name}
+        slack = 0.03 * frames / 2
+        for thread in graders:
+            assert block["unattributed_s"][thread] < \
+                plain["unattributed_s"].get(thread, 0.0) + slack
+
     def test_record_under_thread_contention(self):
         """More pool threads than cores and a short switch interval:
         every frame is counted once and lands in the record under the
