@@ -9,6 +9,10 @@ import numpy as np
 
 from ..errors import VideoError
 
+#: BT.601 luma weight times each 8-bit level, per channel
+_BT601_RED, _BT601_GREEN, _BT601_BLUE = (
+    w * np.arange(256, dtype=np.float64) for w in (0.299, 0.587, 0.114))
+
 
 @dataclass
 class VideoFrame:
@@ -52,10 +56,13 @@ class VideoFrame:
             raise VideoError(
                 f"expected 3 channels for gray conversion, got {self.pixels.shape}"
             )
-        rgb = self.pixels.astype(np.float64)
-        luma = 0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2]
+        # the products of a float64 conversion, summed in the same order
+        luma = _BT601_RED.take(self.pixels[..., 0])
+        luma += _BT601_GREEN.take(self.pixels[..., 1])
+        luma += _BT601_BLUE.take(self.pixels[..., 2])
+        np.round(luma, out=luma)
         return VideoFrame(
-            pixels=np.clip(np.round(luma), 0, 255).astype(np.uint8),
+            pixels=np.clip(luma, 0, 255, out=luma).astype(np.uint8),
             timestamp_s=self.timestamp_s,
             frame_id=self.frame_id,
             source=self.source,

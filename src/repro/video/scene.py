@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -84,35 +84,60 @@ class SyntheticScene:
                          + np.roll(self._texture, 1, 0)
                          + np.roll(self._texture, 1, 1)
                          + np.roll(self._texture, (1, 1), (0, 1))) / 4.0
-        self._grid_y, self._grid_x = np.mgrid[0:self.height, 0:self.width]
-        self._gx = self._grid_x / max(1, self.width - 1)
-        self._gy = self._grid_y / max(1, self.height - 1)
+        # separable coordinates: a (W,) row and an (H, 1) column that
+        # broadcast to the full grid with the same floats elementwise
+        self._gx = np.arange(self.width) / max(1, self.width - 1)
+        self._gy = (np.arange(self.height) / max(1, self.height - 1))[:, None]
         self._noise_rng = np.random.default_rng(self.seed + 1)
         # the depth modality draws from its own stream so adding a
         # third render never perturbs the visible/thermal noise
         # sequence (N=2 streams stay bitwise-identical)
         self._depth_rng = np.random.default_rng(self.seed + 2)
+        #: modality -> ((illumination, ambient_c) it was built for, layers)
+        self._backgrounds: Dict[str, Tuple[Tuple[float, float], np.ndarray]] = {}
 
     # ------------------------------------------------------------------
-    def _object_masks(self, t_s: float) -> List[Tuple[np.ndarray, WarmObject]]:
-        masks = []
+    def _background(self, modality: str) -> np.ndarray:
+        """A fresh copy of one modality's time-independent layers: the
+        terms every frame adds first, built on first use and rebuilt
+        once ``illumination`` or ``ambient_c`` has been reassigned."""
+        key = (self.illumination, self.ambient_c)
+        cached = self._backgrounds.get(modality)
+        if cached is None or cached[0] != key:
+            if modality == "visible":
+                # background structure: textured wall with strong vertical edge
+                layers = (90.0 + 60.0 * self.illumination * self._gy
+                          + 18.0 * self._texture)
+                layers += 35.0 * (self._gx > 0.62)              # bright doorway
+                layers += 12.0 * np.sin(2 * np.pi * self._gx * 12)  # blind slats
+            elif modality == "thermal":
+                layers = np.full((self.height, self.width), self.ambient_c)
+                layers += 2.0 * self._gy                    # warm floor gradient
+            else:
+                layers = np.full((self.height, self.width), 4.0)
+                layers -= 1.5 * self._gy                  # floor slopes nearer
+                layers += 0.4 * (self._gx > 0.62)         # doorway recess
+            cached = self._backgrounds[modality] = (key, layers)
+        return cached[1].copy()
+
+    def _object_masks(self, t_s: float) -> Iterator[Tuple[np.ndarray, WarmObject]]:
+        """Each object's Gaussian footprint, a fresh array per object."""
         for obj in self.objects:
             ox, oy = obj.position_at(t_s)
-            dist2 = ((self._gx - ox) ** 2 + (self._gy - oy) ** 2)
-            masks.append((np.exp(-dist2 / (2.0 * obj.radius ** 2)), obj))
-        return masks
+            # -(a + b) is (-a) + (-b) bit for bit, so the negation
+            # rides on the row and the column instead of the grid
+            mask = np.add(-(self._gx - ox) ** 2, -(self._gy - oy) ** 2)
+            mask /= 2.0 * obj.radius ** 2
+            yield np.exp(mask, out=mask), obj
 
     def render_visible(self, t_s: float, noise_sigma: float = 1.5) -> np.ndarray:
         """Visible-band frame (float, 0..255): texture + structure + objects."""
-        base = 90.0 + 60.0 * self.illumination * self._gy
-        # background structure: textured wall with strong vertical edge
-        image = base + 18.0 * self._texture
-        image += 35.0 * (self._gx > 0.62)              # bright doorway
-        image += 12.0 * np.sin(2 * np.pi * self._gx * 12)  # blind slats
+        image = self._background("visible")
         for mask, obj in self._object_masks(t_s):
-            image += obj.visible_contrast * mask
+            mask *= obj.visible_contrast
+            image += mask
         image += self._noise_rng.normal(0.0, noise_sigma, image.shape)
-        return np.clip(image, 0.0, 255.0)
+        return np.clip(image, 0.0, 255.0, out=image)
 
     def render_thermal(self, t_s: float, netd_c: float = 0.08,
                        blur: int = 2) -> np.ndarray:
@@ -121,18 +146,18 @@ class SyntheticScene:
         ``netd_c`` models the sensor's noise-equivalent temperature
         difference; ``blur`` the optics' softness in pixels.
         """
-        temps = np.full((self.height, self.width), self.ambient_c)
-        temps += 2.0 * self._gy                      # warm floor gradient
+        temps = self._background("thermal")
         for mask, obj in self._object_masks(t_s):
-            temps += (obj.temperature_c - self.ambient_c) * mask
+            mask *= obj.temperature_c - self.ambient_c
+            temps += mask
         temps += self._noise_rng.normal(0.0, netd_c, temps.shape)
-        for _ in range(max(0, blur)):
-            temps = (temps
-                     + np.roll(temps, 1, 0) + np.roll(temps, -1, 0)
-                     + np.roll(temps, 1, 1) + np.roll(temps, -1, 1)) / 5.0
+        temps = _cross_blur(temps, blur)
         # radiometric mapping: ambient-20C .. ambient+50C onto 0..255
         lo, hi = self.ambient_c - 20.0, self.ambient_c + 50.0
-        return np.clip((temps - lo) / (hi - lo) * 255.0, 0.0, 255.0)
+        temps -= lo
+        temps /= hi - lo
+        temps *= 255.0
+        return np.clip(temps, 0.0, 255.0, out=temps)
 
     def render_depth(self, t_s: float, noise_mm: float = 4.0) -> np.ndarray:
         """Depth frame (float, 0..255, near = bright): ranging sensor.
@@ -144,9 +169,7 @@ class SyntheticScene:
         jitter.  Depth sees geometry the other two modalities cannot:
         it is blind to texture *and* temperature.
         """
-        depth_m = np.full((self.height, self.width), 4.0)
-        depth_m -= 1.5 * self._gy                  # floor slopes nearer
-        depth_m += 0.4 * (self._gx > 0.62)         # doorway recess
+        depth_m = self._background("depth")
         for mask, obj in self._object_masks(t_s):
             # an object stands 1..2 m in front of whatever is behind
             # it, with a hard silhouette the way a ranging sensor sees
@@ -179,3 +202,24 @@ class SyntheticScene:
         obj = max(self.objects, key=lambda o: o.temperature_c)
         ox, oy = obj.position_at(t_s)
         return int(round(oy * (self.height - 1))), int(round(ox * (self.width - 1)))
+
+
+def _cross_blur(temps: np.ndarray, passes: int) -> np.ndarray:
+    """``passes`` rounds of the 5-point cross mean on a torus: slice adds
+    into a second buffer, summed ``((((t + up) + down) + left) + right)
+    / 5`` in the order of the ``np.roll`` form they replace."""
+    if passes <= 0:
+        return temps
+    out = np.empty_like(temps)
+    for _ in range(passes):
+        np.add(temps[1:], temps[:-1], out=out[1:])      # + roll(t, 1, 0)
+        np.add(temps[0], temps[-1], out=out[0])
+        out[:-1] += temps[1:]                           # + roll(t, -1, 0)
+        out[-1] += temps[0]
+        out[:, 1:] += temps[:, :-1]                     # + roll(t, 1, 1)
+        out[:, 0] += temps[:, -1]
+        out[:, :-1] += temps[:, 1:]                     # + roll(t, -1, 1)
+        out[:, -1] += temps[:, 0]
+        out /= 5.0
+        temps, out = out, temps
+    return temps

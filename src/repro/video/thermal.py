@@ -50,17 +50,21 @@ class ThermalCameraSimulator(FrameSource):
         self.netd_c = netd_c
         self.bt656_config = bt656_config if bt656_config is not None else Bt656Config()
         self._frame_id = 0
+        # the sensor samples the scene at fixed rows and columns
+        self._rows_idx = np.linspace(0, self.scene.height - 1,
+                                     self.rows).round().astype(int)
+        self._cols_idx = np.linspace(0, self.scene.width - 1,
+                                     self.cols).round().astype(int)
 
     def capture(self) -> VideoFrame:
         """Next sensor-resolution LWIR frame (uint8)."""
         t_s = self._frame_id / self.fps
         full = self.scene.render_thermal(t_s, netd_c=self.netd_c)
         # sample the scene down to the sensor geometry
-        r_idx = np.linspace(0, full.shape[0] - 1, self.rows).round().astype(int)
-        c_idx = np.linspace(0, full.shape[1] - 1, self.cols).round().astype(int)
-        pixels = full[r_idx][:, c_idx]
+        pixels = full.take(self._rows_idx, axis=0).take(self._cols_idx, axis=1)
+        np.round(pixels, out=pixels)
         frame = VideoFrame(
-            pixels=np.clip(np.round(pixels), 0, 255).astype(np.uint8),
+            pixels=np.clip(pixels, 0, 255, out=pixels).astype(np.uint8),
             timestamp_s=t_s,
             frame_id=self._frame_id,
             source="thermal",

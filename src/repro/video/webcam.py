@@ -57,15 +57,24 @@ class WebcamSimulator(FrameSource):
         if self.auto_exposure:
             mean = float(luma.mean())
             if mean > 1e-6:
-                luma = np.clip(luma * (128.0 / mean), 0.0, 255.0)
-        # a mild Bayer-ish chroma model: visible scene tinted by height
-        r = np.clip(luma * 1.02, 0, 255)
-        g = luma
-        b = np.clip(luma * 0.96 + 4.0, 0, 255)
-        rgb = np.stack([r, g, b], axis=-1)
-        rgb += self._rng.normal(0.0, 1.0, rgb.shape)
+                luma *= 128.0 / mean
+                np.clip(luma, 0.0, 255.0, out=luma)
+        # a mild Bayer-ish chroma model: visible scene tinted by height.
+        # Each channel is added into its plane of the channels-last noise
+        # draw, which then rounds, clips and quantizes in place
+        # (n + r is r + n, bit for bit).
+        r = luma * 1.02
+        np.clip(r, 0, 255, out=r)
+        b = luma * 0.96
+        b += 4.0
+        np.clip(b, 0, 255, out=b)
+        rgb = self._rng.normal(0.0, 1.0, luma.shape + (3,))
+        rgb[..., 0] += r
+        rgb[..., 1] += luma
+        rgb[..., 2] += b
+        np.round(rgb, out=rgb)
         frame = VideoFrame(
-            pixels=np.clip(np.round(rgb), 0, 255).astype(np.uint8),
+            pixels=np.clip(rgb, 0, 255, out=rgb).astype(np.uint8),
             timestamp_s=t_s,
             frame_id=self._frame_id,
             source="webcam",

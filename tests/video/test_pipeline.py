@@ -2,6 +2,10 @@
 link, scaler and FIFO (:class:`CaptureChainSource`) fused by a
 :class:`FusionSession`."""
 
+import dataclasses
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
@@ -95,3 +99,42 @@ class TestPipelineExecutorParity:
             assert ref.model_seconds == got.model_seconds
             assert ref.model_millijoules == got.model_millijoules
             assert ref.frame.frame_id == got.frame.frame_id
+
+
+#: captured before the scene layers were cached and the camera chains
+#: made in place: sha256 over the visible then thermal float64 bytes
+#: of the first 24 ``CaptureChainSource(seed=1)`` pairs, the decoder
+#: and FIFO counters after them, and sha256 over the fused pixels of
+#: ``FusionSession(FusionConfig(seed=1)).run(24)`` (88x72 on the FPGA
+#: lane, the default path).  Any drift is a change to the frames, not
+#: a retune.
+CAPTURE_GOLDEN = {
+    "pairs": "db4606e8653fde53b144f67b911496ad3c3fdaefd3eb61196e094b84690bcf28",
+    "decoder": {"frames": 24, "lines": 5832, "xy_errors": 0,
+                "corrected_xy": 0, "resyncs": 0},
+    "fifo": {"pushed": 24, "dropped": 0, "popped": 24},
+    "fused": "063f7eba05dcf4bed44275188b13564998aa9b4558ec97914f0ae550d21452cb",
+}
+
+
+class TestCaptureChainGolden:
+    def test_first_pairs_and_transport_counters(self):
+        source = CaptureChainSource(seed=1)
+        digest = hashlib.sha256()
+        for pair in itertools.islice(source.frames(), 24):
+            digest.update(pair.visible.tobytes())
+            digest.update(pair.thermal.tobytes())
+        assert digest.hexdigest() == CAPTURE_GOLDEN["pairs"]
+        assert dataclasses.asdict(source.chain.decoder.stats) \
+            == CAPTURE_GOLDEN["decoder"]
+        assert dataclasses.asdict(source.chain.fifo.stats) \
+            == CAPTURE_GOLDEN["fifo"]
+
+    @pytest.mark.parametrize("executor", ["serial", "pipeline"])
+    def test_default_session_fuses_the_same_frames(self, executor):
+        with FusionSession(FusionConfig(seed=1, executor=executor)) as session:
+            report = session.run(24)
+        digest = hashlib.sha256()
+        for record in report.records:
+            digest.update(record.frame.pixels.tobytes())
+        assert digest.hexdigest() == CAPTURE_GOLDEN["fused"]

@@ -114,3 +114,62 @@ class TestThermalCamera:
         cam = ThermalCameraSimulator(scene)
         assert cam.capture().frame_id == 0
         assert cam.capture().frame_id == 1
+
+
+MODALITIES = ("visible", "thermal", "depth")
+
+
+def _scene(**overrides):
+    return SyntheticScene(**dict(dict(width=40, height=32, seed=3),
+                                 **overrides))
+
+
+class TestRenderCache:
+    """The scene keeps its time-independent layers between renders: a
+    frame it hands out must never alias them or another frame, and a
+    reassigned field must rebuild them."""
+
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_mutating_a_frame_changes_no_later_frame(self, modality):
+        scene, twin = _scene(), _scene()
+        first = scene.render(modality, 0.0)
+        assert np.array_equal(first, twin.render(modality, 0.0))
+        first[...] = -1.0
+        second = scene.render(modality, 0.5)
+        assert np.array_equal(second, twin.render(modality, 0.5))
+        assert not np.shares_memory(first, second)
+        for _, layers in scene._backgrounds.values():
+            assert not np.shares_memory(second, layers)
+
+    def test_camera_frames_never_alias(self):
+        scene, twin = _scene(), _scene()
+        cams = (WebcamSimulator(scene), ThermalCameraSimulator(scene))
+        refs = (WebcamSimulator(twin), ThermalCameraSimulator(twin))
+        for cam, ref in zip(cams, refs):
+            first = cam.capture().pixels
+            ref.capture()
+            first[...] = 0
+            second = cam.capture().pixels
+            assert np.array_equal(second, ref.capture().pixels)
+            assert not np.shares_memory(first, second)
+        rgb = WebcamSimulator(_scene()).capture()
+        assert not np.shares_memory(rgb.to_gray().pixels, rgb.pixels)
+
+    @pytest.mark.parametrize("field, value, changed",
+                             [("illumination", 0.2, "visible"),
+                              ("ambient_c", 30.0, "thermal")])
+    def test_reassigned_field_never_serves_a_stale_background(
+            self, field, value, changed):
+        scene, stale = _scene(), _scene()
+        fresh = _scene(**{field: value})
+        for s in (scene, stale, fresh):         # build every layer
+            for modality in MODALITIES:
+                s.render(modality, 0.0)
+        setattr(scene, field, value)
+        for modality in MODALITIES:
+            got = scene.render(modality, 1.0)
+            assert np.array_equal(got, fresh.render(modality, 1.0))
+            if modality == changed:
+                assert not np.array_equal(got, stale.render(modality, 1.0))
+            else:
+                stale.render(modality, 1.0)     # keep the streams level
