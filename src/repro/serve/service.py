@@ -72,6 +72,7 @@ import os
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, FusionError, ReproError
@@ -184,10 +185,10 @@ class StreamSpec:
 class _StreamState:
     """Service-side runtime of one stream."""
 
-    def __init__(self, spec: StreamSpec, index: int):
+    def __init__(self, spec: StreamSpec):
         self.spec = spec
         self.name = spec.name
-        self.index = index  # attach order, the scheduling tie-break
+        self.index = 0  # attach order, the scheduling tie-break
         # a private session per tenant: all ordered policies (frame
         # indices, scheduler observations, calibration, telemetry)
         # live here, untouched by other streams
@@ -277,7 +278,293 @@ class _StreamState:
         self.session.close()
 
 
-class FusionService:
+@dataclass
+class Retirement:
+    """One retired stream: how it ended and what it left behind.
+
+    Both service fronts keep one record per retired stream until
+    ``reap()``; a shard process sends its records to the parent over
+    the control pipe (the report's frame records travel through the
+    results ring instead).  ``outcome`` is ``completed``, ``detached``,
+    ``errored`` or ``cancelled``; ``ledger`` is the stream's final
+    frame ledger and ``violations`` the SLO misses judged at
+    retirement.
+    """
+
+    name: str
+    outcome: str
+    report: FusionReport = field(default_factory=FusionReport)
+    scheduler: Dict[str, object] = field(default_factory=dict)
+    ledger: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_LEDGER_KEYS, 0))
+    violations: List[Dict[str, object]] = field(default_factory=list)
+    error: Optional[str] = None
+
+
+class ServiceFront:
+    """The stream lifecycle every service front shares.
+
+    :class:`FusionService` runs its streams' grants in this process,
+    :class:`~repro.serve.ShardedFusionService` in shard processes; both
+    take streams through this one front.  It owns the attach guard and
+    :class:`StreamSpec` construction (``add_stream`` is an alias of
+    :meth:`attach`), the one-drive rule (``start``, then ``wait`` or
+    ``serve``), ``close`` and the context manager, one
+    :class:`Retirement` per retired stream, the frame ledger and the
+    :class:`ServiceReport` assembly.
+
+    A subclass says where streams run: ``_attached_locked`` (is a name
+    taken), ``_admit`` (bind a validated spec), ``start``, ``_drain``
+    (the drive's end, returning the report sections only it knows),
+    ``cancel``, ``_close_unstarted`` and ``_live_ledger_locked`` (the
+    frames it holds outside any retirement).
+    """
+
+    #: seconds between stop-flag checks while blocked on the condition
+    TICK_S = 0.05
+    #: seconds to wait for each service thread to join at shutdown
+    JOIN_TIMEOUT_S = 10.0
+
+    def __init__(self, live: bool, slo_headroom: float,
+                 metrics: Optional[MetricsRegistry],
+                 events: Optional[EventLog], event_capacity: int):
+        if not (slo_headroom > 0):
+            raise ConfigurationError(
+                f"slo_headroom must be > 0, got {slo_headroom}")
+        self.live = live
+        self.slo_headroom = float(slo_headroom)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.events = events if events is not None \
+            else EventLog(capacity=event_capacity)
+        self._cond = threading.Condition()
+        self._retired: Dict[str, Retirement] = {}
+        self._totals: Dict[str, int] = {k: 0 for k in _LEDGER_KEYS}
+        self._started = False
+        self._finished = False
+        self._cancelled = False
+        self._draining = False
+        self._t0 = 0.0
+        self._t1 = 0.0
+        self._report: Optional[ServiceReport] = None
+        # report-derived (set when a drive's report is built)
+        self._g_fps = self.metrics.gauge(
+            "repro_serve_aggregate_fps",
+            "Aggregate finalized frames per wall second (end of drive)")
+        self._g_occupancy = self.metrics.gauge(
+            "repro_serve_engine_occupancy_ratio",
+            "Per-instance busy fraction of the drive wall interval")
+        self._g_stream_energy = self.metrics.gauge(
+            "repro_serve_stream_energy_millijoules",
+            "Modelled energy by stream (end of drive)")
+
+    # -- registration -----------------------------------------------------
+    def attach(self, name: str, config: Optional[FusionConfig] = None,
+               source: Optional[FrameSource] = None,
+               frames: Optional[int] = None, priority: float = 1.0,
+               batch_frames: Optional[int] = None,
+               on_result: Optional[Callable] = None,
+               slo: Optional[StreamSLO] = None,
+               **config_overrides):
+        """Admit one stream: registration before :meth:`start`, runtime
+        attach on a running ``live=True`` service.
+
+        ``config_overrides`` are convenience field overrides applied on
+        top of ``config`` (or a default config), mirroring
+        :class:`~repro.session.FusionSession`'s constructor.  The
+        stream's :class:`StreamSpec` is validated before any resource
+        is bound.  Raises :class:`FusionError` once the service is
+        draining or closed, and :class:`ConfigurationError` for a
+        duplicate name or on a running fixed-workload service (the
+        fixed-workload contract: construct with ``live=True`` for
+        runtime attach).
+        """
+        with self._cond:
+            self._check_attachable_locked(name)
+        if config is None:
+            config = FusionConfig(**config_overrides)
+        elif config_overrides:
+            config = config.with_overrides(**config_overrides)
+        if source is None:
+            raise ConfigurationError(
+                f"stream {name!r} needs a frame source")
+        return self._admit(StreamSpec(
+            name=name, config=config, source=source, frames=frames,
+            priority=priority, batch_frames=batch_frames,
+            on_result=on_result, slo=slo))
+
+    add_stream = attach
+
+    def _check_attachable_locked(self, name: str) -> None:
+        if self._finished:
+            raise FusionError(
+                f"service is closed; create a new {type(self).__name__}")
+        if self._draining:
+            raise FusionError(
+                "service is draining; no further streams may attach")
+        if self._started and not self.live:
+            raise ConfigurationError(
+                "cannot add streams to a service that already started; "
+                "construct with live=True for runtime attach")
+        if self._attached_locked(name):
+            raise ConfigurationError(f"duplicate stream name {name!r}")
+
+    def _check_detachable(self) -> None:
+        if self._started and not self.live:
+            raise ConfigurationError(
+                "detach requires a live service (live=True); a "
+                "fixed-workload drive runs its streams to completion")
+
+    # -- lifecycle --------------------------------------------------------
+    def _check_startable(self, has_streams: bool) -> None:
+        kind = type(self).__name__
+        if self._finished:
+            raise FusionError(
+                f"service is closed; {kind} instances drive exactly "
+                f"one serve() — create a new service")
+        if self._started:
+            raise FusionError(
+                f"service already started; {kind} instances drive "
+                f"exactly one serve() — create a new service for the "
+                f"next drive")
+        if not has_streams and not self.live:
+            raise ConfigurationError(
+                "service has no streams; add_stream() first (or "
+                "construct with live=True to attach at runtime)")
+
+    def wait(self) -> ServiceReport:
+        """Block until every stream finishes (or the drive stops),
+        then return the :class:`ServiceReport`.
+
+        On a live service this *drains*: no further attach is
+        admitted, currently attached streams run to completion (an
+        endless stream must be detached or the service cancelled
+        first).  Re-raises the first service error after releasing
+        every resource; live-mode per-stream errors do not raise —
+        they are isolated in the report's ``errors``.
+        """
+        if not self._started:
+            raise ConfigurationError("service was never started")
+        if self._report is None:
+            self._report = self._build_report(**self._drain())
+            self.events.emit("service", phase="finish",
+                             cancelled=self._cancelled)
+        return self._report
+
+    def serve(self) -> ServiceReport:
+        """Run every stream to completion and report (blocking)."""
+        return self.start().wait()
+
+    def close(self) -> None:
+        """Cancel and join (idempotent; never raises stream errors —
+        :meth:`wait` is the raising path).  A service that never
+        started still releases every added stream here."""
+        if self._started and not self._finished:
+            self.cancel()
+            try:
+                self.wait()
+            except BaseException:  # noqa: BLE001 - close() must not raise
+                pass
+        elif not self._started and not self._finished:
+            self._finished = True
+            self._close_unstarted()
+            self.events.emit("service", phase="close")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- ledger and report ------------------------------------------------
+    def ledger(self) -> Dict[str, object]:
+        """The frame-accounting ledger, live at any instant.
+
+        ``totals`` spans the service's whole life (retired streams
+        included, reaped ones too); ``balanced`` asserts the
+        conservation laws: every offered frame was admitted or shed,
+        and every admitted frame is finalized, errored, or still in
+        flight.
+        """
+        with self._cond:
+            return self._ledger_locked()
+
+    def _ledger_locked(self) -> Dict[str, object]:
+        in_flight, active = self._live_ledger_locked()
+        totals = dict(self._totals)
+        for entry in active.values():
+            for key in _LEDGER_KEYS:
+                totals[key] += entry[key]
+        balanced = (
+            totals["offered"] == totals["admitted"] + totals["shed"]
+            and totals["admitted"] == (totals["finalized"]
+                                       + totals["errored"] + in_flight))
+        streams = {name: dict(record.ledger)
+                   for name, record in self._retired.items()}
+        streams.update(active)
+        return {"totals": totals, "in_flight": in_flight,
+                "balanced": balanced, "streams": streams}
+
+    def _metrics_snapshot(self) -> Dict[str, object]:
+        return self.metrics.snapshot()
+
+    def _build_report(self, admission: Dict[str, object],
+                      committed: Dict[str, float],
+                      shedding: Dict[str, object],
+                      events: Dict[str, object],
+                      front_errors: Optional[Dict[str, str]] = None
+                      ) -> ServiceReport:
+        """One report from the retirements plus the sections only the
+        subclass knows; ``front_errors`` are failures seen outside any
+        stream's retirement (a stream's own error wins its key)."""
+        wall = self._t1 - self._t0
+        with self._cond:
+            retired = dict(self._retired)
+            ledger = self._ledger_locked()
+        streams = {name: record.report for name, record in retired.items()}
+        energy = {name: report.model_millijoules_total
+                  for name, report in streams.items()}
+        occupancy = self.pool.occupancy(wall)
+        errors = dict(front_errors or {})
+        errors.update((name, record.error) for name, record
+                      in retired.items() if record.error is not None)
+        report = ServiceReport(
+            streams=streams,
+            wall_seconds=wall,
+            frames_total=sum(r.frames for r in streams.values()),
+            energy_mj_by_stream=energy,
+            energy_mj_total=sum(energy.values()),
+            engine_occupancy=occupancy,
+            pool=self.pool.stats(),
+            admission=admission,
+            scheduler={name: dict(record.scheduler)
+                       for name, record in retired.items()},
+            cancelled=self._cancelled,
+            ledger=ledger,
+            slo={
+                "headroom": self.slo_headroom,
+                "committed": committed,
+                "violations": {name: list(record.violations)
+                               for name, record in retired.items()
+                               if record.violations},
+            },
+            shedding=shedding,
+            metrics={},
+            events=events,
+            errors=errors,
+        )
+        # report-derived gauges, set before the metrics snapshot: the
+        # scrape and the report's own metrics agree with the report's
+        # aggregates by construction
+        self._g_fps.set(report.aggregate_fps)
+        for label, frac in occupancy.items():
+            self._g_occupancy.labels(instance=label).set(frac)
+        for name, millijoules in energy.items():
+            self._g_stream_energy.labels(stream=name).set(millijoules)
+        report.metrics = self._metrics_snapshot()
+        return report
+
+
+class FusionService(ServiceFront):
     """Serve many named fusion streams over one shared engine pool.
 
     Usage::
@@ -306,11 +593,6 @@ class FusionService:
     joined.
     """
 
-    #: seconds between stop-flag checks while blocked on the condition
-    TICK_S = 0.05
-    #: seconds to wait for each service thread to join at shutdown
-    JOIN_TIMEOUT_S = 10.0
-
     def __init__(self, pool: Union[EnginePool, Dict[str, int], tuple,
                                    list],
                  max_in_flight: int = 8, stream_queue_depth: int = 4,
@@ -320,6 +602,9 @@ class FusionService:
                  metrics: Optional[MetricsRegistry] = None,
                  events: Optional[EventLog] = None,
                  event_capacity: int = 4096):
+        super().__init__(live=live, slo_headroom=slo_headroom,
+                         metrics=metrics, events=events,
+                         event_capacity=event_capacity)
         # an EnginePool, anything lease-protocol-compatible (the
         # sharded tier's BrokeredEnginePool duck-types the surface),
         # or a spec to build a pool from
@@ -337,41 +622,19 @@ class FusionService:
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
-        if not (slo_headroom > 0):
-            raise ConfigurationError(
-                f"slo_headroom must be > 0, got {slo_headroom}")
         self.workers = workers
-        self.live = live
-        self.slo_headroom = float(slo_headroom)
-        self._cond = threading.Condition()
         self.admission = AdmissionController(
             self._cond, max_in_flight=max_in_flight,
             stream_queue_depth=stream_queue_depth)
         self.shedder = (Shedder(shedding, max_in_flight)
                         if shedding is not None else None)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None \
-            else EventLog(capacity=event_capacity)
         self._streams: Dict[str, _StreamState] = {}
-        self._retired: Dict[str, FusionReport] = {}
-        self._retired_scheduler: Dict[str, Dict[str, object]] = {}
-        self._retired_ledger: Dict[str, Dict[str, int]] = {}
-        self._violations: Dict[str, List[Dict[str, object]]] = {}
-        self._errors: Dict[str, str] = {}
-        self._totals: Dict[str, int] = {k: 0 for k in _LEDGER_KEYS}
         self._committed: Dict[str, float] = {}
         self._attach_seq = 0
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
         self._error: Optional[BaseException] = None
         self._error_lock = threading.Lock()
-        self._started = False
-        self._finished = False
-        self._cancelled = False
-        self._draining = False
-        self._t0 = 0.0
-        self._t1 = 0.0
-        self._report: Optional[ServiceReport] = None
         self._init_metrics()
 
     def _init_metrics(self) -> None:
@@ -420,16 +683,6 @@ class FusionService:
         self._h_wall = m.histogram(
             "repro_serve_frame_wall_seconds",
             "Measured per-frame wall latency, by priority class")
-        # report-derived (set when a drive's report is built)
-        self._g_fps = m.gauge(
-            "repro_serve_aggregate_fps",
-            "Aggregate finalized frames per wall second (end of drive)")
-        self._g_occupancy = m.gauge(
-            "repro_serve_engine_occupancy_ratio",
-            "Per-instance busy fraction of the drive wall interval")
-        self._g_stream_energy = m.gauge(
-            "repro_serve_stream_energy_millijoules",
-            "Modelled energy by stream (end of drive)")
 
     def _telemetry_sink(self, priority_class: str):
         frames = self._c_frames.labels(priority_class=priority_class)
@@ -447,67 +700,23 @@ class FusionService:
         return sink
 
     # -- registration / churn ---------------------------------------------
-    def add_stream(self, name: str, config: Optional[FusionConfig] = None,
-                   source: Optional[FrameSource] = None,
-                   frames: Optional[int] = None, priority: float = 1.0,
-                   batch_frames: Optional[int] = None,
-                   on_result: Optional[Callable] = None,
-                   slo: Optional[StreamSLO] = None,
-                   **config_overrides) -> StreamSpec:
-        """Register one stream; validates it against the pool.
+    def _attached_locked(self, name: str) -> bool:
+        return name in self._streams
 
-        Before :meth:`start` this is plain registration; on a running
-        ``live=True`` service it is runtime attach.  A running
-        non-live service rejects it — the fixed-workload contract.
-        ``config_overrides`` are convenience field overrides applied on
-        top of ``config`` (or a default config), mirroring
-        :class:`~repro.session.FusionSession`'s constructor.
-        """
-        if self._started and not self.live:
-            raise ConfigurationError(
-                "cannot add streams to a service that already started; "
-                "construct with live=True for runtime attach")
-        return self.attach(name, config=config, source=source,
-                           frames=frames, priority=priority,
-                           batch_frames=batch_frames, on_result=on_result,
-                           slo=slo, **config_overrides)
-
-    def attach(self, name: str, config: Optional[FusionConfig] = None,
-               source: Optional[FrameSource] = None,
-               frames: Optional[int] = None, priority: float = 1.0,
-               batch_frames: Optional[int] = None,
-               on_result: Optional[Callable] = None,
-               slo: Optional[StreamSLO] = None,
-               **config_overrides) -> StreamSpec:
-        """Admit one stream, live or pre-start.
+    def _admit(self, spec: StreamSpec) -> StreamSpec:
+        """Bind a validated stream to the service.
 
         The stream's session is built, validated against the pool's
         inventory, and — when it declares an SLO — checked for
         feasibility against the pool's modelled capacity *after* every
-        already-admitted SLO is charged.  On a running live service
-        the capture thread starts immediately; other tenants are never
-        paused.  Raises :class:`SLORejection` when the SLO cannot be
-        met, :class:`FusionError` once the service is draining or
-        closed.
+        already-admitted SLO is charged (else :class:`SLORejection`).
+        On a running live service the capture thread starts
+        immediately; other tenants are never paused.
         """
-        with self._cond:
-            self._check_attachable_locked(name)
-            index = self._attach_seq
-            self._attach_seq += 1
-        if config is None:
-            config = FusionConfig(**config_overrides)
-        elif config_overrides:
-            config = config.with_overrides(**config_overrides)
-        if source is None:
-            raise ConfigurationError(
-                f"stream {name!r} needs a frame source")
-        spec = StreamSpec(name=name, config=config, source=source,
-                          frames=frames, priority=priority,
-                          batch_frames=batch_frames, on_result=on_result,
-                          slo=slo)
+        name = spec.name
         # session construction is heavy: do it outside the condition,
         # then re-validate registration under it
-        state = _StreamState(spec, index=index)
+        state = _StreamState(spec)
         missing = [engine for engine in state.required_engines()
                    if self.pool.count(engine) == 0]
         if missing:
@@ -541,13 +750,15 @@ class FusionService:
             for engine, demand in state.slo_demand.items():
                 self._committed[engine] = \
                     self._committed.get(engine, 0.0) + demand
+            state.index = self._attach_seq
+            self._attach_seq += 1
             self.admission.register(name)
             self._streams[name] = state
             state.t_attach = time.monotonic()
             self._c_attached.inc()
             self._g_active.set(len(self._streams))
             self.events.emit(
-                "attach", name, index=index,
+                "attach", name, index=state.index,
                 priority_class=state.slo.priority_class,
                 target_fps=state.slo.target_fps, weight=spec.weight)
             decision = state.session.autotune_decision
@@ -565,16 +776,6 @@ class FusionService:
             self._cond.notify_all()
         return spec
 
-    def _check_attachable_locked(self, name: str) -> None:
-        if self._finished:
-            raise FusionError(
-                "service is closed; create a new FusionService")
-        if self._draining:
-            raise FusionError(
-                "service is draining; no further streams may attach")
-        if name in self._streams:
-            raise ConfigurationError(f"duplicate stream name {name!r}")
-
     def detach(self, name: str,
                timeout: Optional[float] = None) -> FusionReport:
         """Retire one stream from a running live service and return
@@ -589,23 +790,18 @@ class FusionService:
         deadline = (time.monotonic() + timeout) if timeout is not None \
             else None
         with self._cond:
-            if name in self._retired and name not in self._streams:
-                return self._retired[name]
             st = self._streams.get(name)
             if st is None:
+                if name in self._retired:
+                    return self._retired[name].report
                 raise ConfigurationError(
                     f"no stream named {name!r} is attached")
-            if self._started and not self.live:
-                raise ConfigurationError(
-                    "detach requires a live service (live=True); a "
-                    "fixed-workload drive runs its streams to "
-                    "completion")
+            self._check_detachable()
             st.detach_requested = True
             self._cond.notify_all()
             if not self._started:
                 # never ran: retire synchronously, report is empty
-                self._retire_locked(st, outcome="detached")
-                return self._retired[name]
+                return self._retire_locked(st, outcome="detached").report
             while name in self._streams:
                 if self._error is not None:
                     raise self._error
@@ -614,28 +810,22 @@ class FusionService:
                     raise FusionError(
                         f"stream {name!r} did not retire within "
                         f"{timeout:g}s")
-            return self._retired[name]
+            return self._retired[name].report
 
     def reap(self) -> Dict[str, FusionReport]:
         """Collect and forget retired streams' reports.
 
-        The live-churn memory contract: everything per-stream —
-        report, ledger entry, scheduler entry, SLO violations, kept
-        queue peaks — is handed to the caller and dropped from the
-        service, so a service churning thousands of streams stays
-        flat.  Aggregate totals (ledger, counters, event counts)
-        survive.
+        The live-churn memory contract: everything per-stream — the
+        :class:`Retirement` record, kept queue peaks — is handed to the
+        caller or dropped from the service, so a service churning
+        thousands of streams stays flat.  Aggregate totals (ledger,
+        counters, event counts) survive.
         """
         with self._cond:
-            reports = self._retired
-            self._retired = {}
-            for name in reports:
-                self._retired_scheduler.pop(name, None)
-                self._retired_ledger.pop(name, None)
-                self._violations.pop(name, None)
-                self._errors.pop(name, None)
+            retired, self._retired = self._retired, {}
+            for name in retired:
                 self.admission.forget(name)
-            return reports
+        return {name: record.report for name, record in retired.items()}
 
     def stream_names(self) -> List[str]:
         """Names of currently attached (not yet retired) streams."""
@@ -658,20 +848,11 @@ class FusionService:
         and let it retire — without touching any other tenant."""
         if st.error is None:
             st.error = f"{type(exc).__name__}: {exc}"
-            self._errors[st.name] = st.error
             self.events.emit("error", st.name, where=where,
                              error=st.error)
         st.detach_requested = True
-        discarded = len(st.pending)
-        if discarded:
-            st.pending.clear()
-            st.errored += discarded
-            self.admission.on_dispatch(st.name, discarded)
-            self.admission.on_done(st.name, discarded)
+        self._return_pending_locked(st)
         self._cond.notify_all()
-
-    def _stopped(self) -> bool:
-        return self._stop.is_set()
 
     # -- capture (one thread per stream) ----------------------------------
     def _capture(self, st: _StreamState) -> None:
@@ -918,11 +1099,12 @@ class FusionService:
                 outcome = "completed"
             self._retire_locked(st, outcome)
 
-    def _retire_locked(self, st: _StreamState, outcome: str) -> None:
+    def _retire_locked(self, st: _StreamState,
+                       outcome: str) -> Retirement:
         """Move one stream from active to retired: fold its ledger
         into the totals, release its SLO reservation, deregister it
-        from admission, close its session/source, park its report.
-        Caller holds the service condition."""
+        from admission, close its session/source, park its
+        :class:`Retirement`.  Caller holds the service condition."""
         peak_queue = self.admission.deregister(st.name)
         for engine, demand in st.slo_demand.items():
             left = self._committed.get(engine, 0.0) - demand
@@ -933,23 +1115,25 @@ class FusionService:
         if self.shedder is not None:
             self.shedder.forget(st.name)
         entry = st.ledger()
-        self._retired_ledger[st.name] = entry
         for key in _LEDGER_KEYS:
             self._totals[key] += entry[key]
-        violations = self._check_slo_locked(st)
-        report = self._stream_report(st, peak_queue)
-        self._retired[st.name] = report
-        self._retired_scheduler[st.name] = {
-            "grants": st.grants,
-            "dispatched": st.dispatched,
-            "charged_mj": st.charged_mj,
-            "est_mj_per_frame": st.est_mj_per_frame,
-            "priority": st.spec.priority,
-            "weight": st.spec.weight,
-            "priority_class": st.slo.priority_class,
-            "target_fps": st.slo.target_fps,
-            "outcome": outcome,
-        }
+        record = Retirement(
+            name=st.name, outcome=outcome,
+            report=self._stream_report(st, peak_queue),
+            scheduler={
+                "grants": st.grants,
+                "dispatched": st.dispatched,
+                "charged_mj": st.charged_mj,
+                "est_mj_per_frame": st.est_mj_per_frame,
+                "priority": st.spec.priority,
+                "weight": st.spec.weight,
+                "priority_class": st.slo.priority_class,
+                "target_fps": st.slo.target_fps,
+                "outcome": outcome,
+            },
+            ledger=entry, violations=self._check_slo_locked(st),
+            error=st.error)
+        self._retired[st.name] = record
         del self._streams[st.name]
         st.close()
         self._c_retired.labels(outcome=outcome).inc()
@@ -957,14 +1141,15 @@ class FusionService:
         self.events.emit("detach", st.name, outcome=outcome,
                          finalized=entry["finalized"],
                          shed=entry["shed"], errored=entry["errored"],
-                         violations=len(violations))
+                         violations=len(record.violations))
         self._cond.notify_all()
+        return record
 
     def _check_slo_locked(self, st: _StreamState) \
             -> List[Dict[str, object]]:
-        """Judge a retiring stream against its declared SLO; records
-        and returns any violations (informational — the stream still
-        retires normally)."""
+        """Judge a retiring stream against its declared SLO; counts,
+        logs and returns any violations (informational — the stream
+        still retires normally)."""
         violations: List[Dict[str, object]] = []
         slo = st.slo
         wall = ((st.ended_s - st.started_s)
@@ -984,18 +1169,16 @@ class FusionService:
                 violations.append({"kind": "latency",
                                    "budget_s": slo.latency_budget_s,
                                    "wall_p95_s": p95})
-        if violations:
-            self._violations[st.name] = violations
-            for violation in violations:
-                self._c_violations.labels(kind=violation["kind"]).inc()
-                payload = {("violation" if key == "kind" else key): v
-                           for key, v in violation.items()}
-                self.events.emit("slo_violation", st.name, **payload)
+        for violation in violations:
+            self._c_violations.labels(kind=violation["kind"]).inc()
+            payload = {("violation" if key == "kind" else key): v
+                       for key, v in violation.items()}
+            self.events.emit("slo_violation", st.name, **payload)
         return violations
 
     def _return_pending_locked(self, st: _StreamState) -> None:
-        """Give a cancelled stream's undispatched frames back to the
-        admission budget; they retire as errored (never finalized)."""
+        """Give a stream's undispatched frames back to the admission
+        budget; they retire as errored (never finalized)."""
         discarded = len(st.pending)
         if discarded:
             st.pending.clear()
@@ -1006,19 +1189,7 @@ class FusionService:
     # -- lifecycle --------------------------------------------------------
     def start(self) -> "FusionService":
         """Launch capture threads and the worker team (non-blocking)."""
-        if self._finished:
-            raise FusionError(
-                "service is closed; FusionService instances drive "
-                "exactly one serve() — create a new service")
-        if self._started:
-            raise FusionError(
-                "service already started; FusionService instances "
-                "drive exactly one serve() — create a new service for "
-                "the next drive")
-        if not self._streams and not self.live:
-            raise ConfigurationError(
-                "service has no streams; add_stream() first (or "
-                "construct with live=True to attach at runtime)")
+        self._check_startable(has_streams=bool(self._streams))
         self._started = True
         self._t0 = time.perf_counter()
         with self._cond:
@@ -1050,21 +1221,7 @@ class FusionService:
         with self._cond:
             self._cond.notify_all()
 
-    def wait(self) -> ServiceReport:
-        """Block until every stream finishes (or the drive stops),
-        then return the :class:`ServiceReport`.
-
-        On a live service this *drains*: no further attach is
-        admitted, currently attached streams run to completion (an
-        endless stream must be detached or the service cancelled
-        first).  Re-raises the first service error after releasing
-        every resource; live-mode per-stream errors do not raise —
-        they are isolated in the report's ``errors``.
-        """
-        if not self._started:
-            raise ConfigurationError("service was never started")
-        if self._report is not None:
-            return self._report
+    def _drain(self) -> Dict[str, object]:
         with self._cond:
             if not self._draining:
                 self._draining = True
@@ -1101,70 +1258,22 @@ class FusionService:
                 self.pool.close()
         if self._error is not None:
             raise self._error
-        self._report = self._build_report()
-        self.events.emit("service", phase="finish",
-                         cancelled=self._cancelled)
-        return self._report
+        return {"admission": self.admission.snapshot(),
+                "committed": dict(self._committed),
+                "shedding": (self.shedder.snapshot()
+                             if self.shedder is not None else {}),
+                "events": self.events.snapshot()}
 
-    def serve(self) -> ServiceReport:
-        """Run every stream to completion and report (blocking)."""
-        return self.start().wait()
-
-    def close(self) -> None:
-        """Cancel and join (idempotent; never raises stream errors —
-        :meth:`wait` is the raising path).  A service that never
-        started still releases every added stream's session and
-        source here."""
-        if self._started and not self._finished:
-            self.cancel()
-            try:
-                self.wait()
-            except BaseException:  # noqa: BLE001 - close() must not raise
-                pass
-        elif not self._started and not self._finished:
-            self._finished = True
-            for st in self._streams.values():
-                st.close()
-            if self._owns_pool:
-                self.pool.close()
-            self.events.emit("service", phase="close")
-
-    def __enter__(self) -> "FusionService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def _close_unstarted(self) -> None:
+        for st in self._streams.values():
+            st.close()
+        if self._owns_pool:
+            self.pool.close()
 
     # -- observability ----------------------------------------------------
-    def ledger(self) -> Dict[str, object]:
-        """The frame-accounting ledger, live at any instant.
-
-        ``totals`` spans the service's whole life (retired streams
-        included, reaped ones too); ``balanced`` asserts the
-        conservation laws: every offered frame was admitted or shed,
-        and every admitted frame is finalized, errored, or still in
-        flight.
-        """
-        with self._cond:
-            return self._ledger_locked()
-
-    def _ledger_locked(self) -> Dict[str, object]:
-        totals = dict(self._totals)
-        for st in self._streams.values():
-            entry = st.ledger()
-            for key in _LEDGER_KEYS:
-                totals[key] += entry[key]
-        in_flight = self.admission.in_flight
-        balanced = (
-            totals["offered"] == totals["admitted"] + totals["shed"]
-            and totals["admitted"] == (totals["finalized"]
-                                       + totals["errored"] + in_flight))
-        streams = {name: dict(entry)
-                   for name, entry in self._retired_ledger.items()}
-        for name, st in self._streams.items():
-            streams[name] = st.ledger()
-        return {"totals": totals, "in_flight": in_flight,
-                "balanced": balanced, "streams": streams}
+    def _live_ledger_locked(self) -> Tuple[int, Dict[str, Dict[str, int]]]:
+        return (self.admission.in_flight,
+                {name: st.ledger() for name, st in self._streams.items()})
 
     def metrics_text(self) -> str:
         """The registry as Prometheus text exposition, with the
@@ -1203,43 +1312,4 @@ class FusionService:
             "errored": st.errored,
             "stage_wall_s": st.processor.stage_wall_since()[0],
         }
-        return report
-
-    def _build_report(self) -> ServiceReport:
-        wall = self._t1 - self._t0
-        streams = dict(self._retired)
-        energy = {name: report.model_millijoules_total
-                  for name, report in streams.items()}
-        occupancy = self.pool.occupancy(wall)
-        report = ServiceReport(
-            streams=streams,
-            wall_seconds=wall,
-            frames_total=sum(r.frames for r in streams.values()),
-            energy_mj_by_stream=energy,
-            energy_mj_total=sum(energy.values()),
-            engine_occupancy=occupancy,
-            pool=self.pool.stats(),
-            admission=self.admission.snapshot(),
-            scheduler=dict(self._retired_scheduler),
-            cancelled=self._cancelled,
-            ledger=self._ledger_locked(),
-            slo={
-                "headroom": self.slo_headroom,
-                "committed": dict(self._committed),
-                "violations": {name: list(v) for name, v
-                               in self._violations.items()},
-            },
-            shedding=(self.shedder.snapshot()
-                      if self.shedder is not None else {}),
-            metrics=self.metrics.snapshot(),
-            events=self.events.snapshot(),
-            errors=dict(self._errors),
-        )
-        # report-derived gauges: the scrape numerically agrees with
-        # the report's aggregates by construction
-        self._g_fps.set(report.aggregate_fps)
-        for label, frac in occupancy.items():
-            self._g_occupancy.labels(instance=label).set(frac)
-        for name, millijoules in energy.items():
-            self._g_stream_energy.labels(stream=name).set(millijoules)
         return report

@@ -14,7 +14,10 @@ the service's semantics:
 * :mod:`~repro.serve.shard.worker` — the shard process: one full
   ``FusionService`` fed by the rings, leasing through the broker;
 * :mod:`~repro.serve.shard.service` — :class:`ShardedFusionService`,
-  the parent orchestrator merging everything back into one report.
+  the parent: the same :class:`~repro.serve.service.ServiceFront` as
+  ``FusionService``, taking back one
+  :class:`~repro.serve.service.Retirement` per retired stream and
+  merging the shards' sections into one report.
 """
 
 from .broker import BrokeredEnginePool, LeaseBroker

@@ -4,8 +4,12 @@ One interpreter caps aggregate FPS no matter how many worker threads
 the single-process :class:`~repro.serve.FusionService` runs — the GIL
 serializes the Python half of every stage.  This tier escapes it by
 partitioning streams across N *shard processes*, each running a full
-``FusionService`` of its own, while keeping the three things that must
-stay global in the parent:
+``FusionService`` of its own.  The parent is the same
+:class:`~repro.serve.service.ServiceFront` as ``FusionService``: it
+validates each stream's :class:`~repro.serve.StreamSpec` at attach,
+ships it to the stream's shard, and takes back one
+:class:`~repro.serve.service.Retirement` per retired stream.  It keeps
+the three things that must stay global:
 
 * **sources and results** — the parent owns every stream's
   :class:`~repro.session.FrameSource` and feeds pixel data through
@@ -36,21 +40,19 @@ fallback), so even a SIGKILLed shard leaks nothing.
 
 from __future__ import annotations
 
+import copy
 import multiprocessing as mp
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ...errors import ConfigurationError, FusionError
-from ...session.config import FusionConfig
 from ...session.report import FusedFrameResult, FusionReport
-from ...session.sources import FrameSource, as_frame_source
-from ...video.frames import VideoFrame
+from ...session.sources import as_frame_source
 from ..ops import (EventLog, MetricsRegistry, ShedPolicy, SLORejection,
-                   StreamSLO, merge_snapshots, render_snapshot)
+                   merge_snapshots, render_snapshot)
 from ..pool import EnginePool
-from ..report import ServiceReport
-from ..service import _LEDGER_KEYS
+from ..service import _LEDGER_KEYS, Retirement, ServiceFront, StreamSpec
 from .broker import LeaseBroker
 from .partition import ShardAssigner, partition_streams
 from .ring import CLEANUP, FrameRing
@@ -100,56 +102,39 @@ class _ShardHandle:
 class _StreamEntry:
     """Parent-side state of one stream (the shard runs the session)."""
 
-    def __init__(self, name: str, config: FusionConfig,
-                 source: FrameSource, frames: Optional[int],
-                 priority: float, batch_frames: Optional[int],
-                 on_result: Optional[Callable[[FusedFrameResult], None]],
-                 slo: Optional[StreamSLO]):
-        self.name = name
-        self.config = config
-        self.keep_records = config.keep_records
-        self.source = source
-        self.frames = frames
-        self.priority = priority
-        self.batch_frames = batch_frames
-        self.on_result = on_result
-        self.slo = slo
-        self.want_results = self.keep_records or on_result is not None
+    def __init__(self, spec: StreamSpec):
+        self.spec = spec
+        self.name = spec.name
+        self.source = as_frame_source(spec.source)
+        self.want_results = (spec.config.keep_records
+                             or spec.on_result is not None)
         self.shard: Optional[int] = None
         self.stop = threading.Event()
         self.feeder: Optional[threading.Thread] = None
         self.records: List[FusedFrameResult] = []
         self.result_count = 0
         self.retired = threading.Event()
-        self.payload: Optional[Dict[str, object]] = None
-
-    def ship_config(self) -> FusionConfig:
-        """The config the shard builds its session from: records are
-        reconstructed parent-side from the results ring, so the shard
-        never accumulates them."""
-        if self.keep_records:
-            return self.config.with_overrides(keep_records=False)
-        return self.config
 
 
-class ShardedFusionService:
+class ShardedFusionService(ServiceFront):
     """Serve streams across N shard processes over one engine pool.
 
-    Mirrors the :class:`~repro.serve.FusionService` surface —
-    ``add_stream``/``attach``/``detach``/``reap``, ``start``/``wait``/
-    ``serve``/``cancel``/``close``, ``ledger``/``metrics_text``, the
-    context manager — with identical per-stream semantics.  Admission
-    bounds (``max_in_flight``, ``stream_queue_depth``) and the worker
-    count apply *per shard*; the merged report's admission block sums
-    the per-shard caps into the global budget it actually enforced.
+    The same :class:`~repro.serve.service.ServiceFront` as
+    :class:`~repro.serve.FusionService` — ``add_stream``/``attach`` and
+    their guards, ``start``/``wait``/``serve``/``close``, the context
+    manager, one :class:`~repro.serve.service.Retirement` per retired
+    stream, the frame ledger and the report — with each stream's
+    grants computed in a shard process.  Per-stream semantics are
+    identical.  Admission bounds (``max_in_flight``,
+    ``stream_queue_depth``) and the worker count apply *per shard*;
+    the merged report's admission block sums the per-shard caps into
+    the global budget it actually enforced.
 
     ``pool`` must be an inventory spec (``{"fpga": 2, ...}`` or a name
     sequence), not a live :class:`EnginePool` — the parent builds the
     authoritative pool so it can broker it across processes.
     """
 
-    TICK_S = 0.05
-    JOIN_TIMEOUT_S = 10.0
     #: seconds without any control-pipe message before a shard with a
     #: live process is declared dead anyway
     HEARTBEAT_TIMEOUT_S = 30.0
@@ -175,9 +160,11 @@ class ShardedFusionService:
                 "builds the pool so it can broker it across processes")
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        super().__init__(live=live, slo_headroom=slo_headroom,
+                         metrics=metrics, events=events,
+                         event_capacity=event_capacity)
         self.pool = EnginePool(pool)
         self.shards = shards
-        self.live = live
         self._options = {
             "max_in_flight": max_in_flight,
             "stream_queue_depth": stream_queue_depth,
@@ -186,42 +173,22 @@ class ShardedFusionService:
             "slo_headroom": slo_headroom,
             "event_capacity": event_capacity,
         }
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None \
-            else EventLog(capacity=event_capacity)
         if start_method is None:
             start_method = ("fork" if "fork" in mp.get_all_start_methods()
                             else "spawn")
         self._ctx = mp.get_context(start_method)
         self._ring_slots = ring_slots
         self._ring_slot_bytes = ring_slot_bytes
-        self._lock = threading.Lock()
         self._entries: Dict[str, _StreamEntry] = {}
-        self._reaped_from: Dict[str, int] = {}  # name -> shard (history)
         self._assigner = ShardAssigner(shards)
         self._handles: List[_ShardHandle] = []
         self._threads: List[threading.Thread] = []
         self._pending_acks: Dict[str, Dict[str, object]] = {}
-        self._totals: Dict[str, int] = {k: 0 for k in _LEDGER_KEYS}
+        #: failures outside any stream's retirement: a parent-side
+        #: source or on_result callback, a dead shard
         self._errors: Dict[str, str] = {}
         self._broker: Optional[LeaseBroker] = None
-        self._started = False
-        self._finished = False
-        self._draining = False
-        self._cancelled = False
         self._closing = threading.Event()
-        self._t0 = 0.0
-        self._t1 = 0.0
-        self._report: Optional[ServiceReport] = None
-        self._g_fps = self.metrics.gauge(
-            "repro_serve_aggregate_fps",
-            "Aggregate finalized frames per wall second (end of drive)")
-        self._g_occupancy = self.metrics.gauge(
-            "repro_serve_engine_occupancy_ratio",
-            "Per-instance busy fraction of the drive wall interval")
-        self._g_stream_energy = self.metrics.gauge(
-            "repro_serve_stream_energy_millijoules",
-            "Modelled energy by stream (end of drive)")
         self._g_shards = self.metrics.gauge(
             "repro_serve_live_shards", "Shard processes currently up")
         self._c_reclaims = self.metrics.counter(
@@ -229,68 +196,30 @@ class ShardedFusionService:
             "Engine leases reclaimed from dead shards")
 
     # -- registration / churn ---------------------------------------------
-    def add_stream(self, name: str, config: Optional[FusionConfig] = None,
-                   source: Optional[FrameSource] = None,
-                   frames: Optional[int] = None, priority: float = 1.0,
-                   batch_frames: Optional[int] = None,
-                   on_result: Optional[Callable] = None,
-                   slo: Optional[StreamSLO] = None,
-                   **config_overrides) -> _StreamEntry:
-        if self._started and not self.live:
-            raise ConfigurationError(
-                "cannot add streams to a service that already started; "
-                "construct with live=True for runtime attach")
-        return self.attach(name, config=config, source=source,
-                           frames=frames, priority=priority,
-                           batch_frames=batch_frames, on_result=on_result,
-                           slo=slo, **config_overrides)
+    def _attached_locked(self, name: str) -> bool:
+        # a name stays taken until reaped: its results may still be
+        # on the way back through the ring
+        return name in self._entries
 
-    def attach(self, name: str, config: Optional[FusionConfig] = None,
-               source: Optional[FrameSource] = None,
-               frames: Optional[int] = None, priority: float = 1.0,
-               batch_frames: Optional[int] = None,
-               on_result: Optional[Callable] = None,
-               slo: Optional[StreamSLO] = None,
-               **config_overrides) -> _StreamEntry:
-        """Admit one stream (pre-start registration or live attach).
-
-        Pre-start, validation that needs a running shard — SLO
-        feasibility, engine availability — surfaces at :meth:`start`;
-        on a live service this blocks until the stream's shard
-        acknowledged the attach (re-raising its rejection here)."""
-        if self._finished:
-            raise FusionError(
-                "service is closed; create a new ShardedFusionService")
-        if self._draining:
-            raise FusionError(
-                "service is draining; no further streams may attach")
-        if self._started and not self.live:
-            raise ConfigurationError(
-                "cannot attach to a fixed-workload drive that already "
-                "started; construct with live=True for runtime churn")
-        if config is None:
-            config = FusionConfig(**config_overrides)
-        elif config_overrides:
-            config = config.with_overrides(**config_overrides)
-        if source is None:
-            raise ConfigurationError(
-                f"stream {name!r} needs a frame source")
-        entry = _StreamEntry(name, config, as_frame_source(source),
-                             frames, priority, batch_frames, on_result,
-                             slo)
-        with self._lock:
-            if name in self._entries:
-                raise ConfigurationError(f"duplicate stream name {name!r}")
-            self._entries[name] = entry
+    def _admit(self, spec: StreamSpec) -> _StreamEntry:
+        """Register one validated stream.  On a running live service
+        this blocks until the stream's shard acknowledged the attach
+        (re-raising its rejection here); pre-start, the checks that
+        need the stream's session — SLO feasibility, engine
+        availability — run in the shard at :meth:`start`."""
+        entry = _StreamEntry(spec)
+        with self._cond:
+            self._check_attachable_locked(spec.name)
+            self._entries[spec.name] = entry
             if self._started:
-                entry.shard = self._assigner.assign(name)
+                entry.shard = self._assigner.assign(spec.name)
         if self._started:
             try:
                 self._attach_on_shard(entry)
             except BaseException:
-                with self._lock:
-                    self._entries.pop(name, None)
-                    self._assigner.release(name)
+                with self._cond:
+                    self._entries.pop(spec.name, None)
+                    self._assigner.release(spec.name)
                 raise
         return entry
 
@@ -301,18 +230,15 @@ class ShardedFusionService:
                 f"shard {entry.shard} is down ({handle.death_reason}); "
                 f"stream {entry.name!r} cannot attach")
         ack = {"event": threading.Event(), "error": None}
-        with self._lock:
+        with self._cond:
             self._pending_acks[entry.name] = ack
-        message = ("attach", {
-            "name": entry.name,
-            "config": entry.ship_config(),
-            "frames": entry.frames,
-            "priority": entry.priority,
-            "batch_frames": entry.batch_frames,
-            "slo": entry.slo,
-            "want_results": entry.want_results,
-        })
-        if not handle.send(message):
+        # the shard reads frames from its inbound ring and returns
+        # results through the outbound one, so it needs neither the
+        # source nor the callback, and keeps no records
+        shipped = copy.copy(entry.spec)
+        shipped.source = shipped.on_result = None
+        shipped.config = shipped.config.with_overrides(keep_records=False)
+        if not handle.send(("attach", shipped, entry.want_results)):
             self._on_shard_death(handle, "control pipe broken")
             raise FusionError(
                 f"shard {entry.shard} died before stream "
@@ -326,9 +252,6 @@ class ShardedFusionService:
         if error is not None:
             cls_name, text = error
             raise _ATTACH_ERRORS.get(cls_name, FusionError)(text)
-        self._start_feeder(entry)
-
-    def _start_feeder(self, entry: _StreamEntry) -> None:
         entry.feeder = threading.Thread(
             target=self._feed, args=(entry,),
             name=f"shard-feed-{entry.name}", daemon=True)
@@ -345,7 +268,7 @@ class ShardedFusionService:
         sent = 0
         try:
             iterator = iter(entry.source)
-            while entry.frames is None or sent < entry.frames:
+            while entry.spec.frames is None or sent < entry.spec.frames:
                 if stopping():
                     return
                 try:
@@ -363,7 +286,7 @@ class ShardedFusionService:
         except BaseException as exc:  # noqa: BLE001 - crosses threads
             # a failing parent-side source: the stream's shard sees a
             # clean end-of-stream; the failure is reported parent-side
-            with self._lock:
+            with self._cond:
                 self._errors.setdefault(
                     entry.name, f"{type(exc).__name__}: {exc}")
             self.events.emit("error", entry.name, where="feed",
@@ -381,17 +304,14 @@ class ShardedFusionService:
         """Retire one stream from a running live service (blocking)."""
         deadline = (time.monotonic() + timeout) if timeout is not None \
             else None
-        with self._lock:
+        with self._cond:
             entry = self._entries.get(name)
+            retired = name in self._retired
         if entry is None:
             raise ConfigurationError(
                 f"no stream named {name!r} is attached")
-        if entry.payload is None:
-            if self._started and not self.live:
-                raise ConfigurationError(
-                    "detach requires a live service (live=True); a "
-                    "fixed-workload drive runs its streams to "
-                    "completion")
+        if not retired:
+            self._check_detachable()
             if not self._started:
                 self._settle_unstarted(entry)
             else:
@@ -405,24 +325,21 @@ class ShardedFusionService:
                 raise FusionError(
                     f"stream {name!r} did not retire within "
                     f"{timeout:g}s")
-        return self._finish_entry(entry, deadline)
+        with self._cond:
+            record = self._retired[name]
+        return self._finish_entry(entry, record, deadline)
 
     def _settle_unstarted(self, entry: _StreamEntry) -> None:
         """Retire a stream from a never-started service: empty report."""
         entry.source.close()
-        self._record_retirement(entry, {
-            "name": entry.name, "outcome": "detached",
-            "report": FusionReport(),
-            "scheduler": {}, "ledger": {k: 0 for k in _LEDGER_KEYS},
-            "violations": [], "error": None,
-        })
+        self._record_retirement(entry, Retirement(entry.name, "detached"))
 
-    def _finish_entry(self, entry: _StreamEntry,
+    def _finish_entry(self, entry: _StreamEntry, record: Retirement,
                       deadline: Optional[float]) -> FusionReport:
         """Wait for the stream's ring results to drain, then hand the
         report (records reattached) to the caller."""
-        report: FusionReport = entry.payload["report"]
-        if entry.want_results and entry.payload["error"] is None \
+        report = record.report
+        if entry.want_results and record.error is None \
                 and not self._handles_dead(entry):
             while entry.result_count < report.frames:
                 if self._closing.is_set():
@@ -436,7 +353,7 @@ class ShardedFusionService:
                         f"in time ({entry.result_count} of "
                         f"{report.frames})")
                 time.sleep(self.TICK_S / 5)
-        if entry.keep_records:
+        if entry.spec.config.keep_records:
             report.records = list(entry.records)
         return report
 
@@ -446,15 +363,17 @@ class ShardedFusionService:
 
     def reap(self) -> Dict[str, FusionReport]:
         """Collect and forget retired streams' reports (totals survive)."""
-        out: Dict[str, FusionReport] = {}
-        with self._lock:
-            done = [entry for entry in self._entries.values()
-                    if entry.payload is not None]
-            for entry in done:
-                del self._entries[entry.name]
-                self._reaped_from[entry.name] = entry.shard
-        for entry in done:
-            out[entry.name] = self._finish_entry(entry, deadline=None)
+        with self._cond:
+            done = [(self._entries[name], record)
+                    for name, record in self._retired.items()]
+        # a stream leaves the registry only once its results are in:
+        # the collector drops results of streams it no longer knows
+        out = {entry.name: self._finish_entry(entry, record, deadline=None)
+               for entry, record in done}
+        with self._cond:
+            for name in out:
+                self._retired.pop(name, None)
+                self._entries.pop(name, None)
         if out and self._started and not self._finished:
             # mirror the forget shard-side so churned streams leave no
             # residue in the shard processes either
@@ -464,25 +383,18 @@ class ShardedFusionService:
         return out
 
     def stream_names(self) -> List[str]:
-        with self._lock:
-            return [name for name, entry in self._entries.items()
-                    if entry.payload is None]
+        with self._cond:
+            return [name for name in self._entries
+                    if name not in self._retired]
 
     # -- shard lifecycle --------------------------------------------------
     def start(self) -> "ShardedFusionService":
-        if self._finished:
-            raise FusionError(
-                "service is closed; ShardedFusionService instances "
-                "drive exactly one serve() — create a new service")
-        if self._started:
-            raise FusionError("service already started")
-        with self._lock:
+        """Spawn the shards and attach every registered stream
+        (non-blocking)."""
+        with self._cond:
             pre = [e for e in self._entries.values()
-                   if e.shard is None and e.payload is None]
-        if not pre and not self.live:
-            raise ConfigurationError(
-                "service has no streams; add_stream() first (or "
-                "construct with live=True to attach at runtime)")
+                   if e.name not in self._retired]
+        self._check_startable(has_streams=bool(pre))
         inventory = {name: self.pool.count(name)
                      for name in self.pool.names()}
         placement = partition_streams([e.name for e in pre], self.shards)
@@ -593,11 +505,11 @@ class ShardedFusionService:
             elif kind == "attach_error":
                 self._resolve_ack(message[1], (message[2], message[3]))
             elif kind == "retired":
-                payload = message[1]
-                with self._lock:
-                    entry = self._entries.get(payload["name"])
+                record = message[1]
+                with self._cond:
+                    entry = self._entries.get(record.name)
                 if entry is not None:
-                    self._record_retirement(entry, payload)
+                    self._record_retirement(entry, record)
             elif kind == "drained":
                 handle.final = message[1]
                 handle.drained.set()
@@ -607,27 +519,27 @@ class ShardedFusionService:
                                              "error")
 
     def _resolve_ack(self, name: str, error) -> None:
-        with self._lock:
+        with self._cond:
             ack = self._pending_acks.pop(name, None)
         if ack is not None:
             ack["error"] = error
             ack["event"].set()
 
     def _record_retirement(self, entry: _StreamEntry,
-                           payload: Dict[str, object]) -> None:
+                           record: Retirement) -> None:
         entry.stop.set()
-        with self._lock:
-            entry.payload = payload
+        with self._cond:
+            if entry.retired.is_set():
+                return  # a dead shard's streams retire once, as errored
+            self._retired[entry.name] = record
             for key in _LEDGER_KEYS:
-                self._totals[key] += payload["ledger"][key]
-            if payload["error"] is not None:
-                self._errors[entry.name] = payload["error"]
+                self._totals[key] += record.ledger[key]
             if entry.shard is not None:
                 try:
                     self._assigner.release(entry.name)
                 except KeyError:
                     pass
-        entry.retired.set()
+            entry.retired.set()
 
     def _collect(self, handle: _ShardHandle) -> None:
         """Drain one shard's results ring back into parent objects."""
@@ -641,33 +553,21 @@ class ShardedFusionService:
             if message is None:
                 return
             meta, arrays = message
-            with self._lock:
+            with self._cond:
                 entry = self._entries.get(meta["stream"])
             if entry is None:
                 continue  # reaped before its last results landed
-            frame_meta = meta["frame"]
-            result = FusedFrameResult(
-                frame=VideoFrame(
-                    pixels=arrays[0],
-                    timestamp_s=frame_meta["timestamp_s"],
-                    frame_id=frame_meta["frame_id"],
-                    source=frame_meta["source"],
-                    metadata=dict(frame_meta["metadata"])),
-                visible=arrays[1], thermal=arrays[2],
-                extra_sources=tuple(arrays[3:]),
-                engine=meta["engine"], action=meta["action"],
-                model_seconds=meta["model_seconds"],
-                model_millijoules=meta["model_millijoules"],
-                index=meta["index"], timestamp_s=meta["timestamp_s"],
-                applied_shift=meta["applied_shift"],
-                quality=dict(meta["quality"]))
-            if entry.keep_records:
+            result = meta["result"]
+            result.frame.pixels = arrays[0]
+            result.visible, result.thermal = arrays[1], arrays[2]
+            result.extra_sources = tuple(arrays[3:])
+            if entry.spec.config.keep_records:
                 entry.records.append(result)
-            if entry.on_result is not None:
+            if entry.spec.on_result is not None:
                 try:
-                    entry.on_result(result)
+                    entry.spec.on_result(result)
                 except BaseException as exc:  # noqa: BLE001
-                    with self._lock:
+                    with self._cond:
                         self._errors.setdefault(
                             entry.name,
                             f"on_result: {type(exc).__name__}: {exc}")
@@ -679,8 +579,10 @@ class ShardedFusionService:
             for handle in self._handles:
                 if handle.dead or handle.drained.is_set():
                     continue
+                # a clean exit (code 0) follows its drained or fatal
+                # message, which the receiver reads first
                 if handle.process is not None \
-                        and handle.process.exitcode is not None:
+                        and handle.process.exitcode not in (None, 0):
                     self._on_shard_death(
                         handle,
                         f"process exited with code "
@@ -693,14 +595,14 @@ class ShardedFusionService:
     def _on_shard_death(self, handle: _ShardHandle, reason: str) -> None:
         """Contain one shard's death: reclaim leases, fail its
         streams, keep the survivors running.  Idempotent."""
-        with self._lock:
+        with self._cond:
             if handle.dead:
                 return
             handle.dead = True
             handle.death_reason = reason
             orphans = [entry for entry in self._entries.values()
                        if entry.shard == handle.index
-                       and entry.payload is None]
+                       and entry.name not in self._retired]
         labels = self._broker.reclaim(handle.index) if self._broker \
             else []
         if labels:
@@ -711,18 +613,14 @@ class ShardedFusionService:
                          reason=reason)
         self._g_shards.dec()
         error = f"shard {handle.index} died: {reason}"
-        with self._lock:
+        with self._cond:
             self._errors[f"shard[{handle.index}]"] = reason
         for entry in orphans:
             self.events.emit("error", entry.name, where="shard",
                              error=error)
-            self._record_retirement(entry, {
-                "name": entry.name, "outcome": "errored",
-                "report": FusionReport(),
-                "scheduler": {"outcome": "errored"},
-                "ledger": {k: 0 for k in _LEDGER_KEYS},
-                "violations": [], "error": error,
-            })
+            self._record_retirement(entry, Retirement(
+                entry.name, "errored", scheduler={"outcome": "errored"},
+                error=error))
         handle.drained.set()  # wait() must not block on the dead
 
     # -- lifecycle --------------------------------------------------------
@@ -732,17 +630,14 @@ class ShardedFusionService:
         for handle in self._handles:
             if not handle.dead:
                 handle.send(("cancel",))
-        with self._lock:
+        with self._cond:
             entries = list(self._entries.values())
         for entry in entries:
             entry.stop.set()
 
-    def wait(self) -> ServiceReport:
-        """Drain every shard, join everything, merge the report."""
-        if not self._started:
-            raise ConfigurationError("service was never started")
-        if self._report is not None:
-            return self._report
+    def _drain(self) -> Dict[str, object]:
+        """Drain every shard, join everything, merge the shards'
+        report sections."""
         if not self._draining:
             self._draining = True
             self.events.emit("service", phase="drain")
@@ -753,7 +648,7 @@ class ShardedFusionService:
             while not handle.drained.wait(timeout=self.TICK_S):
                 pass
         self._t1 = time.perf_counter()
-        with self._lock:
+        with self._cond:
             entries = list(self._entries.values())
         for entry in entries:
             entry.stop.set()
@@ -767,30 +662,30 @@ class ShardedFusionService:
                 self._g_shards.dec()
         self._teardown()
         self._finished = True
-        self._report = self._build_report()
-        self.events.emit("service", phase="finish",
-                         cancelled=self._cancelled)
-        return self._report
+        with self._cond:
+            retired = [(self._entries[name], record)
+                       for name, record in self._retired.items()]
+            front_errors = dict(self._errors)
+        peak_queued: Dict[str, int] = {}
+        for entry, record in retired:
+            self._finish_entry(entry, record, deadline=None)
+            peak = record.report.throughput.get("queue_peak", {})
+            peak_queued[entry.name] = int(peak.get("pending", 0))
+        finals = self._finals()
+        return {"admission": self._merge_admission(finals, peak_queued),
+                "committed": _merge_numeric([f["slo"]["committed"]
+                                             for f in finals]),
+                "shedding": _merge_numeric([f["shedding"] for f in finals
+                                            if f["shedding"]]),
+                "events": self._merge_events(finals),
+                "front_errors": front_errors}
 
-    def serve(self) -> ServiceReport:
-        return self.start().wait()
-
-    def close(self) -> None:
-        """Cancel, join and release everything (idempotent)."""
-        if self._started and not self._finished:
-            self.cancel()
-            try:
-                self.wait()
-            except BaseException:  # noqa: BLE001 - close() must not raise
-                pass
-        elif not self._started and not self._finished:
-            self._finished = True
-            with self._lock:
-                entries = list(self._entries.values())
-            for entry in entries:
-                entry.source.close()
-            self.pool.close()
-            self.events.emit("service", phase="close")
+    def _close_unstarted(self) -> None:
+        with self._cond:
+            entries = list(self._entries.values())
+        for entry in entries:
+            entry.source.close()
+        self.pool.close()
 
     def _teardown(self) -> None:
         """Join shard processes (escalating to kill), stop parent
@@ -828,28 +723,17 @@ class ShardedFusionService:
                     CLEANUP.untrack(ring)
         self.pool.close()
 
-    def __enter__(self) -> "ShardedFusionService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- observability ----------------------------------------------------
-    def ledger(self) -> Dict[str, object]:
-        """The merged frame ledger over retired streams (totals
-        accumulate for the service's whole life; a live drive's
-        in-flight frames live inside the shards until retirement)."""
-        with self._lock:
-            streams = {name: dict(entry.payload["ledger"])
-                       for name, entry in self._entries.items()
-                       if entry.payload is not None}
-            totals = dict(self._totals)
-        balanced = (
-            totals["offered"] == totals["admitted"] + totals["shed"]
-            and totals["admitted"] == totals["finalized"]
-            + totals["errored"])
-        return {"totals": totals, "in_flight": 0, "balanced": balanced,
-                "streams": streams}
+    def _finals(self) -> List[Dict[str, object]]:
+        """The drained shards' closing summaries."""
+        return [handle.final for handle in self._handles
+                if handle.final is not None]
+
+    def _live_ledger_locked(self) -> Tuple[int, Dict[str, Dict[str, int]]]:
+        # a live drive's in-flight frames live inside the shards until
+        # retirement; a drained shard reports what it still held
+        return (sum(final["ledger"].get("in_flight", 0)
+                    for final in self._finals()), {})
 
     def metrics_text(self) -> str:
         """Prometheus exposition of the merged fleet metrics (after
@@ -859,112 +743,31 @@ class ShardedFusionService:
         return self.metrics.render_prometheus()
 
     # -- report merge -----------------------------------------------------
-    def _build_report(self) -> ServiceReport:
-        wall = self._t1 - self._t0
-        with self._lock:
-            done = {name: entry for name, entry in self._entries.items()
-                    if entry.payload is not None}
-        streams: Dict[str, FusionReport] = {}
-        scheduler: Dict[str, object] = {}
-        violations: Dict[str, List] = {}
-        ledger_streams: Dict[str, Dict[str, int]] = {}
-        peak_queued: Dict[str, int] = {}
-        for name, entry in done.items():
-            report = self._finish_entry(entry, deadline=None)
-            streams[name] = report
-            scheduler[name] = dict(entry.payload["scheduler"])
-            if entry.payload["violations"]:
-                violations[name] = list(entry.payload["violations"])
-            ledger_streams[name] = dict(entry.payload["ledger"])
-            peak = report.throughput.get("queue_peak", {})
-            peak_queued[name] = int(peak.get("pending", 0))
-        finals = [handle.final for handle in self._handles
-                  if handle.final is not None]
-        energy = {name: report.model_millijoules_total
-                  for name, report in streams.items()}
-        occupancy = self.pool.occupancy(wall)
-        admission = self._merge_admission(finals, peak_queued)
-        ledger = {
-            "totals": dict(self._totals),
-            "in_flight": sum(f["ledger"].get("in_flight", 0)
-                             for f in finals),
-            "balanced": all(f["ledger"].get("balanced", False)
-                            for f in finals) if finals else False,
-            "streams": ledger_streams,
-        }
-        committed: Dict[str, float] = {}
-        for final in finals:
-            for engine, demand in final["slo"].get("committed",
-                                                   {}).items():
-                committed[engine] = committed.get(engine, 0.0) + demand
-        shedding = _merge_numeric([f["shedding"] for f in finals
-                                   if f["shedding"]])
-        errors: Dict[str, str] = {}
-        for final in finals:
-            errors.update(final["errors"])
-        with self._lock:
-            errors.update(self._errors)
-        report = ServiceReport(
-            streams=streams,
-            wall_seconds=wall,
-            frames_total=sum(r.frames for r in streams.values()),
-            energy_mj_by_stream=energy,
-            energy_mj_total=sum(energy.values()),
-            engine_occupancy=occupancy,
-            pool=self.pool.stats(),
-            admission=admission,
-            scheduler=scheduler,
-            cancelled=self._cancelled,
-            ledger=ledger,
-            slo={"headroom": self._options["slo_headroom"],
-                 "committed": committed,
-                 "violations": violations},
-            shedding=shedding,
-            metrics={},
-            events={},
-            errors=errors,
-        )
-        self._g_fps.set(report.aggregate_fps)
-        for label, frac in occupancy.items():
-            self._g_occupancy.labels(instance=label).set(frac)
-        for name, millijoules in energy.items():
-            self._g_stream_energy.labels(stream=name).set(millijoules)
-        report.metrics = self._merge_metrics(finals)
-        report.events = self._merge_events(finals)
-        return report
-
     def _merge_admission(self, finals: List[Dict],
                          peak_queued: Dict[str, int]) -> Dict[str, object]:
-        merged = {
-            "max_in_flight": self._options["max_in_flight"]
-            * len(self._handles),
-            "stream_queue_depth": self._options["stream_queue_depth"],
-            "in_flight": 0, "peak_in_flight": 0,
-            "queued": {}, "peak_queued": dict(peak_queued),
-            "admitted": {}, "admitted_total": 0, "retired_streams": 0,
-            "per_shard_max_in_flight": self._options["max_in_flight"],
-            "shards": len(self._handles),
-        }
-        for final in finals:
-            snap = final["admission"]
-            merged["in_flight"] += snap["in_flight"]
-            # per-shard peaks never coincide by construction proof, so
-            # the sum is reported as the (conservative) fleet peak
-            merged["peak_in_flight"] += snap["peak_in_flight"]
-            merged["queued"].update(snap["queued"])
-            merged["admitted"].update(snap["admitted"])
-            merged["admitted_total"] += snap["admitted_total"]
-            merged["retired_streams"] += snap["retired_streams"]
+        # counts and per-stream maps sum across shards; per-shard peaks
+        # never coincide by construction proof, so their sum is
+        # reported as the (conservative) fleet peak
+        merged = _merge_numeric(
+            [{"in_flight": 0, "peak_in_flight": 0, "queued": {},
+              "admitted": {}, "admitted_total": 0, "retired_streams": 0}]
+            + [final["admission"] for final in finals])
+        merged.update(
+            max_in_flight=self._options["max_in_flight"] * len(self._handles),
+            stream_queue_depth=self._options["stream_queue_depth"],
+            peak_queued=dict(peak_queued),
+            per_shard_max_in_flight=self._options["max_in_flight"],
+            shards=len(self._handles))
         return merged
 
-    def _merge_metrics(self, finals: List[Dict]) -> Dict[str, object]:
+    def _metrics_snapshot(self) -> Dict[str, object]:
         #: families the parent computes authoritatively from the
         #: merged report; the shard-local values would double count
         parent_owned = ("repro_serve_aggregate_fps",
                         "repro_serve_engine_occupancy_ratio",
                         "repro_serve_stream_energy_millijoules")
         shard_snapshots = []
-        for final in finals:
+        for final in self._finals():
             snapshot = {name: family for name, family
                         in final["metrics"].items()
                         if name not in parent_owned}

@@ -14,13 +14,16 @@ substitutions at the edges:
   lease is granted by the parent's broker and fleet accounting stays
   exact.
 
-Results (when the parent wants them — ``keep_records`` or an
-``on_result`` callback) leave through the outbound ring as pixels +
-provenance, never pickled frame objects.  Per-stream retirement
-reports, heartbeats and the final drain summary travel over the
-control pipe; all shard->parent pipe traffic funnels through one
-sender thread because ``Connection.send`` is not safe for concurrent
-writers.
+The parent sends each stream's validated
+:class:`~repro.serve.StreamSpec` (minus its parent-side source and
+callback) over the control pipe.  Results (when the parent wants them
+— ``keep_records`` or an ``on_result`` callback) leave through the
+outbound ring: the :class:`~repro.session.FusedFrameResult` with its
+arrays emptied, and the arrays as raw slot bytes — pixels are never
+pickled.  Each stream's :class:`~repro.serve.service.Retirement`,
+heartbeats and the final drain summary travel over the control pipe;
+all shard->parent pipe traffic funnels through one sender thread
+because ``Connection.send`` is not safe for concurrent writers.
 
 Determinism: the shard's service serializes per-stream compute and its
 engines come from the same registry as a solo run's, so each stream's
@@ -30,18 +33,19 @@ interpreter, not the arithmetic.
 
 from __future__ import annotations
 
+import copy
 import os
 import queue
 import threading
 import time
 import traceback
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator
 
 from ...errors import ConfigurationError, FusionError
 from ...session.report import FusedFrameResult
 from ...session.sources import FrameGroup, FrameSource
 from ..ops import SLORejection
-from ..service import FusionService, _StreamState
+from ..service import FusionService, Retirement, _StreamState
 from .broker import BrokeredEnginePool
 from .ring import FrameRing, RingClosed
 
@@ -98,55 +102,31 @@ class _RingStreamSource(FrameSource):
 class _ShardService(FusionService):
     """The in-shard service; retirements are exported to the parent."""
 
-    def __init__(self, *args, retired_sink: Callable[[Dict], None],
+    def __init__(self, *args, retired_sink: Callable[[Retirement], None],
                  **kwargs):
         self._retired_sink = retired_sink
         super().__init__(*args, **kwargs)
 
-    def _retire_locked(self, st: _StreamState, outcome: str) -> None:
-        name = st.name
-        super()._retire_locked(st, outcome)
-        report = self._retired[name]
-        records, report.records = report.records, []
-        payload = {
-            "name": name,
-            "outcome": outcome,
-            "report": report,
-            "scheduler": dict(self._retired_scheduler[name]),
-            "ledger": dict(self._retired_ledger[name]),
-            "violations": list(self._violations.get(name, ())),
-            "error": self._errors.get(name),
-        }
-        report.records = records
+    def _retire_locked(self, st: _StreamState,
+                       outcome: str) -> Retirement:
+        record = super()._retire_locked(st, outcome)
         # never send under the service condition: hand to the sender
-        self._retired_sink(payload)
+        self._retired_sink(record)
+        return record
 
 
 def _result_writer(out_ring: FrameRing, stream: str,
                    stopped: threading.Event):
-    """on_result callback shipping each fused frame over the ring."""
+    """on_result callback shipping each fused frame over the ring: the
+    result itself with its arrays emptied, the arrays as slot bytes."""
 
     def send(result: FusedFrameResult) -> None:
-        frame = result.frame
-        meta = {
-            "kind": "result",
-            "stream": stream,
-            "index": result.index,
-            "engine": result.engine,
-            "action": result.action,
-            "model_seconds": result.model_seconds,
-            "model_millijoules": result.model_millijoules,
-            "timestamp_s": result.timestamp_s,
-            "applied_shift": result.applied_shift,
-            "quality": dict(result.quality),
-            "frame": {
-                "timestamp_s": frame.timestamp_s,
-                "frame_id": frame.frame_id,
-                "source": frame.source,
-                "metadata": dict(frame.metadata),
-            },
-        }
-        out_ring.put(meta, [result.pixels, *result.sources],
+        shell = copy.copy(result)
+        shell.frame = copy.copy(result.frame)
+        shell.frame.pixels = shell.visible = shell.thermal = None
+        shell.extra_sources = ()
+        out_ring.put({"kind": "result", "stream": stream, "result": shell},
+                     [result.pixels, *result.sources],
                      should_stop=stopped.is_set)
     return send
 
@@ -223,7 +203,7 @@ def shard_main(shard_id: int, control, in_ring: FrameRing,
             shedding=options.get("shedding"),
             slo_headroom=options.get("slo_headroom", 1.0),
             event_capacity=options.get("event_capacity", 4096),
-            retired_sink=lambda payload: sends.put(("retired", payload)),
+            retired_sink=lambda record: sends.put(("retired", record)),
         )
         service.start()
         dispatch_thread.start()
@@ -240,22 +220,18 @@ def shard_main(shard_id: int, control, in_ring: FrameRing,
                 break
             op = message[0]
             if op == "attach":
-                spec = message[1]
-                name = spec["name"]
-                source = _RingStreamSource(
+                # the parent validated the spec; this shard binds its
+                # ends of the two rings to it
+                _, spec, want_results = message
+                name = spec.name
+                spec.source = _RingStreamSource(
                     depth=options["stream_queue_depth"])
                 with sources_lock:
-                    sources[name] = source
-                on_result = None
-                if spec["want_results"]:
-                    on_result = _result_writer(out_ring, name, stopped)
+                    sources[name] = spec.source
+                if want_results:
+                    spec.on_result = _result_writer(out_ring, name, stopped)
                 try:
-                    service.attach(
-                        name, config=spec["config"], source=source,
-                        frames=spec["frames"],
-                        priority=spec["priority"],
-                        batch_frames=spec["batch_frames"],
-                        on_result=on_result, slo=spec["slo"])
+                    service._admit(spec)
                 except (SLORejection, ConfigurationError,
                         FusionError) as exc:
                     with sources_lock:
@@ -279,7 +255,7 @@ def shard_main(shard_id: int, control, in_ring: FrameRing,
                 worker.start()
                 detachers.append(worker)
             elif op == "reap":
-                # the parent holds every retired payload already; drop
+                # the parent holds every retirement record already; drop
                 # the shard-side copies so churned streams leave no
                 # per-stream residue in the shard process
                 service.reap()

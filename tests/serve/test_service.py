@@ -295,16 +295,6 @@ class TestLeaseAccounting:
         self.assert_balanced(pool.stats())
         assert threading.active_count() == before
 
-    def test_close_before_start_releases_streams(self):
-        """Leaving the with-block without serving must still release
-        every added stream's session and source."""
-        source = _ClosableSource(n=5)
-        with FusionService(pool={"neon": 1}) as service:
-            service.add_stream("s", config=config(), source=source,
-                               frames=5)
-        assert source.closed
-        assert service._streams["s"].session._closed
-
     def test_context_manager_close_cancels_and_joins(self):
         before = threading.active_count()
         pool = EnginePool(POOL)
@@ -398,14 +388,6 @@ class TestServiceValidation:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert FusionService(pool={"arm": 4}).workers == 1
 
-    def test_duplicate_stream_name_rejected(self):
-        service = FusionService(pool={"neon": 1})
-        service.add_stream("s", config=config(),
-                           source=SyntheticSource(seed=1), frames=1)
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            service.add_stream("s", config=config(),
-                               source=SyntheticSource(seed=2), frames=1)
-
     def test_stream_engine_must_be_pooled(self):
         service = FusionService(pool={"neon": 1})
         with pytest.raises(ConfigurationError, match="pool"):
@@ -417,71 +399,6 @@ class TestServiceValidation:
         with pytest.raises(ConfigurationError, match="arm"):
             service.add_stream("s", config=config(engine="online"),
                                source=SyntheticSource(seed=1), frames=1)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(frames=0), dict(priority=0.0), dict(priority=-1.0),
-        dict(batch_frames=0),
-    ])
-    def test_bad_stream_parameters_rejected(self, kwargs):
-        service = FusionService(pool={"neon": 1})
-        with pytest.raises(ConfigurationError):
-            service.add_stream("s", config=config(),
-                               source=SyntheticSource(seed=1), **kwargs)
-
-    def test_missing_source_rejected(self):
-        service = FusionService(pool={"neon": 1})
-        with pytest.raises(ConfigurationError, match="source"):
-            service.add_stream("s", config=config())
-
-    def test_service_is_one_shot(self):
-        service = FusionService(pool={"neon": 1})
-        service.add_stream("s", config=config(),
-                           source=SyntheticSource(seed=1), frames=1)
-        service.serve()
-        with pytest.raises(FusionError, match="one"):
-            service.start()
-
-    def test_second_start_while_running_raises(self):
-        service = FusionService(pool={"neon": 1})
-        service.add_stream("s", config=config(),
-                           source=SyntheticSource(seed=1), frames=2)
-        service.start()
-        before = threading.active_count()
-        with pytest.raises(FusionError, match="already started"):
-            service.start()
-        # the failed start spawned no duplicate worker threads
-        assert threading.active_count() == before
-        service.wait()
-
-    def test_start_after_close_raises(self):
-        service = FusionService(pool={"neon": 1})
-        service.add_stream("s", config=config(),
-                           source=SyntheticSource(seed=1), frames=1)
-        service.close()
-        with pytest.raises(FusionError, match="closed"):
-            service.start()
-
-    def test_close_is_idempotent(self):
-        service = FusionService(pool={"neon": 1})
-        service.add_stream("s", config=config(),
-                           source=SyntheticSource(seed=1), frames=1)
-        service.serve()
-        service.close()
-        service.close()  # second close is a no-op, never raises
-
-    def test_empty_service_cannot_start(self):
-        with pytest.raises(ConfigurationError, match="no streams"):
-            FusionService(pool={"neon": 1}).serve()
-
-    def test_no_streams_added_after_start(self):
-        service = FusionService(pool={"neon": 1})
-        service.add_stream("s", config=config(),
-                           source=SyntheticSource(seed=1), frames=1)
-        service.start()
-        with pytest.raises(ConfigurationError, match="started"):
-            service.add_stream("t", config=config(),
-                               source=SyntheticSource(seed=2), frames=1)
-        service.wait()
 
     def test_source_exhaustion_before_frames_limit(self):
         service = FusionService(pool={"neon": 1})
