@@ -3,10 +3,11 @@
 The batch-first numeric core's claim is that stacking frames through
 single NumPy transform calls amortizes the per-frame Python dispatch
 that dominates small-frame fusion — without changing one output bit.
-This bench measures end-to-end FPS of the ``batch`` executor against
-the ``serial`` baseline on the same seeded synthetic scene, sweeping
-the micro-batch size, and verifies the bitwise-parity claim on the
-side.
+This bench times the ``batch`` executor against the ``serial``
+baseline on the same seeded synthetic scene with the benches' one
+timing protocol (``protocol.py``: alternating pairs, the median pair
+ratio with its IQR) and checks on every run that both sides fuse
+bitwise-identical frames.
 
 Runs two ways:
 
@@ -17,115 +18,78 @@ Runs two ways:
 
       PYTHONPATH=src python benchmarks/bench_batch_fusion.py --quick
       PYTHONPATH=src python benchmarks/bench_batch_fusion.py \
-          --frames 96 --batch-sizes 4 8 16 --min-speedup 1.3
+          --frames 96 --min-speedup 1.3
 
-``--min-speedup`` turns the report into an assertion (exit code 1 when
-the best batched run misses the bar).  Unlike the thread-pipeline
-bench, the bar is meaningful even on a single core: the speedup comes
-from NumPy vectorization, not concurrency.  ``--json-out`` (default
-``BENCH_batch.json``) writes the rows for CI artifact diffing.
+``--min-speedup`` gates the median pair ratio (exit code 1 below the
+bar).  Unlike the thread-pipeline bench, the bar is meaningful even on
+a single core: the speedup comes from NumPy vectorization, not
+concurrency.  ``--json-out`` (default ``BENCH_batch.json``) writes the
+record for CI artifact diffing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
+from protocol import PAIRS, compare, finish, summary
 from repro.session import FusionConfig, FusionSession, SyntheticSource
 from repro.types import FrameShape
 
+#: frames per batch on the ``batch`` side
+BATCH_SIZE = 16
 
-def measure(executor: str, frames: int, size: FrameShape, levels: int,
-            batch_size: int, seed: int = 7) -> Dict:
-    """Wall-clock FPS of one executor over a fresh seeded stream."""
+
+def fused(executor: str, frames: int, size: FrameShape, levels: int,
+          batch_size: int, seed: int = 7) -> List[np.ndarray]:
+    """One executor's fused frames over a fresh seeded stream."""
     config = FusionConfig(engine="neon", executor=executor,
                           batch_size=batch_size,
                           fusion_shape=size, levels=levels, seed=seed,
                           quality_metrics=False, keep_records=False)
     with FusionSession(config) as session:
-        source = SyntheticSource(seed=seed)
-        start = time.perf_counter()
-        count = sum(1 for _ in session.stream(source, limit=frames))
-        elapsed = time.perf_counter() - start
-    return {
-        "executor": executor,
-        "batch_size": batch_size if executor == "batch" else 1,
-        "frames": count,
-        "elapsed_s": elapsed,
-        "fps": count / elapsed if elapsed > 0 else 0.0,
-    }
-
-
-def check_parity(size: FrameShape, levels: int, batch_size: int,
-                 frames: int = 6, seed: int = 7) -> bool:
-    """Spot-check the invariant the speedup must not cost: bitwise
-    identity of batched and serial outputs."""
-    outputs = []
-    for executor in ("serial", "batch"):
-        config = FusionConfig(engine="neon", executor=executor,
-                              batch_size=batch_size, fusion_shape=size,
-                              levels=levels, seed=seed,
-                              quality_metrics=False, keep_records=False)
-        with FusionSession(config) as session:
-            outputs.append([r.frame.pixels for r in
-                            session.stream(SyntheticSource(seed=seed),
-                                           limit=frames)])
-    return all(np.array_equal(a, b) for a, b in zip(*outputs))
+        return [r.pixels for r in
+                session.stream(SyntheticSource(seed=seed), limit=frames)]
 
 
 def run_bench(frames: int, size: FrameShape, levels: int,
-              batch_sizes: List[int]) -> tuple:
-    rows = [measure("serial", frames, size, levels, batch_size=1)]
-    for batch_size in batch_sizes:
-        rows.append(measure("batch", frames, size, levels,
-                            batch_size=batch_size))
-    base = rows[0]
-    parity_ok = check_parity(size, levels, batch_sizes[0])
-
-    lines = [f"Batch-executor wall-clock throughput ({frames} frames @ "
-             f"{size}, levels={levels}, cpus={os.cpu_count()}):",
-             f"  {'executor':>8} {'batch':>6} {'fps':>8} {'vs serial':>10}"]
-    for row in rows:
-        speedup = row["fps"] / base["fps"] if base["fps"] > 0 else 0.0
-        lines.append(f"  {row['executor']:>8} {row['batch_size']:>6} "
-                     f"{row['fps']:>8.2f} {speedup:>9.2f}x")
-    lines.append("")
-    lines.append(f"  bitwise parity with serial: "
-                 f"{'OK' if parity_ok else 'FAILED'}")
-    return "\n".join(lines), rows, base, parity_ok
+              batch_size: int = BATCH_SIZE, pairs: int = PAIRS) -> tuple:
+    gate = compare({
+        "batch": lambda: fused("batch", frames, size, levels, batch_size),
+        "serial": lambda: fused("serial", frames, size, levels, 1),
+    }, pairs, parity=True)
+    text = (f"Batch-executor wall-clock throughput ({frames} frames @ "
+            f"{size}, levels={levels}, batch_size={batch_size}, "
+            f"cpus={os.cpu_count()}):")
+    return text, gate
 
 
 def test_batch_fusion_throughput(report):
     """Pytest entry: quick pass; parity asserted, speedup reported
     (the hard >= 1.3x bar lives in the script/CI invocation)."""
-    text, rows, base, parity_ok = run_bench(
-        frames=16, size=FrameShape(40, 40), levels=2, batch_sizes=[8])
-    report(text)
-    assert parity_ok
-    assert all(r["frames"] == 16 for r in rows)
-    assert all(r["fps"] > 0 for r in rows)
+    text, gate = run_bench(frames=16, size=FrameShape(40, 40), levels=2,
+                           batch_size=8, pairs=1)
+    report(text + "\n" + summary("speedup", gate))
+    assert gate["parity"] and gate["frames"] == [16]
+    assert gate["ratio"] > 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--frames", type=int, default=96,
-                        help="stream length per measurement (default 96)")
+                        help="stream length per run (default 96)")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: 32 frames, paper geometry")
     parser.add_argument("--size", default="88x72",
                         help="fusion geometry, e.g. 88x72")
     parser.add_argument("--levels", type=int, default=3)
-    parser.add_argument("--batch-sizes", type=int, nargs="+",
-                        default=[4, 8, 16])
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless the best batched fps >= this "
-                             "multiple of serial fps")
+                        help="fail unless the median batch/serial pair "
+                             "ratio >= this")
     parser.add_argument("--json-out", default="BENCH_batch.json",
                         help="machine-readable results path "
                              "('' disables the write)")
@@ -134,43 +98,12 @@ def main(argv=None) -> int:
     frames = 32 if args.quick else args.frames
     width, height = (int(v) for v in args.size.lower().split("x"))
     size = FrameShape(width, height)
-    text, rows, base, parity_ok = run_bench(frames, size, args.levels,
-                                            args.batch_sizes)
+    text, gate = run_bench(frames, size, args.levels)
     print(text)
-
-    best = max((r for r in rows if r["executor"] == "batch"),
-               key=lambda r: r["fps"])
-    speedup = best["fps"] / base["fps"] if base["fps"] > 0 else 0.0
-
-    if args.json_out:
-        payload = {
-            "bench": "batch_fusion",
-            "frames": frames,
-            "size": str(size),
-            "levels": args.levels,
-            "cpus": os.cpu_count(),
-            "rows": rows,
-            "best_speedup": speedup,
-            "best_batch_size": best["batch_size"],
-            "parity_ok": parity_ok,
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.json_out}")
-
-    if not parity_ok:
-        print("FAIL: batched output is not bitwise-identical to serial",
-              file=sys.stderr)
-        return 1
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        print(f"FAIL: best batch speedup {speedup:.2f}x < "
-              f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if args.min_speedup is not None:
-        print(f"OK: best batch speedup {speedup:.2f}x >= "
-              f"{args.min_speedup:.2f}x (batch_size="
-              f"{best['batch_size']})")
-    return 0
+    gate["bound"] = args.min_speedup
+    return finish("batch_fusion", args.json_out, {"speedup": gate},
+                  frames=frames, size=str(size), levels=args.levels,
+                  batch_size=BATCH_SIZE)
 
 
 if __name__ == "__main__":

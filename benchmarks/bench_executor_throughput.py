@@ -1,14 +1,14 @@
-"""Executor throughput: serial vs pipelined vs micro-batched wall-clock.
+"""Executor throughput: pipelined vs serial wall-clock, and planning cost.
 
 The execution layer's claim is that scheduling — the paper's double
-buffering (``pipeline``) and many-frames-per-invocation amortization
-(``batch``) — changes wall-clock throughput without changing a single
-output bit.  This bench measures end-to-end FPS for every registered
-executor (one row per :func:`repro.exec.executor_names` entry) on the
-same seeded synthetic stream and reports speedups against the serial
-baseline, plus each executor's busiest plan stages (the share of wall
-time in ``stage_wall_s``, which every executor keys by plan stage or
-fused unit) so where the time goes is visible, not inferred.
+buffering (``pipeline``) — changes wall-clock throughput without
+changing a single output bit.  This bench times the ``pipeline``
+executor against ``serial`` on the default capture chain
+(``FusionSession().run()``'s source: 88x72 on the adaptive engine,
+quality metrics on) with the benches' one timing protocol
+(``protocol.py``: alternating pairs, the median pair ratio with its
+IQR) and checks on every run that both fuse bitwise-identical frames.
+The ``batch`` executor has its own bench, ``bench_batch_fusion.py``.
 
 Runs two ways:
 
@@ -20,197 +20,153 @@ Runs two ways:
       PYTHONPATH=src python benchmarks/bench_executor_throughput.py \
           --frames 64 --min-speedup 1.5
 
-``--min-speedup`` turns the report into an assertion (exit code 1 when
-the pipeline executor misses the bar) for multi-core CI runners.  The
-default is report-only: on a single-core host the GIL-bound stages
-cannot overlap, and an honest 1.0x is the expected result there.
+``--min-speedup`` gates the pipeline's median pair ratio (exit code 1
+below the bar) for multi-core CI runners.  The default is report-only:
+on a single-core host the GIL-bound stages cannot overlap, and an
+honest 1.0x is the expected result there.
 
 Since the declarative plan API, every stream is lowered through the
 :class:`repro.graph.Planner` before it runs; ``--quick`` therefore
 also guards the *planning overhead* — building the canonical graph and
-lowering it must add less than ``--max-plan-overhead`` (default 5%) of
-one serial stream's wall time, so the IR stays free in practice.
-``--json-out`` writes the machine-readable rows (plus the overhead
-measurement) for CI artifacts.
+lowering it must cost less than ``--max-plan-overhead`` (default 5%)
+of one serial stream's wall time (``--frames`` synthetic frames at
+``--size``/``--levels`` on the ``neon`` engine), so the IR stays free
+in practice.  It is timed by the same protocol, as the pair ratio of
+the stream's seconds over one lowering's.  ``--json-out`` writes both
+records for CI artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+import numpy as np
+
+from protocol import PAIRS, compare, finish, summary
 from repro.exec import executor_names
 from repro.graph import FusionGraph, Planner
 from repro.session import FusionConfig, FusionSession, SyntheticSource
 from repro.types import FrameShape
 
 
-def measure(executor: str, frames: int, size: FrameShape, levels: int,
-            workers: int, queue_depth: int, seed: int = 7) -> Dict:
-    """Wall-clock FPS of one executor over a fresh seeded stream."""
-    config = FusionConfig(engine="neon", executor=executor,
-                          workers=workers, queue_depth=queue_depth,
-                          fusion_shape=size, levels=levels, seed=seed,
-                          quality_metrics=False, keep_records=False)
+def capture_stream(executor: str, frames: int, workers: int,
+                   queue_depth: int,
+                   shares: Optional[Dict] = None) -> List[np.ndarray]:
+    """The default capture chain's fused frames under one executor;
+    ``shares[executor]`` gets the run's stage shares of its wall time
+    (keyed by plan stage or unit under every executor)."""
+    config = FusionConfig(executor=executor, workers=workers,
+                          queue_depth=queue_depth, keep_records=False)
     with FusionSession(config) as session:
-        source = SyntheticSource(seed=seed)
-        start = time.perf_counter()
-        count = sum(1 for _ in session.stream(source, limit=frames))
-        elapsed = time.perf_counter() - start
-        throughput = dict(session.report().throughput)
-    return {
-        "executor": executor,
-        "frames": count,
-        "elapsed_s": elapsed,
-        "fps": count / elapsed if elapsed > 0 else 0.0,
-        # stage_wall_s is keyed by plan stage or unit under every
-        # executor: the session processor's one stage timer
-        "stage_share": {name: seconds / elapsed
-                        for name, seconds
-                        in throughput.get("stage_wall_s", {}).items()}
-        if elapsed > 0 else {},
-    }
+        out = [r.pixels for r in
+               session.stream(session.capture_source(), limit=frames)]
+        throughput = session.report().throughput
+    wall = throughput.get("wall_seconds", 0.0)
+    if shares is not None and wall > 0:
+        shares[executor] = {
+            name: seconds / wall
+            for name, seconds in throughput.get("stage_wall_s", {}).items()}
+    return out
+
+
+def lower(planner: Planner, config: FusionConfig) -> None:
+    """Build the canonical graph and lower it: the per-stream plan cost."""
+    planner.lower(FusionGraph.canonical(), config)
+
+
+def serial_stream(config: FusionConfig, frames: int) -> None:
+    """One serial synthetic stream: what planning is charged against."""
+    with FusionSession(config) as session:
+        for _ in session.stream(SyntheticSource(seed=7), limit=frames):
+            pass
 
 
 def run_bench(frames: int, size: FrameShape, levels: int, workers: int,
-              queue_depth: int, executors: List[str]) -> tuple:
-    rows = [measure(name, frames, size, levels, workers, queue_depth)
-            for name in executors]
-    base = next((r for r in rows if r["executor"] == "serial"), rows[0])
-
-    lines = [f"Executor wall-clock throughput ({frames} frames @ "
-             f"{size}, levels={levels}, workers={workers}, "
-             f"cpus={os.cpu_count()}):",
-             f"  {'executor':>9} {'fps':>8} {'vs serial':>10}  "
-             f"busiest stages"]
-    for row in rows:
-        speedup = row["fps"] / base["fps"] if base["fps"] > 0 else 0.0
-        top = sorted(row["stage_share"].items(), key=lambda kv: -kv[1])[:3]
-        stages = ", ".join(f"{k} {v:.0%}" for k, v in top)
-        lines.append(f"  {row['executor']:>9} {row['fps']:>8.2f} "
-                     f"{speedup:>9.2f}x  {stages}")
-    lines.append("")
-    lines.append("  (every executor produces bitwise-identical frames; "
-                 "only the schedule differs)")
-    return "\n".join(lines), rows, base
-
-
-def measure_planning(size: FrameShape, levels: int, reps: int = 25) -> float:
-    """Mean seconds to build the canonical graph and lower it — the
-    once-per-stream cost the plan API added."""
-    config = FusionConfig(engine="neon", fusion_shape=size, levels=levels,
-                          quality_metrics=False, keep_records=False)
+              queue_depth: int, pairs: int = PAIRS) -> tuple:
+    shares: Dict[str, Dict[str, float]] = {}
+    pipeline = compare({
+        "pipeline": lambda: capture_stream("pipeline", frames, workers,
+                                           queue_depth, shares),
+        "serial": lambda: capture_stream("serial", frames, workers,
+                                         queue_depth, shares),
+    }, pairs, parity=True)
     planner = Planner()
-    planner.lower(FusionGraph.canonical(), config)  # warm any caches
-    start = time.perf_counter()
-    for _ in range(reps):
-        planner.lower(FusionGraph.canonical(), config)
-    return (time.perf_counter() - start) / reps
+    config = FusionConfig(engine="neon", fusion_shape=size, levels=levels,
+                          seed=7, quality_metrics=False, keep_records=False)
+    planning = compare({
+        "lowering": lambda: lower(planner, config),
+        "serial stream": lambda: serial_stream(config, frames),
+    }, pairs)
+    text = (f"Executor wall-clock throughput ({frames} capture-chain "
+            f"frames, workers={workers}, cpus={os.cpu_count()}); "
+            f"planning overhead against {frames} synthetic frames @ "
+            f"{size}, levels={levels}: {1 / planning['ratio']:.2%} of "
+            f"one serial stream (median pair)")
+    for executor, stage in shares.items():
+        top = sorted(stage.items(), key=lambda kv: -kv[1])[:3]
+        text += (f"\n  {executor} busiest stages (last run): "
+                 + ", ".join(f"{k} {v:.0%}" for k, v in top))
+    return text, pipeline, planning, shares
 
 
 def test_executor_throughput(report):
-    """Pytest entry: quick pass over all executors, with the output
-    parity spot-checked on the side by tests/exec."""
-    text, rows, _ = run_bench(frames=12, size=FrameShape(40, 40), levels=2,
-                              workers=2, queue_depth=4,
-                              executors=list(executor_names()))
-    report(text)
-    assert all(r["frames"] == 12 for r in rows)
-    assert all(r["fps"] > 0 for r in rows)
+    """Pytest entry: a short pass; pipeline/serial parity asserted,
+    both ratios reported, and every registered executor yields its
+    whole stream."""
+    text, pipeline, planning, _ = run_bench(
+        frames=12, size=FrameShape(40, 40), levels=2, workers=2,
+        queue_depth=4, pairs=1)
+    report("\n".join([text, summary("pipeline", pipeline),
+                      summary("plan_overhead", planning)]))
+    assert pipeline["parity"] and pipeline["frames"] == [12]
+    assert pipeline["ratio"] > 0 and planning["ratio"] > 0
+    for executor in executor_names():
+        assert len(capture_stream(executor, 12, 2, 4)) == 12, executor
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--frames", type=int, default=64,
-                        help="stream length per executor (default 64)")
+                        help="stream length per run (default 64)")
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: 16 frames, small geometry")
+                        help="CI smoke mode: 16 frames")
     parser.add_argument("--size", default="40x40",
-                        help="fusion geometry, e.g. 88x72")
+                        help="planning workload geometry, e.g. 88x72")
     parser.add_argument("--levels", type=int, default=2)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--queue-depth", type=int, default=4)
-    parser.add_argument("--executors", nargs="+",
-                        default=list(executor_names()))
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless pipeline fps >= this multiple "
-                             "of serial fps (use on multi-core runners)")
+                        help="fail unless the median pipeline/serial "
+                             "pair ratio >= this (use on multi-core "
+                             "runners)")
     parser.add_argument("--max-plan-overhead", type=float, default=None,
                         help="fail if planning (graph build + lowering) "
                              "exceeds this fraction of one serial "
                              "stream's wall time; --quick defaults it "
                              "to 0.05")
     parser.add_argument("--json-out", default=None,
-                        help="write the per-executor rows and the "
-                             "plan-overhead measurement as JSON")
+                        help="write both records as JSON")
     args = parser.parse_args(argv)
 
     frames = 16 if args.quick else args.frames
     width, height = (int(v) for v in args.size.lower().split("x"))
     size = FrameShape(width, height)
-    text, rows, base = run_bench(frames, size, args.levels, args.workers,
-                                 args.queue_depth, args.executors)
-    print(text)
-
     max_overhead = args.max_plan_overhead
     if max_overhead is None and args.quick:
         max_overhead = 0.05
-    plan_s = measure_planning(size, args.levels)
-    # the bound is defined against one *serial* stream; other rows are
-    # faster and would inflate the fraction
-    serial = next((r for r in rows if r["executor"] == "serial"), None)
-    plan_fraction = (plan_s / serial["elapsed_s"]
-                     if serial and serial["elapsed_s"] > 0 else None)
-    if plan_fraction is None:
-        if args.max_plan_overhead is not None:
-            # an explicitly requested guard must never pass vacuously
-            print("FAIL: --max-plan-overhead needs the serial executor "
-                  "in --executors to measure its baseline",
-                  file=sys.stderr)
-            return 1
-        print(f"  planning overhead: {plan_s * 1e3:.3f} ms per stream "
-              f"(no serial run measured; overhead guard skipped)")
-    else:
-        print(f"  planning overhead: {plan_s * 1e3:.3f} ms per stream "
-              f"({plan_fraction:.2%} of one serial drive)")
-
-    if args.json_out:
-        payload = {
-            "frames": frames,
-            "size": str(size),
-            "levels": args.levels,
-            "rows": rows,
-            "plan_seconds": plan_s,
-            "plan_overhead_fraction": plan_fraction,
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"  wrote {args.json_out}")
-
-    if (max_overhead is not None and plan_fraction is not None
-            and plan_fraction > max_overhead):
-        print(f"FAIL: planning adds {plan_fraction:.2%} of serial wall "
-              f"time (> {max_overhead:.0%})", file=sys.stderr)
-        return 1
-
-    if args.min_speedup is not None:
-        pipe = next((r for r in rows if r["executor"] == "pipeline"), None)
-        if pipe is None or base["fps"] <= 0:
-            print("min-speedup check needs both serial and pipeline runs",
-                  file=sys.stderr)
-            return 1
-        speedup = pipe["fps"] / base["fps"]
-        if speedup < args.min_speedup:
-            print(f"FAIL: pipeline speedup {speedup:.2f}x < "
-                  f"{args.min_speedup:.2f}x", file=sys.stderr)
-            return 1
-        print(f"OK: pipeline speedup {speedup:.2f}x >= "
-              f"{args.min_speedup:.2f}x")
-    return 0
+    text, pipeline, planning, shares = run_bench(
+        frames, size, args.levels, args.workers, args.queue_depth)
+    print(text)
+    pipeline["bound"] = args.min_speedup
+    planning["bound"] = 1 / max_overhead if max_overhead else None
+    return finish("executor_throughput", args.json_out,
+                  {"pipeline": pipeline, "plan_overhead": planning},
+                  frames=frames, size=str(size), levels=args.levels,
+                  workers=args.workers, max_plan_overhead=max_overhead,
+                  stage_share=shares)
 
 
 if __name__ == "__main__":

@@ -25,18 +25,19 @@ Runs two ways:
       PYTHONPATH=src python benchmarks/bench_service_ops.py \
           --streams 200 --json-out BENCH_ops.json
 
-``--json-out`` writes the machine-readable rows for CI artifacts (the
-``BENCH_ops.json`` upload).
+``--json-out`` writes the machine-readable rows and the invariant
+checks through the benches' one JSON writer (``protocol.py``) for CI
+artifacts (the ``BENCH_ops.json`` upload); a failed check exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Dict, Tuple
 
+from protocol import finish
 from repro.serve import FusionService, ShedPolicy, StreamSLO
 from repro.session import FusionConfig, SyntheticSource
 from repro.types import FrameShape
@@ -195,26 +196,14 @@ def main(argv=None) -> int:
     total = 40 if args.quick else args.streams
     text, payload = run_bench(total)
     print(text)
-
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"  wrote {args.json_out}")
-
-    failures = []
-    if not payload["churn"]["ledger_balanced"]:
-        failures.append("churn ledger unbalanced")
-    if not payload["churn"]["leases_balanced"]:
-        failures.append("churn leases unbalanced")
-    if not payload["overload"]["ledger_balanced"]:
-        failures.append("overload ledger unbalanced")
-    if payload["overload"]["critical_shed"]:
-        failures.append("critical tenant shed frames")
-    if failures:
-        print("FAIL: " + "; ".join(failures), file=sys.stderr)
-        return 1
-    print("OK: accounting balanced, class isolation held")
-    return 0
+    return finish("service_ops", args.json_out, {}, checks={
+        "churn ledger balanced": payload["churn"]["ledger_balanced"],
+        "churn leases balanced": payload["churn"]["leases_balanced"],
+        "overload ledger balanced":
+            payload["overload"]["ledger_balanced"],
+        "critical tenant shed no frame":
+            not payload["overload"]["critical_shed"],
+    }, **payload)
 
 
 if __name__ == "__main__":

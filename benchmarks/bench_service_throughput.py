@@ -5,13 +5,14 @@ over one shared engine pool buys *aggregate* wall-clock throughput —
 micro-batched plan interpretation amortizes per-frame Python overhead
 inside NumPy even on one core, and multi-core hosts additionally
 overlap streams across pool engines — without changing a single output
-bit of any stream.  This bench runs the issue's mixed 4-stream
+bit of any stream.  This bench runs the mixed 4-stream acceptance
 workload (two small-frame batch streams, one temporal, one
 registration) through :class:`repro.serve.FusionService` on a shared
 ``1×ARM + 1×NEON + 2×FPGA`` pool, against the obvious baseline:
 running the same four streams back-to-back, serially, one session at a
-time.  Bitwise per-stream parity against the baseline is asserted, not
-assumed.
+time.  Both sides are timed by the benches' one timing protocol
+(``protocol.py``: alternating pairs, the median pair ratio with its
+IQR), and every run of both must fuse bitwise-identical frames.
 
 Runs two ways:
 
@@ -23,22 +24,22 @@ Runs two ways:
       PYTHONPATH=src python benchmarks/bench_service_throughput.py \
           --scale 2 --min-speedup 1.5
 
-``--quick`` gates on the issue's acceptance bar (aggregate fps >= 1.5x
+``--quick`` gates on the acceptance bar (median ratio >= 1.5x
 the back-to-back serial baseline) unless ``--min-speedup`` overrides
-it; ``--json-out`` writes the machine-readable rows for CI artifacts
-(the ``BENCH_serve.json`` upload).
+it; ``--json-out`` writes the record for CI artifacts (the
+``BENCH_serve.json`` upload).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
-import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from protocol import PAIRS, compare, finish, summary
 from repro.serve import FusionService
 from repro.session import ArraySource, FusionConfig, FusionSession
 from repro.types import FrameShape
@@ -74,147 +75,104 @@ def build_config(overrides: Dict) -> FusionConfig:
     return FusionConfig(**base)
 
 
-def recorded_footage(overrides: Dict, seed: int,
-                     frames: int) -> ArraySource:
-    """Pre-rendered frame pairs at the stream's fusion geometry.
+def recorded_footage(workload, scale: int) -> Dict[str, ArraySource]:
+    """Each stream's pre-rendered frame pairs at its fusion geometry.
 
-    The bench compares *execution strategies*, so both sides replay
+    The benches compare *execution strategies*, so both sides replay
     identical recorded footage (the realistic serving input) instead
     of paying the synthetic scene's full-resolution render inside the
     measured interval — that cost is identical dead weight on both
     sides and only dilutes the comparison.
     """
-    shape = build_config(overrides).fusion_shape.array_shape
-    scene = SyntheticScene(seed=seed)
-    visible, thermal = [], []
-    for i in range(frames):
-        t_s = i / 25.0
-        visible.append(resize_to(scene.render_visible(t_s), shape))
-        thermal.append(resize_to(scene.render_thermal(t_s), shape))
-    return ArraySource(visible, thermal)
+    footage = {}
+    for name, overrides, seed, frames in workload:
+        shape = build_config(overrides).fusion_shape.array_shape
+        scene = SyntheticScene(seed=seed)
+        times = [i / 25.0 for i in range(frames * scale)]
+        footage[name] = ArraySource(
+            [resize_to(scene.render_visible(t_s), shape) for t_s in times],
+            [resize_to(scene.render_thermal(t_s), shape) for t_s in times])
+    return footage
 
 
-def frame_hashes(records) -> List[str]:
-    return [hashlib.sha256(r.frame.pixels.tobytes()).hexdigest()
-            for r in records]
-
-
-def run_baseline(scale: int,
-                 footage: Dict[str, ArraySource]
-                 ) -> Tuple[Dict[str, Dict], float]:
-    """The four streams back-to-back, serially, one session at a time."""
-    rows: Dict[str, Dict] = {}
-    total_wall = 0.0
-    for name, overrides, seed, frames in WORKLOAD:
-        config = build_config(overrides).with_overrides(executor="serial")
-        n = frames * scale
-        with FusionSession(config) as session:
-            start = time.perf_counter()
-            report = session.run(n, source=footage[name])
-            wall = time.perf_counter() - start
-        total_wall += wall
-        rows[name] = {
-            "frames": report.frames,
-            "serial_wall_s": wall,
-            "serial_fps": report.frames / wall if wall > 0 else 0.0,
-            "hashes": frame_hashes(report.records),
-        }
-    return rows, total_wall
-
-
-def run_service(scale: int, footage: Dict[str, ArraySource]):
-    """The same four streams, concurrently, over the shared pool."""
-    # budget sized so every batch tenant can fill a whole micro-batch
-    # (saturation would force partial grants and forfeit vectorization)
-    service = FusionService(pool=POOL, max_in_flight=len(WORKLOAD) * 16,
-                            stream_queue_depth=16)
-    for name, overrides, seed, frames in WORKLOAD:
+def serve(service, workload, footage: Dict[str, ArraySource],
+          scale: int, keep: Optional[Dict] = None) -> List[np.ndarray]:
+    """Serve every stream of ``workload`` on ``service``; returns the
+    fused frames stream by stream (``keep["report"]`` gets the
+    :class:`~repro.serve.ServiceReport`)."""
+    for name, overrides, seed, frames in workload:
         service.add_stream(name, config=build_config(overrides),
-                           source=footage[name],
-                           frames=frames * scale)
-    return service.serve()
+                           source=footage[name], frames=frames * scale)
+    report = service.serve()
+    if keep is not None:
+        keep["report"] = report
+    return [r.pixels for name, *_ in workload
+            for r in report.streams[name].records]
 
 
-def run_bench(scale: int) -> Tuple[str, Dict]:
-    footage = {name: recorded_footage(overrides, seed, frames * scale)
-               for name, overrides, seed, frames in WORKLOAD}
-    baseline, baseline_wall = run_baseline(scale, footage)
-    report = run_service(scale, footage)
-
-    mismatched = []
-    for name in baseline:
-        served = frame_hashes(report.streams[name].records)
-        if served != baseline[name]["hashes"]:
-            mismatched.append(name)
-
-    total_frames = sum(row["frames"] for row in baseline.values())
-    baseline_fps = (total_frames / baseline_wall
-                    if baseline_wall > 0 else 0.0)
-    speedup = (report.aggregate_fps / baseline_fps
-               if baseline_fps > 0 else 0.0)
-
-    lines = [f"Service throughput: {len(WORKLOAD)} concurrent streams "
-             f"on a shared {POOL} pool ({total_frames} frames total, "
-             f"cpus={os.cpu_count()}):",
-             f"  {'stream':>13} {'frames':>6} {'serial fps':>11} "
-             f"{'served fps':>11}  parity"]
-    for name, row in baseline.items():
-        served = report.streams[name]
-        parity = "DIVERGED" if name in mismatched else "bitwise"
-        lines.append(
-            f"  {name:>13} {row['frames']:>6} {row['serial_fps']:>11.2f} "
-            f"{served.throughput['wall_fps']:>11.2f}  {parity}")
-    lines.append("")
-    lines.append(f"  back-to-back serial: {baseline_fps:8.2f} fps aggregate "
-                 f"({baseline_wall:.2f}s)")
-    lines.append(f"  FusionService      : {report.aggregate_fps:8.2f} fps "
-                 f"aggregate ({report.wall_seconds:.2f}s)  "
-                 f"=> {speedup:.2f}x")
-    occupancy = ", ".join(f"{label} {frac:.0%}" for label, frac
-                          in report.engine_occupancy.items())
-    lines.append(f"  engine occupancy   : {occupancy}")
-    lines.append(f"  pool leases        : "
-                 f"{report.pool['granted']} granted, "
-                 f"{report.pool['released']} released, "
-                 f"peak {report.pool['peak_outstanding']} outstanding")
-
-    payload = {
-        "pool": dict(POOL),
-        "scale": scale,
-        "frames_total": total_frames,
-        "baseline_wall_s": baseline_wall,
-        "baseline_fps": baseline_fps,
-        "service_wall_s": report.wall_seconds,
-        "service_fps": report.aggregate_fps,
-        "speedup": speedup,
-        "bitwise_parity": not mismatched,
-        "mismatched_streams": mismatched,
+def service_stats(report) -> Dict:
+    """What a service run reports beyond its frames: engine occupancy,
+    admission, pool leases and each stream's figures."""
+    return {
         "engine_occupancy": dict(report.engine_occupancy),
         "admission": dict(report.admission),
         "pool_stats": dict(report.pool),
         "streams": {
-            name: {
-                "frames": row["frames"],
-                "serial_fps": row["serial_fps"],
-                "served_fps": report.streams[name].throughput["wall_fps"],
-                "grants": report.streams[name].throughput["grants"],
-                "model_mj": report.streams[name].model_millijoules_total,
-            }
-            for name, row in baseline.items()
-        },
+            name: {"frames": stream.frames,
+                   "served_fps": stream.throughput["wall_fps"],
+                   "grants": stream.throughput["grants"],
+                   "model_mj": stream.model_millijoules_total}
+            for name, stream in report.streams.items()},
     }
-    return "\n".join(lines), payload
+
+
+def back_to_back(footage: Dict[str, ArraySource],
+                 scale: int) -> List[np.ndarray]:
+    """The four streams back-to-back, serially, one session at a time."""
+    out = []
+    for name, overrides, seed, frames in WORKLOAD:
+        config = build_config(overrides).with_overrides(executor="serial")
+        with FusionSession(config) as session:
+            report = session.run(frames * scale, source=footage[name])
+        out += [r.pixels for r in report.records]
+    return out
+
+
+def run_bench(scale: int, pairs: int = PAIRS) -> Tuple[str, Dict, Dict]:
+    footage = recorded_footage(WORKLOAD, scale)
+    last: Dict = {}
+    # budget sized so every batch tenant can fill a whole micro-batch
+    # (saturation would force partial grants and forfeit vectorization)
+    gate = compare({
+        "service": lambda: serve(
+            FusionService(pool=POOL, max_in_flight=len(WORKLOAD) * 16,
+                          stream_queue_depth=16),
+            WORKLOAD, footage, scale, last),
+        "serial": lambda: back_to_back(footage, scale),
+    }, pairs, parity=True)
+    stats = service_stats(last["report"])
+    total = sum(frames * scale for *_, frames in WORKLOAD)
+    pool = stats["pool_stats"]
+    text = "\n".join([
+        f"Service throughput: {len(WORKLOAD)} concurrent streams on a "
+        f"shared {POOL} pool against back-to-back serial runs ({total} "
+        f"frames a run, cpus={os.cpu_count()}); the last service run:",
+        "  engine occupancy: " + ", ".join(
+            f"{label} {frac:.0%}"
+            for label, frac in stats["engine_occupancy"].items()),
+        f"  pool leases: {pool['granted']} granted, {pool['released']} "
+        f"released, peak {pool['peak_outstanding']} outstanding"])
+    return text, gate, stats
 
 
 def test_service_throughput(report):
-    """Pytest entry: a small pass proving completion + bitwise parity
+    """Pytest entry: a short pass proving completion + bitwise parity
     (the speedup gate runs in script mode, where the machine is known)."""
-    text, payload = run_bench(scale=1)
-    report(text)
-    assert payload["bitwise_parity"], payload["mismatched_streams"]
-    assert payload["frames_total"] == sum(frames for *_, frames
-                                          in WORKLOAD)
-    assert payload["service_fps"] > 0
+    text, gate, _ = run_bench(scale=1, pairs=1)
+    report(text + "\n" + summary("speedup", gate))
+    assert gate["parity"]
+    assert gate["frames"] == [sum(frames for *_, frames in WORKLOAD)]
+    assert gate["ratio"] > 0
 
 
 def main(argv=None) -> int:
@@ -227,10 +185,10 @@ def main(argv=None) -> int:
                         help="frame-count multiplier per stream "
                              "(default 2; --quick forces 1)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless aggregate service fps >= this "
-                             "multiple of the back-to-back serial fps")
+                        help="fail unless the median service/serial "
+                             "pair ratio >= this")
     parser.add_argument("--json-out", default=None,
-                        help="write the machine-readable rows as JSON")
+                        help="write the record as JSON")
     args = parser.parse_args(argv)
 
     scale = 1 if args.quick else args.scale
@@ -238,26 +196,11 @@ def main(argv=None) -> int:
     if min_speedup is None and args.quick:
         min_speedup = 1.5
 
-    text, payload = run_bench(scale)
+    text, gate, stats = run_bench(scale)
     print(text)
-
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"  wrote {args.json_out}")
-
-    if not payload["bitwise_parity"]:
-        print(f"FAIL: served streams diverged from their solo runs: "
-              f"{payload['mismatched_streams']}", file=sys.stderr)
-        return 1
-    if min_speedup is not None and payload["speedup"] < min_speedup:
-        print(f"FAIL: aggregate speedup {payload['speedup']:.2f}x < "
-              f"{min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if min_speedup is not None:
-        print(f"OK: aggregate speedup {payload['speedup']:.2f}x >= "
-              f"{min_speedup:.2f}x")
-    return 0
+    gate["bound"] = min_speedup
+    return finish("service_throughput", args.json_out, {"speedup": gate},
+                  pool=dict(POOL), scale=scale, **stats)
 
 
 if __name__ == "__main__":
