@@ -16,6 +16,9 @@ decomposition level.  This module implements that system three ways:
   *within* one transform (FPGA for the large early levels, NEON for the
   small deep ones); this scheduler composes a per-level execution plan
   from the same cost models.
+
+:func:`bind_engine` turns a session config's ``engine`` into the engine
+its frames start on, for the session and its lowered plan alike.
 """
 
 from __future__ import annotations
@@ -24,15 +27,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..hw.energy import energy_mj
 from ..hw.engine import Engine
 from ..hw.power import DEFAULT_POWER_MODEL, PowerModel
-from ..hw.registry import default_engines
-from ..hw.work import WorkModel
+from ..hw.registry import create_engine, default_engines, precision_candidates
 from ..types import FrameShape
 
 __all__ = [
-    "CostModelScheduler", "Decision", "LevelPlan", "OnlineScheduler",
-    "PerLevelScheduler", "default_engines",
+    "CostModelScheduler", "Decision", "EngineBinding", "LevelPlan",
+    "OnlineScheduler", "PerLevelScheduler", "bind_engine",
+    "default_engines",
 ]
 
 
@@ -70,8 +74,8 @@ class CostModelScheduler:
     def cost(self, engine: Engine, shape: FrameShape, levels: int) -> Tuple[float, float]:
         """(seconds, millijoules) for one fused frame on ``engine``."""
         seconds = engine.frame_time(shape, levels).total_s
-        mj = seconds * self.power_model.power_w(engine.power_mode) * 1e3
-        return seconds, mj
+        return seconds, energy_mj(seconds, engine.power_mode,
+                                  self.power_model)
 
     def choose(self, shape: FrameShape, levels: int = 3) -> Decision:
         """Pick the best engine for fusing frames of ``shape``."""
@@ -88,6 +92,43 @@ class CostModelScheduler:
         assert best is not None
         best.alternatives = alternatives
         return best
+
+
+@dataclass(frozen=True)
+class EngineBinding:
+    """What a config's ``engine`` binds to (see :func:`bind_engine`):
+    the ``engine`` frames start on, every engine they may run on (the
+    online probe set, else ``(engine,)``), the cost-model ``decision``
+    behind ``adaptive``, and whether the engine is re-chosen per frame
+    (``dynamic``, for ``online``)."""
+
+    engine: Engine
+    engines: Tuple[Engine, ...]
+    decision: Optional[Decision] = None
+    dynamic: bool = False
+
+
+def bind_engine(config) -> EngineBinding:
+    """Resolve ``config.engine`` — a registered engine name,
+    ``"adaptive"`` (the cost-model optimum for the config's shape,
+    levels and objective) or ``"online"`` (measured per frame) — the
+    one way a session and its lowered plan pick their engine.
+
+    A precision-pinned config narrows the scheduler candidates to
+    engines whose datapath supports that dtype."""
+    if config.engine not in ("adaptive", "online"):
+        engine = create_engine(config.engine)
+        return EngineBinding(engine=engine, engines=(engine,))
+    candidates = precision_candidates(getattr(config, "precision", None))
+    if config.engine == "online":
+        return EngineBinding(engine=candidates[0], engines=candidates,
+                             dynamic=True)
+    decision = CostModelScheduler(
+        engines=candidates, objective=config.objective,
+        power_model=config.power_model,
+    ).choose(config.fusion_shape, config.levels)
+    return EngineBinding(engine=decision.engine, engines=(decision.engine,),
+                         decision=decision)
 
 
 class OnlineScheduler:
@@ -159,9 +200,10 @@ class PerLevelScheduler:
 
     Level ``l`` of the transform works on a ``1/2^{l-1}``-scaled frame,
     so deep levels sit below the FPGA's profitability threshold even
-    when the input frame is large.  This scheduler evaluates each
-    engine's cost *per level* (from the shared work model) and composes
-    a mixed plan — the paper's adaptive idea taken one step further.
+    when the input frame is large.  This scheduler prices each level's
+    passes on every engine (:meth:`Engine.passes_time`, the method the
+    engines' own frame times use) and composes a mixed plan — the
+    paper's adaptive idea taken one step further.
 
     A per-level engine switch costs ``switch_penalty_s`` (pipeline
     drain, first-command latency), so a mixed plan must beat the best
@@ -178,38 +220,12 @@ class PerLevelScheduler:
     def _level_costs(self, engine: Engine, shape: FrameShape, levels: int,
                      direction: str) -> List[float]:
         """Seconds each level costs on ``engine`` (one image)."""
-        work = WorkModel(shape, levels=levels, banks=engine.banks)
+        work = engine.work_model(shape, levels)
         passes = (work.forward_passes() if direction == "forward"
                   else work.inverse_passes())
-        costs = []
-        for level in range(1, levels + 1):
-            level_passes = [p for p in passes if p.level == level]
-            # re-cost through the engine by building a single-level view
-            total = self._cost_passes(engine, level_passes, direction)
-            costs.append(total)
-        return costs
-
-    def _cost_passes(self, engine: Engine, passes, direction: str) -> float:
-        from ..hw.arm import ArmEngine as _Arm
-        from ..hw.fpga import FpgaEngine as _Fpga
-        from ..hw.neon import NeonEngine as _Neon
-        if isinstance(engine, _Fpga):
-            breakdown = engine._schedule(list(passes), direction)  # noqa: SLF001
-            return breakdown.total_s
-        if isinstance(engine, _Neon):
-            rate = (engine.calibration.arm_mac_rate_fwd if direction == "forward"
-                    else engine.calibration.arm_mac_rate_inv)
-            fraction = (engine.calibration.neon_vector_fraction_fwd
-                        if direction == "forward"
-                        else engine.calibration.neon_vector_fraction_inv)
-            return engine._passes_time(list(passes), rate, fraction).total_s  # noqa: SLF001
-        if isinstance(engine, _Arm):
-            rate = (engine.calibration.arm_mac_rate_fwd if direction == "forward"
-                    else engine.calibration.arm_mac_rate_inv)
-            return engine._passes_time(list(passes), rate).total_s  # noqa: SLF001
-        raise ConfigurationError(
-            f"per-level costing not supported for engine {engine.name!r}"
-        )
+        return [engine.passes_time([p for p in passes if p.level == level],
+                                   direction).total_s
+                for level in range(1, levels + 1)]
 
     def plan(self, shape: FrameShape, levels: int = 3) -> LevelPlan:
         """Compose the cheapest per-level assignment for one fused frame."""

@@ -11,13 +11,15 @@ The planner is the seam between *describing* the dataflow and
   thread, frame by frame), the **compute** region (every stage the
   processor's ``compute`` call runs) and the **tail** (the ordered
   finalize);
-* **placement** per stage — ``auto`` resolved through the same cost
-  models the session schedules with (fixed engine, the cost-model
-  optimum for ``adaptive``, dynamic per-frame for ``online``) and
+* **placement** per stage — ``auto`` resolved by the session's own
+  :func:`~repro.core.adaptive.bind_engine` (fixed engine, the
+  cost-model optimum for ``adaptive``, dynamic per-frame for
+  ``online``) and
   forced placements passed through (a mixed placement runs a frame's
   stages on different engines under every executor);
-* a modelled **per-stage cost** so ``repro-fusion plan`` can show
-  where the frame time goes before anything runs;
+* a modelled **per-stage cost** (:func:`stage_seconds`, which the
+  session's accounting bills with too) so ``repro-fusion plan`` can
+  show where the frame time goes before anything runs;
 * **fused dispatch units** — chains of two or more adjacent stateless
   stages with the same placement key collapse into one unit.  The
   canonical ``visible+thermal+fuse`` chain rides one stacked
@@ -44,8 +46,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.adaptive import bind_engine
 from ..errors import ConfigurationError
-from ..hw.registry import create_engine, engine_names, precision_candidates
+from ..hw.engine import Engine
+from ..hw.registry import create_engine, engine_names
+from ..types import FrameShape
 from .graph import FusionGraph, forward_stage_names
 from .stage import AUTO, Stage
 
@@ -61,6 +66,22 @@ CANONICAL_NAMES = {
 
 #: Placement label for host-side (unmodelled, CPU-ordered) stages.
 HOST = "host"
+
+
+def stage_seconds(kind: str, engine: Engine, shape: FrameShape,
+                  levels: int) -> float:
+    """Modelled seconds of one frame's stage of ``kind`` on ``engine``:
+    a forward is one image's forward transform, ``fuse`` the fusion
+    rule plus the inverse, ``temporal`` (which decomposes every
+    modality itself) a whole frame; other kinds are unmodelled."""
+    if kind == "forward":
+        return engine.forward_time(shape, levels).total_s
+    if kind == "fuse":
+        return (engine.fusion_time(shape, levels).total_s
+                + engine.inverse_time(shape, levels).total_s)
+    if kind == "temporal":
+        return engine.frame_time(shape, levels).total_s
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -217,13 +238,13 @@ class Planner:
         sequential = any(graph.stage(n).ordered for n in compute)
         head_set = set(head)
 
-        engine_label, dynamic = self._resolve_default_engine(config)
+        binding = bind_engine(config)
         placements = self._resolve_placements(graph, order, head_set,
-                                              tail[0], engine_label)
-        engines = {name: create_engine(name)
+                                              tail[0], binding.engine.name)
+        bound = {engine.name: engine for engine in binding.engines}
+        engines = {name: bound.get(name) or create_engine(name)
                    for name in dict.fromkeys(placements.values())
                    if name != HOST}
-        costs = self._model_costs(graph, placements, engines, config)
         kernels = self._kernel_info(placements, engines, config)
         units = {} if sequential else self._fuse_units(graph, compute)
 
@@ -233,16 +254,21 @@ class Planner:
                     else "tail" if name in tail
                     else "compute")
             kernel, precision = kernels[name]
+            placement = placements[name]
+            seconds = (0.0 if placement == HOST else stage_seconds(
+                graph.stage(name).kind, engines[placement],
+                config.fusion_shape, config.levels))
             nodes[name] = PlannedStage(stage=graph.stage(name), role=role,
-                                       engine=placements[name],
-                                       model_seconds=costs[name],
+                                       engine=placement,
+                                       model_seconds=seconds,
                                        kernel=kernel, precision=precision)
         owner = {member: unit for unit, members in units.items()
                  for member in members}
         return FusionPlan(
             graph=graph, schedule=order, head=tuple(head), tail=tail,
             compute=tuple(dict.fromkeys(owner.get(n, n) for n in compute)),
-            sequential=sequential, nodes=nodes, dynamic_engine=dynamic,
+            sequential=sequential, nodes=nodes,
+            dynamic_engine=binding.dynamic,
             engine=config.engine, shape=str(config.fusion_shape),
             levels=config.levels, units=units,
         )
@@ -359,28 +385,6 @@ class Planner:
                 "/ graph_overrides={'drop': ('register',)} to run this "
                 "session without rig calibration")
 
-    def _resolve_default_engine(self, config) -> Tuple[str, bool]:
-        """Engine label ``auto`` placements resolve to, and whether the
-        binding is re-decided per frame (the online scheduler).
-
-        Mirrors the session exactly: a precision-pinned config narrows
-        the scheduler candidate set to engines whose datapath supports
-        that dtype, so the plan predicts the engine the session will
-        actually bind."""
-        from ..core.adaptive import CostModelScheduler
-        if config.engine not in ("adaptive", "online"):
-            return config.engine, False
-        candidates = precision_candidates(getattr(config, "precision",
-                                                  None))
-        if config.engine == "online":
-            return candidates[0].name, True
-        decision = CostModelScheduler(
-            engines=candidates,
-            objective=config.objective,
-            power_model=config.power_model,
-        ).choose(config.fusion_shape, config.levels)
-        return decision.engine.name, False
-
     @staticmethod
     def _resolve_placements(graph, order, head_set, tail_name,
                             engine_label) -> Dict[str, str]:
@@ -397,14 +401,6 @@ class Planner:
             else:
                 placements[name] = engine_label
         return placements
-
-    def _model_costs(self, graph, placements, engines,
-                     config) -> Dict[str, float]:
-        shape, levels = config.fusion_shape, config.levels
-        return {
-            name: (0.0 if placement == HOST else self._stage_seconds(
-                graph.stage(name), engines[placement], shape, levels))
-            for name, placement in placements.items()}
 
     @staticmethod
     def _kernel_info(placements, engines,
@@ -425,15 +421,3 @@ class Planner:
                           str(engine.working_dtype(precision)))
         return {stage_name: info[placement]
                 for stage_name, placement in placements.items()}
-
-    @staticmethod
-    def _stage_seconds(stage, engine, shape, levels) -> float:
-        if stage.kind == "forward":
-            return engine.forward_time(shape, levels).total_s
-        if stage.kind == "fuse":
-            return (engine.fusion_time(shape, levels).total_s
-                    + engine.inverse_time(shape, levels).total_s)
-        if stage.kind == "temporal":
-            # temporal fusion decomposes both modalities internally
-            return engine.frame_time(shape, levels).total_s
-        return 0.0

@@ -20,6 +20,7 @@ from ..errors import ConfigurationError
 from ..types import FrameShape
 from .arm import ArmEngine
 from .calibration import DEFAULT_CALIBRATION, Calibration
+from .energy import energy_mj
 from .fpga import FpgaEngine
 from .neon import NeonEngine
 from .platform import ZynqPlatform
@@ -112,7 +113,7 @@ def sweep_operating_points(
                    FpgaEngine(platform, cal))
         for engine in engines:
             seconds = engine.frame_time(shape, levels).total_s
-            mj = seconds * power.power_w(engine.power_mode) * 1e3
+            mj = energy_mj(seconds, engine.power_mode, power)
             results.append(OperatingPointResult(
                 ps_hz=ps_hz, pl_hz=pl_hz, engine=engine.name,
                 seconds_per_frame=seconds, millijoules_per_frame=mj,

@@ -1,14 +1,19 @@
-"""Common interface of the three compute engines (ARM, NEON, FPGA).
+"""Common interface of the modelled compute engines (ARM, NEON, FPGA, ...).
 
 An engine bundles two things, mirroring the paper's methodology:
 
 * a **functional path** — a :class:`repro.dtcwt.Dtcwt2D` wired to the
   engine's kernel backend, so every engine *actually computes* the
   transform (results are cross-checked in the tests), and
-* an **analytic timing model** — seconds for the forward transform,
-  inverse transform and fusion stage of one frame, decomposed the way
-  the paper discusses (compute / transfer / command / overhead),
-  evaluated once per configuration and memoized process-wide.
+* an **analytic timing model** — one method, :meth:`Engine.passes_time`,
+  prices a list of filtering passes (:mod:`repro.hw.work`) in a given
+  direction, decomposed the way the paper discusses (compute /
+  transfer / command / overhead).  Every modelled transform time is
+  that price: the whole-image forward and inverse times below, and
+  the per-level prices the
+  :class:`~repro.core.adaptive.PerLevelScheduler` composes.  Whole
+  images are evaluated once per configuration and memoized
+  process-wide.
 
 The fusion rule always executes on the ARM (the paper accelerates only
 the transforms), so :meth:`Engine.fusion_time` is shared.
@@ -17,7 +22,7 @@ the transforms), so :meth:`Engine.fusion_time` is shared.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from ..errors import ConfigurationError
 from ..types import FrameShape, TimingBreakdown
 from .calibration import DEFAULT_CALIBRATION, Calibration
 from .platform import DEFAULT_PLATFORM, ZynqPlatform
-from .work import WorkModel
+from .work import FilterPass, WorkModel
 
 #: Process-wide cost-model memo: (kind, engine type, platform,
 #: calibration, id(banks), engine parameters, shape, levels[, sources])
@@ -38,6 +43,18 @@ from .work import WorkModel
 #: table holds one entry per configuration a process asks about and is
 #: never evicted: a model result cannot go stale.
 _MODEL_MEMO: Dict[tuple, Tuple[DtcwtBanks, TimingBreakdown]] = {}
+
+_T = TypeVar("_T")
+
+
+def by_direction(direction: str, forward: _T, inverse: _T) -> _T:
+    """``forward`` or ``inverse``, as ``direction`` names."""
+    if direction == "forward":
+        return forward
+    if direction == "inverse":
+        return inverse
+    raise ConfigurationError(
+        f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 class Engine(ABC):
@@ -100,9 +117,10 @@ class Engine(ABC):
     # ------------------------------------------------------------------
     #
     # The public methods are the memoized entry points (see
-    # ``_MODEL_MEMO``).  Subclasses implement the live model as
-    # ``_forward_time``/``_inverse_time``, which stays the reference
-    # the memoized results are checked against.
+    # ``_MODEL_MEMO``).  The live model is ``_forward_time``/
+    # ``_inverse_time``: one image's pass list priced by
+    # :meth:`passes_time`, which stays the reference the memoized
+    # results are checked against.
     def forward_time(self, shape: FrameShape, levels: int = 3) -> TimingBreakdown:
         """Latency of the forward DT-CWT of ONE image."""
         return self._memoized("forward", self._forward_time, shape, levels)
@@ -130,12 +148,21 @@ class Engine(ABC):
                               sources)
 
     @abstractmethod
+    def passes_time(self, passes: Sequence[FilterPass],
+                    direction: str) -> TimingBreakdown:
+        """Latency of running ``passes`` (all ``"forward"`` or all
+        ``"inverse"``, per ``direction``) on this engine: the one
+        pass-pricing method of the timing model."""
+
     def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         """Live model of :meth:`forward_time`."""
+        return self.passes_time(
+            self.work_model(shape, levels).forward_passes(), "forward")
 
-    @abstractmethod
     def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         """Live model of :meth:`inverse_time`."""
+        return self.passes_time(
+            self.work_model(shape, levels).inverse_passes(), "inverse")
 
     def _fusion_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
         work = self.work_model(shape, levels)

@@ -11,7 +11,8 @@ Two cooperating pieces:
 * :class:`FpgaEngine` — the timing/energy side: it converts the shared
   work model into per-invocation :class:`~repro.hw.driver.PassCost`
   records (user memcpy, AXI-Lite commands, driver activation, PL
-  cycles) and runs them through the Fig. 5 double-buffering schedule.
+  cycles) and runs them through the Fig. 5 double-buffering schedule
+  (:meth:`FpgaEngine.passes_time`).
 
 The per-invocation command cost is the term that makes the FPGA *lose*
 below the ~40x40 crossover — the paper's central observation.
@@ -20,14 +21,14 @@ below the ~40x40 crossover — the paper's central observation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dtcwt.backend import KernelBackend
 from ..dtcwt.coeffs import DtcwtBanks
 from ..errors import EngineError
-from ..types import FrameShape, TimingBreakdown
+from ..types import TimingBreakdown
 from .axi import AxiLiteModel
 from .calibration import DEFAULT_CALIBRATION, Calibration
 from .driver import PassCost, WaveletDriver
@@ -181,15 +182,14 @@ class FpgaEngine(Engine):
         )
 
     # ------------------------------------------------------------------
-    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        passes = self.work_model(shape, levels).forward_passes()
-        return self._with_coefficient_loads(
-            self._schedule(passes, direction="forward"), levels)
-
-    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        passes = self.work_model(shape, levels).inverse_passes()
-        return self._with_coefficient_loads(
-            self._schedule(passes, direction="inverse"), levels)
+    def passes_time(self, passes: Sequence[FilterPass],
+                    direction: str) -> TimingBreakdown:
+        """The passes through the Fig. 5 schedule (one driver
+        invocation each), plus the coefficient reloads of every level
+        they touch."""
+        breakdown = self._schedule(passes)
+        return replace(breakdown, command_s=breakdown.command_s
+                       + self._coefficient_load_s(passes))
 
     def _model_params(self) -> Tuple[bool]:
         return (self.double_buffered,)
@@ -225,20 +225,17 @@ class FpgaEngine(Engine):
                    + self.axilite.write_s(cal.fpga_axilite_writes_per_pass)),
         )
 
-    def _schedule(self, passes: List[FilterPass], direction: str
-                  ) -> TimingBreakdown:
+    def _schedule(self, passes: Sequence[FilterPass]) -> TimingBreakdown:
         driver = WaveletDriver(self.platform)
         costs = [self._pass_cost(p) for p in passes]
         return driver.schedule(costs, double_buffered=self.double_buffered)
 
-    def _with_coefficient_loads(self, breakdown: TimingBreakdown,
-                                levels: int) -> TimingBreakdown:
-        return replace(breakdown, command_s=breakdown.command_s
-                       + self._coefficient_load_s(
-                           levels, primitive_calls=3 + 12 * (levels - 1)))
-
-    def _coefficient_load_s(self, levels: int, primitive_calls: int) -> float:
-        """Reloading the coefficient registers when the filter set changes."""
+    def _coefficient_load_s(self, passes: Sequence[FilterPass]) -> float:
+        """Reloading the coefficient registers when the filter set
+        changes: 3 primitive calls at level 1 and 12 (three per tree) at
+        each later level ``passes`` touch."""
+        primitive_calls = sum(3 if level == 1 else 12
+                              for level in {p.level for p in passes})
         taps = self.banks.max_taps
         per_load = (self.calibration.fpga_driver_invocation_s
                     + self.axilite.write_s(2 * taps)

@@ -33,8 +33,11 @@ the same precision.
 
 from __future__ import annotations
 
-from ..types import FrameShape, TimingBreakdown
+from typing import Sequence
+
+from ..types import TimingBreakdown
 from .engine import Engine
+from .work import FilterPass
 
 
 class GpuEngine(Engine):
@@ -43,15 +46,9 @@ class GpuEngine(Engine):
     name = "gpu"
     power_mode = "gpu"
 
-    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        return self._passes_time(
-            self.work_model(shape, levels).forward_passes())
-
-    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        return self._passes_time(
-            self.work_model(shape, levels).inverse_passes())
-
-    def _passes_time(self, passes) -> TimingBreakdown:
+    def passes_time(self, passes: Sequence[FilterPass],
+                    direction: str) -> TimingBreakdown:
+        # one launch and one round trip per pass, either direction
         cal = self.calibration
         macs = sum(p.macs for p in passes)
         words = sum(p.words_in + p.words_out for p in passes)

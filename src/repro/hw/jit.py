@@ -17,8 +17,11 @@ paper-default engine trio (see :func:`repro.hw.registry.default_engines`).
 
 from __future__ import annotations
 
-from ..types import FrameShape, TimingBreakdown
-from .engine import Engine
+from typing import Sequence
+
+from ..types import TimingBreakdown
+from .engine import Engine, by_direction
+from .work import FilterPass
 
 
 class JitEngine(Engine):
@@ -27,21 +30,14 @@ class JitEngine(Engine):
     name = "jit"
     power_mode = "host"
 
-    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        return self._passes_time(
-            self.work_model(shape, levels).forward_passes(),
-            self.calibration.jit_mac_rate_fwd)
-
-    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        return self._passes_time(
-            self.work_model(shape, levels).inverse_passes(),
-            self.calibration.jit_mac_rate_inv)
-
-    def _passes_time(self, passes, mac_rate: float) -> TimingBreakdown:
-        macs = sum(p.macs for p in passes)
+    def passes_time(self, passes: Sequence[FilterPass],
+                    direction: str) -> TimingBreakdown:
+        cal = self.calibration
+        mac_rate = by_direction(direction, cal.jit_mac_rate_fwd,
+                                cal.jit_mac_rate_inv)
         return TimingBreakdown(
-            compute_s=macs / mac_rate,
-            overhead_s=len(passes) * self.calibration.jit_pass_overhead_s,
+            compute_s=sum(p.macs for p in passes) / mac_rate,
+            overhead_s=len(passes) * cal.jit_pass_overhead_s,
         )
 
 

@@ -7,12 +7,18 @@ intrinsics and with g++ auto-vectorization (``-mfpu=neon
 — modest, because only the MAC loops vectorize and the code is
 memory-bound.
 
-The timing model splits each pass's MAC work into a vectorizable
-fraction (fitted per direction) executed at ``lanes x efficiency``
-speedup and a scalar remainder.  Outputs beyond the last multiple of
-the lane count fall back to scalar code — the loop-epilogue effect the
-paper calls out ("an iteration count with a multiple of 4 is used",
-Section IV); it penalizes the odd 35x35 frames.
+The timing model is one strategy of :mod:`repro.hw.vectorization`:
+:meth:`NeonEngine.passes_time` prices a pass list with
+:func:`~repro.hw.vectorization.strategy_seconds` — every loop
+vectorized, the calibrated ``neon_lane_efficiency`` of the 4-lane
+ideal, no loop overhead — plus the ARM's per-pass overhead.  That
+splits each pass's
+MAC work into a vectorizable fraction (fitted per direction) executed
+at ``lanes x efficiency`` speedup and a scalar remainder.  Outputs
+beyond the last multiple of the lane count fall back to scalar code —
+the loop-epilogue effect the paper calls out ("an iteration count with
+a multiple of 4 is used", Section IV); it penalizes the odd 35x35
+frames.
 
 Lanes live only in that model.  The functional path is the host kernel
 backend (:class:`~repro.dtcwt.backend.KernelBackend`, inherited from
@@ -23,8 +29,12 @@ vectorizing does not change a result bit.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..types import FrameShape, TimingBreakdown
-from .engine import Engine
+from .engine import Engine, by_direction
+from .vectorization import VectorizationStrategy, strategy_seconds
+from .work import FilterPass
 
 
 class NeonEngine(Engine):
@@ -33,33 +43,19 @@ class NeonEngine(Engine):
     name = "neon"
     power_mode = "neon"
 
-    def _forward_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        return self._passes_time(
-            self.work_model(shape, levels).forward_passes(),
-            self.calibration.arm_mac_rate_fwd,
-            self.calibration.neon_vector_fraction_fwd,
-        )
-
-    def _inverse_time(self, shape: FrameShape, levels: int) -> TimingBreakdown:
-        return self._passes_time(
-            self.work_model(shape, levels).inverse_passes(),
-            self.calibration.arm_mac_rate_inv,
-            self.calibration.neon_vector_fraction_inv,
-        )
-
-    def _passes_time(self, passes, mac_rate: float,
-                     vector_fraction: float) -> TimingBreakdown:
+    def passes_time(self, passes: Sequence[FilterPass],
+                    direction: str) -> TimingBreakdown:
         cal = self.calibration
-        vector_rate = mac_rate * cal.neon_lanes * cal.neon_lane_efficiency
-        compute = 0.0
-        for p in passes:
-            aligned = (p.out_len // cal.neon_lanes) * cal.neon_lanes
-            aligned_fraction = aligned / p.out_len if p.out_len else 0.0
-            vec_macs = p.macs * vector_fraction * aligned_fraction
-            scalar_macs = p.macs - vec_macs
-            compute += vec_macs / vector_rate + scalar_macs / mac_rate
+        mac_rate, vector_fraction = by_direction(
+            direction,
+            (cal.arm_mac_rate_fwd, cal.neon_vector_fraction_fwd),
+            (cal.arm_mac_rate_inv, cal.neon_vector_fraction_inv))
+        strategy = VectorizationStrategy(
+            name=self.name, coverage=1.0,
+            lane_efficiency=cal.neon_lane_efficiency, loop_overhead_macs=0.0)
         return TimingBreakdown(
-            compute_s=compute,
+            compute_s=strategy_seconds(strategy, passes, mac_rate,
+                                       vector_fraction, cal.neon_lanes),
             overhead_s=len(passes) * cal.arm_pass_overhead_s,
         )
 

@@ -13,6 +13,11 @@ performance enhancement."  This module models each strategy's
 constraints (what fraction of loops vectorize, epilogue handling,
 reduction overhead) so that claim is checkable, and generates the
 vectorization report a compiler would emit for the transform's loops.
+
+:func:`strategy_seconds` is the one SIMD pass-pricing formula: the
+NEON engine's :meth:`~repro.hw.neon.NeonEngine.passes_time` is this
+function under a strategy with full coverage, the calibrated lane
+efficiency and no loop overhead.
 """
 
 from __future__ import annotations

@@ -189,9 +189,6 @@ class WorkModel:
     def forward_macs(self) -> int:
         return sum(p.macs for p in self.forward_passes())
 
-    def inverse_macs(self) -> int:
-        return sum(p.macs for p in self.inverse_passes())
-
     def forward_invocations(self) -> int:
         return len(self.forward_passes())
 

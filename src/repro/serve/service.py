@@ -77,6 +77,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, FusionError, ReproError
 from ..exec.base import ensure_source_open
+from ..hw.energy import energy_mj
 from ..hw.registry import create_engine
 from ..session.config import FusionConfig
 from ..session.report import FusedFrameResult, FusionReport
@@ -252,8 +253,8 @@ class _StreamState:
                 engines[label] = create_engine(label)
             seconds_by[label] = seconds_by.get(label, 0.0) \
                 + node.model_seconds
-            mj += (node.model_seconds
-                   * power.power_w(engines[label].power_mode) * 1e3)
+            mj += energy_mj(node.model_seconds, engines[label].power_mode,
+                            power)
         return seconds_by, mj
 
     def deficit_s(self, now: float) -> float:

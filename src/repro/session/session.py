@@ -48,7 +48,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.adaptive import (CostModelScheduler, Decision, OnlineScheduler)
+from ..core.adaptive import Decision, OnlineScheduler, bind_engine
 from ..core.fusion import ImageFusion
 from ..core.metrics import fusion_report, petrovic_qabf
 from ..core.quality_monitor import ACTION_FUSE, QualityMonitor
@@ -59,8 +59,10 @@ from ..errors import ConfigurationError, FusionError
 from ..exec import Executor, FrameProcessor, make_executor
 from ..graph import FusionGraph, FusionPlan, Planner, Stage
 from ..graph.graph import forward_stage_names
+from ..graph.planner import stage_seconds
+from ..hw.energy import energy_mj
 from ..hw.engine import Engine
-from ..hw.registry import create_engine, precision_candidates
+from ..hw.registry import create_engine
 from ..video.frames import VideoFrame
 from ..video.scaler import resize_to
 from .config import FusionConfig
@@ -549,7 +551,7 @@ class _SessionProcessor(FrameProcessor):
         power = session.config.power_model
         if not self._forced_engines:
             seconds = task.model_seconds
-            mj = seconds * power.power_w(task.engine.power_mode) * 1e3
+            mj = energy_mj(seconds, task.engine.power_mode, power)
             return seconds, mj, task.engine.name, None
         shape = session.config.fusion_shape
         levels = session.config.levels
@@ -558,13 +560,10 @@ class _SessionProcessor(FrameProcessor):
         seconds = 0.0
         mj = 0.0
         for stage, engine in billed.items():
-            if stage == "fuse":
-                stage_s = (engine.fusion_time(shape, levels).total_s
-                           + engine.inverse_time(shape, levels).total_s)
-            else:
-                stage_s = engine.forward_time(shape, levels).total_s
+            stage_s = stage_seconds(self.plan.stage(stage).kind, engine,
+                                    shape, levels)
             seconds += stage_s
-            mj += stage_s * power.power_w(engine.power_mode) * 1e3
+            mj += energy_mj(stage_s, engine.power_mode, power)
         label = billed["fuse"].name if "fuse" in billed else task.engine.name
         return seconds, mj, label, {stage: engine.name
                                     for stage, engine in billed.items()}
@@ -632,15 +631,6 @@ class _SessionProcessor(FrameProcessor):
         return result
 
 
-def _precision_candidates(config: FusionConfig):
-    """The scheduler candidate set honoring the config's precision: the
-    paper-default trio, minus engines whose datapath cannot run the
-    requested dtype (the float32-only FPGA under ``float64``).  With no
-    explicit precision every engine qualifies, so default scheduling is
-    untouched."""
-    return precision_candidates(config.precision)
-
-
 def build_session_graph(config: FusionConfig) -> FusionGraph:
     """The canonical session dataflow for ``config``, with its
     ``graph_overrides`` applied — the exact graph a
@@ -697,31 +687,19 @@ class FusionSession:
             config = self.autotune_decision.apply(config)
         self.config = config
 
-        shape = config.fusion_shape
-        self.decision: Optional[Decision] = None
+        binding = bind_engine(config)
+        self.decision: Optional[Decision] = binding.decision
         self.scheduler: Optional[OnlineScheduler] = None
-        if config.engine == "online":
-            engines = _precision_candidates(config)
+        if binding.dynamic:
             self.scheduler = OnlineScheduler(
-                engines, probe_frames=config.probe_frames,
+                binding.engines, probe_frames=config.probe_frames,
                 reprobe_every=config.reprobe_every)
-            self._engine = engines[0]
-        elif config.engine == "adaptive":
-            chooser = CostModelScheduler(
-                engines=_precision_candidates(config),
-                objective=config.objective,
-                power_model=config.power_model)
-            self.decision = chooser.choose(shape, config.levels)
-            self._engine = self.decision.engine
-            engines = (self._engine,)
-        else:
-            self._engine = create_engine(config.engine)
-            engines = (self._engine,)
+        self._engine = binding.engine
 
         # the serial lane: the compute context of every call that
         # brings none (serial, batch, serving grants, process())
         self._serial = _WorkerContext(self)
-        for engine in engines:
+        for engine in binding.engines:
             self._serial.lane(engine)
         self._placement_engines: Dict[str, Engine] = {}
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core.adaptive import default_engines
+from .hw.energy import energy_mj
 from .hw.engine import Engine
 from .hw.power import DEFAULT_POWER_MODEL, PowerModel
 from .types import PAPER_FRAME_SIZES, FrameShape
@@ -58,8 +59,8 @@ def total_time_sweep(levels: int = 3, frames: int = 10) -> List[SweepRow]:
 def energy_sweep(levels: int = 3, frames: int = 10,
                  power_model: PowerModel = DEFAULT_POWER_MODEL) -> List[SweepRow]:
     """Fig. 10: total energy (mJ) for ``frames`` fused frames."""
-    return sweep(lambda e, s: (frames * e.frame_time(s, levels).total_s
-                               * power_model.power_w(e.power_mode) * 1e3))
+    return sweep(lambda e, s: energy_mj(
+        frames * e.frame_time(s, levels).total_s, e.power_mode, power_model))
 
 
 def format_rows(rows: Sequence[SweepRow], unit: str,

@@ -10,6 +10,7 @@ from repro.core.adaptive import (
     default_engines,
 )
 from repro.errors import ConfigurationError
+from repro.hw.registry import create_engine, engine_names
 from repro.types import PAPER_FRAME_SIZES, FrameShape
 
 
@@ -165,3 +166,31 @@ class TestPerLevelScheduler:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ConfigurationError):
             PerLevelScheduler(switch_penalty_s=-1.0)
+
+    @pytest.mark.parametrize("name", ("arm", "neon", "fpga", "jit", "gpu"))
+    @pytest.mark.parametrize("shape", (FrameShape(35, 35), FrameShape(88, 72),
+                                       FrameShape(352, 288)))
+    @pytest.mark.parametrize("levels", (1, 3, 4))
+    def test_single_engine_plan_prices_the_engine_frame_time(
+            self, name, shape, levels):
+        """A one-engine plan is that engine's whole frame, level by
+        level: it must agree with ``frame_time`` (the FPGA's per-level
+        prices include the coefficient reloads of their level; only
+        the double-buffered schedule's per-level fill differs)."""
+        engine = create_engine(name)
+        plan = PerLevelScheduler(engines=[engine]).plan(shape, levels)
+        assert plan.forward_assignment == (name,) * levels
+        assert plan.predicted_s == pytest.approx(
+            engine.frame_time(shape, levels).total_s, rel=1e-3)
+
+    def test_plans_with_extension_engines(self):
+        """The per-level scheduler prices every registered engine
+        through the one pass-pricing method, extension engines too."""
+        engines = [create_engine(name) for name in engine_names()]
+        plan = PerLevelScheduler(engines=engines).plan(FrameShape(88, 72), 3)
+        names = set(engine_names())
+        assert set(plan.forward_assignment) <= names
+        assert set(plan.inverse_assignment) <= names
+        static_best = min(e.frame_time(FrameShape(88, 72), 3).total_s
+                          for e in engines)
+        assert 0 < plan.predicted_s <= static_best * 1.001

@@ -111,7 +111,7 @@ class TestTraceForward:
         shape = FrameShape(40, 40)
         tracer = trace_forward(engine, shape, levels=3)
         passes = engine.work_model(shape, 3).forward_passes()
-        scheduled = engine._schedule(passes, "forward").total_s  # noqa: SLF001
+        scheduled = engine._schedule(passes).total_s  # noqa: SLF001
         assert np.isclose(tracer.makespan_s, scheduled, rtol=1e-9)
         assert tracer.makespan_s < engine.forward_time(shape, 3).total_s
 
