@@ -58,7 +58,7 @@ from kernel_oracle import NumpyBackend  # noqa: E402
 def prerender(frames: int, size: FrameShape, seed: int = 7) -> List:
     """A pre-rendered frame-pair prefix shared by every datapath, so
     synthetic-scene rendering cost never dilutes the kernel
-    comparison (same trick the plan autotuner uses)."""
+    comparison."""
     scene = SyntheticScene(width=size.width, height=size.height,
                            seed=seed)
     return [(scene.render_visible(i / 25.0),

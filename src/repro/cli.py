@@ -218,52 +218,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    from .graph.autotune import PlanAutotuner
-
-    config = FusionConfig(
-        engine=args.engine,
-        executor=args.executor,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        batch_size=args.batch_size,
-        precision=args.precision,
-        fusion_shape=args.size,
-        levels=args.levels,
-        registration=args.registration,
-        temporal=args.temporal,
-        seed=args.seed,
-        quality_metrics=False,
-        keep_records=False,
-    )
-    tuner = PlanAutotuner(cache_dir=args.cache_dir,
-                          calibration_frames=args.frames)
-    if args.clear_cache:
-        removed = tuner.clear_cache()
-        print(f"cleared {removed} cached plan decision(s) from "
-              f"{tuner.cache_dir}")
-    decision = tuner.decide(config)
-    if args.json:
-        print(json.dumps(decision.as_dict(), indent=2, sort_keys=True))
-        return 0
-    print(f"plan decision [{decision.source}] key={decision.key}")
-    overrides = ", ".join(f"{k}={v!r}" for k, v
-                          in sorted(decision.overrides.items()))
-    print(f"  winner   : {overrides or 'default configuration'}")
-    when = (f"on {args.frames} calibration frame(s)"
-            if decision.source == "tuned" else "at tuning time")
-    print(f"  measured : {decision.fps:.2f} fps {when}")
-    if decision.candidates:
-        print("  candidates:")
-        for row in decision.candidates:
-            ov = ", ".join(f"{k}={v!r}" for k, v
-                           in sorted(row["overrides"].items()))
-            print(f"    {row['fps']:8.2f} fps  {ov or 'default'}")
-    else:
-        print(f"  (loaded from cache: {tuner.cache_path(decision.key)})")
-    return 0
-
-
 #: FusionConfig fields a serve-spec stream block may set directly.
 _SERVE_CONFIG_FIELDS = (
     "engine", "executor", "batch_size", "levels", "fusion_rule",
@@ -451,37 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "working dtype (the plan table lists the "
                            "fused units)")
     plan.set_defaults(func=cmd_plan)
-
-    tune = sub.add_parser("tune", parents=[common],
-                          help="measure candidate plans on a calibration "
-                               "prefix and persist the winner in the "
-                               "plan cache")
-    tune.add_argument("--engine", default="adaptive", choices=engines)
-    tune.add_argument("--executor", default="serial",
-                      choices=executor_names())
-    tune.add_argument("--workers", type=int, default=2)
-    tune.add_argument("--queue-depth", type=int, default=4)
-    tune.add_argument("--batch-size", type=int, default=8)
-    tune.add_argument("--precision", default=None,
-                      choices=("float32", "float64"),
-                      help="incumbent datapath dtype; an explicit "
-                           "float64 lets the tuner offer the float32 "
-                           "datapath as a candidate axis")
-    tune.add_argument("--size", type=_parse_shape, default=FrameShape(88, 72))
-    tune.add_argument("--levels", type=int, default=3)
-    tune.add_argument("--registration", action="store_true")
-    tune.add_argument("--temporal", action="store_true")
-    tune.add_argument("--frames", type=int, default=6,
-                      help="calibration prefix length each candidate "
-                           "is measured on")
-    tune.add_argument("--cache-dir", default=None,
-                      help="plan-cache directory (default: "
-                           "$REPRO_PLAN_CACHE or ~/.cache/repro/plans)")
-    tune.add_argument("--clear-cache", action="store_true",
-                      help="delete every cached decision first")
-    tune.add_argument("--json", action="store_true",
-                      help="emit the decision as JSON on stdout")
-    tune.set_defaults(func=cmd_tune)
 
     serve = sub.add_parser("serve", parents=[common],
                            help="serve many streams concurrently over a "

@@ -30,7 +30,6 @@ Typical customization::
     report = session.run(32, graph=graph)   # any executor, same result
 """
 
-from .autotune import PlanAutotuner, PlanDecision
 from .graph import FusionGraph
 from .planner import FusionPlan, PlannedStage, Planner
 from .stage import AUTO, ORDERED, STAGE_KINDS, STATELESS, Stage
@@ -38,5 +37,4 @@ from .stage import AUTO, ORDERED, STAGE_KINDS, STATELESS, Stage
 __all__ = [
     "AUTO", "ORDERED", "STAGE_KINDS", "STATELESS",
     "Stage", "FusionGraph", "FusionPlan", "PlannedStage", "Planner",
-    "PlanAutotuner", "PlanDecision",
 ]

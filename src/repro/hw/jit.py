@@ -10,9 +10,10 @@ inherited from :class:`~repro.hw.engine.Engine`): halo-extension
 kernels compiled with Numba when available, evaluated with strided
 NumPy otherwise, bitwise-identical either way.
 
-Registered as ``"jit"``; it widens the heterogeneous design space the
-schedulers and the plan autotuner explore, without joining the
-paper-default engine trio (see :func:`repro.hw.registry.default_engines`).
+Registered as ``"jit"``; it widens the heterogeneous design space
+that explicit selection and forced stage placement reach, without
+joining the paper-default engine trio
+(see :func:`repro.hw.registry.default_engines`).
 """
 
 from __future__ import annotations

@@ -105,8 +105,7 @@ def default_engines() -> Tuple[Engine, ...]:
     implicitly whenever an extension engine is registered would
     silently change default scheduling decisions.
     Extension engines participate by explicit selection
-    (``engine="jit"``, forced stage placement, the autotuner's placement
-    axis).
+    (``engine="jit"``, forced stage placement).
     """
     return tuple(create_engine(name) for name in DEFAULT_ENGINE_NAMES)
 

@@ -374,16 +374,15 @@ class ServiceFront:
         :class:`~repro.session.FusionSession`'s constructor.  The
         stream's :class:`StreamSpec` is validated before any resource
         is bound.  Raises :class:`FusionError` once the service is
-        draining or closed, and :class:`ConfigurationError` for a
-        duplicate name or on a running fixed-workload service (the
-        fixed-workload contract: construct with ``live=True`` for
-        runtime attach).
+        draining or closed, and :class:`ConfigurationError` for an
+        unknown config field, a duplicate name or on a running
+        fixed-workload service (the fixed-workload contract: construct
+        with ``live=True`` for runtime attach).
         """
         with self._cond:
             self._check_attachable_locked(name)
-        if config is None:
-            config = FusionConfig(**config_overrides)
-        elif config_overrides:
+        config = FusionConfig() if config is None else config
+        if config_overrides:
             config = config.with_overrides(**config_overrides)
         if source is None:
             raise ConfigurationError(
@@ -762,11 +761,6 @@ class FusionService(ServiceFront):
                 "attach", name, index=state.index,
                 priority_class=state.slo.priority_class,
                 target_fps=state.slo.target_fps, weight=spec.weight)
-            decision = state.session.autotune_decision
-            if decision is not None:
-                self.events.emit(
-                    "autotune", name, source=decision.source,
-                    overrides=dict(decision.overrides), fps=decision.fps)
             if self._started:
                 self._threads = [t for t in self._threads if t.is_alive()]
                 thread = threading.Thread(

@@ -138,16 +138,6 @@ class FusionConfig:
         after it).  Equivalent to customizing
         :meth:`FusionSession.canonical_graph` by hand, but carried by
         the config so every drive of the session uses it.
-    autotune:
-        Consult the :class:`~repro.graph.autotune.PlanAutotuner`
-        before lowering: candidate plans (executor x batch x
-        workers x placement) are measured on a short calibration
-        prefix and the winner is applied — and persisted in an
-        on-disk cache so later sessions with the same key skip the
-        measurement.
-    plan_cache_dir:
-        Directory for the autotuner's persistent plan cache
-        (default: ``$REPRO_PLAN_CACHE`` or ``~/.cache/repro/plans``).
     n_sources:
         Number of co-registered source frames fused per output frame.
         The default 2 is the paper's visible+thermal pair; higher
@@ -179,8 +169,6 @@ class FusionConfig:
     seed: int = 2016
     scene: Optional[SyntheticScene] = None
     graph_overrides: Optional[dict] = None
-    autotune: bool = False
-    plan_cache_dir: Optional[str] = None
     n_sources: int = 2
 
     def __post_init__(self) -> None:

@@ -634,9 +634,7 @@ class _SessionProcessor(FrameProcessor):
 def build_session_graph(config: FusionConfig) -> FusionGraph:
     """The canonical session dataflow for ``config``, with its
     ``graph_overrides`` applied — the exact graph a
-    :class:`FusionSession` on this config lowers.  Shared with the
-    :class:`~repro.graph.autotune.PlanAutotuner`, whose cache keys
-    hash this graph's structure."""
+    :class:`FusionSession` on this config lowers."""
     graph = FusionGraph.canonical(
         registration=config.registration,
         temporal=config.temporal,
@@ -666,7 +664,8 @@ class FusionSession:
     **overrides:
         Convenience: field overrides applied on top of ``config`` (so
         ``FusionSession(engine="fpga")`` works without building a
-        config by hand).
+        config by hand).  An unknown field name raises
+        :class:`~repro.errors.ConfigurationError`.
 
     The session is a context manager: ``with FusionSession(...) as s``
     guarantees :meth:`close` runs, releasing the built-in capture
@@ -675,16 +674,9 @@ class FusionSession:
     """
 
     def __init__(self, config: Optional[FusionConfig] = None, **overrides):
-        if config is None:
-            config = FusionConfig(**overrides)
-        elif overrides:
+        config = FusionConfig() if config is None else config
+        if overrides:
             config = config.with_overrides(**overrides)
-        self.autotune_decision = None
-        if config.autotune:
-            from ..graph.autotune import PlanAutotuner
-            tuner = PlanAutotuner(cache_dir=config.plan_cache_dir)
-            self.autotune_decision = tuner.decide(config)
-            config = self.autotune_decision.apply(config)
         self.config = config
 
         binding = bind_engine(config)

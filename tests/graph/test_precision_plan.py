@@ -1,11 +1,9 @@
-"""Planner precision metadata and the autotuner's precision axes."""
+"""Planner precision metadata and precision-aware engine resolution."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph import FusionGraph, Planner
-from repro.graph.autotune import (CACHE_VERSION, TUNABLE_FIELDS,
-                                  PlanAutotuner)
 from repro.session import FusionConfig
 
 
@@ -82,44 +80,3 @@ class TestPrecisionAwareResolution:
         assert plan.dynamic_engine
         assert plan.node("fuse").engine in ("arm", "neon")
 
-
-class TestAutotunePrecisionAxes:
-    def test_precision_is_tunable_and_fingerprinted(self):
-        assert "precision" in TUNABLE_FIELDS
-        assert "optimize" not in TUNABLE_FIELDS
-        assert CACHE_VERSION == 3
-        tuner = PlanAutotuner(cache_dir="/tmp/unused")
-        fp = tuner._config_fingerprint(
-            FusionConfig(engine="neon", precision="float64"))
-        assert fp["precision"] == "float64"
-        assert (tuner.cache_key(FusionConfig(engine="neon"))
-                != tuner.cache_key(FusionConfig(engine="neon",
-                                                precision="float64")))
-
-    def test_compiled_engines_join_the_placement_axis(self):
-        """jit and gpu qualify automatically via the dtype test."""
-        axis = PlanAutotuner._placement_axis(FusionConfig(engine="neon"))
-        assert {"jit", "gpu"} <= set(axis)
-
-    def test_float64_config_offers_float32_candidates(self):
-        tuner = PlanAutotuner(cache_dir="/tmp/unused")
-        rows = tuner.candidates(FusionConfig(engine="neon",
-                                             precision="float64"))
-        assert {"precision": "float32"} in rows
-        assert {"engine": "jit", "precision": "float32"} in rows
-        # fpga can't run the incumbent float64, but qualifies under
-        # the float32 candidate precision
-        assert {"engine": "fpga"} not in rows
-        assert {"engine": "fpga", "precision": "float32"} in rows
-
-    def test_native_config_never_moves_the_precision_axis(self):
-        """The bitwise default: no explicit precision, no dtype
-        candidates."""
-        tuner = PlanAutotuner(cache_dir="/tmp/unused")
-        for kw in ({}, {"precision": "float32"}):
-            rows = tuner.candidates(FusionConfig(engine="neon", **kw))
-            assert not any("precision" in row for row in rows)
-
-    def test_scheduler_engines_have_no_placement_axis(self):
-        assert PlanAutotuner._placement_axis(
-            FusionConfig(engine="adaptive")) == []

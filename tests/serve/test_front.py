@@ -42,8 +42,8 @@ def config(**overrides):
 
 def add(service, name="s", frames=1, method="add_stream", **kwargs):
     kwargs.setdefault("source", SyntheticSource(seed=1))
-    return getattr(service, method)(name, config=config(), frames=frames,
-                                    **kwargs)
+    kwargs.setdefault("config", config())
+    return getattr(service, method)(name, frames=frames, **kwargs)
 
 
 class _ClosableSource(FrameSource):
@@ -68,6 +68,9 @@ class TestAttachGuard:
         dict(frames=0), dict(priority=0.0), dict(priority=-1.0),
         dict(batch_frames=0),
         dict(priority=2.0, slo=StreamSLO(target_fps=1.0)),
+        # unknown config fields, with a config and without one (an
+        # otherwise valid neon stream, so the name is the only fault)
+        dict(bogus=1), dict(config=None, engine="neon", bogus=1),
     ])
     def test_bad_stream_parameters_rejected_at_add(self, front, kwargs):
         service = front()

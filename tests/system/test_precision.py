@@ -125,8 +125,3 @@ class TestCliPrecision:
         assert main(["plan", "--size", "40x40", "--levels", "2",
                      "--engine", "fpga", "--precision", "float64"]) != 0
 
-    def test_tune_accepts_precision(self, tmp_path, capsys):
-        assert main(["tune", "--size", "32x32", "--levels", "2",
-                     "--engine", "neon", "--precision", "float64",
-                     "--frames", "2",
-                     "--cache-dir", str(tmp_path)]) == 0

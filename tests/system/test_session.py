@@ -1,6 +1,8 @@
 """The unified session API: config validation, streaming, sources."""
 
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -78,6 +80,21 @@ class TestFusionConfig:
             FusionConfig().with_overrides(engines="fpga")
         with pytest.raises(ConfigurationError):
             FusionConfig().with_overrides(levels=0)
+        # a session takes one path for its overrides, with or without a
+        # config: an unknown name is a ConfigurationError naming it
+        for name in ("bogus", "autotune", "plan_cache_dir"):
+            with pytest.raises(ConfigurationError, match=name):
+                FusionSession(**{name: True})
+            with pytest.raises(ConfigurationError, match=name):
+                FusionSession(FusionConfig(), **{name: True})
+
+    def test_docstring_names_every_field(self):
+        doc = FusionConfig.__doc__
+        params = doc[doc.index("Parameters\n"):]
+        named = {name for line in re.findall(
+            r"^    (\w+(?: / \w+)*):$", params, re.MULTILINE)
+            for name in line.split(" / ")}
+        assert named == {f.name for f in fields(FusionConfig)}
 
     def test_seed_controls_default_scene(self):
         assert FusionConfig(seed=7).make_scene().seed == 7
