@@ -79,6 +79,22 @@ class TestAttachGuard:
         assert service.stream_names() == []
         service.close()
 
+    def test_config_overrides_take_one_path(self, front):
+        """Overrides with or without a config admit the config that
+        ``FusionConfig(**kw)`` describes."""
+        kw = dict(engine="neon", fusion_shape=(40, 40), levels=2,
+                  quality_metrics=False)
+        service = front()
+        try:
+            for name, base in (("bare", None), ("based", FusionConfig())):
+                admitted = add(service, name=name, config=base, **kw)
+                # the solo front returns the StreamSpec, the sharded
+                # front its parent-side entry holding it
+                spec = getattr(admitted, "spec", admitted)
+                assert spec.config == FusionConfig(**kw)
+        finally:
+            service.close()
+
     def test_missing_source_rejected(self, front):
         service = front()
         with pytest.raises(ConfigurationError, match="source"):

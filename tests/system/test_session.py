@@ -25,6 +25,19 @@ from repro.video.scene import SyntheticScene
 
 SMALL = FrameShape(40, 40)
 
+#: one invalid value per validated field
+INVALID_FIELDS = [
+    dict(engine="abacus"),
+    dict(levels=0),
+    dict(fusion_rule="median"),
+    dict(objective="joules"),
+    dict(target_fps=0.0),
+    dict(energy_budget_mj=-1.0),
+    dict(probe_frames=0),
+    dict(reprobe_every=1),
+    dict(fusion_shape="88x72"),
+]
+
 
 def small_config(**overrides):
     defaults = dict(engine="neon", fusion_shape=SMALL, levels=2,
@@ -58,17 +71,7 @@ class TestFusionConfig:
         config = FusionConfig(fusion_shape=(40, 32))
         assert config.fusion_shape == FrameShape(40, 32)
 
-    @pytest.mark.parametrize("bad", [
-        dict(engine="abacus"),
-        dict(levels=0),
-        dict(fusion_rule="median"),
-        dict(objective="joules"),
-        dict(target_fps=0.0),
-        dict(energy_budget_mj=-1.0),
-        dict(probe_frames=0),
-        dict(reprobe_every=1),
-        dict(fusion_shape="88x72"),
-    ])
+    @pytest.mark.parametrize("bad", INVALID_FIELDS)
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             FusionConfig(**bad)
@@ -88,6 +91,33 @@ class TestFusionConfig:
             with pytest.raises(ConfigurationError, match=name):
                 FusionSession(FusionConfig(), **{name: True})
 
+    @pytest.mark.parametrize("good", [
+        dict(engine="fpga", levels=2),
+        dict(executor="batch", batch_size=4),
+        dict(fusion_shape=(40, 32)),
+        dict(engine="neon", precision="float64"),
+        dict(engine="online", probe_frames=2, reprobe_every=4),
+        dict(objective="time", target_fps=30.0),
+    ])
+    def test_session_override_paths_agree(self, good):
+        """Overrides with or without a config build the config that
+        ``FusionConfig(**good)`` describes."""
+        expected = FusionConfig(**good)
+        for args in ((), (FusionConfig(),)):
+            with FusionSession(*args, **good) as session:
+                assert session.config == expected
+
+    @pytest.mark.parametrize("bad", INVALID_FIELDS)
+    def test_session_override_paths_reject_alike(self, bad):
+        """One validation path: both session forms raise the error
+        ``FusionConfig(**bad)`` raises, message included."""
+        with pytest.raises(ConfigurationError) as direct:
+            FusionConfig(**bad)
+        for args in ((), (FusionConfig(),)):
+            with pytest.raises(ConfigurationError) as via_session:
+                FusionSession(*args, **bad)
+            assert str(via_session.value) == str(direct.value)
+
     def test_docstring_names_every_field(self):
         doc = FusionConfig.__doc__
         params = doc[doc.index("Parameters\n"):]
@@ -98,6 +128,30 @@ class TestFusionConfig:
 
     def test_seed_controls_default_scene(self):
         assert FusionConfig(seed=7).make_scene().seed == 7
+
+
+class TestEngineChoice:
+    """Host engines fuse the same pixels at different modelled cost, so
+    the engine is a cost-model decision (``engine=``, ``bind_engine``)
+    that host timing has nothing to add to."""
+
+    @staticmethod
+    def _fuse(engine):
+        config = small_config(engine=engine, quality_metrics=False)
+        source = SyntheticSource(scene=SyntheticScene(width=96, height=80,
+                                                      seed=5))
+        with FusionSession(config) as session:
+            return [(r.pixels, r.model_millijoules)
+                    for r in session.stream(source, limit=2)]
+
+    @pytest.mark.parametrize("engine", ["arm", "jit", "gpu"])
+    def test_host_engines_fuse_neon_pixels_at_their_own_cost(self, engine):
+        reference = self._fuse("neon")
+        frames = self._fuse(engine)
+        assert len(frames) == len(reference) == 2
+        for (pixels, mj), (ref_pixels, ref_mj) in zip(frames, reference):
+            assert np.array_equal(pixels, ref_pixels)
+            assert mj > 0 and mj != ref_mj
 
 
 class TestFusionSession:

@@ -104,6 +104,15 @@ class TestCli:
         assert f"executor         : {executor}" in out
         assert "wall-clock fps" in out
 
+    def test_tune_subcommand_is_gone(self, capsys):
+        """Engine choice belongs to the cost model; ``--executor batch``
+        is the tuner's one kept win."""
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune", "--size", "32x32", "--engine", "neon"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'tune'" in capsys.readouterr().err
+
     def test_demo_json_output(self, capsys):
         import json
         from repro.cli import main
