@@ -315,10 +315,11 @@ class ServiceFront:
     :class:`ServiceReport` assembly.
 
     A subclass says where streams run: ``_attached_locked`` (is a name
-    taken), ``_admit`` (bind a validated spec), ``start``, ``_drain``
-    (the drive's end, returning the report sections only it knows),
-    ``cancel``, ``_close_unstarted`` and ``_live_ledger_locked`` (the
-    frames it holds outside any retirement).
+    taken), ``_admit`` (bind a validated spec and return it),
+    ``start``, ``_drain`` (the drive's end, returning the report
+    sections only it knows), ``cancel``, ``_close_unstarted`` and
+    ``_live_ledger_locked`` (the frames it holds outside any
+    retirement).
     """
 
     #: seconds between stop-flag checks while blocked on the condition
@@ -365,9 +366,10 @@ class ServiceFront:
                batch_frames: Optional[int] = None,
                on_result: Optional[Callable] = None,
                slo: Optional[StreamSLO] = None,
-               **config_overrides):
+               **config_overrides) -> StreamSpec:
         """Admit one stream: registration before :meth:`start`, runtime
-        attach on a running ``live=True`` service.
+        attach on a running ``live=True`` service.  Returns the
+        admitted :class:`StreamSpec` on every front.
 
         ``config_overrides`` are convenience field overrides applied on
         top of ``config`` (or a default config), mirroring

@@ -201,7 +201,7 @@ class ShardedFusionService(ServiceFront):
         # on the way back through the ring
         return name in self._entries
 
-    def _admit(self, spec: StreamSpec) -> _StreamEntry:
+    def _admit(self, spec: StreamSpec) -> StreamSpec:
         """Register one validated stream.  On a running live service
         this blocks until the stream's shard acknowledged the attach
         (re-raising its rejection here); pre-start, the checks that
@@ -221,7 +221,7 @@ class ShardedFusionService(ServiceFront):
                     self._entries.pop(spec.name, None)
                     self._assigner.release(spec.name)
                 raise
-        return entry
+        return spec
 
     def _attach_on_shard(self, entry: _StreamEntry) -> None:
         handle = self._handles[entry.shard]

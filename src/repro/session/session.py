@@ -788,11 +788,21 @@ class FusionSession:
 
     def capture_source(self) -> CaptureChainSource:
         """The built-in capture chain :meth:`run` consumes (created
-        lazily, persisted so repeated runs continue the same stream)."""
+        lazily, persisted so repeated runs continue the same stream).
+
+        It is built for ``config.fusion_shape``, so its pairs arrive
+        already at the fusion shape: bit for bit what this session's
+        resize makes of an unhinted :class:`CaptureChainSource`'s
+        full frames, computed from only the pixels that resize reads.
+        """
         if self._default_source is None:
-            self._default_source = CaptureChainSource(
-                scene=self.config.make_scene())
+            self._default_source = self._new_capture_source()
         return self._default_source
+
+    def _new_capture_source(self) -> CaptureChainSource:
+        return CaptureChainSource(
+            scene=self.config.make_scene(),
+            frame_shape=self.config.fusion_shape.array_shape)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -1044,7 +1054,7 @@ class FusionSession:
         from ..serve import FusionService
 
         if source is None:
-            source = CaptureChainSource(scene=self.config.make_scene())
+            source = self._new_capture_source()
         if pool is None:
             if self.scheduler is not None:
                 names = [engine.name for engine in self.scheduler.engines]

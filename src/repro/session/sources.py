@@ -39,7 +39,6 @@ import numpy as np
 from ..errors import FusionError, VideoError
 from ..graph.graph import forward_stage_names
 from ..video.capture import CaptureChain
-from ..video.frames import center_crop
 from ..video.scene import SyntheticScene
 from ..video.thermal import ThermalCameraSimulator
 from ..video.webcam import WebcamSimulator
@@ -317,13 +316,21 @@ class CaptureChainSource(FrameSource):
     wiring itself is the shared :class:`repro.video.CaptureChain`, and
     its decoder/FIFO statistics are exposed so reports can include
     transport health.
+
+    Without ``frame_shape`` the pairs are the full Fig. 7 frames: the
+    webcam's luma at its own geometry and the 480x640 thermal frame.
+    With ``frame_shape`` (rows, cols) both come already resized to it,
+    bit for bit the frames a session's bilinear resize makes of the
+    full ones, computed from only the pixels that resize reads.
     """
 
     def __init__(self, scene: Optional[SyntheticScene] = None,
-                 seed: int = 2016, fifo_capacity: int = 1):
+                 seed: int = 2016, fifo_capacity: int = 1,
+                 frame_shape: Optional[Tuple[int, int]] = None):
         if scene is None:
             scene = SyntheticScene(seed=seed)
-        self.chain = CaptureChain(scene=scene, fifo_capacity=fifo_capacity)
+        self.chain = CaptureChain(scene=scene, fifo_capacity=fifo_capacity,
+                                  frame_shape=frame_shape)
         self.scene = self.chain.scene
 
     # ------------------------------------------------------------------
@@ -341,11 +348,10 @@ class CaptureChainSource(FrameSource):
             captured = self.chain.capture_pair()
             if captured is None:
                 continue  # FIFO starved this field; capture the next
-            visible, thermal_scaled = captured
-            crop = center_crop(thermal_scaled, 480, 640)
+            visible, thermal = captured
             yield FramePair(
-                visible=visible.to_gray().as_float(),
-                thermal=crop.astype(np.float64),
+                visible=self.chain.visible_luma(visible),
+                thermal=thermal.astype(np.float64, copy=False),
                 timestamp_s=visible.timestamp_s,
                 index=index,
             )

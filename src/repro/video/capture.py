@@ -6,6 +6,11 @@ section describes.  It is the single construction site for that wiring;
 :class:`repro.session.CaptureChainSource` wraps it as the frame source
 :class:`repro.session.FusionSession` fuses from, so capture and fusion
 run as one data flow.
+
+Built with a ``frame_shape`` hint (the shape fusion resizes every
+frame to), the chain delivers frames already at that shape, and grays
+and scales only the pixels that resize reads; without it, it delivers
+the full Fig. 7 frames.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .bt656 import Bt656Decoder
 from .fifo import FrameFifo
-from .frames import VideoFrame
+from .frames import VideoFrame, bt601_luma
 from .scaler import VideoScaler
 from .scene import SyntheticScene
 from .thermal import ThermalCameraSimulator
@@ -24,10 +29,17 @@ from .webcam import WebcamSimulator
 
 
 class CaptureChain:
-    """Webcam over USB plus thermal over BT.656 -> decode -> scale -> FIFO."""
+    """Webcam over USB plus thermal over BT.656 -> decode -> scale -> FIFO.
+
+    ``frame_shape`` (rows, cols), when given, is the shape a bilinear
+    resize takes both frames to next: the scaler and the visible
+    luma then compute only what that resize reads and return its
+    result (see :class:`VideoScaler`'s ``target``).
+    """
 
     def __init__(self, scene: Optional[SyntheticScene] = None,
-                 fifo_capacity: int = 1):
+                 fifo_capacity: int = 1,
+                 frame_shape: Optional[Tuple[int, int]] = None):
         self.scene = scene if scene is not None else SyntheticScene()
         self.webcam = WebcamSimulator(self.scene)
         self.thermal = ThermalCameraSimulator(self.scene)
@@ -36,8 +48,14 @@ class CaptureChain:
             in_shape=(self.thermal.bt656_config.active_lines,
                       self.thermal.bt656_config.active_width),
             out_shape=(480, 640),
+            target=frame_shape,
         )
         self.fifo = FrameFifo(capacity=fifo_capacity)
+        webcam_shape = (self.webcam.height, self.webcam.width)
+        #: the visible frame's resize, or None when it is not resized
+        self.visible_scaler = (
+            None if frame_shape is None or tuple(frame_shape) == webcam_shape
+            else VideoScaler(in_shape=webcam_shape, out_shape=frame_shape))
 
     # ------------------------------------------------------------------
     @property
@@ -55,9 +73,20 @@ class CaptureChain:
             self.fifo.push(self.scaler.scale(decoded))
         return self.fifo.pop()
 
+    def visible_luma(self, frame: VideoFrame) -> np.ndarray:
+        """The float64 luma of one webcam frame; with a ``frame_shape``
+        hint, resized to it from the luma of only the pixels the
+        resize reads."""
+        if self.visible_scaler is None:
+            return frame.to_gray().as_float()
+        luma = bt601_luma(self.visible_scaler.read(frame.pixels))
+        return self.visible_scaler.scale(luma.astype(np.float64))
+
     def capture_pair(self) -> Optional[Tuple[VideoFrame, np.ndarray]]:
-        """One (webcam frame, scaled thermal field) pair, or ``None``
-        when the FIFO starved this field."""
+        """One (webcam RGB frame, scaled thermal field) pair, or
+        ``None`` when the FIFO starved this field.  The field is the
+        uint8 480x640 frame, or the float64 ``frame_shape`` one with
+        the hint."""
         visible = self.webcam.capture()
         thermal_scaled = self.acquire_thermal()
         if thermal_scaled is None:

@@ -56,13 +56,8 @@ class VideoFrame:
             raise VideoError(
                 f"expected 3 channels for gray conversion, got {self.pixels.shape}"
             )
-        # the products of a float64 conversion, summed in the same order
-        luma = _BT601_RED.take(self.pixels[..., 0])
-        luma += _BT601_GREEN.take(self.pixels[..., 1])
-        luma += _BT601_BLUE.take(self.pixels[..., 2])
-        np.round(luma, out=luma)
         return VideoFrame(
-            pixels=np.clip(luma, 0, 255, out=luma).astype(np.uint8),
+            pixels=bt601_luma(self.pixels),
             timestamp_s=self.timestamp_s,
             frame_id=self.frame_id,
             source=self.source,
@@ -72,6 +67,16 @@ class VideoFrame:
     def as_float(self) -> np.ndarray:
         """Float64 copy of the pixel data for transform input."""
         return self.pixels.astype(np.float64)
+
+
+def bt601_luma(rgb: np.ndarray) -> np.ndarray:
+    """8-bit BT.601 luma of channels-last uint8 RGB pixels."""
+    # the products of a float64 conversion, summed in the same order
+    luma = _BT601_RED.take(rgb[..., 0])
+    luma += _BT601_GREEN.take(rgb[..., 1])
+    luma += _BT601_BLUE.take(rgb[..., 2])
+    np.round(luma, out=luma)
+    return np.clip(luma, 0, 255, out=luma).astype(np.uint8)
 
 
 def center_crop(pixels: np.ndarray, rows: int, cols: int) -> np.ndarray:

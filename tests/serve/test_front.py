@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, FusionError
-from repro.serve import FusionService, ShardedFusionService, StreamSLO
+from repro.serve import (FusionService, ShardedFusionService, StreamSLO,
+                         StreamSpec)
 from repro.session import (FramePair, FrameSource, FusionConfig,
                            SyntheticSource)
 from repro.types import FrameShape
@@ -88,10 +89,9 @@ class TestAttachGuard:
         try:
             for name, base in (("bare", None), ("based", FusionConfig())):
                 admitted = add(service, name=name, config=base, **kw)
-                # the solo front returns the StreamSpec, the sharded
-                # front its parent-side entry holding it
-                spec = getattr(admitted, "spec", admitted)
-                assert spec.config == FusionConfig(**kw)
+                # every front returns the admitted StreamSpec
+                assert type(admitted) is StreamSpec
+                assert admitted.config == FusionConfig(**kw)
         finally:
             service.close()
 

@@ -396,11 +396,13 @@ class TestLiveSharded:
         service = ShardedFusionService(pool=POOL, shards=2, live=True)
         service.start()
         try:
-            entry = service.attach("cam", config=config(), frames=4,
-                                   source=SyntheticSource(seed=6))
+            service.attach("cam", config=config(), frames=4,
+                           source=SyntheticSource(seed=6))
             # let the fixed budget finish; detach then hands over the
             # completed stream's report (an immediate detach would
             # legitimately stop the feed early, like the solo service)
+            with service._cond:
+                entry = service._entries["cam"]
             assert entry.retired.wait(timeout=60)
             report = service.detach("cam", timeout=60)
         finally:
