@@ -21,7 +21,7 @@ below the ~40x40 crossover — the paper's central observation.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,22 +64,40 @@ class HlsBackend(KernelBackend):
         super().__init__(dtype=np.float32)
         self.engine = engine if engine is not None else HlsWaveletEngine(platform)
         self.driver = driver if driver is not None else WaveletDriver(platform)
+        self._registers: Dict[tuple, tuple] = {}
         self._loaded_key: Optional[bytes] = None
 
     # -- coefficient management -----------------------------------------
-    def _load(self, lp: np.ndarray, hp: np.ndarray) -> None:
-        key = lp.tobytes() + b"|" + hp.tobytes()
-        if key != self._loaded_key:
-            self.engine.load_coefficients(lp, hp)
-            self._loaded_key = key
+    def _load(self, h0, h1, c0=None, c1=None,
+              reverse=False) -> Tuple[int, int]:
+        """Load ``h0``/``h1`` (centered ones padded, flipped if ``reverse``)
+        unless loaded; returns ``(taps, center)``.  Each pair of filter
+        objects (the banks' arrays, never written) is prepared once."""
+        key = (id(h0), id(h1), c0, c1, reverse)
+        entry = self._registers.get(key)
+        if entry is None:
+            f0, f1 = np.asarray(h0, np.float32), np.asarray(h1, np.float32)
+            center = 0
+            if c0 is not None:
+                f0, f1, center = pad_filter_pair(f0, c0, f1, c1)
+            if reverse:
+                f0, f1 = f0[::-1].copy(), f1[::-1].copy()
+            if len(self._registers) >= 64:  # callers passing fresh arrays
+                self._registers.clear()
+            # holding h0/h1 keeps their ids from being reused
+            entry = self._registers[key] = (h0, h1, f0, f1, center,
+                                            f0.tobytes() + f1.tobytes())
+        _, _, f0, f1, center, loaded_key = entry
+        if loaded_key != self._loaded_key:
+            self.engine.load_coefficients(f0, f1)
+            self._loaded_key = loaded_key
+        return len(f0), center
 
     # -- line plumbing ----------------------------------------------------
     #
-    # Each primitive moves the filtered axis last and hands the engine
-    # the whole pass — every line along the other axes, a batched
-    # ``(N, H, W)`` call's frames included — in one call.  The engine
-    # still counts one invocation per line, so a batched call accounts
-    # exactly like the per-frame calls.
+    # Each primitive swaps the filtered axis last (a view) and hands the
+    # engine the whole pass, a batched call's frames included, in one
+    # call; the engine still counts one invocation per line.
     def _check_width(self, n: int) -> None:
         if n > self.driver.area_words:
             raise EngineError(
@@ -89,61 +107,49 @@ class HlsBackend(KernelBackend):
 
     # -- primitives --------------------------------------------------------
     def analysis_u(self, x, h0, c0, h1, c1, axis):
-        lines = np.moveaxis(np.asarray(x, dtype=np.float32), axis, -1)
+        lines = np.asarray(x, dtype=np.float32).swapaxes(axis, -1)
         n = lines.shape[-1]
         self._check_width(n)
-        f0, f1, center = pad_filter_pair(np.asarray(h0, np.float32), c0,
-                                         np.asarray(h1, np.float32), c1)
-        taps = len(f0)
-        self._load(f0, f1)
-        ext_idx = (np.arange(n + taps - 1) - (taps - 1) + center) % n
+        taps, center = self._load(h0, h1, c0, c1)
+        ext_idx = self._indices(n, taps, center + 1 - taps)
         lo, hi, _ = self.engine.forward_line(lines[..., ext_idx], n, step=1)
-        return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
+        return lo.swapaxes(axis, -1), hi.swapaxes(axis, -1)
 
     def analysis_d(self, x, h0, h1, axis):
-        lines = np.moveaxis(np.asarray(x, dtype=np.float32), axis, -1)
+        lines = np.asarray(x, dtype=np.float32).swapaxes(axis, -1)
         n = lines.shape[-1]
         self._check_width(n)
-        f0 = np.asarray(h0, dtype=np.float32)
-        f1 = np.asarray(h1, dtype=np.float32)
-        taps = len(f0)
-        self._load(f0, f1)
+        taps, _ = self._load(h0, h1)
         out_len = n // 2
-        ext_idx = (np.arange((out_len - 1) * 2 + taps) - (taps - 1)) % n
+        ext_idx = self._indices(n, taps, 1 - taps)[:(out_len - 1) * 2 + taps]
         lo, hi, _ = self.engine.forward_line(lines[..., ext_idx], out_len,
                                              step=2)
-        return np.moveaxis(lo, -1, axis), np.moveaxis(hi, -1, axis)
+        return lo.swapaxes(axis, -1), hi.swapaxes(axis, -1)
 
     def synthesis_d(self, lo, hi, h0, h1, axis):
-        lo_l = np.moveaxis(np.asarray(lo, dtype=np.float32), axis, -1)
-        hi_l = np.moveaxis(np.asarray(hi, dtype=np.float32), axis, -1)
+        lo_l = np.asarray(lo, dtype=np.float32).swapaxes(axis, -1)
+        hi_l = np.asarray(hi, dtype=np.float32).swapaxes(axis, -1)
         n = lo_l.shape[-1] * 2
         self._check_width(n)
-        f0 = np.asarray(h0, dtype=np.float32)
-        f1 = np.asarray(h1, dtype=np.float32)
-        taps = len(f0)
-        self._load(f0, f1)
-        ext_idx = np.arange(n + taps - 1) % n
+        taps, _ = self._load(h0, h1)
         up = np.zeros((2,) + lo_l.shape[:-1] + (n,), dtype=np.float32)
         up[..., 0::2] = lo_l, hi_l  # zero-stuff both channels at once
-        out, _ = self.engine.inverse_line(*up[..., ext_idx], n)
-        return np.moveaxis(out, -1, axis)
+        out, _ = self.engine.inverse_line(up[..., self._indices(n, taps, 0)],
+                                          n)
+        return out.swapaxes(axis, -1)
 
     def synthesis_u(self, u0, u1, g0, c0, g1, c1, axis):
-        u0_l = np.moveaxis(np.asarray(u0, dtype=np.float32), axis, -1)
-        u1_l = np.moveaxis(np.asarray(u1, dtype=np.float32), axis, -1)
+        u0_l = np.asarray(u0, dtype=np.float32).swapaxes(axis, -1)
+        u1_l = np.asarray(u1, dtype=np.float32).swapaxes(axis, -1)
         n = u0_l.shape[-1]
         self._check_width(n)
-        f0, f1, center = pad_filter_pair(np.asarray(g0, np.float32), c0,
-                                         np.asarray(g1, np.float32), c1)
-        taps = len(f0)
-        # inverse mode correlates; reverse the padded filters to realize
-        # the centered convolution of the level-1 synthesis identity
-        self._load(f0[::-1].copy(), f1[::-1].copy())
-        ext_idx = (np.arange(n + taps - 1) - (taps - 1) + center) % n
-        out, _ = self.engine.inverse_line(u0_l[..., ext_idx],
-                                          u1_l[..., ext_idx], n)
-        return np.moveaxis(out, -1, axis)
+        # inverse mode correlates; the reversed pair realizes the
+        # centered convolution of the level-1 synthesis identity
+        taps, center = self._load(g0, g1, c0, c1, reverse=True)
+        ext_idx = self._indices(n, taps, center + 1 - taps)
+        channels = np.stack((u0_l, u1_l))[..., ext_idx]
+        out, _ = self.engine.inverse_line(channels, n)
+        return out.swapaxes(axis, -1)
 
 
 class FpgaEngine(Engine):
@@ -162,24 +168,17 @@ class FpgaEngine(Engine):
         super().__init__(platform, calibration, banks)
         self.double_buffered = double_buffered
         self.axilite = AxiLiteModel(platform)
-        self._hls = HlsWaveletEngine(
-            platform,
-            max_taps=max(self.banks.max_taps, 20),
-            pipeline_depth=calibration.fpga_pipeline_depth_cycles,
-        )
+        self._hls = self._new_hls()
+
+    def _new_hls(self) -> HlsWaveletEngine:
+        return HlsWaveletEngine(
+            self.platform, max_taps=max(self.banks.max_taps, 20),
+            pipeline_depth=self.calibration.fpga_pipeline_depth_cycles)
 
     # ------------------------------------------------------------------
     def make_backend(self, precision: Optional[str] = None) -> HlsBackend:
         self.working_dtype(precision)  # validation only; always float32
-        return HlsBackend(
-            engine=HlsWaveletEngine(
-                self.platform,
-                max_taps=max(self.banks.max_taps, 20),
-                pipeline_depth=self.calibration.fpga_pipeline_depth_cycles,
-            ),
-            driver=WaveletDriver(self.platform),
-            platform=self.platform,
-        )
+        return HlsBackend(engine=self._new_hls(), platform=self.platform)
 
     # ------------------------------------------------------------------
     def passes_time(self, passes: Sequence[FilterPass],

@@ -22,11 +22,17 @@ This module reproduces that structure:
 The engine's unit of work is one halo-extended line, prepared by the
 processing system (:mod:`repro.hw.driver`, :mod:`repro.hw.fpga`) the
 way the Linux driver's user-space code would.  A whole pass arrives as
-one sheet of lines; each line is counted as one invocation.
+one sheet of lines, each counted as one invocation, and one sweep runs
+both MAC chains over it as the hardware does: the registers sit side by
+side as ``(taps, 2)``, each tap one float32 multiply and one add over
+both chains, in the Fig. 4 order.  Mode 2 feeds its sheet to both
+chains; mode 3 feeds each chain its own half of a ``(2, ...)`` lo/hi
+stack and sums the two accumulators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -117,14 +123,16 @@ def shift_register_dual_synthesis(lo_ext: np.ndarray, hi_ext: np.ndarray,
     return out
 
 
-def _mac(x: np.ndarray, coeffs: np.ndarray, out_len: int,
-         step: int) -> np.ndarray:
-    """The Fig. 4 MAC chain over the last axis of ``x``, every line at
-    once: ``acc += x[..., m * step + j] * coeffs[j]``, j in order, float32."""
+def _mac(x: np.ndarray, coeffs: np.ndarray, out_len: int, step: int,
+         shared: bool) -> np.ndarray:
+    """Both Fig. 4 MAC chains over the last axis of ``x``, all lines at once:
+    ``acc[k, ..., m] += x[..., m * step + j] * coeffs[j, k]``, j in order,
+    float32.  A ``shared`` sheet feeds both chains, else ``x[k]`` chain k."""
+    lines = x.shape[:-1] if shared else x.shape[1:-1]
     stop = (out_len - 1) * step + 1
-    acc = np.zeros(x.shape[:-1] + (out_len,), dtype=np.float32)
+    acc = np.zeros((2,) + lines + (out_len,), dtype=np.float32)
     term = np.empty_like(acc)
-    for j, c in enumerate(coeffs):
+    for j, c in enumerate(coeffs.reshape((-1, 2) + (1,) * (len(lines) + 1))):
         np.multiply(x[..., j:j + stop:step], c, out=term)
         acc += term
     return acc
@@ -141,11 +149,7 @@ class EngineStats:
     coefficient_loads: int = 0
 
     def reset(self) -> None:
-        self.invocations = 0
-        self.cycles = 0.0
-        self.words_in = 0
-        self.words_out = 0
-        self.coefficient_loads = 0
+        vars(self).update(vars(EngineStats()))
 
 
 class HlsWaveletEngine:
@@ -171,8 +175,8 @@ class HlsWaveletEngine:
         self.pipeline_depth = pipeline_depth
         self.acp = AcpModel(platform)
         self.mode = MODE_IDLE
-        self._coeff_hp = np.zeros(max_taps, dtype=np.float32)
-        self._coeff_lp = np.zeros(max_taps, dtype=np.float32)
+        #: the two coefficient registers side by side: (tap, [lp, hp])
+        self._coeffs = np.zeros((max_taps, 2), dtype=np.float32)
         self._loaded_taps = 0
         self.stats = EngineStats()
 
@@ -190,10 +194,8 @@ class HlsWaveletEngine:
                 f"filter of {len(lp)} taps exceeds the {self.max_taps}-tap registers"
             )
         self.mode = MODE_LOAD_COEFFS
-        self._coeff_lp[:] = 0.0
-        self._coeff_hp[:] = 0.0
-        self._coeff_lp[: len(lp)] = lp
-        self._coeff_hp[: len(hp)] = hp
+        self._coeffs[:] = 0.0
+        self._coeffs[: len(lp)] = np.stack((lp, hp), axis=1)
         self._loaded_taps = len(lp)
         self.stats.coefficient_loads += 1
         self.mode = MODE_IDLE
@@ -230,38 +232,37 @@ class HlsWaveletEngine:
             )
         self.mode = MODE_FORWARD
         # the datapath correlates: newest-first registers convolve
-        lp_out = _mac(x, self._coeff_lp[taps - 1::-1], out_len, step)
-        hp_out = _mac(x, self._coeff_hp[taps - 1::-1], out_len, step)
-        seconds = self._account(x, x.shape[-1], out_len * 2,
+        lp_out, hp_out = _mac(x, self._coeffs[taps - 1::-1], out_len, step,
+                              shared=True)
+        seconds = self._account(x.shape[:-1], x.shape[-1], out_len * 2,
                                 out_len + (taps + 1) // 2)
         self.mode = MODE_IDLE
         return lp_out, hp_out, seconds
 
-    def inverse_line(self, lo_ext: np.ndarray, hi_ext: np.ndarray,
+    def inverse_line(self, channels: np.ndarray,
                      out_len: int) -> Tuple[np.ndarray, float]:
         """Mode 3: dual-channel synthesis of one line, or of a sheet.
 
-        ``lo_ext``/``hi_ext`` are zero-stuffed, halo-extended channel
-        lines; the datapath correlates both against the coefficient
-        registers and sums the accumulators (see
-        :func:`shift_register_dual_synthesis`).  Returns ``(line, seconds)``.
+        ``channels`` stacks the zero-stuffed, halo-extended lo and hi
+        channel lines as ``(2, lines..., samples)``; the datapath
+        correlates each against its coefficient register and sums the
+        accumulators (see :func:`shift_register_dual_synthesis`).
+        Returns ``(line, seconds)``.
         """
         if self._loaded_taps == 0:
             raise EngineError("no coefficients loaded (run mode 1 first)")
         taps = self._loaded_taps
-        lo = np.asarray(lo_ext, dtype=np.float32)
-        hi = np.asarray(hi_ext, dtype=np.float32)
-        if lo.shape != hi.shape:
-            raise EngineError("inverse-mode channel lines must match in length")
-        if lo.shape[-1] < out_len + taps - 1:
+        ch = np.asarray(channels, dtype=np.float32)
+        need = out_len + taps - 1
+        if ch.ndim < 2 or ch.shape[0] != 2 or ch.shape[-1] < need:
             raise EngineError(
-                f"channel lines of {lo.shape[-1]} samples too short for "
-                f"{out_len} outputs with {taps} taps"
-            )
+                f"need a (2, ..., >= {need}) stack of lo and hi "
+                f"channel lines for {out_len} outputs, got {ch.shape}")
         self.mode = MODE_INVERSE
-        out = _mac(lo, self._coeff_lp[:taps], out_len, 1)
-        out += _mac(hi, self._coeff_hp[:taps], out_len, 1)
-        seconds = self._account(lo, 2 * lo.shape[-1], out_len, out_len + taps)
+        acc = _mac(ch, self._coeffs[:taps], out_len, 1, shared=False)
+        out = acc[0] + acc[1]
+        seconds = self._account(ch.shape[1:-1], 2 * ch.shape[-1], out_len,
+                                out_len + taps)
         self.mode = MODE_IDLE
         return out, seconds
 
@@ -275,11 +276,11 @@ class HlsWaveletEngine:
                 + loop_iterations + self.pipeline_depth
                 + self.acp.transfer_cycles(words_out))
 
-    def _account(self, sheet: np.ndarray, words_in: int, words_out: int,
-                 loop_iterations: int) -> float:
-        """Count every line of ``sheet``; cycles are added line by line
-        so the float total equals that of line-at-a-time calls."""
-        lines = int(np.prod(sheet.shape[:-1]))
+    def _account(self, sheet: Tuple[int, ...], words_in: int,
+                 words_out: int, loop_iterations: int) -> float:
+        """Count every line of a sheet of shape ``sheet``; cycles are added
+        line by line so the float total equals that of per-line calls."""
+        lines = math.prod(sheet)
         cycles = self._line_cycles(words_in, words_out, loop_iterations)
         for _ in range(lines):
             self.stats.cycles += cycles

@@ -559,15 +559,18 @@ class TestOneStageRecord:
                                                      monkeypatch):
         """The stacked quality metrics run in compute under their own
         record key, so their time lands in a thread's busy time and
-        the wall budget still closes: a 30 ms ``fusion_report`` shows
+        the wall budget still closes: a 100 ms ``fusion_report`` shows
         in ``stage_wall_s["metrics"]`` and in the computing threads'
         busy time, and an inline executor's unattributed remainder
-        does not grow by it."""
+        does not grow by it.  The slack is half the injected grading
+        time, 0.2 s over four frames: a briefly shared host adds about
+        0.1 s of noise, which must not cross it."""
         import repro.session.session as session_module
         report_fn = session_module.fusion_report
+        grading_s = 0.1
 
         def slow_report(*args):
-            time.sleep(0.03)
+            time.sleep(grading_s)
             return report_fn(*args)
 
         frames = 4
@@ -587,7 +590,7 @@ class TestOneStageRecord:
         block, graders = drive(quality_metrics=True)
         stages, threads = block["stage_wall_s"], block["thread_busy_s"]
         assert "metrics" not in plain["stage_wall_s"]
-        assert stages["metrics"] >= 0.03 * frames
+        assert stages["metrics"] >= grading_s * frames
         assert sum(stages.values()) == pytest.approx(
             sum(threads.values()), rel=1e-9)
         # the threads that graded frames are the ones that compute
@@ -601,7 +604,7 @@ class TestOneStageRecord:
                 stages["metrics"]
             return
         assert graders == {threading.current_thread().name}
-        slack = 0.03 * frames / 2
+        slack = grading_s * frames / 2
         for thread in graders:
             assert block["unattributed_s"][thread] < \
                 plain["unattributed_s"].get(thread, 0.0) + slack

@@ -117,6 +117,32 @@ class TestFullTransformOnHls:
         expected = WorkModel(FrameShape(32, 24), levels=3).forward_invocations()
         assert backend.engine.stats.invocations == expected
 
+    def test_every_pass_goes_through_the_line_jobs(self, rng,
+                                                   monkeypatch):
+        """One 88x72 / 3-level forward plus inverse makes exactly one
+        ``forward_line``/``inverse_line`` call per filter pass: 27 each
+        way.  Tracers time the HLS layer by wrapping those two methods,
+        so a pass that bypassed them would read as zero time."""
+        from repro.hw.hls import HlsWaveletEngine
+        from repro.hw.work import WorkModel
+        from repro.types import FrameShape
+        calls = []
+        for name in ("forward_line", "inverse_line"):
+            job = getattr(HlsWaveletEngine, name)
+
+            def counted(self, *args, _job=job, _name=name, **kwargs):
+                calls.append(_name)
+                return _job(self, *args, **kwargs)
+            monkeypatch.setattr(HlsWaveletEngine, name, counted)
+        backend = HlsBackend()
+        transform = Dtcwt2D(levels=3, backend=backend)
+        x = rng.standard_normal((72, 88)).astype(np.float32)
+        transform.inverse(transform.forward(x))
+        assert calls.count("forward_line") == calls.count("inverse_line") == 27
+        work = WorkModel(FrameShape(88, 72), levels=3)
+        assert backend.engine.stats.invocations == (
+            work.forward_invocations() + work.inverse_invocations())
+
     def test_line_width_limit(self, rng):
         backend = HlsBackend()
         too_wide = rng.standard_normal((4, 4096)).astype(np.float32)

@@ -127,7 +127,7 @@ class TestInverseLine:
         n = 12
         lo = rng.standard_normal(n + taps - 1).astype(np.float32)
         hi = rng.standard_normal(n + taps - 1).astype(np.float32)
-        out, _ = engine.inverse_line(lo, hi, n)
+        out, _ = engine.inverse_line(np.stack((lo, hi)), n)
         for i in range(n):
             expected = (np.dot(lo[i: i + taps], g0)
                         + np.dot(hi[i: i + taps], g1))
@@ -143,10 +143,10 @@ class TestInverseLine:
         n = 23
         lo = rng.standard_normal((3, n + taps - 1)).astype(np.float32)
         hi = rng.standard_normal((3, n + taps - 1)).astype(np.float32)
-        sheet, _ = engine.inverse_line(lo, hi, n)
+        sheet, _ = engine.inverse_line(np.stack((lo, hi)), n)
         for row in range(3):
             ref = shift_register_dual_synthesis(lo[row], hi[row], g0, g1)
-            line, _ = engine.inverse_line(lo[row], hi[row], n)
+            line, _ = engine.inverse_line(np.stack((lo[row], hi[row])), n)
             assert np.array_equal(line, ref)
             assert np.array_equal(sheet[row], ref)
 
@@ -161,10 +161,11 @@ class TestInverseLine:
             shift_register_dual_synthesis(np.zeros(7), np.zeros(7),
                                           np.zeros(8), np.zeros(8))
 
-    def test_channel_length_mismatch(self, engine):
+    def test_needs_a_two_channel_stack(self, engine):
         engine.load_coefficients(np.ones(8), np.ones(8))
-        with pytest.raises(EngineError):
-            engine.inverse_line(np.zeros(20), np.zeros(19), 12)
+        for channels in (np.zeros(20), np.zeros((3, 20)), np.zeros((1, 20))):
+            with pytest.raises(EngineError):
+                engine.inverse_line(channels, 12)
 
 
 class TestCycleModel:

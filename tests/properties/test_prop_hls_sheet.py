@@ -69,11 +69,11 @@ class TestEngineSheets:
         lo = rng.standard_normal(shape).astype(np.float32)
         hi = rng.standard_normal(shape).astype(np.float32)
         batched, per_line = _engines(taps, rng)
-        out, seconds = batched.inverse_line(lo, hi, out_len)
+        out, seconds = batched.inverse_line(np.stack((lo, hi)), out_len)
         assert out.shape == lead + (out_len,)
         for index in np.ndindex(*lead):
-            out_1, seconds_1 = per_line.inverse_line(lo[index], hi[index],
-                                                     out_len)
+            out_1, seconds_1 = per_line.inverse_line(
+                np.stack((lo[index], hi[index])), out_len)
             assert np.array_equal(out[index], out_1)
             assert seconds == seconds_1
         assert astuple(batched.stats) == astuple(per_line.stats)
