@@ -46,6 +46,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from protocol import PAIRS, compare, finish, summary
+from repro.core.adaptive import bind_engine
 from repro.exec import executor_names
 from repro.graph import FusionGraph, Planner
 from repro.session import FusionConfig, FusionSession, SyntheticSource
@@ -73,8 +74,9 @@ def capture_stream(executor: str, frames: int, workers: int,
 
 
 def lower(planner: Planner, config: FusionConfig) -> None:
-    """Build the canonical graph and lower it: the per-stream plan cost."""
-    planner.lower(FusionGraph.canonical(), config)
+    """Bind the engine, build the canonical graph and lower it: the
+    per-stream plan cost."""
+    planner.lower(FusionGraph.canonical(), config, bind_engine(config))
 
 
 def serial_stream(config: FusionConfig, frames: int) -> None:

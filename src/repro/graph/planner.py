@@ -11,12 +11,13 @@ The planner is the seam between *describing* the dataflow and
   thread, frame by frame), the **compute** region (every stage the
   processor's ``compute`` call runs) and the **tail** (the ordered
   finalize);
-* **placement** per stage — ``auto`` resolved by the session's own
-  :func:`~repro.core.adaptive.bind_engine` (fixed engine, the
-  cost-model optimum for ``adaptive``, dynamic per-frame for
-  ``online``) and
-  forced placements passed through (a mixed placement runs a frame's
-  stages on different engines under every executor);
+* **placement** per stage — ``auto`` takes the engine binding the
+  session resolved once and passes in (fixed engine, the cost-model
+  optimum for ``adaptive``, dynamic per-frame for ``online``) and
+  forced placements pass through (a mixed placement runs a frame's
+  stages on different engines under every executor).  The plan owns
+  the instance behind every placement (``engines``): the binding's,
+  plus one per forced engine the binding lacks;
 * a modelled **per-stage cost** (:func:`stage_seconds`, which the
   session's accounting bills with too) so ``repro-fusion plan`` can
   show where the frame time goes before anything runs;
@@ -46,7 +47,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.adaptive import bind_engine
+from ..core.adaptive import EngineBinding
 from ..errors import ConfigurationError
 from ..hw.engine import Engine
 from ..hw.registry import create_engine, engine_names
@@ -126,6 +127,9 @@ class FusionPlan:
     compute: Tuple[str, ...]          # between head and tail, in order
     sequential: bool
     nodes: Dict[str, PlannedStage] = field(repr=False)
+    #: engine name -> the instance every placement computes and bills
+    #: on (not serialized)
+    engines: Dict[str, Engine] = field(repr=False)
     dynamic_engine: bool = False
     engine: str = "adaptive"
     shape: str = ""
@@ -220,7 +224,8 @@ class Planner:
     #: Stage kinds allowed to ride the capture thread with ingest.
     _HEAD_KINDS = ("ingest", "register", "map")
 
-    def lower(self, graph: FusionGraph, config) -> FusionPlan:
+    def lower(self, graph: FusionGraph, config,
+              binding: EngineBinding) -> FusionPlan:
         graph.validate()
         self._check_consistency(graph, config)
         order = graph.topo_order()
@@ -238,7 +243,6 @@ class Planner:
         sequential = any(graph.stage(n).ordered for n in compute)
         head_set = set(head)
 
-        binding = bind_engine(config)
         placements = self._resolve_placements(graph, order, head_set,
                                               tail[0], binding.engine.name)
         bound = {engine.name: engine for engine in binding.engines}
@@ -267,7 +271,7 @@ class Planner:
         return FusionPlan(
             graph=graph, schedule=order, head=tuple(head), tail=tail,
             compute=tuple(dict.fromkeys(owner.get(n, n) for n in compute)),
-            sequential=sequential, nodes=nodes,
+            sequential=sequential, nodes=nodes, engines=engines,
             dynamic_engine=binding.dynamic,
             engine=config.engine, shape=str(config.fusion_shape),
             levels=config.levels, units=units,

@@ -1,13 +1,12 @@
-"""Single engine registry shared by every layer of the system.
+"""The engine registry: name -> factory, the one table every layer
+resolves engine names through.
 
-Before this module existed the package built engines in three places
-(`system.fusion_system.make_engine`, `core.adaptive.default_engines`
-and ad-hoc dictionaries in the advanced session) with three slightly
-different spellings.  The registry makes the set of execution
-configurations a single extensible table: the session facade, the CLI
-and the schedulers all resolve engine names here, and an out-of-tree
-backend can call :func:`register_engine` to become selectable by name
-everywhere at once.
+:func:`create_engine` builds one engine, :func:`create_engines` a
+serving pool's inventory, and :func:`default_engines` /
+:func:`precision_candidates` the ARM/NEON/FPGA trio a session's
+adaptive or online binding chooses from; a lowered plan builds only
+the forced placements its binding lacks.  An out-of-tree backend calls
+:func:`register_engine` to become selectable by name everywhere.
 """
 
 from __future__ import annotations

@@ -78,7 +78,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 from ..errors import ConfigurationError, FusionError, ReproError
 from ..exec.base import ensure_source_open
 from ..hw.energy import energy_mj
-from ..hw.registry import create_engine
 from ..session.config import FusionConfig
 from ..session.report import FusedFrameResult, FusionReport
 from ..session.session import FusionSession
@@ -242,19 +241,16 @@ class _StreamState:
         and total mJ (the energy-fair scheduler's charge per granted
         frame)."""
         power = self.spec.config.power_model
-        engines: Dict[str, object] = {}
         seconds_by: Dict[str, float] = {}
         mj = 0.0
         for node in self.plan.nodes.values():
             label = node.engine
             if label == _HOST or node.model_seconds <= 0:
                 continue
-            if label not in engines:
-                engines[label] = create_engine(label)
             seconds_by[label] = seconds_by.get(label, 0.0) \
                 + node.model_seconds
-            mj += energy_mj(node.model_seconds, engines[label].power_mode,
-                            power)
+            mj += energy_mj(node.model_seconds,
+                            self.plan.engines[label].power_mode, power)
         return seconds_by, mj
 
     def deficit_s(self, now: float) -> float:

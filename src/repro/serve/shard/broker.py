@@ -68,11 +68,18 @@ class LeaseBroker:
     def _serve(self) -> None:
         while not self._stop.is_set():
             with self._lock:
+                for conn in self._conns:
+                    if conn.closed:  # waiting on its handle would raise
+                        self._alive[self._by_conn[id(conn)]] = False
                 live = [conn for conn in self._conns
                         if self._alive[self._by_conn[id(conn)]]]
             if not live:
                 return
-            for conn in conn_wait(live, timeout=_POLL_S):
+            try:
+                ready = conn_wait(live, timeout=_POLL_S)
+            except OSError:  # closed since the snapshot: next pass drops it
+                continue
+            for conn in ready:
                 shard = self._by_conn[id(conn)]
                 try:
                     request = conn.recv()

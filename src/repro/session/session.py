@@ -62,7 +62,6 @@ from ..graph.graph import forward_stage_names
 from ..graph.planner import stage_seconds
 from ..hw.energy import energy_mj
 from ..hw.engine import Engine
-from ..hw.registry import create_engine
 from ..video.frames import VideoFrame
 from ..video.scaler import resize_to
 from .config import FusionConfig
@@ -236,10 +235,10 @@ class _SessionProcessor(FrameProcessor):
             elif members[:k] == forwards:
                 self._cores[unit] = k
         # modelled stages with a forced placement: their time/energy is
-        # billed to the forced engine (matching the lowered plan), not
-        # to the frame's selected engine
+        # billed to the plan's instance of the forced engine, not to
+        # the frame's selected engine
         self._forced_engines: Dict[str, Engine] = {
-            name: session._placement_engine(plan.stage(name).placement)
+            name: plan.engines[plan.stage(name).placement]
             for name in self._modelled_stages
             if name in plan and plan.stage(name).placement != "auto"
         }
@@ -446,7 +445,7 @@ class _SessionProcessor(FrameProcessor):
         for ``task`` on ``ctx`` — forced placement first, then the
         frame's selected engine."""
         if stage.placement != "auto":
-            return ctx.lane(self._session._placement_engine(stage.placement))
+            return ctx.lane(self.plan.engines[stage.placement])
         return ctx.lane(task.engine)
 
     def compute(self, tasks, ctx: Optional[_WorkerContext] = None) -> None:
@@ -679,7 +678,7 @@ class FusionSession:
             config = config.with_overrides(**overrides)
         self.config = config
 
-        binding = bind_engine(config)
+        self._binding = binding = bind_engine(config)
         self.decision: Optional[Decision] = binding.decision
         self.scheduler: Optional[OnlineScheduler] = None
         if binding.dynamic:
@@ -693,7 +692,6 @@ class FusionSession:
         self._serial = _WorkerContext(self)
         for engine in binding.engines:
             self._serial.lane(engine)
-        self._placement_engines: Dict[str, Engine] = {}
 
         # one calibrator per non-reference source: each consensus is
         # its own cross-frame state (source s is aligned onto source 0)
@@ -709,7 +707,7 @@ class FusionSession:
 
         self._planner = Planner()
         self._graph = self._build_graph()
-        self.plan = self._planner.lower(self._graph, config)
+        self.plan = self._planner.lower(self._graph, config, binding)
         self._processor = _SessionProcessor(self, self.plan)
         self._default_source: Optional[CaptureChainSource] = None
         self._frames = 0
@@ -756,23 +754,14 @@ class FusionSession:
         interpreting ``graph`` lowered against this config."""
         if graph is None:
             return self._processor
-        return _SessionProcessor(self, self._planner.lower(graph,
-                                                           self.config))
+        return _SessionProcessor(self, self._planner.lower(
+            graph, self.config, self._binding))
 
     # ------------------------------------------------------------------
     @property
     def engine(self) -> Engine:
         """The engine in use (most recently selected, if scheduled)."""
         return self._engine
-
-    def _placement_engine(self, name: str) -> Engine:
-        """The session-owned engine instance backing a forced stage
-        placement (created once per engine name)."""
-        engine = self._placement_engines.get(name)
-        if engine is None:
-            engine = create_engine(name)
-            self._placement_engines[name] = engine
-        return engine
 
     def _new_fuser(self, engine: Engine) -> ImageFusion:
         """A fresh fusion lane on ``engine`` (every worker context,

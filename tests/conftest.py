@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.hw.arm import ArmEngine
+from repro.hw.engine import Engine
 from repro.hw.fpga import FpgaEngine
 from repro.hw.neon import NeonEngine
 from repro.types import FrameShape
@@ -114,3 +115,18 @@ def _assert_bitwise_parity(reference, results, *, costs=True, label=""):
 def assert_bitwise_parity():
     """The shared run-serial/hash-frames/compare-executor helper."""
     return _assert_bitwise_parity
+
+
+@pytest.fixture
+def built_engines(monkeypatch):
+    """Every :class:`Engine` constructed while the test runs, in order
+    (clear it to start counting at a later point)."""
+    built = []
+    init = Engine.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "__init__", recording)
+    return built

@@ -16,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.core.adaptive import bind_engine
 from repro.dtcwt import Dtcwt2D
 from repro.graph import FusionGraph, Planner
 from repro.session import FusionConfig, FusionSession
@@ -35,7 +36,7 @@ def _config(**kw):
 def _lower(config):
     graph = FusionGraph.canonical(registration=config.registration,
                                   temporal=config.temporal)
-    return Planner().lower(graph, config), config
+    return Planner().lower(graph, config, bind_engine(config)), config
 
 
 def _pairs(n=4, seed=3):
@@ -72,7 +73,8 @@ class TestStatelessFusionPass:
     def test_placement_change_breaks_the_chain(self):
         graph = FusionGraph.canonical()
         graph.place("fuse", "neon")
-        plan = Planner().lower(graph, _config(executor="serial"))
+        config = _config(executor="serial")
+        plan = Planner().lower(graph, config, bind_engine(config))
         # visible+thermal share AUTO placement; the pinned fuse cannot
         # join them
         assert plan.units == {"visible+thermal": ("visible", "thermal")}

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.adaptive import bind_engine
 from repro.errors import ConfigurationError, FusionError
 from repro.graph import (
     ORDERED,
@@ -24,6 +25,12 @@ def small_config(**overrides):
                     quality_metrics=False)
     defaults.update(overrides)
     return FusionConfig(**defaults)
+
+
+def lower(graph, config):
+    """``graph`` lowered against ``config`` on the config's own binding,
+    as a session lowers it."""
+    return Planner().lower(graph, config, bind_engine(config))
 
 
 def noop(task):
@@ -123,7 +130,7 @@ class TestGraphValidation:
 # ----------------------------------------------------------------------
 class TestPlannerLowering:
     def test_canonical_roles_and_schedule(self):
-        plan = Planner().lower(FusionGraph.canonical(), small_config())
+        plan = lower(FusionGraph.canonical(), small_config())
         assert plan.schedule == ("ingest", "visible", "thermal", "fuse",
                                  "finalize")
         assert plan.head == ("ingest",)
@@ -140,7 +147,7 @@ class TestPlannerLowering:
             "visible+thermal+fuse": ("visible", "thermal", "fuse")}
 
     def test_temporal_plan_is_sequential(self):
-        plan = Planner().lower(
+        plan = lower(
             FusionGraph.canonical(registration=True, temporal=True),
             small_config(registration=True, temporal=True))
         assert plan.head == ("ingest", "register")
@@ -150,25 +157,24 @@ class TestPlannerLowering:
         assert plan.compute == ("temporal",)
 
     def test_auto_placement_resolves_through_cost_model(self):
-        full = Planner().lower(FusionGraph.canonical(),
-                               small_config(engine="adaptive",
-                                            fusion_shape=FrameShape(88, 72),
-                                            levels=3))
+        full = lower(FusionGraph.canonical(),
+                     small_config(engine="adaptive",
+                                  fusion_shape=FrameShape(88, 72),
+                                  levels=3))
         assert full.node("fuse").engine == "fpga"
-        small = Planner().lower(FusionGraph.canonical(),
-                                small_config(engine="adaptive",
-                                             fusion_shape=FrameShape(32, 24)))
+        small = lower(FusionGraph.canonical(),
+                      small_config(engine="adaptive",
+                                   fusion_shape=FrameShape(32, 24)))
         assert small.node("fuse").engine == "neon"
 
     def test_online_plan_is_dynamic(self):
-        plan = Planner().lower(FusionGraph.canonical(),
-                               small_config(engine="online"))
+        plan = lower(FusionGraph.canonical(), small_config(engine="online"))
         assert plan.dynamic_engine
         assert "per frame" in plan.describe()
 
     def test_forced_placement_disables_the_stacked_core(self):
         graph = FusionGraph.canonical().place("fuse", "fpga")
-        plan = Planner().lower(graph, small_config())
+        plan = lower(graph, small_config())
         assert plan.node("fuse").engine == "fpga"
         # a forced fuse breaks the visible+thermal+fuse unit: only
         # the forwards still stack, the fuse stage runs on its own
@@ -178,7 +184,7 @@ class TestPlannerLowering:
     def test_unknown_placement_rejected(self):
         graph = FusionGraph.canonical().place("fuse", "abacus")
         with pytest.raises(ConfigurationError, match="registered engine"):
-            Planner().lower(graph, small_config())
+            lower(graph, small_config())
 
     def test_custom_stage_between_forwards_and_fuse_decores(self):
         """A node wedged into the pyramid path keeps the graph legal
@@ -189,23 +195,20 @@ class TestPlannerLowering:
         graph.add_stage("sharpen", noop, after=("visible",))
         graph.connect("fuse", "sharpen").disconnect("fuse", "visible")
         graph.validate()
-        plan = Planner().lower(graph, small_config())
+        plan = lower(graph, small_config())
         assert plan.units == {"visible+thermal+sharpen+fuse": (
             "visible", "thermal", "sharpen", "fuse")}
         assert plan.node("sharpen").role == "compute"
 
     def test_temporal_graph_needs_temporal_config(self):
         with pytest.raises(ConfigurationError, match="temporal"):
-            Planner().lower(FusionGraph.canonical(temporal=True),
-                            small_config())
+            lower(FusionGraph.canonical(temporal=True), small_config())
         with pytest.raises(ConfigurationError, match="temporal"):
-            Planner().lower(FusionGraph.canonical(),
-                            small_config(temporal=True))
+            lower(FusionGraph.canonical(), small_config(temporal=True))
 
     def test_register_graph_needs_registration_config(self):
         with pytest.raises(ConfigurationError, match="registration"):
-            Planner().lower(FusionGraph.canonical(registration=True),
-                            small_config())
+            lower(FusionGraph.canonical(registration=True), small_config())
 
     def test_registration_config_needs_register_stage_or_explicit_drop(self):
         """A registration=True session rejects a graph that silently
@@ -213,28 +216,28 @@ class TestPlannerLowering:
         drop() decision, not a forgotten flag."""
         config = small_config(registration=True)
         with pytest.raises(ConfigurationError, match="register"):
-            Planner().lower(FusionGraph.canonical(), config)
+            lower(FusionGraph.canonical(), config)
         dropped = FusionGraph.canonical(registration=True).drop("register")
-        plan = Planner().lower(dropped, config)  # explicit: allowed
+        plan = lower(dropped, config)  # explicit: allowed
         assert "register" not in plan.schedule
 
     def test_only_transform_stages_are_placeable(self):
         for name in ("ingest", "finalize"):
             graph = FusionGraph.canonical().place(name, "neon")
             with pytest.raises(ConfigurationError, match="cannot be placed"):
-                Planner().lower(graph, small_config())
+                lower(graph, small_config())
         # custom map stages run host-side NumPy: placement is rejected
         # rather than silently ignored
         graph = FusionGraph.canonical()
         graph.insert_after("fuse", Stage(name="denoise", fn=noop,
                                          placement="fpga"))
         with pytest.raises(ConfigurationError, match="cannot be placed"):
-            Planner().lower(graph, small_config())
+            lower(graph, small_config())
 
     def test_map_stages_are_host_placed_in_the_plan(self):
         graph = FusionGraph.canonical()
         graph.insert_after("fuse", Stage(name="denoise", fn=noop))
-        plan = Planner().lower(graph, small_config())
+        plan = lower(graph, small_config())
         assert plan.node("denoise").engine == "host"
         assert plan.node("denoise").model_seconds == 0.0
 
@@ -244,7 +247,7 @@ class TestPlannerLowering:
         graph = FusionGraph.canonical()
         graph.drop("visible")
         with pytest.raises(ConfigurationError, match="forward"):
-            Planner().lower(graph, small_config())
+            lower(graph, small_config())
         with pytest.raises(ConfigurationError, match="forward"):
             FusionSession(small_config(
                 graph_overrides={"drop": ("thermal",)}))
@@ -255,7 +258,7 @@ class TestPlannerLowering:
         graph.connect("finalize", "thermal")  # keep thermal reachable
         graph.validate()
         with pytest.raises(ConfigurationError, match="never reach"):
-            Planner().lower(graph, small_config())
+            lower(graph, small_config())
 
     def test_connect_and_disconnect_validation(self):
         graph = FusionGraph.canonical()
@@ -283,10 +286,10 @@ class TestPlannerLowering:
         graph.add(Stage(name="finalize", kind="finalize", state=ORDERED,
                         after=("blend",)))
         with pytest.raises(ConfigurationError, match="canonical name"):
-            Planner().lower(graph, small_config())
+            lower(graph, small_config())
 
     def test_plan_as_dict_is_json_serializable(self):
-        plan = Planner().lower(FusionGraph.canonical(), small_config())
+        plan = lower(FusionGraph.canonical(), small_config())
         payload = json.loads(json.dumps(plan.as_dict()))
         assert payload["schedule"][0] == "ingest"
         assert payload["stages"][0]["role"] == "head"

@@ -2,14 +2,21 @@
 
 import pytest
 
+from repro.core.adaptive import bind_engine
 from repro.errors import ConfigurationError
 from repro.graph import FusionGraph, Planner
 from repro.session import FusionConfig
 
 
+def plan_for(graph, config):
+    """``graph`` lowered on the config's own binding, as a session
+    lowers it."""
+    return Planner().lower(graph, config, bind_engine(config))
+
+
 def lower(**kw):
     config = FusionConfig(fusion_shape=(40, 32), levels=2, **kw)
-    return Planner().lower(FusionGraph.canonical(
+    return plan_for(FusionGraph.canonical(
         registration=config.registration, temporal=config.temporal),
         config)
 
@@ -45,7 +52,7 @@ class TestPlannedKernelMetadata:
         """A mixed placement reports each stage's own engine kernel."""
         graph = (FusionGraph.canonical().place("visible", "arm")
                  .place("thermal", "neon"))
-        plan = Planner().lower(graph, FusionConfig(
+        plan = plan_for(graph, FusionConfig(
             engine="adaptive", fusion_shape=(40, 32), levels=2))
         assert (plan.node("visible").engine,
                 plan.node("visible").kernel) == ("arm", "arm")
@@ -59,19 +66,19 @@ class TestPlannedKernelMetadata:
         config = FusionConfig(engine="neon", precision="float64",
                               fusion_shape=(40, 32), levels=2)
         with pytest.raises(ConfigurationError, match="fpga"):
-            Planner().lower(graph, config)
+            plan_for(graph, config)
 
 
 class TestPrecisionAwareResolution:
     def test_adaptive_float64_never_picks_fpga(self):
         """The full paper frame normally goes to the FPGA; pinning
         float64 must re-route auto placements to a CPU engine."""
-        native = Planner().lower(FusionGraph.canonical(),
-                                 FusionConfig(engine="adaptive"))
+        native = plan_for(FusionGraph.canonical(),
+                          FusionConfig(engine="adaptive"))
         assert native.node("fuse").engine == "fpga"
-        pinned = Planner().lower(FusionGraph.canonical(),
-                                 FusionConfig(engine="adaptive",
-                                              precision="float64"))
+        pinned = plan_for(FusionGraph.canonical(),
+                          FusionConfig(engine="adaptive",
+                                       precision="float64"))
         assert pinned.node("fuse").engine in ("arm", "neon")
         assert pinned.node("fuse").precision == "float64"
 

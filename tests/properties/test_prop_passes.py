@@ -22,6 +22,7 @@ from itertools import groupby
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.adaptive import bind_engine
 from repro.graph import Planner, Stage
 from repro.graph.graph import forward_stage_names
 from repro.session import FusionConfig, FusionSession
@@ -129,7 +130,8 @@ class TestPassParityProperties:
     @given(case=optimizable_case())
     def test_passes_preserve_schedule_and_nodes(self, case):
         config, _ = case
-        plan = Planner().lower(build_session_graph(config), config)
+        plan = Planner().lower(build_session_graph(config), config,
+                               bind_engine(config))
         reference = unfuse(plan)
         assert reference.schedule == plan.schedule
         assert set(reference.nodes) == set(plan.nodes)
@@ -151,8 +153,9 @@ class TestPassParityProperties:
     def test_pipeline_is_idempotent(self, case):
         config, _ = case
         graph = build_session_graph(config)
-        once = Planner().lower(graph, config)
-        twice = Planner().lower(graph.copy(), config)
+        binding = bind_engine(config)
+        once = Planner().lower(graph, config, binding)
+        twice = Planner().lower(graph.copy(), config, binding)
         assert twice.units == once.units
         assert twice.compute == once.compute
         assert twice.sequential == once.sequential

@@ -14,11 +14,18 @@ anchors.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.adaptive import bind_engine
 from repro.graph import FusionGraph, Planner, Stage
 from repro.session import FusionConfig
 from repro.types import FrameShape
 
 _SETTINGS = dict(deadline=None, max_examples=25)
+
+
+def lower(graph, config):
+    """``graph`` lowered against ``config`` on the config's own binding,
+    as a session lowers it."""
+    return Planner().lower(graph, config, bind_engine(config))
 
 
 def _noop(task):  # the map stages never run here; lowering only
@@ -65,7 +72,7 @@ class TestPlannerProperties:
     @given(pair=graph_and_config())
     def test_every_stage_scheduled_exactly_once(self, pair):
         graph, config = pair
-        plan = Planner().lower(graph, config)
+        plan = lower(graph, config)
         assert sorted(plan.schedule) == sorted(graph.names())
         assert len(set(plan.schedule)) == len(plan.schedule)
         # the role partition covers the schedule exactly once too
@@ -82,7 +89,7 @@ class TestPlannerProperties:
     @given(pair=graph_and_config())
     def test_schedule_respects_edge_order(self, pair):
         graph, config = pair
-        plan = Planner().lower(graph, config)
+        plan = lower(graph, config)
         position = {name: i for i, name in enumerate(plan.schedule)}
         for stage in graph.stages():
             for dep in stage.after:
@@ -101,7 +108,7 @@ class TestPlannerProperties:
     @given(pair=graph_and_config())
     def test_plan_cost_is_sum_of_stage_costs(self, pair):
         graph, config = pair
-        plan = Planner().lower(graph, config)
+        plan = lower(graph, config)
         total = sum(plan.node(name).model_seconds
                     for name in plan.schedule)
         assert plan.model_seconds_per_frame == pytest.approx(total)
@@ -117,7 +124,7 @@ class TestPlannerProperties:
     @given(pair=graph_and_config())
     def test_ordered_stages_never_join_the_parallel_wave(self, pair):
         graph, config = pair
-        plan = Planner().lower(graph, config)
+        plan = lower(graph, config)
         # an ordered stage strictly between head and tail makes the
         # whole plan sequential (one lane, frame order), and vice versa
         ordered_compute = [n for n in _stages(plan, plan.compute)
@@ -134,7 +141,7 @@ class TestPlannerProperties:
         every executor lowers to the same units (see
         :meth:`test_lowering_ignores_the_executor`)."""
         graph, config = pair
-        plan = Planner().lower(graph, config)
+        plan = lower(graph, config)
         expanded = _stages(plan, plan.compute)
         assert len(set(expanded)) == len(expanded)
         if plan.sequential:
@@ -158,7 +165,7 @@ class TestPlannerProperties:
         graph, config = pair
         shapes = set()
         for executor in ("serial", "batch", "pipeline"):
-            plan = Planner().lower(graph, config.with_overrides(
+            plan = lower(graph, config.with_overrides(
                 executor=executor))
             shapes.add((plan.compute, tuple(plan.units.items()),
                         plan.sequential))
@@ -168,8 +175,8 @@ class TestPlannerProperties:
     @given(pair=graph_and_config())
     def test_lowering_is_deterministic(self, pair):
         graph, config = pair
-        first = Planner().lower(graph, config)
-        second = Planner().lower(graph.copy(), config)
+        first = lower(graph, config)
+        second = lower(graph.copy(), config)
         assert first.schedule == second.schedule
         assert first.compute == second.compute
         assert first.units == second.units

@@ -364,6 +364,39 @@ class TestServiceReport:
             assert entry["charged_mj"] == pytest.approx(
                 4 * entry["est_mj_per_frame"])
 
+    #: per-frame pricing of three 88x72 streams, recorded (as
+    #: ``float.hex``) before the service read its engines from the plan
+    PRICING = {
+        "fixed": (dict(engine="neon"),
+                  {"neon": "0x1.3eac2ef47497ap-3"}, "0x1.4bbe3ee17b5fep+6"),
+        "adaptive": (dict(engine="adaptive"),
+                     {"fpga": "0x1.678744b40522ap-4"},
+                     "0x1.83c1c9ff5abd2p+5"),
+        "forced": (dict(engine="neon", graph_overrides={
+                       "place": {"visible": "fpga"}}),
+                   {"fpga": "0x1.49a2f67eb4333p-6",
+                    "neon": "0x1.d6a3419d06df4p-4"},
+                   "0x1.21690ef557188p+6"),
+    }
+
+    @pytest.mark.parametrize("label", list(PRICING))
+    def test_attach_prices_on_the_sessions_engines(self, label,
+                                                   built_engines):
+        overrides, seconds_by, mj = self.PRICING[label]
+        config = FusionConfig(**overrides)
+        built_engines.clear()
+        FusionSession(config).close()
+        session_builds = len(built_engines)
+        with FusionService(pool=POOL) as service:
+            built_engines.clear()
+            service.attach(label, config=config,
+                           source=SyntheticSource(seed=1), frames=1)
+            assert len(built_engines) == session_builds
+            stream = service._streams[label]
+            assert {name: seconds.hex() for name, seconds
+                    in stream.seconds_by_engine.items()} == seconds_by
+            assert stream.est_mj_per_frame.hex() == mj
+
     def test_on_result_callback_sees_frames_in_order(self):
         seen = []
         service = FusionService(pool={"neon": 1})

@@ -28,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, FusionError
-from repro.serve import ShardedFusionService
-from repro.serve.shard import (FrameRing, ShardAssigner, partition_streams)
+from repro.serve import EnginePool, ShardedFusionService
+from repro.serve.shard import (FrameRing, LeaseBroker, ShardAssigner,
+                               partition_streams)
 from repro.serve.shard.ring import SEGMENT_PREFIX, RingClosed
 from repro.session import FusionConfig, FusionSession, SyntheticSource
 from repro.types import FrameShape
@@ -318,6 +319,25 @@ class TestLeaseLedger:
         assert pool["outstanding"] == 0
         # the reclaim is visible in events
         assert report.events["counts"].get("shard_exit", 0) >= 1
+
+    def test_closed_connection_does_not_kill_the_broker(self, monkeypatch):
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        gone, gone_peer = mp.Pipe()
+        live, peer = mp.Pipe()
+        gone.close()
+        broker = LeaseBroker(EnginePool({"neon": 1}), [gone, live]).start()
+        try:
+            time.sleep(0.3)
+            assert broker._thread.is_alive()
+            peer.send(("idle", "neon"))
+            assert peer.poll(5.0), "the live shard got no reply"
+            assert peer.recv() == 1
+            assert crashes == []
+        finally:
+            broker.stop()
+            for conn in (gone_peer, live, peer):
+                conn.close()
 
 
 # ----------------------------------------------------------------------

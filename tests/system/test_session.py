@@ -154,6 +154,47 @@ class TestEngineChoice:
             assert mj > 0 and mj != ref_mj
 
 
+#: (config overrides, engines one session builds): one instance per
+#: distinct engine its binding and its plan's placements name
+ENGINE_SETS = {
+    "adaptive": (dict(engine="adaptive"), 3),
+    "online": (dict(engine="online"), 3),
+    "fpga": (dict(engine="fpga"), 1),
+    "neon": (dict(engine="neon"), 1),
+    "neon+visible@fpga": (dict(engine="neon", graph_overrides={
+        "place": {"visible": "fpga"}}), 2),
+    "adaptive+thermal@fpga": (dict(engine="adaptive", graph_overrides={
+        "place": {"thermal": "fpga"}}), 3),
+}
+
+
+class TestOneEngineSet:
+    """The lowered plan owns every engine a session computes and bills
+    on: a session builds each engine once, whatever names it."""
+
+    @pytest.mark.parametrize("label", list(ENGINE_SETS))
+    def test_session_builds_each_engine_once(self, label, built_engines):
+        overrides, expected = ENGINE_SETS[label]
+        # the config's own precision check builds engines; count only
+        # what the session builds
+        config = FusionConfig(**overrides)
+        built_engines.clear()
+        session = FusionSession(config)
+        assert len(built_engines) == expected
+        assert len({engine.name for engine in built_engines}) == expected
+        for name in {node.engine for node in session.plan.nodes.values()}:
+            assert name == "host" or session.plan.engines[name] \
+                in built_engines
+
+    def test_forced_placement_reuses_the_bound_engine(self):
+        overrides, _ = ENGINE_SETS["adaptive+thermal@fpga"]
+        session = FusionSession(FusionConfig(**overrides))
+        assert session.engine.name == "fpga"
+        assert session.plan.engines["fpga"] is session.engine
+        assert session._processor._forced_engines["thermal"] \
+            is session.engine
+
+
 class TestFusionSession:
     def test_run_reports(self):
         report = FusionSession(small_config()).run(2)
