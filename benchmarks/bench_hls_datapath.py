@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from repro.hw import hls
 from repro.hw.hls import HlsWaveletEngine, shift_register_dual_fir
 from repro.hw.platform import DEFAULT_PLATFORM
 
@@ -65,13 +66,13 @@ def _best_of(fn, repeats=7):
     return min(times)
 
 
-def test_pass_wide_sheet_matches_line_loop(report):
-    """One 144-line x 88-px pass in one engine call against the same
-    lines one call each: bitwise-equal outputs and counters."""
+def _sheet_and_line_loop(lines):
+    """A ``lines`` x 88-px pass in one engine call and the same lines
+    one call each: the outputs and counters of both."""
     rng = np.random.default_rng(6)
     lp = rng.standard_normal(14).astype(np.float32)
     hp = rng.standard_normal(14).astype(np.float32)
-    sheet = rng.standard_normal((144, 2 * 43 + 14)).astype(np.float32)
+    sheet = rng.standard_normal((lines, 2 * 43 + 14)).astype(np.float32)
     whole, looped = HlsWaveletEngine(), HlsWaveletEngine()
     for engine in (whole, looped):
         engine.load_coefficients(lp, hp)
@@ -82,11 +83,24 @@ def test_pass_wide_sheet_matches_line_loop(report):
     def line_loop():
         return [looped.forward_line(line, 44, 2) for line in sheet]
 
-    lp_sheet, hp_sheet, _ = one_call()
-    rows = line_loop()
-    assert np.array_equal(lp_sheet, np.stack([r[0] for r in rows]))
-    assert np.array_equal(hp_sheet, np.stack([r[1] for r in rows]))
-    assert whole.stats == looped.stats
+    return whole, looped, one_call, line_loop
+
+
+def test_pass_wide_sheet_matches_line_loop(report):
+    """One 144-line x 88-px pass in one engine call against the same
+    lines one call each: bitwise-equal outputs and counters.  A
+    1000-line sheet spans several MAC line blocks and a ragged tail,
+    and must match its line loop too."""
+    block = hls._MAC_BLOCK_BYTES // (14 * 2 * 44 * 4)  # lines per block
+    assert 1000 // block >= 3 and 1000 % block
+    for lines in (144, 1000):
+        whole, looped, one_call, line_loop = _sheet_and_line_loop(lines)
+        lp_sheet, hp_sheet, _ = one_call()
+        rows = line_loop()
+        assert np.array_equal(lp_sheet, np.stack([r[0] for r in rows]))
+        assert np.array_equal(hp_sheet, np.stack([r[1] for r in rows]))
+        assert whole.stats == looped.stats
+    whole, looped, one_call, line_loop = _sheet_and_line_loop(144)
     speedup = _best_of(line_loop) / _best_of(one_call)
     report(format_line("144x88 pass: one call vs per-line calls",
                        "same bits", f"{speedup:.1f}x faster"))

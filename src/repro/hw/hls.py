@@ -24,10 +24,11 @@ processing system (:mod:`repro.hw.driver`, :mod:`repro.hw.fpga`) the
 way the Linux driver's user-space code would.  A whole pass arrives as
 one sheet of lines, each counted as one invocation, and one sweep runs
 both MAC chains over it as the hardware does: the registers sit side by
-side as ``(taps, 2)``, each tap one float32 multiply and one add over
-both chains, in the Fig. 4 order.  Mode 2 feeds its sheet to both
-chains; mode 3 feeds each chain its own half of a ``(2, ...)`` lo/hi
-stack and sums the two accumulators.
+side as ``(taps, 2)``; per block of lines, one float32 multiply makes
+every tap's products over both chains, and one float32 sum adds them
+tap by tap from +0.0, in the Fig. 4 order.  Mode 2 feeds its sheet to
+both chains; mode 3 feeds each chain its own half of a ``(2, ...)``
+lo/hi stack and sums the two accumulators.
 """
 
 from __future__ import annotations
@@ -123,19 +124,46 @@ def shift_register_dual_synthesis(lo_ext: np.ndarray, hi_ext: np.ndarray,
     return out
 
 
+#: bytes of the per-block ``(taps, 2, lines, out)`` product in
+#: :func:`_mac`: lines go through in blocks this size keeps in cache
+#: and out of fresh pages (a 16-frame sheet is a 7-15 MB product)
+_MAC_BLOCK_BYTES = 1 << 20
+
+
 def _mac(x: np.ndarray, coeffs: np.ndarray, out_len: int, step: int,
          shared: bool) -> np.ndarray:
     """Both Fig. 4 MAC chains over the last axis of ``x``, all lines at once:
-    ``acc[k, ..., m] += x[..., m * step + j] * coeffs[j, k]``, j in order,
-    float32.  A ``shared`` sheet feeds both chains, else ``x[k]`` chain k."""
-    lines = x.shape[:-1] if shared else x.shape[1:-1]
-    stop = (out_len - 1) * step + 1
-    acc = np.zeros((2,) + lines + (out_len,), dtype=np.float32)
-    term = np.empty_like(acc)
-    for j, c in enumerate(coeffs.reshape((-1, 2) + (1,) * (len(lines) + 1))):
-        np.multiply(x[..., j:j + stop:step], c, out=term)
-        acc += term
-    return acc
+    ``acc[k, ..., m] = sum_j x[..., m * step + j] * coeffs[j, k]``, float32.
+    A ``shared`` sheet feeds both chains, else ``x[k]`` chain k.
+
+    Per block of lines, one multiply makes every tap's products as a
+    ``(taps, 2, lines, out)`` array (a strided window of ``x`` against
+    the registers), then one float32 sum over its outermost, contiguous
+    taps axis adds them tap by tap from +0.0: the Fig. 4 accumulation
+    order, signed zeros included."""
+    taps = coeffs.shape[0]
+    chains = np.ascontiguousarray(x[None] if shared else x)
+    lines = chains.shape[1:-1]
+    n_lines = math.prod(lines)
+    # window[j, k, l, m] = chains[k, l, m * step + j], k the chain (or
+    # the one sheet both chains share), l the line
+    item, samples = chains.itemsize, chains.shape[-1]
+    window = np.ndarray(
+        (taps, chains.shape[0], n_lines, out_len), np.float32, chains,
+        strides=(item, n_lines * samples * item, samples * item,
+                 step * item))
+    regs = coeffs[:, :, None, None]
+    acc = np.empty((2, n_lines, out_len), dtype=np.float32)
+    block = max(1, _MAC_BLOCK_BYTES // (taps * 2 * out_len * item))
+    product = np.empty((taps, 2, min(block, n_lines), out_len),
+                       dtype=np.float32)
+    for start in range(0, n_lines, block):
+        stop = min(start + block, n_lines)
+        part = product[:, :, :stop - start]
+        np.multiply(window[:, :, start:stop], regs, out=part)
+        np.add.reduce(part, axis=0, initial=np.float32(0.0),
+                      out=acc[:, start:stop])
+    return acc.reshape((2,) + lines + (out_len,))
 
 
 @dataclass
@@ -282,8 +310,10 @@ class HlsWaveletEngine:
         line by line so the float total equals that of per-line calls."""
         lines = math.prod(sheet)
         cycles = self._line_cycles(words_in, words_out, loop_iterations)
+        total = self.stats.cycles
         for _ in range(lines):
-            self.stats.cycles += cycles
+            total += cycles
+        self.stats.cycles = total
         self.stats.invocations += lines
         self.stats.words_in += lines * words_in
         self.stats.words_out += lines * words_out

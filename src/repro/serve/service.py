@@ -229,11 +229,16 @@ class _StreamState:
             self._estimate_costs()
 
     def required_engines(self) -> Tuple[str, ...]:
-        """Engine names frames of this stream may be assigned to."""
+        """Engine names frames of this stream may be assigned to or
+        compute on: the scheduler's whole probe set (online) or the
+        session's engine, plus every engine the plan places a stage
+        on (a forced ``place`` override)."""
         session = self.session
         if session.scheduler is not None:  # online: the whole probe set
-            return tuple(e.name for e in session.scheduler.engines)
-        return (session._engine.name,)
+            names = [e.name for e in session.scheduler.engines]
+        else:
+            names = [session._engine.name]
+        return tuple(dict.fromkeys(names + list(self.plan.engines)))
 
     def _estimate_costs(self) -> Tuple[Dict[str, float], float]:
         """Modelled per-frame cost from the planner's cost model:

@@ -8,8 +8,9 @@ section describes.  It is the single construction site for that wiring;
 run as one data flow.
 
 Built with a ``frame_shape`` hint (the shape fusion resizes every
-frame to), the chain delivers frames already at that shape, and grays
-and scales only the pixels that resize reads; without it, it delivers
+frame to), the chain delivers frames already at that shape: the webcam
+finishes, and the chain grays and scales, only the pixels that resize
+reads, while every random draw stays whole; without it, it delivers
 the full Fig. 7 frames.
 """
 
@@ -74,9 +75,10 @@ class CaptureChain:
         return self.fifo.pop()
 
     def visible_luma(self, frame: VideoFrame) -> np.ndarray:
-        """The float64 luma of one webcam frame; with a ``frame_shape``
-        hint, resized to it from the luma of only the pixels the
-        resize reads."""
+        """The float64 luma of one webcam frame (whole, or the resize's
+        footprint that :meth:`capture_pair` captures); with a
+        ``frame_shape`` hint, resized to it from the luma of only the
+        pixels the resize reads."""
         if self.visible_scaler is None:
             return frame.to_gray().as_float()
         luma = bt601_luma(self.visible_scaler.read(frame.pixels))
@@ -86,8 +88,11 @@ class CaptureChain:
         """One (webcam RGB frame, scaled thermal field) pair, or
         ``None`` when the FIFO starved this field.  The field is the
         uint8 480x640 frame, or the float64 ``frame_shape`` one with
-        the hint."""
-        visible = self.webcam.capture()
+        the hint; with a hint that resizes the webcam frame, that frame
+        holds only the pixels the resize reads (its footprint)."""
+        visible = self.webcam.capture(
+            None if self.visible_scaler is None
+            else self.visible_scaler.footprint())
         thermal_scaled = self.acquire_thermal()
         if thermal_scaled is None:
             return None

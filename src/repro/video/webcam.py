@@ -5,11 +5,15 @@ simple camera behaviour (auto-exposure gain, sensor noise, 8-bit
 quantization) and delivers frames at the configured rate on the
 simulated clock.  The paper grayscales these frames before fusion;
 :meth:`WebcamSimulator.capture_gray` does both steps.
+
+A capture chain built for a fusion shape asks only for the pixels its
+resize reads (a footprint): the camera then finishes only those, while
+the render, the exposure metering and every noise draw stay whole.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,15 +54,42 @@ class WebcamSimulator(FrameSource):
         self._rng = np.random.default_rng(seed)
         self._frame_id = 0
 
-    def capture(self) -> VideoFrame:
-        """Next RGB frame (channels-last uint8)."""
+    def capture(self, footprint: Optional[Tuple[np.ndarray, np.ndarray]]
+                = None) -> VideoFrame:
+        """Next RGB frame (channels-last uint8).
+
+        ``footprint`` (sorted rows, sorted cols) asks for only those
+        pixels: the frame is ``capture().pixels[np.ix_(rows, cols)]``,
+        bit for bit.  The scene is still rendered whole, auto-exposure
+        still meters the whole render and the sensor noise is still
+        drawn for every pixel, so both random streams advance exactly
+        as for a whole frame; only the finishing (gain, tint, round,
+        clip, quantize) is confined to the footprint.
+        """
         t_s = self._frame_id / self.fps
         luma = self.scene.render_visible(t_s)
+        gain = None
         if self.auto_exposure:
             mean = float(luma.mean())
             if mean > 1e-6:
-                luma *= 128.0 / mean
-                np.clip(luma, 0.0, 255.0, out=luma)
+                gain = 128.0 / mean
+        # the same draws, in the same order, as normal(0, 1, shape).  A
+        # fresh array, not a reused one: freeing this block (2.4 MB at
+        # 352x288) every frame keeps glibc's malloc serving the frame's
+        # smaller arrays from already-mapped heap; a reused buffer cost
+        # the default session about 1,100 page faults a frame
+        rgb = self._rng.standard_normal(luma.shape + (3,))
+        if footprint is not None:
+            rows, cols = footprint
+            # flat pixel indices: one take each, faster than np.ix_
+            pixels = rows[:, None] * luma.shape[1] + cols
+            luma = luma.take(pixels)
+            rgb = rgb.reshape(-1, 3).take(pixels, axis=0)
+        # every step below is elementwise, so the footprint's pixels
+        # finish exactly as they do in the whole frame
+        if gain is not None:
+            luma *= gain
+            np.clip(luma, 0.0, 255.0, out=luma)
         # a mild Bayer-ish chroma model: visible scene tinted by height.
         # Each channel is added into its plane of the channels-last noise
         # draw, which then rounds, clips and quantizes in place
@@ -68,7 +99,6 @@ class WebcamSimulator(FrameSource):
         b = luma * 0.96
         b += 4.0
         np.clip(b, 0, 255, out=b)
-        rgb = self._rng.normal(0.0, 1.0, luma.shape + (3,))
         rgb[..., 0] += r
         rgb[..., 1] += luma
         rgb[..., 2] += b

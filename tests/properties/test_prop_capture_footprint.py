@@ -7,7 +7,10 @@ that resize; the chain's visible luma likewise grays only the webcam
 pixels its resize reads.  Both must return the same bytes (shape,
 dtype and every bit) as the full path they stand in for: scale (or
 gray) the whole frame, cast it to float64, then :func:`resize_to` it,
-skipped when the shapes already match.  A session fed by its hinted
+skipped when the shapes already match.  The webcam given that resize's
+footprint finishes only those pixels: they must be the whole frame's,
+bit for bit, and every random stream must advance as for a whole
+frame.  A session fed by its hinted
 default source must fuse the same bytes as ``process()`` on the
 unhinted full-frame pairs, under every executor.
 """
@@ -23,6 +26,7 @@ from repro.video.capture import CaptureChain
 from repro.video.frames import VideoFrame
 from repro.video.scaler import VideoScaler, resize_to
 from repro.video.scene import SyntheticScene
+from repro.video.webcam import WebcamSimulator
 
 _SETTINGS = dict(deadline=None, max_examples=30)
 
@@ -94,6 +98,38 @@ class TestThermalScaler:
         want = scaler.scale(frame)
         assert_same_array(scaler.scale(poisoned), want)
         assert_same_array(scaler.scale(scaler.read(frame)), want)
+
+
+class TestWebcamFootprint:
+    @settings(**_SETTINGS)
+    @example(size=(288, 352), target=(72, 88), auto_exposure=True,
+             frames=3, seed=1)
+    @example(size=(288, 352), target=(288, 352), auto_exposure=True,
+             frames=2, seed=1)
+    @example(size=(288, 352), target=(72, 88), auto_exposure=False,
+             frames=2, seed=1)
+    @given(size=st.tuples(st.integers(8, 96), st.integers(8, 96)),
+           target=targets, auto_exposure=st.booleans(),
+           frames=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_footprint_capture_is_the_whole_frames_pixels(
+            self, size, target, auto_exposure, frames, seed):
+        rows, cols = size
+        footprint = VideoScaler(in_shape=size, out_shape=target).footprint()
+        hinted, whole = (
+            WebcamSimulator(SyntheticScene(width=cols, height=rows,
+                                           seed=seed),
+                            auto_exposure=auto_exposure, seed=seed)
+            for _ in range(2))
+        for _ in range(frames):
+            got, want = hinted.capture(footprint), whole.capture()
+            assert_same_array(got.pixels,
+                              want.pixels[np.ix_(*footprint)])
+            assert got.timestamp_s == want.timestamp_s
+            assert got.frame_id == want.frame_id
+        assert (hinted._rng.bit_generator.state
+                == whole._rng.bit_generator.state)
+        assert (hinted.scene._noise_rng.bit_generator.state
+                == whole.scene._noise_rng.bit_generator.state)
 
 
 class TestVisibleLuma:

@@ -433,6 +433,18 @@ class TestServiceValidation:
             service.add_stream("s", config=config(engine="online"),
                                source=SyntheticSource(seed=1), frames=1)
 
+    def test_forced_placement_engine_must_be_pooled(self):
+        """A stage forced onto an unpooled engine is refused at
+        admission, naming the stream and that engine."""
+        service = FusionService(pool={"neon": 1})
+        forced = config(graph_overrides={"place": {"visible": "fpga"}})
+        with pytest.raises(ConfigurationError,
+                           match=r"'forced'.*\['fpga'\]"):
+            service.add_stream("forced", config=forced,
+                               source=SyntheticSource(seed=1), frames=1)
+        assert service.stream_names() == []
+        service.close()
+
     def test_source_exhaustion_before_frames_limit(self):
         service = FusionService(pool={"neon": 1})
         service.add_stream("s", config=config(),
