@@ -26,8 +26,8 @@ Runs two ways:
 ``--min-speedup`` gates the median pair ratio (exit code 1 when the
 runtime float32 datapath misses the bar against the float64 oracle
 baseline).  The bar holds on one core: the speedup comes from the
-halo-extension formulation, preplanned taps and pooled scratch — and
-from Numba compilation when it is installed — not from concurrency.
+halo-extension formulation, preplanned taps and pooled scratch, not
+from concurrency.
 ``--json-out`` (default ``BENCH_kernels.json``) writes the record for
 CI artifact diffing.
 """
@@ -44,7 +44,6 @@ from unittest import mock
 import numpy as np
 
 from protocol import PAIRS, compare, digest, finish, summary
-from repro.dtcwt import NUMBA_AVAILABLE
 from repro.hw.arm import ArmEngine
 from repro.session import FusionConfig, FusionSession
 from repro.types import FrameShape
@@ -107,8 +106,7 @@ def run_bench(frames: int, size: FrameShape, levels: int,
                                    levels, oracle=True),
     }, pairs)
     text = (f"Kernel-backend serial throughput ({frames} frames @ "
-            f"{size}, levels={levels}, cpus={os.cpu_count()}, "
-            f"numba={'yes' if NUMBA_AVAILABLE else 'no'}):")
+            f"{size}, levels={levels}, cpus={os.cpu_count()}):")
     return text, gate, check_parity(size, levels)
 
 
@@ -148,8 +146,7 @@ def main(argv=None) -> int:
     return finish("kernel_backends", args.json_out, {"speedup": gate},
                   checks={"runtime kernels bitwise-identical to the "
                           "oracle at each precision": parity_ok},
-                  frames=frames, size=str(size), levels=args.levels,
-                  numba=NUMBA_AVAILABLE)
+                  frames=frames, size=str(size), levels=args.levels)
 
 
 if __name__ == "__main__":

@@ -47,12 +47,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .core.adaptive import CostModelScheduler, PerLevelScheduler
 from .errors import ConfigurationError, ReproError
 from .exec import executor_names
 from .hw.registry import engine_names
+from .io import write_pgm
 from .session import SCHEDULER_NAMES, FusionConfig, FusionSession
 from .types import FrameShape
 
@@ -71,15 +70,6 @@ def _parse_shape(text: str) -> FrameShape:
             f"frame size must look like 88x72, got {text!r}"
         ) from exc
     return shape
-
-
-def write_pgm(path: Path, image: np.ndarray) -> None:
-    """Write an 8-bit grayscale PGM (no imaging dependency needed)."""
-    data = np.clip(np.round(np.asarray(image, dtype=np.float64)), 0, 255)
-    data = data.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
-        fh.write(data.tobytes())
 
 
 def _session(args: argparse.Namespace, **overrides) -> FusionSession:

@@ -39,14 +39,9 @@ class FusionRule(ABC):
     """Combines N >= 2 same-shape DT-CWT pyramids into one.
 
     :meth:`fuse` is the one entry point, for single-frame and stacked
-    pyramids alike.  Two sources combine with the pairwise
-    hooks :meth:`fuse_highpass` / :meth:`fuse_lowpass`; more sources
-    reduce with :meth:`fuse_highpass_many` / :meth:`fuse_lowpass_many`.
-    The default N-ary reduction left-folds :meth:`fuse_highpass`
-    (exact for selection rules whose pairwise comparison is
-    associative, e.g. max-magnitude) and uniformly averages the
-    low-pass; rules with genuinely N-ary semantics override the
-    ``_many`` hooks.
+    pyramids alike.  A rule has one hook per band kind, each over all
+    N sources in source order: :meth:`fuse_highpass` (abstract) and
+    :meth:`fuse_lowpass` (default: the uniform mean).
     """
 
     name = "rule"
@@ -60,47 +55,28 @@ class FusionRule(ABC):
         of one frame.
         """
         _check_compatible(pyramids)
-        pair = len(pyramids) == 2
-        highpasses = tuple(
-            self.fuse_highpass(*bands) if pair
-            else self.fuse_highpass_many(bands)
-            for bands in zip(*(p.highpasses for p in pyramids)))
-        lows = [p.lowpass for p in pyramids]
-        lowpass = (self.fuse_lowpass(*lows) if pair
-                   else self.fuse_lowpass_many(lows))
         first = pyramids[0]
         return DtcwtPyramid(
-            lowpass=lowpass,
-            highpasses=highpasses,
+            lowpass=self.fuse_lowpass([p.lowpass for p in pyramids]),
+            highpasses=tuple(
+                self.fuse_highpass(bands)
+                for bands in zip(*(p.highpasses for p in pyramids))),
             original_shape=first.original_shape,
             padded_shape=first.padded_shape,
             levels=first.levels,
         )
 
     @abstractmethod
-    def fuse_highpass(self, band_a: np.ndarray, band_b: np.ndarray) -> np.ndarray:
-        """Combine one level's complex subbands ``(6, ..., H, W)``.
+    def fuse_highpass(self, bands: Sequence[np.ndarray]) -> np.ndarray:
+        """Combine one level's complex subbands ``(6, ..., H, W)``, one
+        per source.
 
         Implementations must only address the trailing two axes so
         stacked batches fuse identically to single frames.
         """
 
-    def fuse_lowpass(self, low_a: np.ndarray, low_b: np.ndarray) -> np.ndarray:
-        """Default low-pass handling: average the two modalities."""
-        return (low_a + low_b) / 2.0
-
-    def fuse_highpass_many(self, bands: Sequence[np.ndarray]) -> np.ndarray:
-        """N-ary high-pass reduction; the default left-folds the
-        pairwise rule (earlier sources win pairwise ties, matching the
-        two-source convention)."""
-        fused = bands[0]
-        for band in bands[1:]:
-            fused = self.fuse_highpass(fused, band)
-        return fused
-
-    def fuse_lowpass_many(self, lows: Sequence[np.ndarray]) -> np.ndarray:
-        """N-ary low-pass reduction; the default is the uniform mean
-        (the N-source generalization of the pairwise average)."""
+    def fuse_lowpass(self, lows: Sequence[np.ndarray]) -> np.ndarray:
+        """Default low-pass handling: the uniform mean of the sources."""
         total = lows[0] + lows[1]
         for low in lows[2:]:
             total = total + low
@@ -116,23 +92,20 @@ class MaxMagnitudeRule(FusionRule):
 
     name = "max-magnitude"
 
-    def fuse_highpass(self, band_a: np.ndarray, band_b: np.ndarray) -> np.ndarray:
-        choose_a = np.abs(band_a) >= np.abs(band_b)
-        return np.where(choose_a, band_a, band_b)
-
-    def fuse_highpass_many(self, bands: Sequence[np.ndarray]) -> np.ndarray:
-        # one argmax over the source axis instead of N-1 pairwise
-        # folds; argmax returns the first maximum, which is exactly
-        # the fold's earliest-source tie-break
-        stacked = np.stack(bands)
-        choice = np.argmax(np.abs(stacked), axis=0)
-        return np.take_along_axis(stacked, choice[None], axis=0)[0]
+    def fuse_highpass(self, bands: Sequence[np.ndarray]) -> np.ndarray:
+        # a left fold: the earlier source wins every tie
+        fused = bands[0]
+        for band in bands[1:]:
+            fused = np.where(np.abs(fused) >= np.abs(band), fused, band)
+        return fused
 
 
 class WeightedRule(FusionRule):
-    """Fixed-weight linear blend of coefficients (alpha toward input A).
+    """Fixed-weight linear blend of coefficients (alpha toward source 0).
 
-    Mostly useful as a lower bound in quality studies: blending complex
+    The remaining ``1 - alpha`` is shared uniformly by the other
+    sources, for the high-pass and the low-pass bands alike.  Mostly
+    useful as a lower bound in quality studies: blending complex
     coefficients averages away contrast that selection rules keep.
     """
 
@@ -143,26 +116,14 @@ class WeightedRule(FusionRule):
             raise FusionError(f"alpha must be within [0, 1], got {alpha}")
         self.alpha = alpha
 
-    def fuse_highpass(self, band_a: np.ndarray, band_b: np.ndarray) -> np.ndarray:
-        return self.alpha * band_a + (1.0 - self.alpha) * band_b
-
-    def fuse_lowpass(self, low_a: np.ndarray, low_b: np.ndarray) -> np.ndarray:
-        return self.alpha * low_a + (1.0 - self.alpha) * low_b
-
-    def _blend_many(self, operands: Sequence[np.ndarray]) -> np.ndarray:
-        # alpha toward source 0; the remainder shared uniformly —
-        # the N-source generalization of the pairwise blend
-        rest = (1.0 - self.alpha) / float(len(operands) - 1)
-        fused = self.alpha * operands[0]
-        for operand in operands[1:]:
-            fused = fused + rest * operand
+    def fuse_highpass(self, bands: Sequence[np.ndarray]) -> np.ndarray:
+        rest = (1.0 - self.alpha) / float(len(bands) - 1)
+        fused = self.alpha * bands[0]
+        for band in bands[1:]:
+            fused = fused + rest * band
         return fused
 
-    def fuse_highpass_many(self, bands: Sequence[np.ndarray]) -> np.ndarray:
-        return self._blend_many(bands)
-
-    def fuse_lowpass_many(self, lows: Sequence[np.ndarray]) -> np.ndarray:
-        return self._blend_many(lows)
+    fuse_lowpass = fuse_highpass
 
 
 class WindowActivityRule(FusionRule):
@@ -184,21 +145,10 @@ class WindowActivityRule(FusionRule):
         self.window = window
         self.consistency = consistency
 
-    def fuse_highpass(self, band_a: np.ndarray, band_b: np.ndarray) -> np.ndarray:
-        act_a = _box_sum(np.abs(band_a), self.window)
-        act_b = _box_sum(np.abs(band_b), self.window)
-        choose_a = act_a >= act_b
-        if self.consistency:
-            votes = _box_sum(choose_a.astype(np.float64), self.window)
-            majority = self.window * self.window / 2.0
-            choose_a = votes > majority
-        return np.where(choose_a, band_a, band_b)
-
-    def fuse_highpass_many(self, bands: Sequence[np.ndarray]) -> np.ndarray:
+    def fuse_highpass(self, bands: Sequence[np.ndarray]) -> np.ndarray:
         stacked = np.stack(bands)
         activity = _box_sum(np.abs(stacked), self.window)
-        # first maximum wins: the earliest-source tie-break of the
-        # pairwise rule, generalized
+        # first maximum wins: the earlier source takes every tie
         choice = np.argmax(activity, axis=0)
         if self.consistency:
             # each source's local vote share; re-argmax flips isolated
@@ -242,13 +192,16 @@ def _check_compatible(pyramids: Sequence[DtcwtPyramid]) -> None:
                 f"{other.frames}")
 
 
+#: Fusion-rule classes by :attr:`FusionRule.name` (what
+#: ``FusionConfig.fusion_rule`` names).
+FUSION_RULES = {rule.name: rule for rule in (
+    MaxMagnitudeRule, WeightedRule, WindowActivityRule)}
+
+
 def rule_by_name(name: str, **kwargs) -> FusionRule:
-    """Factory used by the CLI and the examples."""
-    rules = {
-        MaxMagnitudeRule.name: MaxMagnitudeRule,
-        WeightedRule.name: WeightedRule,
-        WindowActivityRule.name: WindowActivityRule,
-    }
-    if name not in rules:
-        raise FusionError(f"unknown fusion rule {name!r}; known: {sorted(rules)}")
-    return rules[name](**kwargs)
+    """The :data:`FUSION_RULES` rule called ``name``, built with
+    ``kwargs``."""
+    if name not in FUSION_RULES:
+        raise FusionError(
+            f"unknown fusion rule {name!r}; known: {sorted(FUSION_RULES)}")
+    return FUSION_RULES[name](**kwargs)

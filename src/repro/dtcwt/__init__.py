@@ -11,7 +11,7 @@ Public entry points:
   :mod:`repro.dtcwt.coeffs` for the design methods).
 """
 
-from .backend import NUMBA_AVAILABLE, KernelBackend, ScratchPool
+from .backend import KernelBackend, ScratchPool
 from .coeffs import (
     BiorthogonalBank,
     DtcwtBanks,
@@ -48,7 +48,6 @@ from .transform2d import (
 __all__ = [
     "KernelBackend",
     "ScratchPool",
-    "NUMBA_AVAILABLE",
     "BiorthogonalBank",
     "DtcwtBanks",
     "QshiftBank",

@@ -60,17 +60,10 @@ callers hold references to returned subbands across calls, and
 recycling them would overwrite live data.  The pool makes a backend
 **single-threaded**: every transform built without ``backend=`` gets
 its own instance, and the session gives each worker its own lane.
-
-The tap accumulation is compiled with Numba when the package is
-importable, falling back to a pure-NumPy strided-slice evaluation of
-the *same* per-element arithmetic when it is not.  Availability is
-probed once at import; set ``REPRO_NO_NUMBA=1`` to force the fallback
-even when Numba is installed (CI uses this to prove the fallback path).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -137,50 +130,8 @@ class ScratchPool:
         self._dtype = None
 
 
-def _load_numba():
-    """The ``numba`` module, or ``None`` when absent or disabled."""
-    if os.environ.get("REPRO_NO_NUMBA"):
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba
-
-
-_numba = _load_numba()
-
-#: True when the compiled path is importable and not disabled.
-NUMBA_AVAILABLE = _numba is not None
-
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only with numba installed
-    @_numba.njit(cache=True, fastmath=False)
-    def _accum_sheets(ext, taps, offs, step, out):
-        """Tap accumulation over 2-D sheets (rows x filtered axis).
-
-        Replays the fixed per-element sequence: taps ascending, zero
-        taps skipped, ``acc + tap * ext`` per contribution.
-        ``fastmath=False`` keeps IEEE semantics (no reassociation),
-        which is what makes the compiled path bitwise-equal.
-        """
-        rows, n_out = out.shape
-        n_taps = taps.shape[0]
-        for r in range(rows):
-            for j in range(n_out):
-                acc = out[r, j]
-                base = j * step
-                for k in range(n_taps):
-                    tap = taps[k]
-                    if tap != 0.0:
-                        acc = acc + tap * ext[r, base + offs[k]]
-                out[r, j] = acc
-else:
-    _accum_sheets = None
-
-
 class KernelBackend:
-    """Halo-extension host backend (Numba JIT, NumPy fallback).
+    """Halo-extension host backend: strided NumPy tap accumulation.
 
     Parameters
     ----------
@@ -188,23 +139,10 @@ class KernelBackend:
         Working precision.  Defaults to float64, the transforms'
         reference precision; the engines pass their own working dtype
         (float32 natively, like the HLS datapath).
-    compiled:
-        ``None`` (default) auto-selects: Numba when available, the
-        NumPy fallback otherwise.  ``False`` forces the fallback;
-        ``True`` requires Numba and raises ``RuntimeError`` when it
-        is absent (tests use the explicit values to pin a path).
     """
 
-    def __init__(self, dtype: np.dtype = np.float64,
-                 compiled: Optional[bool] = None):
+    def __init__(self, dtype: np.dtype = np.float64):
         self.dtype = np.dtype(dtype)
-        if compiled is None:
-            compiled = NUMBA_AVAILABLE
-        elif compiled and not NUMBA_AVAILABLE:
-            raise RuntimeError(
-                "KernelBackend(compiled=True) requires numba, which is "
-                "not available (or disabled via REPRO_NO_NUMBA)")
-        self.compiled = bool(compiled)
         self._pool = ScratchPool()
         #: (n, n_taps, shift) -> halo gather indices
         self._idx_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
@@ -265,9 +203,6 @@ class KernelBackend:
         n_out = (n + 1) // 2 if step == 2 else n
         idx = self._indices(n, n_taps, shift)
         offs = self._offsets(n_taps, correlate)
-        if self.compiled:  # pragma: no cover - needs numba
-            return self._apply_compiled(x, taps, idx, offs, step, ax,
-                                        n_out, out)
         ext_shape = list(x.shape)
         ext_shape[ax] = len(idx)
         ext = self._pool.take(("ext", tuple(ext_shape)), tuple(ext_shape),
@@ -290,37 +225,9 @@ class KernelBackend:
                 np.add(out, tmp, out=out)
         return out
 
-    def _apply_compiled(self, x, taps, idx, offs, step, ax, n_out,
-                        out):  # pragma: no cover - needs numba
-        xm = np.moveaxis(x, ax, -1)
-        rows = int(np.prod(xm.shape[:-1], dtype=np.int64))
-        n_ext = len(idx)
-        xc = self._pool.take(("xc", xm.shape), xm.shape, self.dtype)
-        np.copyto(xc, xm)
-        ext = self._pool.take(("ext2", rows, n_ext), (rows, n_ext),
-                              self.dtype)
-        np.take(xc.reshape(rows, xm.shape[-1]), idx, axis=1, out=ext)
-        if out is None:
-            out_m = np.zeros(xm.shape[:-1] + (n_out,), dtype=self.dtype)
-        else:
-            out_m = np.moveaxis(out, ax, -1)
-            if not out_m.flags.c_contiguous:
-                raise ValueError("pooled accumulator must be pooled in "
-                                 "moved-axis layout")
-            out_m.fill(0.0)
-        _accum_sheets(ext, taps, offs, step, out_m.reshape(rows, n_out))
-        return np.moveaxis(out_m, -1, ax)
-
-    def _acc_buffer(self, like: np.ndarray, axis: int) -> np.ndarray:
+    def _acc_buffer(self, like: np.ndarray) -> np.ndarray:
         """Pooled accumulator for the second operand of a dual
-        synthesis sum, pre-shaped so the compiled path sees a
-        contiguous moved-axis layout."""
-        ax = axis % like.ndim
-        if self.compiled:  # pragma: no cover - needs numba
-            moved = np.moveaxis(like, ax, -1)
-            buf = self._pool.take(("acc", moved.shape), moved.shape,
-                                  self.dtype)
-            return np.moveaxis(buf, -1, ax)
+        synthesis sum."""
         return self._pool.take(("acc", like.shape), like.shape, self.dtype)
 
     def _upsampled(self, x: np.ndarray, axis: int,
@@ -356,7 +263,7 @@ class KernelBackend:
         t0, t1 = self._f(g0), self._f(g1)
         out = self._apply(u0, t0, c0 - (len(t0) - 1), False, 1, axis)
         acc = self._apply(u1, t1, c1 - (len(t1) - 1), False, 1, axis,
-                          out=self._acc_buffer(u1, axis))
+                          out=self._acc_buffer(u1))
         np.add(out, acc, out=out)
         return out
 
@@ -378,6 +285,6 @@ class KernelBackend:
         t0, t1 = self._f(h0), self._f(h1)
         out = self._apply(up_lo, t0, 0, True, 1, axis)
         acc = self._apply(up_hi, t1, 0, True, 1, axis,
-                          out=self._acc_buffer(up_hi, axis))
+                          out=self._acc_buffer(up_hi))
         np.add(out, acc, out=out)
         return out

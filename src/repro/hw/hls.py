@@ -306,14 +306,17 @@ class HlsWaveletEngine:
 
     def _account(self, sheet: Tuple[int, ...], words_in: int,
                  words_out: int, loop_iterations: int) -> float:
-        """Count every line of a sheet of shape ``sheet``; cycles are added
-        line by line so the float total equals that of per-line calls."""
+        """Count every line of a sheet of shape ``sheet``.
+
+        One product stands for ``lines`` per-line additions, and the
+        float total equals that of per-line calls: a line's cycle count
+        is a multiple of ``1 / acp_words_per_cycle``, a power of two
+        (2 words per cycle on the 64-bit ACP), and every running total
+        stays far below ``2**53`` such units, so each sum is exact.
+        """
         lines = math.prod(sheet)
         cycles = self._line_cycles(words_in, words_out, loop_iterations)
-        total = self.stats.cycles
-        for _ in range(lines):
-            total += cycles
-        self.stats.cycles = total
+        self.stats.cycles += lines * cycles
         self.stats.invocations += lines
         self.stats.words_in += lines * words_in
         self.stats.words_out += lines * words_out

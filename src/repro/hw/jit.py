@@ -6,9 +6,9 @@ throughput, each filtering pass charged its MAC work at a fitted
 compiled rate plus a much smaller per-pass overhead (no interpreter
 loop setup).  The functional path is the host kernel backend every
 host engine shares (:class:`~repro.dtcwt.backend.KernelBackend`,
-inherited from :class:`~repro.hw.engine.Engine`): halo-extension
-kernels compiled with Numba when available, evaluated with strided
-NumPy otherwise, bitwise-identical either way.
+inherited from :class:`~repro.hw.engine.Engine`): the halo-extension
+kernels evaluated with strided NumPy, bitwise-identical to every other
+host engine.
 
 Registered as ``"jit"``; it widens the heterogeneous design space
 that explicit selection and forced stage placement reach, without

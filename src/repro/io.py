@@ -27,22 +27,26 @@ def _clip_u8(image: np.ndarray) -> np.ndarray:
                    0, 255).astype(np.uint8)
 
 
-def write_pgm(path: PathLike, image: np.ndarray) -> None:
-    """Write an 8-bit grayscale PGM (binary P5)."""
-    data = _clip_u8(image)
-    if data.ndim != 2:
-        raise VideoError(f"PGM wants a 2-D image, got shape {data.shape}")
+#: Netpbm magic of each binary 8-bit format this module handles.
+_KINDS = {b"P5": "PGM", b"P6": "PPM"}
+
+
+def _write_netpbm(path: PathLike, magic: bytes, data: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
+        fh.write(magic + f"\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
         fh.write(data.tobytes())
 
 
-def read_pgm(path: PathLike) -> np.ndarray:
-    """Read a binary (P5) PGM written by :func:`write_pgm`."""
+def _read_netpbm(path: PathLike, magic: bytes,
+                 channels: int) -> np.ndarray:
+    """Pixels of a binary 8-bit Netpbm file: ``(rows, cols)`` for one
+    channel, else ``(rows, cols, channels)``.  Header comments are
+    skipped."""
+    kind = _KINDS[magic]
     raw = Path(path).read_bytes()
-    magic, rest = raw.split(b"\n", 1)
-    if magic.strip() != b"P5":
-        raise VideoError(f"{path}: not a binary PGM (magic {magic!r})")
+    found, rest = raw.split(b"\n", 1)
+    if found.strip() != magic:
+        raise VideoError(f"{path}: not a binary {kind} (magic {found!r})")
     fields = []
     while len(fields) < 3:
         line, rest = rest.split(b"\n", 1)
@@ -51,11 +55,27 @@ def read_pgm(path: PathLike) -> np.ndarray:
             fields.extend(line.split())
     cols, rows, maxval = (int(v) for v in fields[:3])
     if maxval != 255:
-        raise VideoError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
-    pixels = np.frombuffer(rest[: rows * cols], dtype=np.uint8)
-    if pixels.size != rows * cols:
+        raise VideoError(
+            f"{path}: only 8-bit {kind} supported, maxval={maxval}")
+    count = rows * cols * channels
+    pixels = np.frombuffer(rest[:count], dtype=np.uint8)
+    if pixels.size != count:
         raise VideoError(f"{path}: truncated pixel data")
-    return pixels.reshape(rows, cols).copy()
+    shape = (rows, cols) if channels == 1 else (rows, cols, channels)
+    return pixels.reshape(shape).copy()
+
+
+def write_pgm(path: PathLike, image: np.ndarray) -> None:
+    """Write an 8-bit grayscale PGM (binary P5)."""
+    data = _clip_u8(image)
+    if data.ndim != 2:
+        raise VideoError(f"PGM wants a 2-D image, got shape {data.shape}")
+    _write_netpbm(path, b"P5", data)
+
+
+def read_pgm(path: PathLike) -> np.ndarray:
+    """Read a binary (P5) PGM written by :func:`write_pgm`."""
+    return _read_netpbm(path, b"P5", 1)
 
 
 def write_ppm(path: PathLike, image: np.ndarray) -> None:
@@ -63,30 +83,12 @@ def write_ppm(path: PathLike, image: np.ndarray) -> None:
     data = _clip_u8(image)
     if data.ndim != 3 or data.shape[2] != 3:
         raise VideoError(f"PPM wants (H, W, 3), got shape {data.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
-        fh.write(data.tobytes())
+    _write_netpbm(path, b"P6", data)
 
 
 def read_ppm(path: PathLike) -> np.ndarray:
     """Read a binary (P6) PPM written by :func:`write_ppm`."""
-    raw = Path(path).read_bytes()
-    magic, rest = raw.split(b"\n", 1)
-    if magic.strip() != b"P6":
-        raise VideoError(f"{path}: not a binary PPM (magic {magic!r})")
-    fields = []
-    while len(fields) < 3:
-        line, rest = rest.split(b"\n", 1)
-        line = line.split(b"#")[0].strip()
-        if line:
-            fields.extend(line.split())
-    cols, rows, maxval = (int(v) for v in fields[:3])
-    if maxval != 255:
-        raise VideoError(f"{path}: only 8-bit PPM supported")
-    pixels = np.frombuffer(rest[: rows * cols * 3], dtype=np.uint8)
-    if pixels.size != rows * cols * 3:
-        raise VideoError(f"{path}: truncated pixel data")
-    return pixels.reshape(rows, cols, 3).copy()
+    return _read_netpbm(path, b"P6", 3)
 
 
 def write_float_raw(path: PathLike, array: np.ndarray) -> None:

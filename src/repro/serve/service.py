@@ -228,18 +228,6 @@ class _StreamState:
         self.seconds_by_engine, self.est_mj_per_frame = \
             self._estimate_costs()
 
-    def required_engines(self) -> Tuple[str, ...]:
-        """Engine names frames of this stream may be assigned to or
-        compute on: the scheduler's whole probe set (online) or the
-        session's engine, plus every engine the plan places a stage
-        on (a forced ``place`` override)."""
-        session = self.session
-        if session.scheduler is not None:  # online: the whole probe set
-            names = [e.name for e in session.scheduler.engines]
-        else:
-            names = [session._engine.name]
-        return tuple(dict.fromkeys(names + list(self.plan.engines)))
-
     def _estimate_costs(self) -> Tuple[Dict[str, float], float]:
         """Modelled per-frame cost from the planner's cost model:
         compute seconds split by engine (the SLO feasibility input)
@@ -720,7 +708,7 @@ class FusionService(ServiceFront):
         # session construction is heavy: do it outside the condition,
         # then re-validate registration under it
         state = _StreamState(spec)
-        missing = [engine for engine in state.required_engines()
+        missing = [engine for engine in state.session.compute_engines
                    if self.pool.count(engine) == 0]
         if missing:
             state.close()

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from ..core.fusion_rules import (
-    FusionRule,
-    MaxMagnitudeRule,
-    WeightedRule,
-    WindowActivityRule,
-)
+from ..core.fusion_rules import FUSION_RULES, FusionRule
 from ..errors import ConfigurationError
 from ..exec import executor_names
 from ..graph import Stage
@@ -29,13 +24,6 @@ from ..video.scene import SyntheticScene
 
 #: Engine field values that select a scheduler instead of a fixed engine.
 SCHEDULER_NAMES = ("adaptive", "online")
-
-#: Fusion-rule names resolvable by :meth:`FusionConfig.make_rule`.
-FUSION_RULES = {
-    "max-magnitude": MaxMagnitudeRule,
-    "weighted": WeightedRule,
-    "window-activity": WindowActivityRule,
-}
 
 
 @dataclass

@@ -763,6 +763,15 @@ class FusionSession:
         """The engine in use (most recently selected, if scheduled)."""
         return self._engine
 
+    @property
+    def compute_engines(self) -> Tuple[str, ...]:
+        """Names of every engine this session may compute on: the
+        binding's (the online probe set, else the one engine) plus
+        every engine the plan places a stage on (a forced ``place``
+        override).  A serving pool must hold each of them."""
+        names = [engine.name for engine in self._binding.engines]
+        return tuple(dict.fromkeys(names + list(self.plan.engines)))
+
     def _new_fuser(self, engine: Engine) -> ImageFusion:
         """A fresh fusion lane on ``engine`` (every worker context,
         the serial one included, builds its lanes here)."""
@@ -1032,7 +1041,7 @@ class FusionSession:
 
         The N=1 interop with multi-stream serving: the same config,
         graph and plan are served over an engine pool (default: one
-        instance of every engine this session may select), and the
+        instance of each of :attr:`compute_engines`), and the
         stream's :class:`FusionReport` comes back — bitwise-identical
         frames to :meth:`run` on the same seeded source.  The service
         builds its own private session from the config, so this
@@ -1045,11 +1054,7 @@ class FusionSession:
         if source is None:
             source = self._new_capture_source()
         if pool is None:
-            if self.scheduler is not None:
-                names = [engine.name for engine in self.scheduler.engines]
-            else:
-                names = [self._engine.name]
-            pool = {name: 1 for name in names}
+            pool = {name: 1 for name in self.compute_engines}
         with FusionService(pool=pool, **service_kwargs) as service:
             service.add_stream("session", config=self.config,
                                source=source, frames=frames,

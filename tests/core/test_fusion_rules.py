@@ -1,12 +1,16 @@
 """Fusion rules: selection semantics and rule invariants."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from repro.core.fusion_rules import (
+    FUSION_RULES,
     MaxMagnitudeRule,
     WeightedRule,
     WindowActivityRule,
+    _box_sum,
     rule_by_name,
 )
 from repro.dtcwt import Dtcwt2D
@@ -196,3 +200,99 @@ class TestFactory:
     def test_unknown_rule(self):
         with pytest.raises(FusionError):
             rule_by_name("telepathy")
+
+    def test_registry_keys_are_rule_names(self):
+        assert sorted(FUSION_RULES) == [
+            "max-magnitude", "weighted", "window-activity"]
+        for name, rule in FUSION_RULES.items():
+            assert rule.name == name
+
+
+# -- reference formulas: the pairwise hooks the N-ary hooks replaced ----
+def _ref_max_magnitude(a, b):
+    return np.where(np.abs(a) >= np.abs(b), a, b)
+
+
+def _ref_max_magnitude_argmax(bands):
+    stacked = np.stack(bands)
+    choice = np.argmax(np.abs(stacked), axis=0)
+    return np.take_along_axis(stacked, choice[None], axis=0)[0]
+
+
+def _ref_weighted(alpha, a, b):
+    return alpha * a + (1.0 - alpha) * b
+
+
+def _ref_window_activity(window, consistency, a, b):
+    choose_a = _box_sum(np.abs(a), window) >= _box_sum(np.abs(b), window)
+    if consistency:
+        votes = _box_sum(choose_a.astype(np.float64), window)
+        choose_a = votes > window * window / 2.0
+    return np.where(choose_a, a, b)
+
+
+def _ref_mean(a, b):
+    return (a + b) / 2.0
+
+
+def _tie_heavy_bands(rng, n_sources, frames=2, size=12):
+    """Complex bands with small integer parts: equal magnitudes (and
+    equal window activities) are common, so every tie-break is hit.
+    About half the draws scale them by a random real, so blends
+    round."""
+    shape = (6, frames, size, size)
+    scale = rng.standard_normal() if rng.integers(2) else 1.0
+    return [scale * (rng.integers(-2, 3, shape)
+                     + 1j * rng.integers(-2, 3, shape))
+            for _ in range(n_sources)]
+
+
+def _bitwise(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+class TestRuleDifferential:
+    """The one N-ary hook per band returns the bits of the pairwise
+    formulas at N=2, and of the argmax max-magnitude at N=3-4."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_max_magnitude_pairwise(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _tie_heavy_bands(rng, 2)
+        rule = MaxMagnitudeRule()
+        _bitwise(rule.fuse_highpass([a, b]), _ref_max_magnitude(a, b))
+        _bitwise(rule.fuse_lowpass([a.real, b.real]),
+                 _ref_mean(a.real, b.real))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_weighted_pairwise(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        a, b = _tie_heavy_bands(rng, 2)
+        rule = WeightedRule(alpha=alpha)
+        _bitwise(rule.fuse_highpass([a, b]), _ref_weighted(alpha, a, b))
+        _bitwise(rule.fuse_lowpass([a.real, b.real]),
+                 _ref_weighted(alpha, a.real, b.real))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("window,consistency",
+                             list(product((1, 3, 5), (True, False))))
+    def test_window_activity_pairwise(self, seed, window, consistency):
+        rng = np.random.default_rng(seed)
+        a, b = _tie_heavy_bands(rng, 2)
+        rule = WindowActivityRule(window=window, consistency=consistency)
+        _bitwise(rule.fuse_highpass([a, b]),
+                 _ref_window_activity(window, consistency, a, b))
+        _bitwise(rule.fuse_lowpass([a.real, b.real]),
+                 _ref_mean(a.real, b.real))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_sources", [3, 4])
+    def test_max_magnitude_many(self, seed, n_sources):
+        rng = np.random.default_rng(seed)
+        bands = _tie_heavy_bands(rng, n_sources)
+        _bitwise(MaxMagnitudeRule().fuse_highpass(bands),
+                 _ref_max_magnitude_argmax(bands))

@@ -12,13 +12,18 @@ primitive.
 from dataclasses import astuple
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.dtcwt import dtcwt_banks
 from repro.hw.fpga import HlsBackend
 from repro.hw.hls import HlsWaveletEngine
 
 _SETTINGS = dict(deadline=None, max_examples=40)
+
+#: a 16-frame sheet of 144 lines each (2,304 lines): ``EngineStats``
+#: counts its cycles with one product, which must equal 2,304 per-line
+#: additions exactly
+_LARGE_SHEET = (19, 1, 88, (16, 144), 16)
 
 
 @st.composite
@@ -44,6 +49,7 @@ def _engines(taps, rng):
 class TestEngineSheets:
     @settings(**_SETTINGS)
     @given(case=sheet_case())
+    @example(case=_LARGE_SHEET)
     def test_forward_sheet_equals_per_line_calls(self, case):
         taps, step, out_len, lead, seed = case
         rng = np.random.default_rng(seed)
@@ -62,6 +68,7 @@ class TestEngineSheets:
 
     @settings(**_SETTINGS)
     @given(case=sheet_case())
+    @example(case=_LARGE_SHEET)
     def test_inverse_sheet_equals_per_line_calls(self, case):
         taps, _, out_len, lead, seed = case
         rng = np.random.default_rng(seed)

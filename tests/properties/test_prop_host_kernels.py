@@ -9,10 +9,6 @@ odd and even filtered lengths, zero to two leading batch axes, the
 filtered axis anywhere and spelled positive or negative, both working
 dtypes and inputs seeded with ``+0.0``/``-0.0``; and the full
 ``Dtcwt2D`` forward and inverse at levels 1-4.
-
-The backend under test is built with ``compiled=None``, i.e. the path
-the engines run: the NumPy fallback without Numba, ``_accum_sheets``
-compiled with it.
 """
 
 import numpy as np

@@ -180,6 +180,23 @@ class TestServeParity:
         assert_bitwise_parity(reference.records, served.records)
         assert served.throughput["executor"] == "serve"
 
+    def test_session_serve_pools_forced_placements(self,
+                                                   assert_bitwise_parity):
+        """serve()'s default pool holds every engine the plan places a
+        stage on, so a forced placement serves what run() fuses."""
+        forced = config(graph_overrides={"place": {"visible": "fpga"}})
+        with FusionSession(forced) as session:
+            assert session.compute_engines == ("neon", "fpga")
+            reference = session.run(3, source=SyntheticSource(seed=7))
+        with FusionSession(forced) as session:
+            served = session.serve(source=SyntheticSource(seed=7),
+                                   frames=3)
+        assert_bitwise_parity(reference.records, served.records)
+        assert (served.model_millijoules_total
+                == reference.model_millijoules_total)
+        assert served.records[0].frame.metadata["stages"]["visible"] \
+            == "fpga"
+
 
 # ----------------------------------------------------------------------
 class TestAdmissionBackpressure:
